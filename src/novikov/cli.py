@@ -14,7 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import corpus, invariants
-from .errors import InternalInconsistency, NotAChainComplex, NovikovError
+from .errors import (InternalInconsistency, NotAChainComplex, NovikovError,
+                     ZeroMonodromy)
 from .numfield import NumberField
 
 
@@ -28,7 +29,10 @@ def parse_scalar(text: str):
             body = body[len("minpoly:"):]
         coeffs = [int(c) for c in body.split(",")]
         return NumberField(coeffs).generator()
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroMonodromy(f"zero denominator in {text!r}") from None
 
 
 def _load_space(args) -> corpus.GeneratedSpace:
@@ -84,20 +88,13 @@ def cmd_novikov(args):
     return 0
 
 
-def _jump_payload(jumps):
-    return [{"q": e.q,
-             "factor": [invariants._frac_str(c) for c in e.factor.coeffs],
-             "dim": e.dim} for e in jumps.entries]
-
-
 def cmd_jumps(args):
     space = _load_space(args)
     jumps = invariants.jump_locus(space)
-    payload = {"novikov": jumps.generic, "jumps": _jump_payload(jumps)}
+    payload = {"novikov": jumps.generic, "jumps": invariants.jumps_json(jumps)}
     lines = [f"generic: {jumps.generic}"]
-    for e in jumps.entries:
-        coeffs = [invariants._frac_str(c) for c in e.factor.coeffs]
-        lines.append(f"q={e.q} factor={coeffs} dim={e.dim}")
+    for e in payload["jumps"]:
+        lines.append(f"q={e['q']} factor={e['factor']} dim={e['dim']}")
     _emit(args, payload, lines)
     return 0
 
@@ -110,26 +107,24 @@ def cmd_twisted_dim(args):
     return 0
 
 
-def _crit_payload(space, rep):
-    jumps = invariants.jump_locus(space)
-    b = jumps.generic
-    return invariants.report_json(b, jumps, rep)
-
-
 def cmd_cup_length(args):
     space = _load_space(args)
     cands = [parse_scalar(c) for c in args.candidates.split(",")]
+    jumps = invariants.jump_locus(space)
     rep = invariants.cup_length(space.complex, space.cocycle, cands,
-                                manifold=space.manifold, seed=args.seed)
-    payload = _crit_payload(space, rep)
-    _emit(args, payload, _crit_lines(payload))
-    return 0
+                                manifold=space.manifold, jumps=jumps,
+                                seed=args.seed)
+    return _emit_crit(args, jumps, rep)
 
 
 def cmd_crit_bound(args):
     space = _load_space(args)
     rep = invariants.crit_bound(space, seed=args.seed)
-    payload = _crit_payload(space, rep)
+    return _emit_crit(args, rep.jumps, rep)
+
+
+def _emit_crit(args, jumps, rep):
+    payload = invariants.report_json(jumps.generic, jumps, rep)
     _emit(args, payload, _crit_lines(payload))
     return 0
 
@@ -154,9 +149,8 @@ def cmd_thm3_bound(args):
                     for chunk in args.approximants.split(";")]
     rep = invariants.thm3_bound(space.complex, base, approximants,
                                 manifold=space.manifold, seed=args.seed)
-    payload = _crit_payload(space, rep)
-    _emit(args, payload, _crit_lines(payload))
-    return 0
+    # the report's own jumps belong to the best approximant, not the class
+    return _emit_crit(args, invariants.jump_locus(space), rep)
 
 
 def cmd_gen(args):

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .complexes import (SimplicialComplex, OneCocycle, build_complex,
                         coboundary_of_vertex_function, validate_cocycle)
-from .errors import (DimensionMismatch, NotAManifoldInput, NotAnIsomorphism,
-                     ParameterOutOfRange)
-from .linalg import Span, express, rank_matrix
+from .errors import (DimensionMismatch, MalformedInput, NotAManifoldInput,
+                     NotAnIsomorphism, ParameterOutOfRange)
+from .linalg import Span, express, rank
 from .matrix import PolyMatrix
 from .numfield import Scalar, check_nonzero, scalar_field
 from .polyq import Poly
@@ -287,7 +287,7 @@ def ker_coker_dims(mat, a: Scalar):
     shifted = [[(field.from_rational(mat[i][j]) if field else
                  Fraction(mat[i][j])) - (a if i == j else 0 * a)
                 for j in range(k)] for i in range(k)]
-    r = rank_matrix(shifted, k)
+    r = rank(shifted, k)
     return (k - r, k - r)
 
 
@@ -385,22 +385,44 @@ def space_to_json(space: GeneratedSpace) -> dict:
     return out
 
 
+def _int_lists(value, what: str, width=None):
+    """``value`` itself if it is a list of integer lists (of ``width``)."""
+    if isinstance(value, list) and all(
+            isinstance(s, list) and (width is None or len(s) == width)
+            and all(type(v) is int for v in s) for s in value):
+        return value
+    shape = "integer lists" if width is None else f"integer {width}-lists"
+    raise MalformedInput(f"{what} must be a list of {shape}")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{what} must be a JSON object")
+    return value
+
+
 def space_from_json(data: dict) -> GeneratedSpace:
-    complex = build_complex([tuple(s) for s in data["maximal_simplices"]])
+    """Inverse of ``space_to_json``; a document of the wrong shape raises
+    MalformedInput."""
+    _object(data, "a space")
+    complex = build_complex(
+        [tuple(s) for s in _int_lists(data.get("maximal_simplices"),
+                                      "maximal_simplices")])
     edges = {}
-    for u, v, val in data.get("cocycle", {}).get("edges", []):
+    cocycle = _object(data.get("cocycle", {}), "cocycle")
+    for u, v, val in _int_lists(cocycle.get("edges", []), "cocycle edges", 3):
         if u > v:
             u, v, val = v, u, -val
         edges[(u, v)] = val
     z = validate_cocycle(complex, edges, default_zero=True)
     cut = None
     if "cut" in data:
-        c = data["cut"]
+        c = _object(data["cut"], "cut")
         cut = CutPresentation(
-            build_complex([tuple(s) for s in c["N"]]),
-            build_complex([tuple(s) for s in c["V"]]),
-            {v: w for v, w in c["i_plus"]},
-            {v: w for v, w in c["i_minus"]})
+            build_complex([tuple(s) for s in _int_lists(c.get("N"), "cut N")]),
+            build_complex([tuple(s) for s in _int_lists(c.get("V"), "cut V")]),
+            dict(_int_lists(c.get("i_plus"), "cut i_plus", 2)),
+            dict(_int_lists(c.get("i_minus"), "cut i_minus", 2)))
     return GeneratedSpace(complex, z, data.get("name", "input"),
                           data.get("dimension", complex.dim),
                           bool(data.get("manifold", False)), cut=cut)

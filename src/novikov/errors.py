@@ -29,6 +29,10 @@ class FieldMismatch(NovikovError):
     """Operands belong to different number fields."""
 
 
+class MalformedInput(NovikovError):
+    """A JSON space document does not have the expected shape."""
+
+
 class MalformedSimplex(NovikovError):
     """A simplex tuple contains a repeated vertex."""
 

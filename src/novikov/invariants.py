@@ -35,12 +35,20 @@ class TwistedData:
     """
 
     def __init__(self, matrices, sizes, dimension, complex=None, cocycle=None):
-        self.matrices = matrices
+        self._matrices = matrices
         self.sizes = sizes
         self.dimension = dimension
         self.complex = complex
         self.cocycle = cocycle
         self._smith = {}
+
+    @property
+    def matrices(self):
+        """Polynomial coboundaries; a simplicial instance builds its
+        TwistedComplex (and runs its delta^2 = 0 check) on first use."""
+        if self._matrices is None:
+            self._matrices = TwistedComplex(self.complex, self.cocycle).matrices
+        return self._matrices
 
     @staticmethod
     def of(X, z=None) -> "TwistedData":
@@ -52,9 +60,8 @@ class TwistedData:
         if isinstance(X, SimplicialComplex):
             if z is None:
                 raise ValueError("a simplicial complex needs a cocycle")
-            tc = TwistedComplex(X, z)
             sizes = [X.n_simplices(q) for q in range(X.dim + 1)]
-            return TwistedData(tc.matrices, sizes, X.dim, complex=X, cocycle=z)
+            return TwistedData(None, sizes, X.dim, complex=X, cocycle=z)
         # chain-instance duck type: .matrices, .sizes, .dimension
         return TwistedData(list(X.matrices), list(X.sizes), X.dimension)
 
@@ -206,8 +213,11 @@ class CupLengthCertificate:
 
 
 class CritBoundReport:
+    """Cup-length bound with its certificate; ``jumps`` is the JumpReport
+    of the class when the search had one."""
+
     def __init__(self, cl_lower_bound, certificate, mode, *, seed=None,
-                 skipped=(), notes=(), untwisted_cup_length=None):
+                 skipped=(), notes=(), untwisted_cup_length=None, jumps=None):
         self.cl_lower_bound = cl_lower_bound
         self.crit_bound = max(cl_lower_bound - 1, 0)
         self.certificate = certificate
@@ -216,6 +226,7 @@ class CritBoundReport:
         self.skipped = list(skipped)
         self.notes = list(notes)
         self.untwisted_cup_length = untwisted_cup_length
+        self.jumps = jumps
 
     def __repr__(self):
         return (f"CritBoundReport(cl>={self.cl_lower_bound}, "
@@ -290,7 +301,7 @@ def cup_length(X, z, candidates, *, manifold=False, require_nonunits=2,
     if z.is_zero():
         untw = _untwisted_cup_length(X, z)
         return CritBoundReport(
-            0, None, mode, seed=seed, untwisted_cup_length=untw,
+            0, None, mode, seed=seed, untwisted_cup_length=untw, jumps=jumps,
             notes=["zero class: the twisted length needs two non-unit "
                    "monodromies, which products of trivial monodromy "
                    "never supply"])
@@ -368,7 +379,7 @@ def cup_length(X, z, candidates, *, manifold=False, require_nonunits=2,
             cl = 2
             notes.append(dual)
     report = CritBoundReport(cl, certificate, mode, seed=seed,
-                             skipped=skipped, notes=notes)
+                             skipped=skipped, notes=notes, jumps=jumps)
     if certificate is not None:
         _verify_certificate(X, z, cache, certificate)
     return report
@@ -535,7 +546,7 @@ def crit_bound(X, z=None, *, manifold=None, seed=0):
                 cl = 2
                 notes.append(dual)
         return CritBoundReport(cl, None, "exhaustive-over-candidates",
-                               seed=seed, notes=notes)
+                               seed=seed, notes=notes, jumps=jumps)
     rng = random.Random(seed)
     last = None
     for _attempt in range(3):
@@ -583,13 +594,17 @@ def _frac_str(c: Fraction) -> str:
         else str(c.numerator)
 
 
+def jumps_json(jumps: JumpReport) -> list:
+    return [{"q": e.q,
+             "factor": [_frac_str(c) for c in e.factor.coeffs],
+             "dim": e.dim}
+            for e in jumps.entries]
+
+
 def report_json(novikov, jumps: JumpReport, crit: CritBoundReport) -> dict:
     out = {
         "novikov": list(novikov),
-        "jumps": [{"q": e.q,
-                   "factor": [_frac_str(c) for c in e.factor.coeffs],
-                   "dim": e.dim}
-                  for e in jumps.entries],
+        "jumps": jumps_json(jumps),
         "cl_lower_bound": crit.cl_lower_bound,
         "crit_bound": crit.crit_bound,
         "mode": crit.mode,

@@ -1,18 +1,9 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Names read by the benchmark (perfbench/run.py and perfbench/tracer.py).
 
-Set ``NOVIKOV_PURE_PYTHON=1`` in the environment to force the fallback
-(used by the benchmark and the kernel-equivalence tests).
+``rank_int`` is the one exact rank of ``novikov.linalg``; there is no
+compiled kernel.
 """
 
-import os
+from .linalg import rank as rank_int
 
-if os.environ.get("NOVIKOV_PURE_PYTHON"):
-    from . import _elim_pure as _impl
-else:
-    try:
-        from . import _elim as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _elim_pure as _impl
-
-rank_int = _impl.rank_int
-IMPLEMENTATION = _impl.IMPLEMENTATION
+IMPLEMENTATION = "pure-python"

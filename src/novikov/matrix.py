@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import rank_generic, rank_rational
-from .numfield import FieldElement, Scalar
+from .linalg import rank
+from .numfield import Scalar
 from .polyq import Poly
 
 
@@ -94,21 +94,9 @@ class PolyMatrix:
 
 
 def rank_at(m: PolyMatrix, a: Scalar) -> int:
-    """Exact rank of m evaluated at t = a.
-
-    Gaussian elimination over Q for rational a, over Q[x]/(minpoly) for
-    algebraic a; a reducible modulus surfaces as ZeroDivisorEncountered.
-    """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    vals = m.evaluate(a)
-    if isinstance(a, FieldElement):
-        zero = a.field.zero()
-        vals = [[v if isinstance(v, FieldElement) else a.field.from_rational(v)
-                 for v in row] for row in vals]
-        del zero
-        return rank_generic(vals, m.cols)
-    return rank_rational(vals, m.cols)
+    """Exact rank of m evaluated at t = a, over Q or over Q[x]/(minpoly);
+    a reducible modulus surfaces as ZeroDivisorEncountered."""
+    return rank(m.evaluate(a), m.cols)
 
 
 def _pivot_weight(p: Poly):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .complexes import SimplicialComplex, OneCocycle, twisted_coboundary_values
 from .errors import (DegreeOutOfRange, DimensionMismatch, NotAChainComplex,
                      NotAnIsomorphism)
-from .linalg import Span, nullspace, rank_matrix
+from .linalg import Span, nullspace, rank
 from .matrix import PolyMatrix
 from .numfield import Scalar, check_nonzero, scalar_field
 from .polyq import Poly
@@ -91,10 +91,8 @@ def twisted_cohomology_dim(complex: SimplicialComplex, z: OneCocycle,
 
 
 def _rank_at(complex, z, q, a):
-    rows = twisted_coboundary_values(complex, z, q, a)
-    if not rows:
-        return 0
-    return rank_matrix(rows, len(rows[0]))
+    return rank(twisted_coboundary_values(complex, z, q, a),
+                complex.n_simplices(q))
 
 
 def cocycle_space_basis(complex: SimplicialComplex, z: OneCocycle,
@@ -299,9 +297,7 @@ def _relative_rank(complex, sub, z, q, a):
     keep_cols = relative_cochain_indices(complex, sub, q)
     keep_rows = relative_cochain_indices(complex, sub, q + 1)
     sliced = [[rows[i][j] for j in keep_cols] for i in keep_rows]
-    if not sliced or not keep_cols:
-        return 0
-    return rank_matrix(sliced, len(keep_cols))
+    return rank(sliced, len(keep_cols))
 
 
 def restriction_epi(complex: SimplicialComplex, sub: SimplicialComplex,

@@ -146,3 +146,41 @@ def test_exit_codes(tmp_path, monkeypatch):
     path.write_text(gen("surface", "--genus", "2"))
     code, _ = run_cli(["twisted-dim", str(path), "--a", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["info", "--stdin"], "{}"),
+    (["info", "--stdin"], '{"maximal_simplices": 5}'),
+    (["info", "--stdin"], "[[0, 1, 2]]"),
+    (["twisted-dim", "--stdin", "--a", "1/0"], None),
+])
+def test_malformed_input_exits_2_with_message(argv, stdin_text, monkeypatch,
+                                              capsys):
+    if stdin_text is None:
+        stdin_text = gen("torus")
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_crit_bound_computes_the_jump_locus_once(tmp_path, monkeypatch):
+    from novikov import invariants
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    calls = []
+    real = invariants.jump_locus
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "jump_locus", counting)
+    code, raw = run_cli(["crit-bound", str(path), "--json", "--seed", "3"])
+    assert code == 0 and len(calls) == 1
+    assert json.loads(raw)["novikov"] == [0, 0, 0]
+    calls.clear()
+    code, _ = run_cli(["cup-length", str(path), "--candidates", "2,1/2",
+                       "--manifold", "--json"])
+    assert code == 0 and len(calls) == 1
