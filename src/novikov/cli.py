@@ -64,6 +64,7 @@ def cmd_info(args):
     payload = {
         "name": space.label,
         "f_vector": list(X.f_vector()),
+        "reduced_cells": invariants.TwistedData.of(space).sizes,
         "dimension": X.dim,
         "euler_characteristic": X.euler_characteristic(),
         "cocycle_zero": space.cocycle.is_zero(),
@@ -109,7 +110,10 @@ def cmd_twisted_dim(args):
 
 def cmd_cup_length(args):
     space = _load_space(args)
-    cands = [parse_scalar(c) for c in args.candidates.split(",")]
+    # an algebraic candidate @c0,c1,... contains commas, so a list holding
+    # one is separated by semicolons, as --approximants is
+    sep = ";" if ";" in args.candidates else ","
+    cands = [parse_scalar(c) for c in args.candidates.split(sep)]
     jumps = invariants.jump_locus(space)
     rep = invariants.cup_length(space.complex, space.cocycle, cands,
                                 manifold=space.manifold, jumps=jumps,
@@ -232,7 +236,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("cup-length", help="cup-length bound over candidates")
     common(p)
     p.add_argument("--candidates", required=True,
-                   help="comma-separated monodromies")
+                   help="monodromies separated by commas, or by "
+                        "semicolons when one is algebraic (@c0,c1,...)")
     p.set_defaults(func=cmd_cup_length)
     p = sub.add_parser("crit-bound", help="critical point lower bound")
     common(p); p.set_defaults(func=cmd_crit_bound)

@@ -23,32 +23,47 @@ from .numfield import (FieldElement, NumberField, Scalar, check_nonzero,
                        scalar_mul)
 from .polyq import Poly, coprime_basis, rational_roots, squarefree_factors
 from .twisted import (TwistedComplex, cocycle_space_basis,
-                      coboundary_image_vectors, twisted_cohomology_dim)
+                      coboundary_image_vectors)
 
 
 class TwistedData:
     """Uniform handle on the polynomial coboundary data of an instance.
 
     Wraps either a simplicial complex with a 1-cocycle or raw polynomial
-    matrices (synthetic chain instances).  Smith forms are computed lazily
-    and cached per degree.
+    matrices (synthetic chain instances).  A simplicial instance reads
+    ``matrices`` and ``sizes`` from the unit-pivot-reduced TwistedComplex,
+    built (with its delta^2 = 0 check) and reduced once, on first use.
+    Smith forms are computed lazily and cached per degree.
     """
 
     def __init__(self, matrices, sizes, dimension, complex=None, cocycle=None):
         self._matrices = matrices
-        self.sizes = sizes
+        self._sizes = sizes
         self.dimension = dimension
         self.complex = complex
         self.cocycle = cocycle
         self._smith = {}
 
+    def _reduce(self):
+        if self._matrices is None:
+            self._matrices, self._sizes = TwistedComplex(
+                self.complex, self.cocycle).reduced()
+
     @property
     def matrices(self):
-        """Polynomial coboundaries; a simplicial instance builds its
-        TwistedComplex (and runs its delta^2 = 0 check) on first use."""
-        if self._matrices is None:
-            self._matrices = TwistedComplex(self.complex, self.cocycle).matrices
+        self._reduce()
         return self._matrices
+
+    @property
+    def sizes(self):
+        self._reduce()
+        return self._sizes
+
+    @property
+    def euler(self) -> int:
+        if self.simplicial:
+            return self.complex.euler_characteristic()
+        return sum((-1) ** q * n for q, n in enumerate(self.sizes))
 
     @staticmethod
     def of(X, z=None) -> "TwistedData":
@@ -60,8 +75,7 @@ class TwistedData:
         if isinstance(X, SimplicialComplex):
             if z is None:
                 raise ValueError("a simplicial complex needs a cocycle")
-            sizes = [X.n_simplices(q) for q in range(X.dim + 1)]
-            return TwistedData(None, sizes, X.dim, complex=X, cocycle=z)
+            return TwistedData(None, None, X.dim, complex=X, cocycle=z)
         # chain-instance duck type: .matrices, .sizes, .dimension
         return TwistedData(list(X.matrices), list(X.sizes), X.dimension)
 
@@ -79,8 +93,6 @@ class TwistedData:
 
     def dim_at(self, q: int, a: Scalar) -> int:
         check_nonzero(a)
-        if self.simplicial:
-            return twisted_cohomology_dim(self.complex, self.cocycle, q, a)
         r_q = rank_at(self.matrices[q], a) if q < len(self.matrices) else 0
         r_prev = rank_at(self.matrices[q - 1], a) if 0 < q <= len(self.matrices) else 0
         return self.sizes[q] - r_q - r_prev
@@ -135,15 +147,15 @@ class JumpReport:
 
 
 def novikov_numbers(X, z=None):
-    """Generic dimensions b_q of twisted cohomology, via Smith form ranks."""
+    """Generic dimensions b_q of twisted cohomology, via Smith form ranks
+    of the reduced coboundaries."""
     data = TwistedData.of(X, z)
     b = []
     for q in range(data.dimension + 1):
         r_q = data.smith(q).rank
         r_prev = data.smith(q - 1).rank if q > 0 else 0
         b.append(data.sizes[q] - r_q - r_prev)
-    euler = sum((-1) ** q * n for q, n in enumerate(data.sizes))
-    if sum((-1) ** q * bq for q, bq in enumerate(b)) != euler:
+    if sum((-1) ** q * bq for q, bq in enumerate(b)) != data.euler:
         raise InternalInconsistency(
             "alternating sum of generic dimensions differs from the "
             "Euler characteristic")
@@ -185,7 +197,8 @@ def jump_locus(X, z=None) -> JumpReport:
 
 
 def twisted_dims(X, z, a: Scalar = None):
-    """dim H^q(X; E_a) for q = 0..dim, by direct evaluation at a."""
+    """dim H^q(X; E_a) for q = 0..dim, by evaluating the reduced
+    coboundaries at a."""
     if a is None:
         X, z, a = X, None, z
     data = TwistedData.of(X, z)

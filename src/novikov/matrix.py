@@ -182,10 +182,11 @@ def snf(m: PolyMatrix) -> SmithForm:
             if restart:
                 continue
             # divisibility fixup: pivot must divide the trailing submatrix
+            # (zero entries are divisible by anything and are skipped)
             offender = None
             for i in range(k + 1, nrows):
                 for j in range(k + 1, ncols):
-                    if not a[k][k].divides(a[i][j]):
+                    if a[i][j] and not a[k][k].divides(a[i][j]):
                         offender = i
                         break
                 if offender is not None:

@@ -73,6 +73,14 @@ class FieldElement:
         self.field = field
         self.residue = residue % field.min_poly
 
+    @classmethod
+    def _reduced(cls, field: NumberField, residue: Poly) -> "FieldElement":
+        """Element from a residue already of degree < deg(min_poly)."""
+        out = object.__new__(cls)
+        out.field = field
+        out.residue = residue
+        return out
+
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
             if other.field != self.field:
@@ -82,22 +90,32 @@ class FieldElement:
             return self.field.from_rational(other)
         raise TypeError(f"cannot coerce {other!r} into {self.field}")
 
+    # A rational operand acts on the residue directly: it shifts the
+    # constant coefficient or scales every coefficient, and the result
+    # stays reduced, so no division by the modulus is needed.
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            coeffs = list(self.residue.coeffs) or [0]
+            coeffs[0] += other
+            return FieldElement._reduced(self.field, Poly(coeffs))
         other = self._coerce(other)
         return FieldElement(self.field, self.residue + other.residue)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, -self.residue)
+        return FieldElement._reduced(self.field, -self.residue)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FieldElement._reduced(self.field, self.residue * other)
         other = self._coerce(other)
         return FieldElement(self.field, self.residue * other.residue)
 
@@ -113,6 +131,8 @@ class FieldElement:
         return FieldElement(self.field, u)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):

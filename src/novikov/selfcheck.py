@@ -1,7 +1,8 @@
 """Built-in cross-convention checks, runnable via `novikov self-check`.
 
 Each check pits two independent computation paths against each other:
-the cut-based deformation complex against direct twisted evaluation, the
+the cut-based deformation complex against the reduced twisted complex
+and direct twisted evaluation, the
 fiber-level kernel/cokernel oracle against both, and the Leibniz identity
 tying the cup product transport to the twisted coboundary sign.
 """
@@ -14,7 +15,7 @@ from fractions import Fraction
 from . import corpus
 from .complexes import twisted_cup, twisted_coboundary_values
 from .invariants import novikov_numbers, twisted_dims
-from .twisted import DeformationComplex
+from .twisted import DeformationComplex, twisted_cohomology_dim
 
 
 def _random_rationals(rng, count):
@@ -27,7 +28,8 @@ def _random_rationals(rng, count):
 
 
 def check_deformation_convention(report):
-    """Deformation complex at a == twisted dimensions at 1/a == oracle."""
+    """Deformation complex at a == twisted dimensions at 1/a (reduced
+    complex and unreduced elimination) == oracle."""
     rng = random.Random(20260826)
     F = corpus.circle(3).complex
     cases = [
@@ -40,9 +42,12 @@ def check_deformation_convention(report):
         for a in _random_rationals(rng, 5) + [Fraction(1)]:
             lhs = [D.dim_at(q, a) for q in range(space.dimension + 1)]
             mid = twisted_dims(space, 1 / a)
+            direct = [twisted_cohomology_dim(space.complex, space.cocycle,
+                                             q, 1 / a)
+                      for q in range(space.dimension + 1)]
             rhs = corpus.mv_oracle_dims(fiber, h, 1 / a)
             report("deformation convention "
-                   f"({space.label}, a={a})", lhs == mid == rhs)
+                   f"({space.label}, a={a})", lhs == mid == direct == rhs)
 
 
 def check_leibniz(report):

@@ -50,7 +50,11 @@ def test_info_and_betti(tmp_path):
     code, out = run_cli(["info", str(path)])
     assert code == 0
     assert "f_vector: [15, 51, 34]" in out
+    assert "reduced_cells: [1, 4, 1]" in out
     assert "euler_characteristic: -2" in out
+    code, raw = run_cli(["info", str(path), "--json"])
+    assert code == 0
+    assert json.loads(raw)["reduced_cells"] == [1, 4, 1]
     code, out = run_cli(["betti", str(path)])
     assert code == 0
     assert "[1, 4, 1]" in out
@@ -93,6 +97,35 @@ def test_cup_length_and_crit_bound(tmp_path):
     code, raw = run_cli(["crit-bound", str(path), "--json", "--seed", "0"])
     assert code == 0
     assert json.loads(raw)["crit_bound"] == 1
+
+
+def test_cup_length_candidates_with_an_algebraic_monodromy(tmp_path):
+    """Semicolons separate candidates when one is @c0,c1,...; commas still
+    separate a list of rationals."""
+    doc = json.loads(gen("torus"))
+    # torus wedge circle, the class on the circle: every monodromy sees
+    # the torus classes, so a product of two classes at one non-unit
+    # algebraic monodromy is nonzero
+    doc["maximal_simplices"] += [[0, 100], [100, 101], [0, 101]]
+    doc["cocycle"] = {"edges": [[100, 101, 1]]}
+    doc.pop("cut")
+    doc["manifold"] = False
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps(doc))
+    code, raw = run_cli(["cup-length", str(path), "--candidates",
+                         "@-1,-3,2;2;1/2", "--json"])
+    assert code == 0
+    cert = json.loads(raw)["certificate"]
+    assert cert["k"] == 2
+    assert {"minpoly": ["-1", "-3", "2"], "residue": ["0", "1"]} in \
+        [f["monodromy"] for f in cert["factors"]]
+    surface_path = tmp_path / "surface.json"
+    surface_path.write_text(gen("surface", "--genus", "2"))
+    runs = [run_cli(["cup-length", str(surface_path), "--candidates", c,
+                     "--manifold", "--json"])
+            for c in ("1,2,1/2,3,1/3", "1;2;1/2;3;1/3")]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+    assert json.loads(runs[0][1])["cl_lower_bound"] == 2
 
 
 def test_crit_bound_deterministic_for_seed(tmp_path):

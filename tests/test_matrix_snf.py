@@ -72,3 +72,26 @@ def test_empty_and_zero_matrices():
     assert snf(PolyMatrix(0, 3)).rank == 0
     assert snf(PolyMatrix(3, 0)).rank == 0
     assert snf(PolyMatrix(2, 2)).rank == 0
+
+
+def test_divisibility_fixup_skips_zero_entries(monkeypatch):
+    """On a sparse matrix the fixup never asks whether the pivot divides a
+    zero entry, and the divisors are those of the scattered diagonal."""
+    s = Poly([-1, 1])            # t - 1
+    u = Poly([1, 1])             # t + 1
+    m = PolyMatrix(5, 6)
+    m[0, 3] = s * u
+    m[2, 0] = Poly.const(3)
+    m[3, 5] = t() * s
+    m[4, 1] = s
+    calls = []
+    real = Poly.divides
+
+    def recording(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "divides", recording)
+    form = snf(m)
+    assert calls and all(not c.is_zero() for c in calls)
+    assert form.divisors == [Poly.const(1), s, s, s * u * t()]

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from novikov.errors import ZeroMonodromy
-from novikov.numfield import (NumberField, is_algebraic_integer,
+from novikov.numfield import (FieldElement, NumberField, is_algebraic_integer,
                               is_dirichlet_unit, scalar_inv, scalar_key,
                               scalar_mul)
 
@@ -74,3 +75,27 @@ def test_scalar_helpers():
 def test_rejects_rational_root_modulus():
     with pytest.raises(Exception):
         NumberField([-1, 0, 1])  # x^2 - 1 is reducible
+
+
+@pytest.mark.parametrize("modulus", [[-1, -3, 2], [1, 1, 1]])
+def test_rational_operands_match_the_coerced_route(modulus):
+    """The fast path for int/Fraction operands gives the same residue as
+    coercing through from_rational, and always a FieldElement."""
+    K = NumberField(modulus)
+    rng = random.Random(11)
+
+    def rand_q():
+        return Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+
+    for _ in range(40):
+        x = K.element([rand_q(), rand_q()])
+        c = rng.choice([rand_q(), rng.randint(-4, 4), 0])
+        cK = K.from_rational(c)
+        pairs = [(x + c, x + cK), (c + x, cK + x), (x - c, x - cK),
+                 (c - x, cK - x), (x * c, x * cK), (c * x, cK * x)]
+        if c:
+            pairs.append((x / c, x / cK))
+        for fast, slow in pairs:
+            assert isinstance(fast, FieldElement)
+            assert fast.residue.coeffs == slow.residue.coeffs
+            assert fast.residue.degree < K.degree
