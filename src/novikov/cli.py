@@ -114,10 +114,10 @@ def cmd_cup_length(args):
     # one is separated by semicolons, as --approximants is
     sep = ";" if ";" in args.candidates else ","
     cands = [parse_scalar(c) for c in args.candidates.split(sep)]
-    jumps = invariants.jump_locus(space)
-    rep = invariants.cup_length(space.complex, space.cocycle, cands,
-                                manifold=space.manifold, jumps=jumps,
-                                seed=args.seed)
+    data = invariants.TwistedData.of(space)
+    jumps = invariants.jump_locus(data)
+    rep = invariants.cup_length(data, None, cands, manifold=space.manifold,
+                                jumps=jumps, seed=args.seed)
     return _emit_crit(args, jumps, rep)
 
 

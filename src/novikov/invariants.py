@@ -16,7 +16,7 @@ from fractions import Fraction
 from .complexes import SimplicialComplex, twisted_cup
 from .errors import (InternalInconsistency, NotInSpan,
                      ZeroDivisorEncountered)
-from .linalg import Span, express
+from .linalg import Span
 from .matrix import SmithForm, rank_at, snf
 from .numfield import (FieldElement, NumberField, Scalar, check_nonzero,
                        is_dirichlet_unit, scalar_field, scalar_key,
@@ -247,50 +247,119 @@ class CritBoundReport:
 
 
 class _CohomologyCache:
-    """Cocycle-space bases and coboundary spans per (monodromy, degree)."""
+    """Twisted cohomology of one instance in coordinates, per (monodromy,
+    degree), shared by every cup-length search over that instance.
 
-    def __init__(self, complex, cocycle):
-        self.complex = complex
-        self.cocycle = cocycle
-        self._store = {}
+    ``dim`` reads dim H^q(E_a) off the reduced complex, so a degree whose
+    cohomology vanishes costs one rank evaluation and no cochain algebra.
+    For a nonzero degree, ``reps`` keeps cocycles whose classes form a
+    basis, and one echelon of the rows [coboundary | 0] and [rep_i | e_i]
+    serves as the coordinate projector: reducing [v | 0] for a cocycle v
+    clears every cochain column and leaves minus the coordinates of v's
+    class in the e_i columns.  ``constants`` holds the cup structure
+    constants coords(rep^m_i cup rep^a_j), computed once per (m, p, a, d).
+    """
 
-    def get(self, a: Scalar, q: int):
-        """Returns (basis representatives of H^q(E_a), coboundary vectors)."""
+    def __init__(self, data: TwistedData):
+        self.data = data
+        self.complex = data.complex
+        self.cocycle = data.cocycle
+        self._dims = {}
+        self._bases = {}
+        self._constants = {}
+
+    def dim(self, a: Scalar, q: int) -> int:
         key = (scalar_key(a), q)
-        if key not in self._store:
-            cobs = coboundary_image_vectors(self.complex, self.cocycle, q, a)
-            span = Span(self.complex.n_simplices(q))
-            for v in cobs:
-                span.add(v)
-            reps = []
-            for v in cocycle_space_basis(self.complex, self.cocycle, q, a):
-                if span.add(v):
-                    reps.append(v)
-            self._store[key] = (reps, cobs)
-        return self._store[key]
+        if key not in self._dims:
+            self._dims[key] = self.data.dim_at(q, a)
+        return self._dims[key]
+
+    def reps(self, a: Scalar, q: int):
+        return self._basis(a, q)[0]
+
+    def _basis(self, a, q):
+        key = (scalar_key(a), q)
+        if key not in self._bases:
+            self._bases[key] = self._build(a, q)
+        return self._bases[key]
+
+    def _build(self, a, q):
+        b = self.dim(a, q)
+        if b == 0:
+            return [], None
+        X, z = self.complex, self.cocycle
+        n_q = X.n_simplices(q)
+        projector = Span(n_q + b)
+        for v in coboundary_image_vectors(X, z, q, a):
+            projector.add(v)
+        reps = []
+        for v in cocycle_space_basis(X, z, q, a):
+            row = projector.residue(list(v) + [0] * len(reps) + [1])
+            if min(row) < n_q:  # v is independent modulo coboundaries
+                projector.insert(row)
+                reps.append(v)
+        if len(reps) != b:
+            raise InternalInconsistency(
+                f"{len(reps)} cohomology representatives in degree {q}, "
+                f"but the reduced complex gives dimension {b}")
+        return reps, projector
+
+    def coords(self, a: Scalar, q: int, vec) -> list:
+        """Coordinates of a cocycle's class in the basis of H^q(E_a)."""
+        reps, projector = self._basis(a, q)
+        n_q = projector.ncols - len(reps)
+        row = projector.residue(vec)
+        if row and min(row) < n_q:
+            raise InternalInconsistency(
+                f"a cup product in degree {q} is not a cocycle")
+        return [-row.get(n_q + i, 0) for i in range(len(reps))]
+
+    def constants(self, m: Scalar, p: int, a: Scalar, d: int):
+        """C[i][j] = coords(rep^m_i cup rep^a_j) in H^{p+d}(E_{ma})."""
+        key = (scalar_key(m), p, scalar_key(a), d)
+        if key not in self._constants:
+            X, z = self.complex, self.cocycle
+            ma = scalar_mul(m, a)
+            self._constants[key] = [
+                [self.coords(ma, p + d, twisted_cup(X, z, p, d, m, a, u, w))
+                 for w in self.reps(a, d)]
+                for u in self.reps(m, p)]
+        return self._constants[key]
 
 
 class _DPState:
-    """Achieved cup products at one (monodromy, degree, nonunits, length).
-
-    ``span`` is seeded with the coboundaries in the target degree, so a
-    stored vector enlarging it represents a nonzero cohomology class.
-    ``vectors`` keeps one spanning set of achieved products together with
-    their provenance chains for certificate extraction.
+    """Achieved cup products at one (monodromy, degree, nonunits, length),
+    as coordinate vectors in the cohomology basis of that monodromy and
+    degree.  ``vectors`` keeps the products that enlarged the span, which
+    span all achieved products because the cup product is bilinear, each
+    with its provenance chain for certificate extraction.
     """
 
-    def __init__(self, ncols, coboundaries):
-        self.span = Span(ncols)
-        for v in coboundaries:
-            self.span.add(v)
-        self.base_dim = self.span.dim
-        self.vectors = []  # (vector, provenance)
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.span = Span(dim)
+        self.vectors = []  # (coordinates, provenance)
 
-    def offer(self, vec, provenance) -> bool:
-        if self.span.add(vec):
-            self.vectors.append((vec, provenance))
+    @property
+    def full(self) -> bool:
+        return len(self.vectors) == self.dim
+
+    def offer(self, coords, provenance) -> bool:
+        if self.span.add(coords):
+            self.vectors.append((coords, provenance))
             return True
         return False
+
+
+def _combine(x, C, j, dim):
+    """sum_i x_i C[i][j]: the coordinates of (class x) cup rep_j."""
+    out = [0] * dim
+    for xi, row in zip(x, C):
+        if xi:
+            for k, c in enumerate(row[j]):
+                if c:
+                    out[k] += xi * c
+    return out
 
 
 def _compatible_product(m: Scalar, a: Scalar):
@@ -301,60 +370,40 @@ def _compatible_product(m: Scalar, a: Scalar):
     return scalar_mul(m, a)
 
 
-def cup_length(X, z, candidates, *, manifold=False, require_nonunits=2,
-               jumps=None, seed=None, mode="exhaustive-over-candidates"):
-    """Longest certified nontrivial product of positive-degree twisted classes.
+def _search(cache: _CohomologyCache, cands, require_nonunits: int):
+    """Dynamic programming over (accumulated monodromy, total degree,
+    non-Dirichlet-unit count, product length) in cohomology coordinates.
 
-    Dynamic programming over (accumulated monodromy, total degree,
-    non-Dirichlet-unit count, product length); each state stores a spanning
-    set of realizable products modulo coboundaries, which suffices because
-    the cup product is bilinear.  Returns a CritBoundReport whose
-    clLowerBound certifies the bound with a re-checkable certificate.
+    Returns (length, best, skipped): the longest length reached with at
+    least ``require_nonunits`` non-unit factors, its (monodromy, degree,
+    state) or None, and the distinct (accumulated monodromy, candidate)
+    key pairs left out because their fields differ.
     """
-    if z.is_zero():
-        untw = _untwisted_cup_length(X, z)
-        return CritBoundReport(
-            0, None, mode, seed=seed, untwisted_cup_length=untw, jumps=jumps,
-            notes=["zero class: the twisted length needs two non-unit "
-                   "monodromies, which products of trivial monodromy "
-                   "never supply"])
-    cands = []
-    skipped = []
-    for a in candidates:
-        check_nonzero(a)
-        key = scalar_key(a)
-        if any(scalar_key(c) == key for c in cands):
-            continue
-        cands.append(a)
-    cache = _CohomologyCache(X, z)
-    n = X.dim
+    n = cache.complex.dim
     states = {}
+    skipped = []
 
     def get_state(m, degree, nonunits, length):
         key = (scalar_key(m), degree, nonunits, length)
         if key not in states:
-            _, cobs = cache.get(m, degree)
-            states[key] = (m, _DPState(X.n_simplices(degree), cobs))
+            states[key] = (m, _DPState(cache.dim(m, degree)))
         return states[key][1]
 
     cand_info = []
     for a in cands:
         unit = is_dirichlet_unit(a)
-        degs = []
-        for d in range(1, n + 1):
-            reps, _ = cache.get(a, d)
-            if reps:
-                degs.append((d, reps))
+        degs = [(d, cache.reps(a, d)) for d in range(1, n + 1)
+                if cache.dim(a, d)]
         if degs:
             cand_info.append((a, unit, degs))
 
-    best = 0
-    best_vec = None
     for a, unit, degs in cand_info:
         for d, reps in degs:
             st = get_state(a, d, 0 if unit else 1, 1)
             for i, v in enumerate(reps):
-                st.offer(v, ((a, d, i, v), None))
+                e_i = [0] * len(reps)
+                e_i[i] = 1
+                st.offer(e_i, ((a, d, v), None))
 
     for length in range(1, n):
         layer = [(key, m, st) for key, (m, st) in states.items()
@@ -363,87 +412,133 @@ def cup_length(X, z, candidates, *, manifold=False, require_nonunits=2,
             for a, unit, degs in cand_info:
                 m2 = _compatible_product(m, a)
                 if m2 is None:
-                    skipped.append((mkey, scalar_key(a)))
+                    if (mkey, scalar_key(a)) not in skipped:
+                        skipped.append((mkey, scalar_key(a)))
                     continue
                 nu2 = min(nonunits + (0 if unit else 1), 2)
                 for d, reps in degs:
-                    if degree + d > n:
+                    if degree + d > n or not cache.dim(m2, degree + d):
                         continue
                     st2 = get_state(m2, degree + d, nu2, length + 1)
-                    for vec, prov in st.vectors:
-                        for i, w in enumerate(reps):
-                            product = twisted_cup(X, z, degree, d, m, a,
-                                                  vec, w)
-                            st2.offer(product, ((a, d, i, w), (vec, prov)))
+                    if st2.full:
+                        continue
+                    C = cache.constants(m, degree, a, d)
+                    for x, prov in st.vectors:
+                        for j, w in enumerate(reps):
+                            st2.offer(_combine(x, C, j, st2.dim),
+                                      ((a, d, w), prov))
 
-    for (mkey, degree, nonunits, length), (m, st) in states.items():
+    best, found = 0, None
+    for (_, degree, nonunits, length), (m, st) in states.items():
         if nonunits >= require_nonunits and st.vectors and length > best:
-            best = length
-            best_vec = (m, degree, st)
+            best, found = length, (m, degree, st)
+    return best, found, skipped
 
+
+def cup_length(X, z, candidates, *, manifold=False, require_nonunits=2,
+               jumps=None, seed=None, mode="exhaustive-over-candidates",
+               cache=None):
+    """Longest certified nontrivial product of positive-degree twisted classes.
+
+    ``X`` and ``z`` are read as by ``TwistedData.of``; ``cache``, a
+    ``_CohomologyCache`` of the same instance, lets several searches share
+    their bases and structure constants.  Each DP state stores a spanning
+    set of realizable products in cohomology coordinates, which suffices
+    because the cup product is bilinear.  Returns a CritBoundReport whose
+    clLowerBound certifies the bound with a re-checkable certificate; for
+    the zero class it reports the untwisted cup-length instead, the same
+    search at the unit monodromy with no non-unit requirement.
+    """
+    if cache is None:
+        cache = _CohomologyCache(TwistedData.of(X, z))
+    X, z = cache.complex, cache.cocycle
+    if z.is_zero():
+        untw, _, _ = _search(cache, [Fraction(1)], 0)
+        return CritBoundReport(
+            0, None, mode, seed=seed, untwisted_cup_length=untw, jumps=jumps,
+            notes=["zero class: the twisted length needs two non-unit "
+                   "monodromies, which products of trivial monodromy "
+                   "never supply"])
+    cands = []
+    for a in candidates:
+        check_nonzero(a)
+        key = scalar_key(a)
+        if any(scalar_key(c) == key for c in cands):
+            continue
+        cands.append(a)
+    cl, found, skipped = _search(cache, cands, require_nonunits)
     certificate = None
-    if best_vec is not None and best >= 1:
-        certificate = _extract_certificate(X, z, cache, best, best_vec)
+    if found is not None:
+        certificate = _extract_certificate(cl, *found)
     notes = []
-    cl = best
     if manifold and cl < 2:
-        dual = _duality_bound(X, z, jumps, n)
+        dual = _duality_bound(
+            jumps if jumps is not None else jump_locus(cache.data), X.dim)
         if dual is not None:
             cl = 2
             notes.append(dual)
+    if skipped:
+        notes.append(f"skipped {len(skipped)} monodromy pair(s) from "
+                     "different number fields: their products were not "
+                     "formed, so the bound does not cover them")
     report = CritBoundReport(cl, certificate, mode, seed=seed,
                              skipped=skipped, notes=notes, jumps=jumps)
     if certificate is not None:
-        _verify_certificate(X, z, cache, certificate)
+        _verify_certificate(X, z, certificate,
+                            cache.reps(certificate.product_monodromy,
+                                       certificate.total_degree))
     return report
 
 
-def _extract_certificate(X, z, cache, k, best_vec):
-    m, degree, st = best_vec
-    vec, prov = st.vectors[0]
-    chain = []
+def _extract_certificate(k, m, degree, st):
+    coords, prov = st.vectors[0]
+    factors = []
     while prov is not None:
-        (a, d, _i, w), prev = prov
-        chain.append((a, d, w))
-        prov = prev[1] if prev is not None else None
-    chain.reverse()
-    factors = [(a, d, w, is_dirichlet_unit(a)) for a, d, w in chain]
-    reps, cobs = cache.get(m, degree)
-    coords = express([list(r) for r in reps] + [list(c) for c in cobs],
-                     vec, _zero_like(vec))
-    witness = coords[:len(reps)] if coords is not None else None
+        (a, d, w), prov = prov
+        factors.append((a, d, w, is_dirichlet_unit(a)))
+    factors.reverse()
+    # the witness takes the type of the cochain product: field elements
+    # as soon as one factor's monodromy is one
+    field = next(filter(None, (scalar_field(f[0]) for f in factors)), None)
+    if field is not None:
+        witness = [c if isinstance(c, FieldElement)
+                   else field.from_rational(c) for c in coords]
+    else:
+        witness = [c.as_rational() if isinstance(c, FieldElement)
+                   else Fraction(c) for c in coords]
     return CupLengthCertificate(k, factors, witness, m, degree)
 
 
-def _zero_like(vec):
-    for v in vec:
-        if isinstance(v, FieldElement):
-            return v.field.zero()
-    return Fraction(0)
-
-
-def _verify_certificate(X, z, cache, cert: CupLengthCertificate):
-    """Independent re-check: multiply the stored representatives afresh and
-    confirm the product is not a coboundary."""
+def _verify_certificate(X, z, cert: CupLengthCertificate, reps):
+    """Independent cochain-level re-check: multiply the stored
+    representatives afresh, build the coboundaries of the product's degree,
+    and confirm that the product is not a coboundary but differs from
+    sum witness_i reps_i by one.  Reads no coordinate projector."""
     a0, d0, v0, _ = cert.factors[0]
     acc_m, acc_d, acc_v = a0, d0, list(v0)
     for a, d, w, _unit in cert.factors[1:]:
         acc_v = twisted_cup(X, z, acc_d, d, acc_m, a, acc_v, w)
         acc_m = scalar_mul(acc_m, a)
         acc_d += d
-    _, cobs = cache.get(acc_m, acc_d)
     span = Span(X.n_simplices(acc_d))
-    for c in cobs:
+    for c in coboundary_image_vectors(X, z, acc_d, acc_m):
         span.add(c)
     if span.contains(acc_v):
         raise InternalInconsistency(
             "certificate product re-evaluated to a coboundary")
+    diff = list(acc_v)
+    for x, r in zip(cert.witness, reps):
+        if x:
+            diff = [y - x * e for y, e in zip(diff, r)]
+    if len(cert.witness) != len(reps) or not span.contains(diff):
+        raise InternalInconsistency(
+            "certificate witness does not match the re-evaluated product")
     if cert.nonunit_count() < 2:
         raise InternalInconsistency(
             "certificate has fewer than two non-unit monodromies")
 
 
-def _duality_bound(X, z, jumps, n):
+def _duality_bound(jumps: JumpReport, n: int):
     """Length-2 bound from the duality pairing on a closed manifold.
 
     If some jump factor in a middle degree has a root that is not a
@@ -451,12 +546,8 @@ def _duality_bound(X, z, jumps, n):
     a class at the inverse root, and the inverse of a non-unit is a
     non-unit; two non-unit factors give length 2.
     """
-    if jumps is None:
-        jumps = jump_locus(X, z)
     for e in jumps.entries:
-        if not 0 < e.q < n:
-            continue
-        if _has_nonunit_root(e.factor):
+        if 0 < e.q < n and _has_nonunit_root(e.factor):
             return ("duality pairing: jump factor "
                     f"{list(e.factor.primitive_int_coeffs())} in degree "
                     f"{e.q} has a non-unit root; its inverse root pairs "
@@ -478,45 +569,6 @@ def _has_nonunit_root(factor: Poly) -> bool:
         if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
             return True
     return False
-
-
-def _untwisted_cup_length(X, z0):
-    """Ordinary rational cup-length of positive-degree classes."""
-    one = Fraction(1)
-    cache = _CohomologyCache(X, z0)
-    n = X.dim
-    best = 0
-    states = {}
-
-    def get_state(degree, length):
-        key = (degree, length)
-        if key not in states:
-            _, cobs = cache.get(one, degree)
-            states[key] = _DPState(X.n_simplices(degree), cobs)
-        return states[key]
-
-    for d in range(1, n + 1):
-        reps, _ = cache.get(one, d)
-        st = get_state(d, 1)
-        for v in reps:
-            st.offer(v, None)
-    for length in range(1, n):
-        layer = [(key, st) for key, st in states.items()
-                 if key[1] == length and st.vectors]
-        for (degree, _), st in layer:
-            for d in range(1, n - degree + 1):
-                reps, _ = cache.get(one, d)
-                if not reps:
-                    continue
-                st2 = get_state(degree + d, length + 1)
-                for vec, _prov in st.vectors:
-                    for w in reps:
-                        st2.offer(twisted_cup(X, z0, degree, d, one, one,
-                                              vec, w), None)
-    for (degree, length), st in states.items():
-        if st.vectors and length > best:
-            best = length
-    return best
 
 
 def default_candidates(jumps: JumpReport, rng: random.Random):
@@ -544,7 +596,8 @@ def default_candidates(jumps: JumpReport, rng: random.Random):
 
 
 def crit_bound(X, z=None, *, manifold=None, seed=0):
-    """Jump locus plus cup-length search over the default candidate set."""
+    """Jump locus plus cup-length search over the default candidate set;
+    the three attempts share one cohomology cache."""
     if manifold is None:
         manifold = bool(getattr(X, "manifold", False))
     data = TwistedData.of(X, z)
@@ -554,31 +607,22 @@ def crit_bound(X, z=None, *, manifold=None, seed=0):
         notes = []
         cl = 0
         if manifold:
-            dual = _chain_duality_bound(jumps, data.dimension)
+            dual = _duality_bound(jumps, data.dimension)
             if dual is not None:
                 cl = 2
                 notes.append(dual)
         return CritBoundReport(cl, None, "exhaustive-over-candidates",
                                seed=seed, notes=notes, jumps=jumps)
     rng = random.Random(seed)
+    cache = _CohomologyCache(data)
     last = None
     for _attempt in range(3):
         cands = default_candidates(jumps, rng)
-        last = cup_length(data.complex, data.cocycle, cands,
-                          manifold=manifold, jumps=jumps, seed=seed,
-                          mode="probabilistic")
+        last = cup_length(data, None, cands, manifold=manifold, jumps=jumps,
+                          seed=seed, mode="probabilistic", cache=cache)
         if last.cl_lower_bound > 0:
             return last
     return last
-
-
-def _chain_duality_bound(jumps: JumpReport, n: int):
-    for e in jumps.entries:
-        if 0 < e.q < n and _has_nonunit_root(e.factor):
-            return ("duality pairing: jump factor "
-                    f"{list(e.factor.primitive_int_coeffs())} in degree "
-                    f"{e.q} has a non-unit root")
-    return None
 
 
 def thm3_bound(X, base_classes, approximants, *, manifold=False, seed=0):

@@ -64,7 +64,8 @@ class Span:
                         del vec[c]
         return vec
 
-    def _insert(self, vec: dict) -> bool:
+    def insert(self, vec: dict) -> bool:
+        """Insert a sparse vector (consumed); True if it enlarged the span."""
         vec = self._reduce(vec)
         if not vec:
             return False
@@ -87,16 +88,22 @@ class Span:
 
     def add(self, vec) -> bool:
         """Insert a dense vector; returns True if it enlarged the span."""
-        return self._insert(_sparse(vec))
+        return self.insert(_sparse(vec))
 
     def contains(self, vec) -> bool:
-        return not self._reduce(_sparse(vec))
+        return not self.residue(vec)
+
+    def residue(self, vec) -> dict:
+        """What is left of a dense vector once every pivot column of the
+        span is cleared from it, as a sparse vector; ``{}`` iff the span
+        contains it."""
+        return self._reduce(_sparse(vec))
 
 
 def _echelon(sparse_rows, ncols: int, reduced: bool) -> Span:
     span = Span(ncols, reduced)
     for r in sparse_rows:
-        span._insert(r)
+        span.insert(r)
     return span
 
 

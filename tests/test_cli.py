@@ -128,6 +128,27 @@ def test_cup_length_candidates_with_an_algebraic_monodromy(tmp_path):
     assert json.loads(runs[0][1])["cl_lower_bound"] == 2
 
 
+def test_cup_length_notes_pairs_skipped_across_number_fields(tmp_path):
+    """A root of 2t^2 - 3t - 1 and a root of t^2 + 3t - 2 lie in different
+    fields, so their products are never formed; the report says so."""
+    path = tmp_path / "surface.json"
+    path.write_text(gen("surface", "--genus", "2"))
+    argv = ["cup-length", str(path), "--candidates", "@-1,-3,2;@-2,3,1"]
+    code, raw = run_cli(argv + ["--json"])
+    assert code == 0
+    doc = json.loads(raw)
+    assert doc["cl_lower_bound"] == 0 and doc["certificate"] is None
+    note = ("skipped 2 monodromy pair(s) from different number fields: "
+            "their products were not formed, so the bound does not cover "
+            "them")
+    assert doc["notes"] == [note]
+    code, text = run_cli(argv)
+    assert code == 0 and text.splitlines()[-1] == f"note: {note}"
+    code, raw = run_cli(["cup-length", str(path), "--candidates",
+                         "@-1,-3,2;2;1/2", "--json"])
+    assert code == 0 and "notes" not in json.loads(raw)
+
+
 def test_crit_bound_deterministic_for_seed(tmp_path):
     path = tmp_path / "surface.json"
     path.write_text(gen("surface", "--genus", "2"))
