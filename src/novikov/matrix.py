@@ -50,13 +50,6 @@ class PolyMatrix:
             assert len(self.entries) == rows
             assert all(len(r) == cols for r in self.entries)
 
-    @staticmethod
-    def from_int_matrix(mat) -> "PolyMatrix":
-        rows = len(mat)
-        cols = len(mat[0]) if rows else 0
-        return PolyMatrix(rows, cols,
-                          [[Poly.const(c) for c in row] for row in mat])
-
     def __getitem__(self, idx):
         i, j = idx
         return self.entries[i][j]
@@ -85,9 +78,6 @@ class PolyMatrix:
     def evaluate(self, a: Scalar):
         """Entry-wise evaluation at t = a; returns list-of-lists."""
         return [[e.eval(a) for e in row] for row in self.entries]
-
-    def max_degree(self) -> int:
-        return max((e.degree for row in self.entries for e in row), default=-1)
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"

@@ -202,12 +202,6 @@ class FieldElement:
 Scalar = Union[Fraction, FieldElement]
 
 
-def as_scalar(value) -> Scalar:
-    if isinstance(value, FieldElement):
-        return value
-    return Fraction(value)
-
-
 def scalar_is_zero(a: Scalar) -> bool:
     if isinstance(a, FieldElement):
         return not bool(a)
@@ -252,14 +246,6 @@ def scalar_key(a: Scalar):
 
 def scalar_field(a: Scalar):
     return a.field if isinstance(a, FieldElement) else None
-
-
-def coerce_into_field(a: Scalar, field: NumberField) -> FieldElement:
-    if isinstance(a, FieldElement):
-        if a.field != field:
-            raise FieldMismatch(f"{a.field} != {field}")
-        return a
-    return field.from_rational(a)
 
 
 def is_algebraic_integer(a: Scalar) -> bool:

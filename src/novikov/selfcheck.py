@@ -100,7 +100,6 @@ def check_oracle_vs_generic(report):
 def run(verbose=True) -> int:
     passed = 0
     failed = 0
-    failures = []
 
     def report(name, ok):
         nonlocal passed, failed
@@ -108,7 +107,6 @@ def run(verbose=True) -> int:
             passed += 1
         else:
             failed += 1
-            failures.append(name)
         if verbose:
             print(f"{'pass' if ok else 'FAIL'}: {name}")
 

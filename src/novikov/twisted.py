@@ -10,7 +10,8 @@ Two routes to the same cohomology:
   the jump divisors; evaluating them at t = a gives twisted dimensions.
 
 * ``DeformationComplex`` is built from a cut presentation (N, V, i+, i-)
-  and has entries linear in t.  Evaluating at t = a computes twisted
+  as the same kind of sparse rows, with entries linear in t, and passes
+  the same delta^2 = 0 check.  Evaluating at t = a computes twisted
   cohomology with monodromy 1/a; evaluating at t = 0 computes the relative
   cohomology of (N, boundary_+ N).
 """
@@ -18,13 +19,14 @@ Two routes to the same cohomology:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import SimplicialComplex, OneCocycle, twisted_coboundary_values
 from .errors import (DegreeOutOfRange, DimensionMismatch, NotAChainComplex,
                      NotAnIsomorphism)
 from .linalg import Span, nullspace, rank
 from .matrix import PolyMatrix
-from .numfield import Scalar, check_nonzero, scalar_field
+from .numfield import Scalar, check_nonzero, scalar_field, scalar_pow
 from .polyq import Poly
 
 
@@ -68,18 +70,70 @@ def _poly_matrix(rows, col_pos, shifts) -> PolyMatrix:
     return PolyMatrix(len(dense), n, dense)
 
 
+def _face_row(cols, sigma, transport: int, sign: int) -> dict:
+    """sign times the coboundary row of the simplex sigma, as ``{column:
+    Laurent polynomial}``: the i-th face, at column cols[face], carries
+    (-1)**i, and the 0-th face also t**transport."""
+    row = {cols[sigma[1:]]: {transport: sign}}
+    for i in range(1, len(sigma)):
+        row[cols[sigma[:i] + sigma[i + 1:]]] = {0: sign * (-1) ** i}
+    return row
+
+
+def _simplices(complex: SimplicialComplex, q: int):
+    return complex.simplices[q] if 0 <= q <= complex.dim else []
+
+
 def sparse_coboundary(complex: SimplicialComplex, z: OneCocycle, q: int):
     """Twisted coboundary delta_q over Z[t, 1/t]: one ``{column: Laurent
     polynomial}`` row per (q+1)-simplex.  The 0-th face carries the
     transport t**z(v0, v1), the i-th face the sign (-1)**i."""
-    cols = complex.index[q]
-    rows = []
-    for sigma in complex.simplices[q + 1]:
-        row = {cols[sigma[1:]]: {z.value(sigma[0], sigma[1]): 1}}
-        for i in range(1, len(sigma)):
-            row[cols[sigma[:i] + sigma[i + 1:]]] = {0: (-1) ** i}
-        rows.append(row)
-    return rows
+    return [_face_row(complex.index[q], sigma, z.value(sigma[0], sigma[1]), 1)
+            for sigma in complex.simplices[q + 1]]
+
+
+def check_square_zero(deltas) -> None:
+    """Raise NotAChainComplex unless delta_{q+1} delta_q = 0 for every q;
+    ``deltas[q]`` holds the sparse Laurent rows of delta_q."""
+    for q in range(len(deltas) - 1):
+        lower = deltas[q]
+        for row in deltas[q + 1]:
+            acc = {}
+            for j, p in row.items():
+                for k, r in lower[j].items():
+                    acc[k] = _add_product(acc.get(k, {}), p, r)
+            if any(acc.values()):
+                raise NotAChainComplex(
+                    f"delta^2 != 0 between degrees {q} and {q + 2}")
+
+
+def dense_matrices(deltas, sizes):
+    """Dense Q[t] views of sparse Laurent differentials: t**s_q times
+    delta_q, with one shift s_q per degree clearing negative exponents.
+    Since the shift is a global scalar, ranks away from t = 0 and all
+    divisor factors coprime to t are those of delta_q itself."""
+    out = []
+    for q, rows in enumerate(deltas):
+        low = min((e for row in rows for p in row.values() for e in p),
+                  default=0)
+        out.append(_poly_matrix(rows, range(sizes[q]),
+                                [max(-low, 0)] * len(rows)))
+    return out
+
+
+def _evaluated_rank(rows, ncols: int, a: Scalar) -> int:
+    """Rank of sparse Laurent rows evaluated at t = a; constant terms stay
+    integers, and zero entries never reach the echelon."""
+    span = Span(ncols, reduced=False)
+    for row in rows:
+        vec = {}
+        for j, p in row.items():
+            v = sum(c if e == 0 else c * scalar_pow(a, e)
+                    for e, c in p.items())
+            if v:
+                vec[j] = v
+        span.insert(vec)
+    return span.dim
 
 
 class TwistedComplex:
@@ -87,42 +141,22 @@ class TwistedComplex:
 
     ``rows[q]`` holds delta_q: C^q -> C^{q+1} as sparse Laurent rows, one
     per (q+1)-simplex; delta^2 = 0 is checked on them at construction.
-    ``matrices[q]`` is a dense Q[t] view, t**s_q times delta_q with one
-    shift s_q per degree clearing negative exponents; since the shift is a
-    global scalar, ranks away from t = 0 and all divisor factors coprime
-    to t are those of delta_q itself.  ``reduced()`` gives the complex
-    after unit-pivot reduction.
+    ``matrices`` is their dense Q[t] view (``dense_matrices``), built on
+    first use.  ``reduced()`` gives the complex after unit-pivot reduction.
     """
 
     def __init__(self, complex: SimplicialComplex, z: OneCocycle):
         self.complex = complex
         self.z = z
+        self.sizes = [complex.n_simplices(q) for q in range(complex.dim + 1)]
         self.rows = [sparse_coboundary(complex, z, q)
                      for q in range(complex.dim)]
-        for q in range(len(self.rows) - 1):
-            lower = self.rows[q]
-            for row in self.rows[q + 1]:
-                acc = {}
-                for j, p in row.items():
-                    for k, r in lower[j].items():
-                        acc[k] = _add_product(acc.get(k, {}), p, r)
-                if any(acc.values()):
-                    raise NotAChainComplex(
-                        f"delta^2 != 0 between degrees {q} and {q + 2}")
-        self._matrices = None
+        check_square_zero(self.rows)
         self._reduced = None
 
-    @property
+    @cached_property
     def matrices(self):
-        if self._matrices is None:
-            self._matrices = []
-            for q, rows in enumerate(self.rows):
-                low = min((e for row in rows for p in row.values() for e in p),
-                          default=0)
-                self._matrices.append(_poly_matrix(
-                    rows, range(self.complex.n_simplices(q)),
-                    [max(-low, 0)] * len(rows)))
-        return self._matrices
+        return dense_matrices(self.rows, self.sizes)
 
     def matrix(self, q: int) -> PolyMatrix:
         if not 0 <= q <= self.complex.dim:
@@ -130,9 +164,6 @@ class TwistedComplex:
         if q == self.complex.dim:
             return PolyMatrix(0, len(self.complex.simplices[q]))
         return self.matrices[q]
-
-    def n_cochains(self, q: int) -> int:
-        return self.complex.n_simplices(q)
 
     def reduced(self):
         """(matrices, sizes) of the unit-pivot-reduced complex.
@@ -144,9 +175,7 @@ class TwistedComplex:
         t = a != 0 not at all.
         """
         if self._reduced is None:
-            sizes = [self.complex.n_simplices(q)
-                     for q in range(self.complex.dim + 1)]
-            self._reduced = _unit_pivot_reduction(self.rows, sizes)
+            self._reduced = _unit_pivot_reduction(self.rows, self.sizes)
         return self._reduced
 
 
@@ -257,13 +286,6 @@ def cocycle_space_basis(complex: SimplicialComplex, z: OneCocycle,
     one = field.one() if field else Fraction(1)
     n_q = complex.n_simplices(q)
     rows = twisted_coboundary_values(complex, z, q, a)
-    if not rows:
-        ident = []
-        for i in range(n_q):
-            v = [zero] * n_q
-            v[i] = one
-            ident.append(v)
-        return ident
     return nullspace(rows, n_q, zero, one)
 
 
@@ -367,6 +389,9 @@ class DeformationComplex:
 
     Evaluating the divisor data at t = a gives dim H^q of the glued space
     with monodromy 1/a; evaluating at t = 0 gives dim H^q(N, wall_+).
+    ``rows[q]`` holds the differential in degree q as sparse Laurent rows,
+    the q+1-simplices of N first, then the q-simplices of V; columns
+    number the q-simplices of N, then the q-1-simplices of V.
     """
 
     def __init__(self, cut: CutPresentation):
@@ -375,36 +400,25 @@ class DeformationComplex:
         self.top = max(N.dim, V.dim + 1)
         self.sizes = [N.n_simplices(q) + V.n_simplices(q - 1)
                       for q in range(self.top + 2)]
-        t = Poly.monomial(1)
-        self.matrices = []
+        self.rows = []
         for q in range(self.top + 1):
-            nN, nV = N.n_simplices(q), V.n_simplices(q - 1)
-            mN, mV = N.n_simplices(q + 1), V.n_simplices(q)
-            rows = [[Poly()] * (nN + nV) for _ in range(mN + mV)]
-            dN = N.coboundary_matrix(q) if q <= N.dim else []
-            for i, r in enumerate(dN):
-                for j, v in enumerate(r):
-                    if v:
-                        rows[i][j] = Poly([Fraction(v)])
-            if q <= V.dim:
-                rp = cut.i_plus.pullback_matrix(q)
-                rm = cut.i_minus.pullback_matrix(q)
-                for i in range(mV):
-                    for j in range(nN):
-                        c = Poly([Fraction(rp[i][j])]) - t * Fraction(rm[i][j])
-                        if not c.is_zero():
-                            rows[mN + i][j] = c
-            if q - 1 >= 0 and q - 1 <= V.dim:
-                dV = V.coboundary_matrix(q - 1) if q - 1 <= V.dim else []
-                for i, r in enumerate(dV):
-                    for j, v in enumerate(r):
-                        if v:
-                            rows[mN + i][nN + j] = Poly([Fraction(-v)])
-            self.matrices.append(PolyMatrix(mN + mV, nN + nV, rows))
-        for q in range(len(self.matrices) - 1):
-            if not self.matrices[q + 1].matmul(self.matrices[q]).is_zero():
-                raise NotAChainComplex(
-                    f"deformation differential fails delta^2 = 0 at degree {q}")
+            rows = [_face_row(N.index[q], s, 0, 1)
+                    for s in _simplices(N, q + 1)]
+            wall = {s: N.n_simplices(q) + j
+                    for j, s in enumerate(_simplices(V, q - 1))}
+            for s in _simplices(V, q):
+                row = _face_row(wall, s, 0, -1) if q else {}
+                image, sign = cut.i_plus.image_simplex(s)
+                row[N.index[q][image]] = {0: sign}
+                image, sign = cut.i_minus.image_simplex(s)
+                row[N.index[q][image]] = {1: -sign}
+                rows.append(row)
+            self.rows.append(rows)
+        check_square_zero(self.rows)
+
+    @cached_property
+    def matrices(self):
+        return dense_matrices(self.rows, self.sizes)
 
     def matrix(self, q: int) -> PolyMatrix:
         if not 0 <= q <= self.top:
@@ -413,15 +427,12 @@ class DeformationComplex:
 
     def dim_at(self, q: int, a: Scalar) -> int:
         """dim H^q of the complex specialized at t = a (a = 0 allowed)."""
-        from .matrix import rank_at
         if not 0 <= q <= self.top:
             raise DegreeOutOfRange(f"degree {q} outside 0..{self.top}")
-        r_q = rank_at(self.matrices[q], a)
-        r_prev = rank_at(self.matrices[q - 1], a) if q > 0 else 0
+        r_q = _evaluated_rank(self.rows[q], self.sizes[q], a)
+        r_prev = (_evaluated_rank(self.rows[q - 1], self.sizes[q - 1], a)
+                  if q > 0 else 0)
         return self.sizes[q] - r_q - r_prev
-
-    def dim_at_zero(self, q: int) -> int:
-        return self.dim_at(q, Fraction(0))
 
 
 def relative_cochain_indices(complex: SimplicialComplex,
@@ -472,18 +483,12 @@ def restriction_epi(complex: SimplicialComplex, sub: SimplicialComplex,
     keep = relative_cochain_indices(complex, sub, q)
     rows = twisted_coboundary_values(complex, z, q, a)
     span = Span(n_q)
-    if rows:
-        sliced = [[row[j] for j in keep] for row in rows]
-        for small in nullspace(sliced, len(keep), zero, one):
-            vec = [zero] * n_q
-            for pos, j in enumerate(keep):
-                vec[j] = small[pos]
-            span.add(vec)
-    else:
-        for j in keep:
-            vec = [zero] * n_q
-            vec[j] = one
-            span.add(vec)
+    sliced = [[row[j] for j in keep] for row in rows]
+    for small in nullspace(sliced, len(keep), zero, one):
+        vec = [zero] * n_q
+        for pos, j in enumerate(keep):
+            vec[j] = small[pos]
+        span.add(vec)
     for vec in coboundary_image_vectors(complex, z, q, a):
         span.add(vec)
     return all(span.contains(v) for v in full)

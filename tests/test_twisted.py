@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from novikov.cli import parse_scalar
 from novikov.complexes import build_complex, validate_cocycle
-from novikov.corpus import (SimplicialSelfMap, circle, sphere_product,
-                            surface, torus)
-from novikov.errors import (DimensionMismatch, NotAnIsomorphism,
-                            ZeroMonodromy)
+from novikov.corpus import (circle, mapping_torus, mv_oracle_dims,
+                            sphere_complex, sphere_product, surface, torus)
+from novikov.errors import (DimensionMismatch, NotAChainComplex,
+                            NotAnIsomorphism, ZeroMonodromy)
 from novikov.matrix import snf
 from novikov.twisted import (CutPresentation, DeformationComplex,
                              SimplicialMap, TwistedComplex,
@@ -62,19 +63,54 @@ def test_deformation_complex_cut_circle():
     assert len(nonunit) == 1 and nonunit[0].eval(Fraction(1)) == 0
     assert [D.dim_at(q, Fraction(1)) for q in (0, 1)] == [1, 1]
     assert [D.dim_at(q, Fraction(3)) for q in (0, 1)] == [0, 0]
-    assert [D.dim_at_zero(q) for q in (0, 1)] == [0, 0]
+    assert [D.dim_at(q, Fraction(0)) for q in (0, 1)] == [0, 0]
+
+
+def _mapping_tori():
+    """(space, fiber, monodromy) for the torus, S1xS2, the Klein bottle and
+    the order-3 torus bundle (the 7-vertex torus under v -> 2v mod 7)."""
+    circle3 = circle(3).complex
+    seven = build_complex([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+                          + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+    cases = [(circle3, {0: 0, 1: 1, 2: 2}),
+             (sphere_complex(2), {v: v for v in range(4)}),
+             (circle3, {0: 0, 1: 2, 2: 1}),
+             (seven, {v: 2 * v % 7 for v in range(7)})]
+    return [(mapping_torus(F, h), F, h) for F, h in cases]
 
 
 def test_deformation_matches_twisted_at_inverse_monodromy():
     rng = random.Random(1)
-    for space in (torus(), sphere_product(2)):
+    root = parse_scalar("@1,1,1")  # a root of t^2 + t + 1
+    for space, F, h in _mapping_tori():
         D = DeformationComplex(space.cut)
-        for _ in range(5):
-            a = Fraction(rng.randint(1, 7), rng.randint(1, 7))
-            lhs = [D.dim_at(q, a) for q in range(space.dimension + 1)]
-            rhs = [twisted_cohomology_dim(space.complex, space.cocycle, q, 1 / a)
-                   for q in range(space.dimension + 1)]
-            assert lhs == rhs, (space.label, a)
+        degrees = range(space.dimension + 1)
+        rationals = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 7),
+                              rng.randint(1, 7)) for _ in range(3)]
+        for a in rationals + [Fraction(-1), root]:
+            lhs = [D.dim_at(q, a) for q in degrees]
+            direct = [twisted_cohomology_dim(space.complex, space.cocycle,
+                                             q, 1 / a) for q in degrees]
+            assert lhs == direct, (h, a)
+            assert lhs == mv_oracle_dims(F, h, 1 / a), (h, a)
+        # at t = 0 the complex computes H^*(F x I, F x 0) = 0
+        assert [D.dim_at(q, Fraction(0)) for q in degrees] \
+            == [0] * len(degrees), h
+
+
+def test_corrupted_deformation_entry_is_not_a_chain_complex(monkeypatch):
+    cut = torus().cut
+    DeformationComplex(cut)
+    real = cut.i_minus.image_simplex
+    edge = cut.V.simplices[1][0]
+
+    def corrupted(s):
+        image, sign = real(s)
+        return image, -sign if s == edge else sign
+
+    monkeypatch.setattr(cut.i_minus, "image_simplex", corrupted)
+    with pytest.raises(NotAChainComplex):
+        DeformationComplex(cut)
 
 
 def test_relative_dims_long_exact_euler():
