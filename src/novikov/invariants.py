@@ -12,28 +12,30 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import SimplicialComplex, twisted_cup
 from .errors import (InternalInconsistency, NotInSpan,
                      ZeroDivisorEncountered)
-from .linalg import Span
+from .linalg import Span, nullspace
 from .matrix import SmithForm, rank_at, snf
 from .numfield import (FieldElement, NumberField, Scalar, check_nonzero,
                        is_dirichlet_unit, scalar_field, scalar_key,
                        scalar_mul)
 from .polyq import Poly, coprime_basis, rational_roots, squarefree_factors
-from .twisted import (TwistedComplex, cocycle_space_basis,
-                      coboundary_image_vectors)
+from .twisted import (ReducedComplex, TwistedComplex,
+                      coboundary_image_vectors, evaluate_rows,
+                      sparse_coboundary)
 
 
 class TwistedData:
     """Uniform handle on the polynomial coboundary data of an instance.
 
     Wraps either a simplicial complex with a 1-cocycle or raw polynomial
-    matrices (synthetic chain instances).  A simplicial instance reads
-    ``matrices`` and ``sizes`` from the unit-pivot-reduced TwistedComplex,
-    built (with its delta^2 = 0 check) and reduced once, on first use.
-    Smith forms are computed lazily and cached per degree.
+    matrices (synthetic chain instances).  A simplicial instance builds its
+    TwistedComplex (with the delta^2 = 0 check) and reduces it once, on
+    first use, and reads ``matrices`` and ``sizes`` from the reduced
+    complex.  Smith forms are computed lazily and cached per degree.
     """
 
     def __init__(self, matrices, sizes, dimension, complex=None, cocycle=None):
@@ -44,19 +46,20 @@ class TwistedData:
         self.cocycle = cocycle
         self._smith = {}
 
-    def _reduce(self):
-        if self._matrices is None:
-            self._matrices, self._sizes = TwistedComplex(
-                self.complex, self.cocycle).reduced()
+    @cached_property
+    def reduced(self) -> ReducedComplex:
+        return TwistedComplex(self.complex, self.cocycle).reduced()
 
     @property
     def matrices(self):
-        self._reduce()
+        if self._matrices is None:
+            return self.reduced.matrices
         return self._matrices
 
     @property
     def sizes(self):
-        self._reduce()
+        if self._sizes is None:
+            return self.reduced.sizes
         return self._sizes
 
     @property
@@ -250,14 +253,20 @@ class _CohomologyCache:
     """Twisted cohomology of one instance in coordinates, per (monodromy,
     degree), shared by every cup-length search over that instance.
 
-    ``dim`` reads dim H^q(E_a) off the reduced complex, so a degree whose
-    cohomology vanishes costs one rank evaluation and no cochain algebra.
-    For a nonzero degree, ``reps`` keeps cocycles whose classes form a
-    basis, and one echelon of the rows [coboundary | 0] and [rep_i | e_i]
-    serves as the coordinate projector: reducing [v | 0] for a cocycle v
-    clears every cochain column and leaves minus the coordinates of v's
-    class in the e_i columns.  ``constants`` holds the cup structure
-    constants coords(rep^m_i cup rep^a_j), computed once per (m, p, a, d).
+    Only the cup products run at cochain level.  Everything else reads the
+    unit-pivot-reduced complex C_red and its transfer maps at t = a,
+    g: C_red -> C and f: C -> C_red (``ReducedComplex.g``/``f``), with
+    f g = id.  ``dim`` reads dim H^q(E_a) off the reduced ranks, so a
+    degree whose cohomology vanishes costs one rank evaluation.  Otherwise
+    a basis of H^q(E_a) is taken from the reduced cocycles, independent
+    modulo the reduced coboundaries, and ``reps`` are their images under
+    g.  One echelon of the rows [reduced coboundary | 0] and
+    [basis_i | e_i], over n_red + b columns, serves as the projector:
+    ``coords(v)`` checks that v is a cocycle against the cochain-level
+    coboundary at a, then reduces [f(v) | 0], which clears every cochain
+    column and leaves minus the coordinates of v's class in the e_i
+    columns.  ``constants`` holds the cup structure constants
+    coords(rep^m_i cup rep^a_j), computed once per (m, p, a, d).
     """
 
     def __init__(self, data: TwistedData):
@@ -266,6 +275,7 @@ class _CohomologyCache:
         self.cocycle = data.cocycle
         self._dims = {}
         self._bases = {}
+        self._deltas = {}
         self._constants = {}
 
     def dim(self, a: Scalar, q: int) -> int:
@@ -286,33 +296,66 @@ class _CohomologyCache:
     def _build(self, a, q):
         b = self.dim(a, q)
         if b == 0:
-            return [], None
-        X, z = self.complex, self.cocycle
-        n_q = X.n_simplices(q)
-        projector = Span(n_q + b)
-        for v in coboundary_image_vectors(X, z, q, a):
-            projector.add(v)
-        reps = []
-        for v in cocycle_space_basis(X, z, q, a):
-            row = projector.residue(list(v) + [0] * len(reps) + [1])
-            if min(row) < n_q:  # v is independent modulo coboundaries
+            return [], None, None
+        red = self.data.reduced
+        n = red.sizes[q]
+        field = scalar_field(a)
+        zero = field.zero() if field else Fraction(0)
+        one = field.one() if field else Fraction(1)
+        projector = Span(n + b)
+        if q > 0:
+            # the columns of the reduced delta_{q-1}
+            image = {}
+            for i, row in enumerate(evaluate_rows(red.rows[q - 1], a)):
+                for j, x in row.items():
+                    image.setdefault(j, {})[i] = x
+            for vec in image.values():
+                projector.insert(vec)
+        upper = evaluate_rows(red.rows[q], a) if q < len(red.rows) else []
+        basis = []
+        for v in nullspace([[row.get(j, 0) for j in range(n)]
+                            for row in upper], n, zero, one):
+            row = projector.residue(list(v) + [0] * len(basis) + [1])
+            if min(row) < n:  # v is independent modulo coboundaries
                 projector.insert(row)
-                reps.append(v)
-        if len(reps) != b:
+                basis.append(v)
+        if len(basis) != b:
             raise InternalInconsistency(
-                f"{len(reps)} cohomology representatives in degree {q}, "
+                f"{len(basis)} cohomology representatives in degree {q}, "
                 f"but the reduced complex gives dimension {b}")
-        return reps, projector
+        g = red.g(q, a)
+        reps = [g(v) for v in basis]
+        if field is not None:
+            reps = [[x if isinstance(x, FieldElement)
+                     else field.from_rational(x) for x in v] for v in reps]
+        for v in reps:
+            if not self._is_cocycle(a, q, v):
+                raise InternalInconsistency(
+                    f"a cohomology representative in degree {q} is not a "
+                    "cocycle")
+        return reps, projector, red.f(q, a)
+
+    def _is_cocycle(self, a, q, vec) -> bool:
+        """Whether delta_a vec = 0 at cochain level; delta_q is evaluated
+        once per (a, q)."""
+        key = (scalar_key(a), q)
+        if key not in self._deltas:
+            self._deltas[key] = _coboundary_at(self.complex, self.cocycle,
+                                               q, a)
+        return _annihilates(self._deltas[key], vec)
 
     def coords(self, a: Scalar, q: int, vec) -> list:
         """Coordinates of a cocycle's class in the basis of H^q(E_a)."""
-        reps, projector = self._basis(a, q)
-        n_q = projector.ncols - len(reps)
-        row = projector.residue(vec)
-        if row and min(row) < n_q:
+        reps, projector, f = self._basis(a, q)
+        if not self._is_cocycle(a, q, vec):
             raise InternalInconsistency(
                 f"a cup product in degree {q} is not a cocycle")
-        return [-row.get(n_q + i, 0) for i in range(len(reps))]
+        n = projector.ncols - len(reps)
+        row = projector.residue(f(vec))
+        if row and min(row) < n:
+            raise InternalInconsistency(
+                f"a cup product in degree {q} projects to no reduced cocycle")
+        return [-row.get(n + i, 0) for i in range(len(reps))]
 
     def constants(self, m: Scalar, p: int, a: Scalar, d: int):
         """C[i][j] = coords(rep^m_i cup rep^a_j) in H^{p+d}(E_{ma})."""
@@ -325,6 +368,24 @@ class _CohomologyCache:
                  for w in self.reps(a, d)]
                 for u in self.reps(m, p)]
         return self._constants[key]
+
+
+def _coboundary_at(X, z, q: int, a: Scalar):
+    """The unreduced twisted coboundary delta_q at t = a, as sparse rows."""
+    return evaluate_rows(sparse_coboundary(X, z, q) if q < X.dim else [], a)
+
+
+def _annihilates(rows, vec) -> bool:
+    """Whether the sparse rows send the dense vector to zero."""
+    for row in rows:
+        acc = 0
+        for j, x in row.items():
+            y = vec[j]
+            if y:
+                acc += x * y
+        if acc:
+            return False
+    return True
 
 
 class _DPState:
@@ -510,10 +571,16 @@ def _extract_certificate(k, m, degree, st):
 
 
 def _verify_certificate(X, z, cert: CupLengthCertificate, reps):
-    """Independent cochain-level re-check: multiply the stored
-    representatives afresh, build the coboundaries of the product's degree,
-    and confirm that the product is not a coboundary but differs from
-    sum witness_i reps_i by one.  Reads no coordinate projector."""
+    """Independent cochain-level re-check: confirm that every stored
+    representative is a cocycle, multiply them afresh, build the
+    coboundaries of the product's degree, and confirm that the product is
+    not a coboundary but differs from sum witness_i reps_i by one.  Reads
+    neither the reduced complex nor its transfer maps."""
+    for a, d, w, _unit in cert.factors:
+        if not _annihilates(_coboundary_at(X, z, d, a), w):
+            raise InternalInconsistency(
+                f"certificate representative in degree {d} is not a "
+                "cocycle")
     a0, d0, v0, _ = cert.factors[0]
     acc_m, acc_d, acc_v = a0, d0, list(v0)
     for a, d, w, _unit in cert.factors[1:]:

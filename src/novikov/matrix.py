@@ -58,23 +58,6 @@ class PolyMatrix:
         i, j = idx
         self.entries[i][j] = value
 
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        assert self.cols == other.rows
-        out = PolyMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                e = self.entries[i][k]
-                if e.is_zero():
-                    continue
-                for j in range(other.cols):
-                    f = other.entries[k][j]
-                    if not f.is_zero():
-                        out.entries[i][j] = out.entries[i][j] + e * f
-        return out
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def evaluate(self, a: Scalar):
         """Entry-wise evaluation at t = a; returns list-of-lists."""
         return [[e.eval(a) for e in row] for row in self.entries]

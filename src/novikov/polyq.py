@@ -104,12 +104,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t**k (k >= 0)."""
-        if not self.coeffs:
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
-
     def divmod(self, other: "Poly"):
         """Euclidean division; other must be nonzero."""
         if other.is_zero():
@@ -159,10 +153,6 @@ class Poly:
             return self
         lead = self.coeffs[-1]
         return Poly([c / lead for c in self.coeffs])
-
-    def reversed(self) -> "Poly":
-        """Coefficient reversal t^n p(1/t); minimal polynomial of the inverse root."""
-        return Poly(list(reversed(self.coeffs)))
 
     # -- integer normal forms ----------------------------------------------
 
@@ -219,12 +209,6 @@ def poly_xgcd(a: Poly, b: Poly):
     lead = r0.leading()
     inv = 1 / lead
     return r0.monic(), u0 * inv, v0 * inv
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly()
-    return ((a * b) // poly_gcd(a, b)).monic()
 
 
 def rational_roots(p: Poly):

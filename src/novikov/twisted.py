@@ -8,6 +8,8 @@ Two routes to the same cohomology:
   reduction), which leaves a chain-homotopy equivalent complex of a few
   cells.  Smith forms of the reduced matrices carry the generic ranks and
   the jump divisors; evaluating them at t = a gives twisted dimensions.
+  The recorded eliminations give the chain maps between the reduced and
+  the full complex at any t = a, which carry cohomology classes across.
 
 * ``DeformationComplex`` is built from a cut presentation (N, V, i+, i-)
   as the same kind of sparse rows, with entries linear in t, and passes
@@ -57,15 +59,14 @@ def _to_poly(p: dict, shift: int) -> Poly:
     return Poly(coeffs)
 
 
-def _poly_matrix(rows, col_pos, shifts) -> PolyMatrix:
-    """Dense view of sparse Laurent rows; row i is multiplied by
-    t**shifts[i] and column j lands at position col_pos[j]."""
-    n = len(col_pos)
+def _poly_matrix(rows, n: int, shifts) -> PolyMatrix:
+    """Dense n-column view of sparse Laurent rows; row i is multiplied by
+    t**shifts[i]."""
     dense = []
     for row, s in zip(rows, shifts):
         out = [Poly()] * n
         for j, p in row.items():
-            out[col_pos[j]] = _to_poly(p, s)
+            out[j] = _to_poly(p, s)
         dense.append(out)
     return PolyMatrix(len(dense), n, dense)
 
@@ -116,22 +117,50 @@ def dense_matrices(deltas, sizes):
     for q, rows in enumerate(deltas):
         low = min((e for row in rows for p in row.values() for e in p),
                   default=0)
-        out.append(_poly_matrix(rows, range(sizes[q]),
+        out.append(_poly_matrix(rows, sizes[q],
                                 [max(-low, 0)] * len(rows)))
     return out
 
 
-def _evaluated_rank(rows, ncols: int, a: Scalar) -> int:
-    """Rank of sparse Laurent rows evaluated at t = a; constant terms stay
-    integers, and zero entries never reach the echelon."""
-    span = Span(ncols, reduced=False)
+def _evaluator(a: Scalar):
+    """p -> p(a) for Laurent polynomials, with the powers of a memoised;
+    constant terms stay integers."""
+    powers = {}
+
+    def ev(p: dict):
+        out = 0
+        for e, c in p.items():
+            if e == 0:
+                out += c
+            else:
+                x = powers.get(e)
+                if x is None:
+                    x = powers[e] = scalar_pow(a, e)
+                out += c * x
+        return out
+    return ev
+
+
+def evaluate_rows(rows, a: Scalar):
+    """Sparse Laurent rows evaluated at t = a, as ``{column: scalar}``
+    rows without zero entries."""
+    ev = _evaluator(a)
+    out = []
     for row in rows:
         vec = {}
         for j, p in row.items():
-            v = sum(c if e == 0 else c * scalar_pow(a, e)
-                    for e, c in p.items())
+            v = ev(p)
             if v:
                 vec[j] = v
+        out.append(vec)
+    return out
+
+
+def _evaluated_rank(rows, ncols: int, a: Scalar) -> int:
+    """Rank of sparse Laurent rows evaluated at t = a; zero entries never
+    reach the echelon."""
+    span = Span(ncols, reduced=False)
+    for vec in evaluate_rows(rows, a):
         span.insert(vec)
     return span.dim
 
@@ -165,21 +194,110 @@ class TwistedComplex:
             return PolyMatrix(0, len(self.complex.simplices[q]))
         return self.matrices[q]
 
-    def reduced(self):
-        """(matrices, sizes) of the unit-pivot-reduced complex.
-
-        ``sizes[q]`` counts the q-cells left; ``matrices[q]`` is the
-        reduced delta_q as a Q[t] matrix, each row multiplied by the power
-        of t that makes its lowest exponent 0.  A row scaled by a unit
-        changes elementary divisors only by powers of t, and ranks at
-        t = a != 0 not at all.
-        """
+    def reduced(self) -> "ReducedComplex":
+        """The unit-pivot-reduced complex with its transfer maps, built on
+        first use."""
         if self._reduced is None:
             self._reduced = _unit_pivot_reduction(self.rows, self.sizes)
         return self._reduced
 
 
-def _unit_pivot_reduction(deltas, sizes):
+class ReducedComplex:
+    """The complex left by unit-pivot reduction, with its transfer maps.
+
+    ``cells[q]`` lists the surviving q-cells (simplex indices) and
+    ``sizes[q]`` counts them; ``rows[q]`` is the reduced delta_q as sparse
+    Laurent rows, one per surviving (q+1)-cell, whose columns number the
+    surviving q-cells by position.  ``matrices[q]`` is the dense Q[t] view
+    of ``rows[q]`` with each row multiplied by the power of t that makes
+    its lowest exponent 0.  A row scaled by a unit changes elementary
+    divisors only by powers of t, and ranks at t = a != 0 not at all, but
+    these matrices are no chain complex.
+
+    ``pivots`` records every elimination in order as (q, tau, sigma, k, c,
+    b, cleared): the pivot u = delta_q[tau][sigma] = c * t**k, the pivot
+    row b = delta_q[tau] as it stood then without sigma, and the entries
+    delta_q[rho][sigma] the elimination cleared, as (rho, entry) pairs.
+    They give the two chain maps of the homotopy equivalence (Skoldberg,
+    "Morse theory from an algebraic viewpoint", 2006), evaluated at a
+    scalar by ``g`` and ``f``; f g is the identity.
+    """
+
+    def __init__(self, rows, cells, full_sizes, pivots):
+        self.rows = rows
+        self.cells = cells
+        self.sizes = [len(c) for c in cells]
+        self.full_sizes = full_sizes
+        self.pivots = pivots
+
+    @cached_property
+    def matrices(self):
+        out = []
+        for q, kept in enumerate(self.rows):
+            shifts = [-min(e for p in row.values() for e in p) if row else 0
+                      for row in kept]
+            out.append(_poly_matrix(kept, self.sizes[q], shifts))
+        return out
+
+    def g(self, q: int, a: Scalar):
+        """The inclusion C_red^q -> C^q at t = a, as a map of dense vectors.
+
+        A reduced cochain is extended to the eliminated cells in reverse
+        order of elimination: sigma of a degree-q pivot gets
+        -u**-1 * sum_kappa b[kappa] x[kappa], which makes the coboundary
+        vanish on tau, and a q-cell eliminated as tau gets 0.
+        """
+        ev = _evaluator(a)
+        steps = []
+        for pq, _tau, sigma, k, c, b, _cleared in reversed(self.pivots):
+            if pq == q:
+                w = -c * scalar_pow(a, -k)
+                steps.append((sigma, [(kappa, w * ev(p))
+                                      for kappa, p in b.items()]))
+        n, cells = self.full_sizes[q], self.cells[q]
+
+        def g(x):
+            full = [0] * n
+            for cell, v in zip(cells, x):
+                full[cell] = v
+            for sigma, terms in steps:
+                acc = 0
+                for kappa, w in terms:
+                    v = full[kappa]
+                    if v:
+                        acc += w * v
+                full[sigma] = acc
+            return full
+        return g
+
+    def f(self, q: int, a: Scalar):
+        """The projection C^q -> C_red^q at t = a, as a map of dense vectors.
+
+        For each pivot of degree q - 1, whose tau is a q-cell, in
+        elimination order, every cleared rho loses
+        delta_{q-1}[rho][sigma] * u**-1 times the value on tau; then the
+        vector is restricted to the surviving cells.
+        """
+        ev = _evaluator(a)
+        steps = []
+        for pq, tau, _sigma, k, c, _b, cleared in self.pivots:
+            if pq == q - 1 and cleared:
+                w = c * scalar_pow(a, -k)
+                steps.append((tau, [(rho, w * ev(p)) for rho, p in cleared]))
+        cells = self.cells[q]
+
+        def f(v):
+            y = list(v)
+            for tau, terms in steps:
+                yt = y[tau]
+                if yt:
+                    for rho, w in terms:
+                        y[rho] -= w * yt
+            return [y[cell] for cell in cells]
+        return f
+
+
+def _unit_pivot_reduction(deltas, sizes) -> ReducedComplex:
     """Eliminate every cell pair joined by a unit entry, degree by degree.
 
     A pivot u = delta_q[tau][sigma] = +-t**k removes the q-cell sigma and
@@ -191,7 +309,8 @@ def _unit_pivot_reduction(deltas, sizes):
     Laurent polynomial.  Among the unit entries the one with the smallest
     Markowitz cost (row length - 1) * (column length - 1) goes first.
     Eliminating in delta_q never creates a unit entry in a lower degree,
-    so one ascending pass leaves no unit entry anywhere.
+    so one ascending pass leaves no unit entry anywhere.  Each elimination
+    is recorded by reference, for the transfer maps.
     """
     rows = [dict(enumerate(dict(r) for r in d)) for d in deltas]
     cols = []
@@ -202,6 +321,7 @@ def _unit_pivot_reduction(deltas, sizes):
                 c.setdefault(j, set()).add(i)
         cols.append(c)
     alive = [dict.fromkeys(range(n)) for n in sizes]
+    pivots = []
     for q, (R, C) in enumerate(zip(rows, cols)):
         while (pivot := _cheapest_unit(R, C)) is not None:
             tau, sigma = pivot
@@ -209,10 +329,13 @@ def _unit_pivot_reduction(deltas, sizes):
             for kappa in pivot_row:
                 C[kappa].discard(tau)
             (k, c), = pivot_row.pop(sigma).items()
+            cleared = []
             for rho in C.pop(sigma):
                 row = R[rho]
+                entry = row.pop(sigma)
+                cleared.append((rho, entry))
                 # -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k
-                f = {e - k: -c * v for e, v in row.pop(sigma).items()}
+                f = {e - k: -c * v for e, v in entry.items()}
                 for kappa, p in pivot_row.items():
                     new = _add_product(row.get(kappa, {}), f, p)
                     if new:
@@ -222,6 +345,7 @@ def _unit_pivot_reduction(deltas, sizes):
                     elif kappa in row:
                         del row[kappa]
                         C[kappa].discard(rho)
+            pivots.append((q, tau, sigma, k, c, pivot_row, cleared))
             if q > 0:
                 for j in rows[q - 1].pop(sigma):
                     cols[q - 1][j].discard(sigma)
@@ -229,14 +353,13 @@ def _unit_pivot_reduction(deltas, sizes):
                 for rho in cols[q + 1].pop(tau, ()):
                     del rows[q + 1][rho][tau]
             del alive[q][sigma], alive[q + 1][tau]
-    matrices = []
+    cells = [list(a) for a in alive]
+    reduced = []
     for q, R in enumerate(rows):
-        col_pos = {j: i for i, j in enumerate(alive[q])}
-        kept = [R[tau] for tau in alive[q + 1]]
-        shifts = [-min(e for p in row.values() for e in p) if row else 0
-                  for row in kept]
-        matrices.append(_poly_matrix(kept, col_pos, shifts))
-    return matrices, [len(cells) for cells in alive]
+        col_pos = {j: i for i, j in enumerate(cells[q])}
+        reduced.append([{col_pos[j]: p for j, p in R[tau].items()}
+                        for tau in cells[q + 1]])
+    return ReducedComplex(reduced, cells, list(sizes), pivots)
 
 
 def _cheapest_unit(R, C):

@@ -1,25 +1,31 @@
 """The cup-length search in cohomology coordinates: pinned outputs, which
 cochain work it does and does not do, and the consistency checks that
-guard its projector and structure constants."""
+guard its transfer maps, projector and structure constants."""
 
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from novikov import invariants
-from novikov.complexes import validate_cocycle
+from novikov import cli, invariants, twisted
+from novikov.complexes import (twisted_coboundary_values, twisted_cup,
+                               validate_cocycle)
 from novikov.corpus import (circle, connected_sum, mapping_torus,
                             space_from_json, space_to_json, sphere_product,
                             surface, torus)
 from novikov.errors import InternalInconsistency
 from novikov.invariants import (TwistedData, _CohomologyCache,
                                 certificate_json, crit_bound, cup_length)
-from novikov.numfield import NumberField, scalar_key
-from novikov.twisted import twisted_cohomology_dim
+from novikov.linalg import Span
+from novikov.numfield import NumberField, scalar_key, scalar_mul
+from novikov.twisted import coboundary_image_vectors
 
-# cl_lower_bound and certificate_json as the cochain-level search gave them
+# cl_lower_bound as the cochain-level search first gave it, certificate_json
+# as the search on the reduced complex gives it
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "cup_dp_pinned.json").read_text())
 
@@ -62,29 +68,92 @@ def test_pinned_bound_and_certificate(name):
     assert certificate_json(rep.certificate) == PINNED[name]["certificate"]
 
 
-def _record_bases(monkeypatch):
-    calls = []
-    real = invariants.cocycle_space_basis
-
-    def recording(X, z, q, a):
-        calls.append((X, z, q, a))
-        return real(X, z, q, a)
-
-    monkeypatch.setattr(invariants, "cocycle_space_basis", recording)
-    return calls
+def _scalar(doc):
+    if isinstance(doc, dict):
+        return NumberField([int(c) for c in doc["minpoly"]]).element(
+            [Fraction(c) for c in doc["residue"]])
+    return Fraction(doc)
 
 
-def test_no_cocycle_basis_where_the_reduced_complex_gives_zero(monkeypatch):
-    calls = _record_bases(monkeypatch)
+@pytest.mark.parametrize("name", sorted(n for n in RUNS
+                                         if PINNED[n]["certificate"]))
+def test_pinned_certificate_is_a_cocycle_and_no_coboundary(name):
+    """Re-multiply each pinned certificate from its JSON alone."""
+    cert = PINNED[name]["certificate"]
+    space = {"crit_bound surface(2) seed=0": lambda: surface(2),
+             "crit_bound torus#torus seed=0":
+                 lambda: connected_sum(torus(), torus()),
+             "cup_length surface(2) [2, 1/2, @-1,-3,2]": lambda: surface(2),
+             "cup_length torus wedge circle [@-1,-3,2, 2, 1/2]":
+                 _torus_wedge_circle}[name]()
+    X, z = space.complex, space.cocycle
+
+    def is_cocycle(a, d, v):
+        return not any(sum(x * y for x, y in zip(row, v))
+                       for row in twisted_coboundary_values(X, z, d, a))
+
+    factors = [(_scalar(f["monodromy"]), f["degree"],
+                [_scalar(c) for c in f["representative"]])
+               for f in cert["factors"]]
+    assert all(is_cocycle(*f) for f in factors)
+    (m, d, v), *rest = factors
+    for a, e, w in rest:
+        v = twisted_cup(X, z, d, e, m, a, v, w)
+        m, d = scalar_mul(m, a), d + e
+    assert scalar_key(m) == scalar_key(_scalar(cert["product_monodromy"]))
+    assert d == cert["total_degree"]
+    assert is_cocycle(m, d, v)
+    span = Span(X.n_simplices(d))
+    for c in coboundary_image_vectors(X, z, d, m):
+        span.add(c)
+    assert not span.contains(v)
+
+
+def test_the_search_builds_no_cochain_level_basis(monkeypatch):
+    """Bases come from the reduced complex: no cocycle space and no
+    nullspace over n_q columns, and the cochain-level coboundaries are
+    built only by the certificate re-check."""
+    def refuse(*args):
+        raise AssertionError("cocycle_space_basis called by the search")
+
+    widths = []
+    real_nullspace = invariants.nullspace
+
+    def recording_nullspace(rows, ncols, zero, one):
+        widths.append(ncols)
+        return real_nullspace(rows, ncols, zero, one)
+
+    callers = []
+    real_image = invariants.coboundary_image_vectors
+
+    def recording_image(X, z, q, a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_image(X, z, q, a)
+
+    monkeypatch.setattr(twisted, "cocycle_space_basis", refuse)
+    monkeypatch.setattr(invariants, "nullspace", recording_nullspace)
+    monkeypatch.setattr(invariants, "coboundary_image_vectors",
+                        recording_image)
     for space in (surface(2), connected_sum(torus(), torus()), _klein()):
-        crit_bound(space, seed=0)
-    assert calls
-    for X, z, q, a in calls:
-        assert twisted_cohomology_dim(X, z, q, a) > 0
+        reduced = TwistedData.of(space).sizes
+        widths.clear()
+        callers.clear()
+        rep = crit_bound(space, seed=0)
+        assert widths and set(widths) <= set(reduced)
+        assert not set(widths) & set(space.complex.f_vector())
+        certified = rep.certificate is not None
+        assert callers == ["_verify_certificate"] * certified
 
 
 def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):
-    calls = _record_bases(monkeypatch)
+    builds = []
+    real_build = _CohomologyCache._build
+
+    def recording(self, a, q):
+        builds.append((scalar_key(a), q))
+        return real_build(self, a, q)
+
+    monkeypatch.setattr(_CohomologyCache, "_build", recording)
     searches = []
     real = invariants.cup_length
 
@@ -96,8 +165,7 @@ def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):
     rep = crit_bound(torus(), seed=0)
     assert rep.cl_lower_bound == 0
     assert len(searches) == 3 and len({id(c) for c in searches}) == 1
-    keys = [(scalar_key(a), q) for _X, _z, q, a in calls]
-    assert keys and len(keys) == len(set(keys))
+    assert builds and len(builds) == len(set(builds))
 
 
 def _surface_cache():
@@ -163,3 +231,45 @@ def test_untwisted_length_is_the_search_at_the_unit_monodromy():
         zero = validate_cocycle(space.complex, {}, default_zero=True)
         rep = cup_length(space.complex, zero, [Fraction(2)])
         assert rep.untwisted_cup_length == expected
+
+
+def _corrupt_a_pivot_row(monkeypatch):
+    """Double one recorded pivot-row entry b[kappa] of the last degree-1
+    elimination, which g reads first: the reduction itself is unchanged."""
+    real = twisted._unit_pivot_reduction
+
+    def corrupted(deltas, sizes):
+        reduced = real(deltas, sizes)
+        b = [b for q, _tau, _sigma, _k, _c, b, _cleared in reduced.pivots
+             if q == 1 and b][-1]
+        kappa = next(iter(b))
+        b[kappa] = {e: 2 * c for e, c in b[kappa].items()}
+        return reduced
+
+    monkeypatch.setattr(twisted, "_unit_pivot_reduction", corrupted)
+
+
+def test_a_corrupted_pivot_record_is_caught(monkeypatch, tmp_path):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(space_to_json(surface(2))))
+    assert crit_bound(surface(2), seed=0).cl_lower_bound == 2
+    _corrupt_a_pivot_row(monkeypatch)
+    message = "cohomology representative in degree 1 is not a cocycle"
+    with pytest.raises(InternalInconsistency, match=message):
+        crit_bound(surface(2), seed=0)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert cli.main(["crit-bound", str(path), "--seed", "0"]) == 3
+    assert message in err.getvalue()
+
+
+def test_the_certificate_recheck_does_not_trust_the_transfer_maps(
+        monkeypatch):
+    _corrupt_a_pivot_row(monkeypatch)
+    # with the search's own cocycle checks switched off, the corrupted
+    # representatives reach the certificate, and its re-check refuses them
+    monkeypatch.setattr(_CohomologyCache, "_is_cocycle",
+                        lambda self, a, q, vec: True)
+    with pytest.raises(InternalInconsistency,
+                       match="certificate representative in degree 1"):
+        crit_bound(surface(2), seed=0)

@@ -1,6 +1,8 @@
 """Differential tests: the unit-pivot-reduced twisted complex against the
-unreduced simplicial complex it came from."""
+unreduced simplicial complex it came from, and the transfer maps between
+the two."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,13 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from novikov import twisted
 from novikov.cli import parse_scalar
-from novikov.complexes import coboundary_of_vertex_function
+from novikov.complexes import build_complex, coboundary_of_vertex_function
 from novikov.corpus import (circle, connected_sum, mapping_torus, surface,
                             torus)
 from novikov.errors import NotAChainComplex
-from novikov.invariants import (TwistedData, jump_locus, novikov_numbers,
-                                twisted_dims)
-from novikov.twisted import TwistedComplex, twisted_cohomology_dim
+from novikov.invariants import (TwistedData, _CohomologyCache, jump_locus,
+                                novikov_numbers, twisted_dims)
+from novikov.linalg import Span, nullspace
+from novikov.twisted import (TwistedComplex, coboundary_image_vectors,
+                             evaluate_rows, sparse_coboundary,
+                             twisted_cohomology_dim)
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +35,12 @@ def corpus_space(name):
         return mapping_torus(circle(3).complex, {0: 0, 1: 2, 2: 1})
     if name == "torus#torus":
         return connected_sum(torus(), torus())
+    if name == "order3":
+        # the 7-vertex torus under v -> 2v mod 7: reduces to [1, 2, 2, 1]
+        seven = build_complex(
+            [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+            + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+        return mapping_torus(seven, {v: 2 * v % 7 for v in range(7)})
     k, sign, shift = name
     # a dihedral symmetry of the k-cycle: the simplicial permutations
     return mapping_torus(circle(k).complex,
@@ -44,10 +55,10 @@ spaces = st.one_of(
 
 
 @st.composite
-def instances(draw):
+def instances(draw, names=spaces):
     """A corpus space with its class gauge-changed by a random coboundary
     and scaled by n, which makes t^n - 1 the jump divisor."""
-    space = corpus_space(draw(spaces))
+    space = corpus_space(draw(names))
     X, z = space.complex, space.cocycle
     f = {v: draw(st.integers(-2, 2)) for v in X.vertices()}
     n = draw(st.sampled_from([1, 2, 3]))
@@ -91,7 +102,7 @@ def test_reduced_dims_match_direct_elimination(instance, rationals):
 @given(instances())
 def test_reduced_sizes_keep_the_euler_characteristic(instance):
     X, z = instance
-    _, sizes = TwistedComplex(X, z).reduced()
+    sizes = TwistedComplex(X, z).reduced().sizes
     assert len(sizes) == X.dim + 1
     assert all(0 <= s <= X.n_simplices(q) for q, s in enumerate(sizes))
     assert sum((-1) ** q * s for q, s in enumerate(sizes)) \
@@ -100,9 +111,9 @@ def test_reduced_sizes_keep_the_euler_characteristic(instance):
 
 def test_reduced_surface_is_minimal():
     s = surface(2)
-    matrices, sizes = TwistedComplex(s.complex, s.cocycle).reduced()
-    assert sizes == [1, 4, 1]
-    assert [(m.rows, m.cols) for m in matrices] == [(4, 1), (1, 4)]
+    red = TwistedComplex(s.complex, s.cocycle).reduced()
+    assert red.sizes == [1, 4, 1]
+    assert [(m.rows, m.cols) for m in red.matrices] == [(4, 1), (1, 4)]
 
 
 def test_corrupted_sparse_entry_is_not_a_chain_complex(monkeypatch):
@@ -120,3 +131,86 @@ def test_corrupted_sparse_entry_is_not_a_chain_complex(monkeypatch):
     monkeypatch.setattr(twisted, "sparse_coboundary", corrupted)
     with pytest.raises(NotAChainComplex):
         TwistedComplex(s.complex, s.cocycle)
+
+
+# The transfer maps g: C_red -> C and f: C -> C_red, evaluated at t = a.
+
+SCALARS = [Fraction(3, 2), Fraction(-2, 5), Fraction(-1),
+           parse_scalar("@1,1,1")]
+
+
+def apply(rows, vec):
+    """Evaluated sparse rows applied to a dense vector."""
+    out = []
+    for row in rows:
+        acc = 0
+        for j, x in row.items():
+            acc += x * vec[j]
+        out.append(acc)
+    return out
+
+
+def cochains(rng, n, count=2):
+    return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["surface(2)", "klein", "torus#torus",
+                                  (5, -1, 2), "order3"])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_transfer_maps_are_inverse_chain_maps(name, data):
+    X, z = data.draw(instances(st.just(name)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    T = TwistedComplex(X, z)
+    red = T.reduced()
+    for a in SCALARS:
+        delta = [evaluate_rows(rows, a) for rows in T.rows]
+        delta_red = [evaluate_rows(rows, a) for rows in red.rows]
+        for q in range(X.dim + 1):
+            g, f = red.g(q, a), red.f(q, a)
+            xs = cochains(rng, red.sizes[q])
+            vs = cochains(rng, X.n_simplices(q))
+            # f g = id on reduced cochains
+            assert [f(g(x)) for x in xs] == xs, (q, a)
+            if q == X.dim:
+                continue
+            g1, f1 = red.g(q + 1, a), red.f(q + 1, a)
+            # delta g = g delta_red and f delta = delta_red f
+            for x in xs:
+                assert apply(delta[q], g(x)) \
+                    == g1(apply(delta_red[q], x)), (q, a)
+            for v in vs:
+                assert f1(apply(delta[q], v)) \
+                    == apply(delta_red[q], f(v)), (q, a)
+
+
+@pytest.mark.parametrize("name", ["surface(2)", "klein", "torus#torus",
+                                  (4, 1, 1), "order3"])
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_g_gives_cocycles_independent_modulo_coboundaries(name, data):
+    X, z = data.draw(instances(st.just(name)))
+    instance = TwistedData.of(X, z)
+    red = instance.reduced
+    cache = _CohomologyCache(instance)
+    for a in SCALARS:
+        for q in range(X.dim + 1):
+            n = red.sizes[q]
+            upper = evaluate_rows(red.rows[q], a) if q < X.dim else []
+            delta = (evaluate_rows(sparse_coboundary(X, z, q), a)
+                     if q < X.dim else [])
+            # g of every reduced cocycle is a cocycle at cochain level
+            zero, one = 0 * a, a / a  # in the field of a
+            cocycles = nullspace([[row.get(j, 0) for j in range(n)]
+                                  for row in upper], n, zero, one)
+            g = red.g(q, a)
+            for v in cocycles:
+                assert not any(apply(delta, g(v))), (q, a)
+            # the basis representatives stay independent modulo the
+            # coboundaries of the unreduced complex
+            reps = cache.reps(a, q)
+            assert len(reps) == twisted_dims(instance, a)[q]
+            span = Span(X.n_simplices(q))
+            for c in coboundary_image_vectors(X, z, q, a):
+                span.add(c)
+            assert all(span.add(v) for v in reps), (q, a)

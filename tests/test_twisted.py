@@ -11,7 +11,7 @@ from novikov.errors import (DimensionMismatch, NotAChainComplex,
                             NotAnIsomorphism, ZeroMonodromy)
 from novikov.matrix import snf
 from novikov.twisted import (CutPresentation, DeformationComplex,
-                             SimplicialMap, TwistedComplex,
+                             SimplicialMap, TwistedComplex, check_square_zero,
                              relative_twisted_dim, restriction_epi,
                              twisted_cohomology_dim)
 
@@ -153,5 +153,4 @@ def test_restriction_epi_basic():
 def test_delta_squared_zero_on_corpus():
     for space in (torus(), surface(2), sphere_product(2)):
         T = TwistedComplex(space.complex, space.cocycle)
-        for q in range(len(T.matrices) - 1):
-            assert T.matrices[q + 1].matmul(T.matrices[q]).is_zero()
+        check_square_zero(T.rows)
