@@ -18,14 +18,13 @@ from .complexes import SimplicialComplex, twisted_cup
 from .errors import (InternalInconsistency, NotInSpan,
                      ZeroDivisorEncountered)
 from .linalg import Span, nullspace
-from .matrix import SmithForm, rank_at, snf
+from .matrix import SmithForm, snf
 from .numfield import (FieldElement, NumberField, Scalar, check_nonzero,
                        is_dirichlet_unit, scalar_field, scalar_key,
                        scalar_mul)
 from .polyq import Poly, coprime_basis, rational_roots, squarefree_factors
-from .twisted import (ReducedComplex, TwistedComplex,
-                      coboundary_image_vectors, evaluate_rows,
-                      sparse_coboundary)
+from .twisted import (ReducedComplex, TwistedComplex, _unit_pivot_reduction,
+                      coboundary_at, column_span, evaluate_rows)
 
 
 class TwistedData:
@@ -34,8 +33,10 @@ class TwistedData:
     Wraps either a simplicial complex with a 1-cocycle or raw polynomial
     matrices (synthetic chain instances).  A simplicial instance builds its
     TwistedComplex (with the delta^2 = 0 check) and reduces it once, on
-    first use, and reads ``matrices`` and ``sizes`` from the reduced
-    complex.  Smith forms are computed lazily and cached per degree.
+    first use, and reads ``matrices`` from the reduced complex.  Chain
+    data is read as given: ``reduced`` holds its matrices as sparse rows,
+    with no cell eliminated.  ``sizes`` and ``dim_at`` read ``reduced``;
+    Smith forms are computed lazily and cached per degree.
     """
 
     def __init__(self, matrices, sizes, dimension, complex=None, cocycle=None):
@@ -48,7 +49,12 @@ class TwistedData:
 
     @cached_property
     def reduced(self) -> ReducedComplex:
-        return TwistedComplex(self.complex, self.cocycle).reduced()
+        if self.simplicial:
+            return TwistedComplex(self.complex, self.cocycle).reduced()
+        rows = [[{j: {e: c for e, c in enumerate(p.coeffs) if c}
+                  for j, p in enumerate(row) if not p.is_zero()}
+                 for row in m.entries] for m in self._matrices]
+        return _unit_pivot_reduction(rows, self._sizes, lambda p: False)
 
     @property
     def matrices(self):
@@ -58,9 +64,7 @@ class TwistedData:
 
     @property
     def sizes(self):
-        if self._sizes is None:
-            return self.reduced.sizes
-        return self._sizes
+        return self.reduced.sizes
 
     @property
     def euler(self) -> int:
@@ -96,9 +100,7 @@ class TwistedData:
 
     def dim_at(self, q: int, a: Scalar) -> int:
         check_nonzero(a)
-        r_q = rank_at(self.matrices[q], a) if q < len(self.matrices) else 0
-        r_prev = rank_at(self.matrices[q - 1], a) if 0 < q <= len(self.matrices) else 0
-        return self.sizes[q] - r_q - r_prev
+        return self.reduced.dim_at(q, a)
 
 
 class JumpEntry:
@@ -302,15 +304,8 @@ class _CohomologyCache:
         field = scalar_field(a)
         zero = field.zero() if field else Fraction(0)
         one = field.one() if field else Fraction(1)
-        projector = Span(n + b)
-        if q > 0:
-            # the columns of the reduced delta_{q-1}
-            image = {}
-            for i, row in enumerate(evaluate_rows(red.rows[q - 1], a)):
-                for j, x in row.items():
-                    image.setdefault(j, {})[i] = x
-            for vec in image.values():
-                projector.insert(vec)
+        projector = column_span(
+            evaluate_rows(red.rows[q - 1], a) if q > 0 else [], n + b)
         upper = evaluate_rows(red.rows[q], a) if q < len(red.rows) else []
         basis = []
         for v in nullspace([[row.get(j, 0) for j in range(n)]
@@ -340,8 +335,8 @@ class _CohomologyCache:
         once per (a, q)."""
         key = (scalar_key(a), q)
         if key not in self._deltas:
-            self._deltas[key] = _coboundary_at(self.complex, self.cocycle,
-                                               q, a)
+            self._deltas[key] = coboundary_at(self.complex, self.cocycle,
+                                              q, a)
         return _annihilates(self._deltas[key], vec)
 
     def coords(self, a: Scalar, q: int, vec) -> list:
@@ -368,11 +363,6 @@ class _CohomologyCache:
                  for w in self.reps(a, d)]
                 for u in self.reps(m, p)]
         return self._constants[key]
-
-
-def _coboundary_at(X, z, q: int, a: Scalar):
-    """The unreduced twisted coboundary delta_q at t = a, as sparse rows."""
-    return evaluate_rows(sparse_coboundary(X, z, q) if q < X.dim else [], a)
 
 
 def _annihilates(rows, vec) -> bool:
@@ -572,12 +562,12 @@ def _extract_certificate(k, m, degree, st):
 
 def _verify_certificate(X, z, cert: CupLengthCertificate, reps):
     """Independent cochain-level re-check: confirm that every stored
-    representative is a cocycle, multiply them afresh, build the
-    coboundaries of the product's degree, and confirm that the product is
-    not a coboundary but differs from sum witness_i reps_i by one.  Reads
-    neither the reduced complex nor its transfer maps."""
+    representative is a cocycle, multiply them afresh, span the columns of
+    the unreduced delta into the product's degree, and confirm that the
+    product is not a coboundary but differs from sum witness_i reps_i by
+    one.  Reads neither the reduced complex nor its transfer maps."""
     for a, d, w, _unit in cert.factors:
-        if not _annihilates(_coboundary_at(X, z, d, a), w):
+        if not _annihilates(coboundary_at(X, z, d, a), w):
             raise InternalInconsistency(
                 f"certificate representative in degree {d} is not a "
                 "cocycle")
@@ -587,9 +577,8 @@ def _verify_certificate(X, z, cert: CupLengthCertificate, reps):
         acc_v = twisted_cup(X, z, acc_d, d, acc_m, a, acc_v, w)
         acc_m = scalar_mul(acc_m, a)
         acc_d += d
-    span = Span(X.n_simplices(acc_d))
-    for c in coboundary_image_vectors(X, z, acc_d, acc_m):
-        span.add(c)
+    span = column_span(coboundary_at(X, z, acc_d - 1, acc_m),
+                       X.n_simplices(acc_d))
     if span.contains(acc_v):
         raise InternalInconsistency(
             "certificate product re-evaluated to a coboundary")

@@ -1,21 +1,23 @@
-"""Twisted cochain complexes over Q[t].
+"""Twisted cochain complexes over Z[t, 1/t], read through their reductions.
 
-Two routes to the same cohomology:
+Each complex is kept as sparse Laurent rows, passes the same delta^2 = 0
+check and is reduced by its unit pivots (algebraic Morse reduction); every
+twisted dimension is read off the reduced complex by
+``ReducedComplex.dim_at``, whose dense Q[t] ``matrices`` feed the Smith
+forms.  The unreduced evaluations kept here are oracles.
 
 * ``TwistedComplex`` substitutes t**z(u, v) for the monodromy transport in
-  the simplicial coboundary.  It keeps the coboundaries as sparse rows over
-  Z[t, 1/t] and reduces them by unit pivots +-t**k (algebraic Morse
-  reduction), which leaves a chain-homotopy equivalent complex of a few
-  cells.  Smith forms of the reduced matrices carry the generic ranks and
-  the jump divisors; evaluating them at t = a gives twisted dimensions.
-  The recorded eliminations give the chain maps between the reduced and
-  the full complex at any t = a, which carry cohomology classes across.
+  the simplicial coboundary.  Its pivots +-t**k stay units at every
+  t = a != 0 and leave a few cells.  The recorded eliminations give the
+  chain maps between the reduced and the full complex at any t = a.
 
-* ``DeformationComplex`` is built from a cut presentation (N, V, i+, i-)
-  as the same kind of sparse rows, with entries linear in t, and passes
-  the same delta^2 = 0 check.  Evaluating at t = a computes twisted
-  cohomology with monodromy 1/a; evaluating at t = 0 computes the relative
-  cohomology of (N, boundary_+ N).
+* ``DeformationComplex`` is built from a cut presentation (N, V, i+, i-),
+  with entries linear in t.  Its pivots are only +-1, which stay units at
+  t = 0.  Evaluating at t = a computes twisted cohomology with monodromy
+  1/a; at t = 0, the relative cohomology of (N, boundary_+ N).
+
+* ``relative_twisted_dim`` reduces C*(X, A): the twisted coboundary on the
+  simplices outside A.
 """
 
 from __future__ import annotations
@@ -52,23 +54,17 @@ def _is_unit(p: dict) -> bool:
     return len(p) == 1 and abs(next(iter(p.values()))) == 1
 
 
+def _is_constant_unit(p: dict) -> bool:
+    """Whether p is +-1, a unit at every t including t = 0."""
+    return len(p) == 1 and abs(p.get(0, 0)) == 1
+
+
 def _to_poly(p: dict, shift: int) -> Poly:
+    """t**shift * p as a polynomial; shift clears negative exponents."""
     coeffs = [0] * (max(p) + shift + 1)
     for e, c in p.items():
         coeffs[e + shift] = c
     return Poly(coeffs)
-
-
-def _poly_matrix(rows, n: int, shifts) -> PolyMatrix:
-    """Dense n-column view of sparse Laurent rows; row i is multiplied by
-    t**shifts[i]."""
-    dense = []
-    for row, s in zip(rows, shifts):
-        out = [Poly()] * n
-        for j, p in row.items():
-            out[j] = _to_poly(p, s)
-        dense.append(out)
-    return PolyMatrix(len(dense), n, dense)
 
 
 def _face_row(cols, sigma, transport: int, sign: int) -> dict:
@@ -106,20 +102,6 @@ def check_square_zero(deltas) -> None:
             if any(acc.values()):
                 raise NotAChainComplex(
                     f"delta^2 != 0 between degrees {q} and {q + 2}")
-
-
-def dense_matrices(deltas, sizes):
-    """Dense Q[t] views of sparse Laurent differentials: t**s_q times
-    delta_q, with one shift s_q per degree clearing negative exponents.
-    Since the shift is a global scalar, ranks away from t = 0 and all
-    divisor factors coprime to t are those of delta_q itself."""
-    out = []
-    for q, rows in enumerate(deltas):
-        low = min((e for row in rows for p in row.values() for e in p),
-                  default=0)
-        out.append(_poly_matrix(rows, sizes[q],
-                                [max(-low, 0)] * len(rows)))
-    return out
 
 
 def _evaluator(a: Scalar):
@@ -165,13 +147,34 @@ def _evaluated_rank(rows, ncols: int, a: Scalar) -> int:
     return span.dim
 
 
+def coboundary_at(complex: SimplicialComplex, z: OneCocycle, q: int,
+                  a: Scalar):
+    """The unreduced twisted coboundary delta_q at t = a, as sparse rows;
+    no rows outside degrees 0..dim-1."""
+    return evaluate_rows(sparse_coboundary(complex, z, q)
+                         if 0 <= q < complex.dim else [], a)
+
+
+def column_span(rows, ncols: int) -> Span:
+    """The span of the columns of sparse rows, each column a sparse vector
+    over the row indices, in a Span of ``ncols`` columns."""
+    columns = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns.setdefault(j, {})[i] = x
+    span = Span(ncols)
+    for vec in columns.values():
+        span.insert(vec)
+    return span
+
+
 class TwistedComplex:
     """Twisted cochain complex of a complex with a 1-cocycle, over Z[t, 1/t].
 
     ``rows[q]`` holds delta_q: C^q -> C^{q+1} as sparse Laurent rows, one
     per (q+1)-simplex; delta^2 = 0 is checked on them at construction.
-    ``matrices`` is their dense Q[t] view (``dense_matrices``), built on
-    first use.  ``reduced()`` gives the complex after unit-pivot reduction.
+    ``reduced()`` gives the complex after eliminating its unit pivots
+    +-t**k; there is no dense view of the unreduced rows.
     """
 
     def __init__(self, complex: SimplicialComplex, z: OneCocycle):
@@ -183,22 +186,12 @@ class TwistedComplex:
         check_square_zero(self.rows)
         self._reduced = None
 
-    @cached_property
-    def matrices(self):
-        return dense_matrices(self.rows, self.sizes)
-
-    def matrix(self, q: int) -> PolyMatrix:
-        if not 0 <= q <= self.complex.dim:
-            raise DegreeOutOfRange(f"degree {q} outside 0..{self.complex.dim}")
-        if q == self.complex.dim:
-            return PolyMatrix(0, len(self.complex.simplices[q]))
-        return self.matrices[q]
-
     def reduced(self) -> "ReducedComplex":
         """The unit-pivot-reduced complex with its transfer maps, built on
         first use."""
         if self._reduced is None:
-            self._reduced = _unit_pivot_reduction(self.rows, self.sizes)
+            self._reduced = _unit_pivot_reduction(self.rows, self.sizes,
+                                                  _is_unit)
         return self._reduced
 
 
@@ -208,11 +201,12 @@ class ReducedComplex:
     ``cells[q]`` lists the surviving q-cells (simplex indices) and
     ``sizes[q]`` counts them; ``rows[q]`` is the reduced delta_q as sparse
     Laurent rows, one per surviving (q+1)-cell, whose columns number the
-    surviving q-cells by position.  ``matrices[q]`` is the dense Q[t] view
-    of ``rows[q]`` with each row multiplied by the power of t that makes
-    its lowest exponent 0.  A row scaled by a unit changes elementary
-    divisors only by powers of t, and ranks at t = a != 0 not at all, but
-    these matrices are no chain complex.
+    surviving q-cells by position.  ``dim_at`` evaluates these rows.
+    ``matrices[q]``, the one dense Q[t] view, feeds the Smith forms: it is
+    ``rows[q]`` with each row multiplied by the power of t that makes its
+    lowest exponent 0.  A row scaled by a unit changes elementary divisors
+    only by powers of t, and ranks at t = a != 0 not at all, but these
+    matrices are no chain complex.
 
     ``pivots`` records every elimination in order as (q, tau, sigma, k, c,
     b, cleared): the pivot u = delta_q[tau][sigma] = c * t**k, the pivot
@@ -234,10 +228,27 @@ class ReducedComplex:
     def matrices(self):
         out = []
         for q, kept in enumerate(self.rows):
-            shifts = [-min(e for p in row.values() for e in p) if row else 0
-                      for row in kept]
-            out.append(_poly_matrix(kept, self.sizes[q], shifts))
+            dense = []
+            for row in kept:
+                shift = -min(e for p in row.values() for e in p) if row else 0
+                entries = [Poly()] * self.sizes[q]
+                for j, p in row.items():
+                    entries[j] = _to_poly(p, shift)
+                dense.append(entries)
+            out.append(PolyMatrix(len(dense), self.sizes[q], dense))
         return out
+
+    def dim_at(self, q: int, a: Scalar) -> int:
+        """dim H^q of the complex at t = a: the q-cells minus the ranks of
+        delta_q and delta_{q-1} evaluated at a."""
+        if not 0 <= q < len(self.sizes):
+            raise DegreeOutOfRange(
+                f"degree {q} outside 0..{len(self.sizes) - 1}")
+        r_q = (_evaluated_rank(self.rows[q], self.sizes[q], a)
+               if q < len(self.rows) else 0)
+        r_prev = (_evaluated_rank(self.rows[q - 1], self.sizes[q - 1], a)
+                  if q > 0 else 0)
+        return self.sizes[q] - r_q - r_prev
 
     def g(self, q: int, a: Scalar):
         """The inclusion C_red^q -> C^q at t = a, as a map of dense vectors.
@@ -297,10 +308,14 @@ class ReducedComplex:
         return f
 
 
-def _unit_pivot_reduction(deltas, sizes) -> ReducedComplex:
+def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
     """Eliminate every cell pair joined by a unit entry, degree by degree.
 
-    A pivot u = delta_q[tau][sigma] = +-t**k removes the q-cell sigma and
+    ``is_unit`` picks the entries that may serve as pivots, among the
+    units +-t**k of Z[t, 1/t]: all of them for a complex read only at
+    t != 0, only +-1 for one that must stay valid at t = 0, none for one
+    read as given.  A pivot u = delta_q[tau][sigma] = +-t**k removes the
+    q-cell sigma and
     the (q+1)-cell tau: delta_q becomes its Schur complement
     delta_q[rho][kappa] - delta_q[rho][sigma] * u**-1 * delta_q[tau][kappa],
     delta_{q-1} loses row sigma and delta_{q+1} loses column tau.  The
@@ -308,8 +323,8 @@ def _unit_pivot_reduction(deltas, sizes) -> ReducedComplex:
     and Slusarek 1998), and u**-1 = +-t**-k keeps every entry an integer
     Laurent polynomial.  Among the unit entries the one with the smallest
     Markowitz cost (row length - 1) * (column length - 1) goes first.
-    Eliminating in delta_q never creates a unit entry in a lower degree,
-    so one ascending pass leaves no unit entry anywhere.  Each elimination
+    Eliminating in delta_q never creates a pivot candidate in a lower
+    degree, so one ascending pass leaves none anywhere.  Each elimination
     is recorded by reference, for the transfer maps.
     """
     rows = [dict(enumerate(dict(r) for r in d)) for d in deltas]
@@ -323,7 +338,7 @@ def _unit_pivot_reduction(deltas, sizes) -> ReducedComplex:
     alive = [dict.fromkeys(range(n)) for n in sizes]
     pivots = []
     for q, (R, C) in enumerate(zip(rows, cols)):
-        while (pivot := _cheapest_unit(R, C)) is not None:
+        while (pivot := _cheapest_unit(R, C, is_unit)) is not None:
             tau, sigma = pivot
             pivot_row = R.pop(tau)
             for kappa in pivot_row:
@@ -362,13 +377,13 @@ def _unit_pivot_reduction(deltas, sizes) -> ReducedComplex:
     return ReducedComplex(reduced, cells, list(sizes), pivots)
 
 
-def _cheapest_unit(R, C):
+def _cheapest_unit(R, C, is_unit):
     """(row, column) of the first unit entry of least Markowitz cost, or
     None; R maps rows to ``{column: entry}``, C columns to their rows."""
     best, best_cost = None, None
     for tau, row in R.items():
         for sigma, p in row.items():
-            if _is_unit(p):
+            if is_unit(p):
                 cost = (len(row) - 1) * (len(C[sigma]) - 1)
                 if cost == 0:
                     return tau, sigma
@@ -503,18 +518,21 @@ class CutPresentation:
 
 
 class DeformationComplex:
-    """Cochain complex over Q[t] computing all twisted cohomologies at once.
+    """Cochain complex over Z[t] computing all twisted cohomologies at once.
 
     Degree q cochains are C^q(N) (+) C^{q-1}(V); the differential is
 
         [ delta_N          0        ]
         [ i+* - t * i-*   -delta_V  ]
 
-    Evaluating the divisor data at t = a gives dim H^q of the glued space
-    with monodromy 1/a; evaluating at t = 0 gives dim H^q(N, wall_+).
-    ``rows[q]`` holds the differential in degree q as sparse Laurent rows,
-    the q+1-simplices of N first, then the q-simplices of V; columns
-    number the q-simplices of N, then the q-1-simplices of V.
+    Evaluating at t = a gives dim H^q of the glued space with monodromy
+    1/a; evaluating at t = 0 gives dim H^q(N, wall_+).  ``rows[q]`` holds
+    the differential in degree q as sparse Laurent rows, the q+1-simplices
+    of N first, then the q-simplices of V; columns number the q-simplices
+    of N, then the q-1-simplices of V.  ``reduced()`` eliminates only the
+    constant pivots +-1: a pivot -t would be no unit at t = 0.  ``dim_at``
+    reads the reduced complex; there is no dense view of the unreduced
+    rows.
     """
 
     def __init__(self, cut: CutPresentation):
@@ -538,24 +556,21 @@ class DeformationComplex:
                 rows.append(row)
             self.rows.append(rows)
         check_square_zero(self.rows)
+        self._reduced = None
 
-    @cached_property
-    def matrices(self):
-        return dense_matrices(self.rows, self.sizes)
-
-    def matrix(self, q: int) -> PolyMatrix:
-        if not 0 <= q <= self.top:
-            raise DegreeOutOfRange(f"degree {q} outside 0..{self.top}")
-        return self.matrices[q]
+    def reduced(self) -> ReducedComplex:
+        """The complex with its constant pivots eliminated, built on first
+        use; its entries stay polynomials in t, valid at t = 0."""
+        if self._reduced is None:
+            self._reduced = _unit_pivot_reduction(self.rows, self.sizes,
+                                                  _is_constant_unit)
+        return self._reduced
 
     def dim_at(self, q: int, a: Scalar) -> int:
         """dim H^q of the complex specialized at t = a (a = 0 allowed)."""
         if not 0 <= q <= self.top:
             raise DegreeOutOfRange(f"degree {q} outside 0..{self.top}")
-        r_q = _evaluated_rank(self.rows[q], self.sizes[q], a)
-        r_prev = (_evaluated_rank(self.rows[q - 1], self.sizes[q - 1], a)
-                  if q > 0 else 0)
-        return self.sizes[q] - r_q - r_prev
+        return self.reduced().dim_at(q, a)
 
 
 def relative_cochain_indices(complex: SimplicialComplex,
@@ -567,51 +582,44 @@ def relative_cochain_indices(complex: SimplicialComplex,
 
 def relative_twisted_dim(complex: SimplicialComplex, sub: SimplicialComplex,
                          z: OneCocycle, q: int, a: Scalar) -> int:
-    """dim H^q(X, A; E_a) via cochains vanishing on the subcomplex."""
+    """dim H^q(X, A; E_a) from the cochains vanishing on the subcomplex.
+
+    Since A is a subcomplex, delta maps those cochains to themselves:
+    C*(X, A) is delta_q restricted to the rows and columns of the
+    simplices outside A.  It is reduced by its unit pivots +-t**k and
+    read at a.
+    """
     check_nonzero(a)
-    if not 0 <= q <= complex.dim:
-        raise DegreeOutOfRange(f"degree {q} outside 0..{complex.dim}")
-    keep = relative_cochain_indices(complex, sub, q)
-    r_q = _relative_rank(complex, sub, z, q, a)
-    r_prev = _relative_rank(complex, sub, z, q - 1, a) if q > 0 else 0
-    return len(keep) - r_q - r_prev
-
-
-def _relative_rank(complex, sub, z, q, a):
-    rows = twisted_coboundary_values(complex, z, q, a)
-    if not rows:
-        return 0
-    keep_cols = relative_cochain_indices(complex, sub, q)
-    keep_rows = relative_cochain_indices(complex, sub, q + 1)
-    sliced = [[rows[i][j] for j in keep_cols] for i in keep_rows]
-    return rank(sliced, len(keep_cols))
+    keep = [relative_cochain_indices(complex, sub, d)
+            for d in range(complex.dim + 1)]
+    deltas = []
+    for d in range(complex.dim):
+        full = sparse_coboundary(complex, z, d)
+        col = {j: pos for pos, j in enumerate(keep[d])}
+        deltas.append([{col[j]: p for j, p in full[i].items() if j in col}
+                       for i in keep[d + 1]])
+    sizes = [len(k) for k in keep]
+    return _unit_pivot_reduction(deltas, sizes, _is_unit).dim_at(q, a)
 
 
 def restriction_epi(complex: SimplicialComplex, sub: SimplicialComplex,
                     z: OneCocycle, a: Scalar, q: int) -> bool:
     """Whether H^q(X, A; E_a) -> H^q(X; E_a) is onto.
 
-    The map is induced by including the cochains that vanish on A.  It is
-    surjective exactly when the relative cocycles together with the
-    coboundaries of X span the full cocycle space Z^q(X).
+    The map is induced by including the cochains that vanish on A.  The
+    relative cocycles together with the coboundaries of X always span a
+    subspace of the cocycle space Z^q(X), so the map is onto exactly when
+    that span has the dimension n_q - rank(delta_q) of Z^q(X).
     """
     check_nonzero(a)
     field = scalar_field(a)
     zero = field.zero() if field else Fraction(0)
     one = field.one() if field else Fraction(1)
     n_q = complex.n_simplices(q)
-    full = cocycle_space_basis(complex, z, q, a)
-    if not full:
-        return True
+    delta = sparse_coboundary(complex, z, q) if q < complex.dim else []
+    span = column_span(coboundary_at(complex, z, q - 1, a), n_q)
     keep = relative_cochain_indices(complex, sub, q)
-    rows = twisted_coboundary_values(complex, z, q, a)
-    span = Span(n_q)
-    sliced = [[row[j] for j in keep] for row in rows]
+    sliced = [[row.get(j, 0) for j in keep] for row in evaluate_rows(delta, a)]
     for small in nullspace(sliced, len(keep), zero, one):
-        vec = [zero] * n_q
-        for pos, j in enumerate(keep):
-            vec[j] = small[pos]
-        span.add(vec)
-    for vec in coboundary_image_vectors(complex, z, q, a):
-        span.add(vec)
-    return all(span.contains(v) for v in full)
+        span.insert({j: x for j, x in zip(keep, small) if x})
+    return span.dim == n_q - _evaluated_rank(delta, n_q, a)

@@ -110,11 +110,11 @@ def test_pinned_certificate_is_a_cocycle_and_no_coboundary(name):
 
 
 def test_the_search_builds_no_cochain_level_basis(monkeypatch):
-    """Bases come from the reduced complex: no cocycle space and no
-    nullspace over n_q columns, and the cochain-level coboundaries are
-    built only by the certificate re-check."""
+    """Bases come from the reduced complex: no cocycle space, no dense
+    coboundary image and no nullspace over n_q columns.  The certificate
+    re-check, and only it, spans the coboundaries of the unreduced rows."""
     def refuse(*args):
-        raise AssertionError("cocycle_space_basis called by the search")
+        raise AssertionError("a cochain-level basis built by the search")
 
     widths = []
     real_nullspace = invariants.nullspace
@@ -124,16 +124,16 @@ def test_the_search_builds_no_cochain_level_basis(monkeypatch):
         return real_nullspace(rows, ncols, zero, one)
 
     callers = []
-    real_image = invariants.coboundary_image_vectors
+    real_coboundary = invariants.coboundary_at
 
-    def recording_image(X, z, q, a):
+    def recording_coboundary(X, z, q, a):
         callers.append(sys._getframe(1).f_code.co_name)
-        return real_image(X, z, q, a)
+        return real_coboundary(X, z, q, a)
 
     monkeypatch.setattr(twisted, "cocycle_space_basis", refuse)
+    monkeypatch.setattr(twisted, "coboundary_image_vectors", refuse)
     monkeypatch.setattr(invariants, "nullspace", recording_nullspace)
-    monkeypatch.setattr(invariants, "coboundary_image_vectors",
-                        recording_image)
+    monkeypatch.setattr(invariants, "coboundary_at", recording_coboundary)
     for space in (surface(2), connected_sum(torus(), torus()), _klein()):
         reduced = TwistedData.of(space).sizes
         widths.clear()
@@ -141,8 +141,11 @@ def test_the_search_builds_no_cochain_level_basis(monkeypatch):
         rep = crit_bound(space, seed=0)
         assert widths and set(widths) <= set(reduced)
         assert not set(widths) & set(space.complex.f_vector())
+        # the cocycle checks evaluate delta_q; the re-check also spans the
+        # columns of delta_{q-1} once per certificate
         certified = rep.certificate is not None
-        assert callers == ["_verify_certificate"] * certified
+        assert set(callers) <= {"_is_cocycle", "_verify_certificate"}
+        assert ("_verify_certificate" in callers) == certified
 
 
 def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):
@@ -238,8 +241,8 @@ def _corrupt_a_pivot_row(monkeypatch):
     elimination, which g reads first: the reduction itself is unchanged."""
     real = twisted._unit_pivot_reduction
 
-    def corrupted(deltas, sizes):
-        reduced = real(deltas, sizes)
+    def corrupted(deltas, sizes, is_unit):
+        reduced = real(deltas, sizes, is_unit)
         b = [b for q, _tau, _sigma, _k, _c, b, _cleared in reduced.pivots
              if q == 1 and b][-1]
         kappa = next(iter(b))

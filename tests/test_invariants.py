@@ -135,6 +135,11 @@ def test_crit_bound_alexander_instance():
     assert rep.cl_lower_bound == 2
     assert rep.crit_bound == 1
     assert rep.notes
+    # chain data is evaluated as given, with no cell eliminated
+    root = NumberField([2, -3, 2]).generator()
+    assert twisted_dims(inst, Fraction(2)) == [0, 0, 0, 0]
+    assert twisted_dims(inst, Fraction(1)) == [1, 1, 0, 0]
+    assert twisted_dims(inst, root) == [0, 1, 1, 0]
 
 
 def test_crit_bound_connected_sum():

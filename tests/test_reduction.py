@@ -68,8 +68,9 @@ def instances(draw, names=spaces):
 def unreduced(X, z):
     """TwistedData over the full simplicial coboundaries (no reduction)."""
     T = TwistedComplex(X, z)
-    return TwistedData(T.matrices, [X.n_simplices(q) for q in range(X.dim + 1)],
-                       X.dim)
+    full = twisted._unit_pivot_reduction(T.rows, T.sizes, lambda p: False)
+    assert full.sizes == T.sizes and not full.pivots
+    return TwistedData(full.matrices, full.sizes, X.dim)
 
 
 def jump_triples(report):

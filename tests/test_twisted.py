@@ -11,15 +11,15 @@ from novikov.errors import (DimensionMismatch, NotAChainComplex,
                             NotAnIsomorphism, ZeroMonodromy)
 from novikov.matrix import snf
 from novikov.twisted import (CutPresentation, DeformationComplex,
-                             SimplicialMap, TwistedComplex, check_square_zero,
-                             relative_twisted_dim, restriction_epi,
-                             twisted_cohomology_dim)
+                             SimplicialMap, TwistedComplex, _evaluated_rank,
+                             check_square_zero, relative_twisted_dim,
+                             restriction_epi, twisted_cohomology_dim)
 
 
 def test_twisted_complex_divisors_circle():
     c = circle(3)
     T = TwistedComplex(c.complex, c.cocycle)
-    divisors = snf(T.matrix(0)).divisors
+    divisors = snf(T.reduced().matrices[0]).divisors
     assert divisors[-1] == divisors[-1].monic()
     assert divisors[-1].eval(Fraction(1)) == 0
     assert divisors[-1].degree == 1
@@ -50,15 +50,19 @@ def test_simplicial_map_validation():
         SimplicialMap(W, X, {5: 0, 6: 1, 7: 3})  # (5,7) has no image edge
 
 
+def _cut_circle():
+    """The circle cut at one vertex: an interval glued end to end."""
+    N = build_complex([(0, 1), (1, 2), (2, 3)])
+    V = build_complex([(9,)])
+    return CutPresentation(N, V, {9: 0}, {9: 3})
+
+
 def test_deformation_complex_cut_circle():
     """Interval cut of the circle: H^0 of the glued space jumps exactly at
     the unit monodromy, and the t = 0 fiber computes H^*(N, wall_+) = 0."""
-    N = build_complex([(0, 1), (1, 2), (2, 3)])
-    V = build_complex([(9,)])
-    cut = CutPresentation(N, V, {9: 0}, {9: 3})
-    D = DeformationComplex(cut)
+    D = DeformationComplex(_cut_circle())
     assert D.sizes[0] == 4 and D.sizes[1] == 4
-    form = snf(D.matrix(0))
+    form = snf(D.reduced().matrices[0])
     nonunit = [d for d in form.divisors if d.degree >= 1]
     assert len(nonunit) == 1 and nonunit[0].eval(Fraction(1)) == 0
     assert [D.dim_at(q, Fraction(1)) for q in (0, 1)] == [1, 1]
@@ -98,6 +102,32 @@ def test_deformation_matches_twisted_at_inverse_monodromy():
             == [0] * len(degrees), h
 
 
+def test_deformation_reduction_eliminates_only_constant_pivots():
+    """Every pivot of the deformation reduction is +-1, which stays a unit
+    at t = 0, so the reduced complex reads the dimensions of the unreduced
+    rows at every a, a = 0 included.  In the last cut, a path and a vertex
+    joined across a two-point wall, an entry -t of a wall row is the
+    cheapest unit +-t**k, yet it vanishes at t = 0."""
+    points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3),
+              Fraction(-5, 2), parse_scalar("@1,1,1")]
+    path = CutPresentation(build_complex([(0, 2), (0, 3), (1,)]),
+                           build_complex([(8,), (9,)]),
+                           {8: 2, 9: 0}, {8: 1, 9: 3})
+    cuts = ([_cut_circle()] + [space.cut for space, _F, _h in _mapping_tori()]
+            + [path])
+    for cut in cuts:
+        D = DeformationComplex(cut)
+        red = D.reduced()
+        assert red.pivots
+        assert all(k == 0 for _q, _tau, _sigma, k, *_ in red.pivots)
+        for a in points:
+            for q in range(D.top + 1):
+                r_q = _evaluated_rank(D.rows[q], D.sizes[q], a)
+                r_prev = (_evaluated_rank(D.rows[q - 1], D.sizes[q - 1], a)
+                          if q else 0)
+                assert D.dim_at(q, a) == D.sizes[q] - r_q - r_prev, (q, a)
+
+
 def test_corrupted_deformation_entry_is_not_a_chain_complex(monkeypatch):
     cut = torus().cut
     DeformationComplex(cut)
@@ -114,10 +144,13 @@ def test_corrupted_deformation_entry_is_not_a_chain_complex(monkeypatch):
 
 
 def test_relative_dims_long_exact_euler():
-    """Euler characteristics: chi(X, A) = chi(X) - chi(A), twisted at any a."""
+    """Euler characteristics: chi(X, A) = chi(X) - chi(A), twisted at any a;
+    exact values for A empty, A = X and A one vertex."""
     S = surface(2)
     X, z = S.complex, S.cocycle
     A = build_complex([s for s in X.simplices[1][:3]])
+    empty = build_complex([])
+    vertex = build_complex([X.simplices[0][0]])
     for a in (Fraction(2), Fraction(1), Fraction(-1, 3)):
         rel = [relative_twisted_dim(X, A, z, q, a) for q in range(3)]
         absolute = [twisted_cohomology_dim(X, z, q, a) for q in range(3)]
@@ -125,6 +158,15 @@ def test_relative_dims_long_exact_euler():
         sub = [twisted_cohomology_dim(A, sub_z, q, a) for q in range(A.dim + 1)]
         chi = lambda dims: sum((-1) ** i * d for i, d in enumerate(dims))
         assert chi(rel) == chi(absolute) - chi(sub)
+        assert [relative_twisted_dim(X, empty, z, q, a)
+                for q in range(3)] == absolute
+        assert [relative_twisted_dim(X, X, z, q, a)
+                for q in range(3)] == [0, 0, 0]
+        # H^0(v) = Q restricts from H^0(X; E_a) isomorphically at a = 1;
+        # at any other a, H^0(X; E_a) = 0 and H^0(v) injects into H^1(X, v)
+        assert absolute[0] == (a == 1)
+        assert [relative_twisted_dim(X, vertex, z, q, a) for q in range(3)] \
+            == [0, absolute[1] + (a != 1), absolute[2]]
 
 
 def test_restriction_epi_basic():
