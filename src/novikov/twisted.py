@@ -16,7 +16,7 @@ forms.  The unreduced evaluations kept here are oracles.
   t = 0.  Evaluating at t = a computes twisted cohomology with monodromy
   1/a; at t = 0, the relative cohomology of (N, boundary_+ N).
 
-* ``relative_twisted_dim`` reduces C*(X, A): the twisted coboundary on the
+* ``relative_reduced`` reduces C*(X, A): the twisted coboundary on the
   simplices outside A.
 """
 
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import count
 
 from .complexes import SimplicialComplex, OneCocycle, twisted_coboundary_values
 from .errors import (DegreeOutOfRange, DimensionMismatch, NotAChainComplex,
@@ -315,17 +317,38 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
     units +-t**k of Z[t, 1/t]: all of them for a complex read only at
     t != 0, only +-1 for one that must stay valid at t = 0, none for one
     read as given.  A pivot u = delta_q[tau][sigma] = +-t**k removes the
-    q-cell sigma and
-    the (q+1)-cell tau: delta_q becomes its Schur complement
+    q-cell sigma and the (q+1)-cell tau: delta_q becomes its Schur
+    complement
     delta_q[rho][kappa] - delta_q[rho][sigma] * u**-1 * delta_q[tau][kappa],
     delta_{q-1} loses row sigma and delta_{q+1} loses column tau.  The
     result is chain-homotopy equivalent over Z[t, 1/t] (Kaczynski, Mrozek
     and Slusarek 1998), and u**-1 = +-t**-k keeps every entry an integer
-    Laurent polynomial.  Among the unit entries the one with the smallest
-    Markowitz cost (row length - 1) * (column length - 1) goes first.
-    Eliminating in delta_q never creates a pivot candidate in a lower
-    degree, so one ascending pass leaves none anywhere.  Each elimination
-    is recorded by reference, for the transfer maps.
+    Laurent polynomial.  Eliminating in delta_q never creates a pivot
+    candidate in a lower degree, so one ascending pass leaves none
+    anywhere.  Each elimination is recorded by reference, for the
+    transfer maps.
+
+    The pivot order is part of the contract, since the reduced cells,
+    rows and transfer maps depend on it.  The next pivot of delta_q is the
+    unit entry of least Markowitz cost (row length - 1) * (column length
+    - 1); among equal costs, the one in the row tau that comes first (rows
+    keep their ascending order, as none is ever re-inserted); within that
+    row, the entry inserted first, where an entry cancelled by a Schur
+    update and filled in again later counts as the newest.
+
+    The selection is kept up to date as the reduction runs, so that a
+    pivot costs work in proportion to the rows it changes, not to delta_q.
+    Each entry carries a stamp that grows with its insertion into its row,
+    and ``is_unit`` is asked once per created or changed entry.  Within a
+    column the cost orders the unit entries as their row lengths do, so
+    each column keeps a lazy heap of (row length, tau, stamp) over its unit
+    entries, and one global heap holds the least key (cost, tau, stamp,
+    sigma) of every column; a popped key counts only while it is still its
+    column's least.  After a pivot the rows it cleared push the keys of
+    their unit entries, and the columns of the pivot row, whose lengths
+    changed, recompute their least key.  Any other column keeps its
+    length, so its least key changes only when a pushed key beats it, or
+    when the row of its least entry grew.
     """
     rows = [dict(enumerate(dict(r) for r in d)) for d in deltas]
     cols = []
@@ -337,17 +360,67 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
         cols.append(c)
     alive = [dict.fromkeys(range(n)) for n in sizes]
     pivots = []
+    # stamps of filled-in entries exceed every initial position in a row
+    new_stamp = count(max(sizes, default=0))
     for q, (R, C) in enumerate(zip(rows, cols)):
-        while (pivot := _cheapest_unit(R, C, is_unit)) is not None:
-            tau, sigma = pivot
+        # stamps of the initial entries are their positions in the row; a
+        # row's stamps are written out when it is first changed
+        stamps = {}   # tau -> {sigma: stamp} of every entry of row tau
+        units = {}    # tau -> {sigma: stamp} of its unit entries
+        by_col = {}   # sigma -> heap of (row length, tau, stamp)
+        best = {}     # sigma -> its least key, None when it has no unit
+        heap = []     # keys (cost, tau, stamp, sigma), some stale
+        for tau, row in R.items():
+            units[tau] = u = {}
+            n = len(row)
+            for s, (sigma, p) in enumerate(row.items()):
+                if is_unit(p):
+                    u[sigma] = s
+                    by_col.setdefault(sigma, []).append((n, tau, s))
+
+        def refresh(sigma):
+            h = by_col.get(sigma)
+            key = None
+            while h:
+                n, tau, s = h[0]
+                u = units.get(tau)
+                if u is not None and u.get(sigma) == s and len(R[tau]) == n:
+                    key = ((n - 1) * (len(C[sigma]) - 1), tau, s, sigma)
+                    break
+                heappop(h)
+            if best.get(sigma) != key:
+                best[sigma] = key
+                if key is not None:
+                    heappush(heap, key)
+
+        for sigma, h in by_col.items():
+            heapify(h)
+            n, tau, s = h[0]
+            best[sigma] = key = ((n - 1) * (len(C[sigma]) - 1), tau, s, sigma)
+            heap.append(key)
+        heapify(heap)
+        while heap:
+            key = heappop(heap)
+            if best.get(key[3]) != key:
+                continue
+            _cost, tau, _s, sigma = key
             pivot_row = R.pop(tau)
+            stamps.pop(tau, None)
+            del units[tau]
             for kappa in pivot_row:
                 C[kappa].discard(tau)
             (k, c), = pivot_row.pop(sigma).items()
+            worse = []
             cleared = []
             for rho in C.pop(sigma):
-                row = R[rho]
+                row, u = R[rho], units[rho]
+                o = stamps.get(rho)
+                if o is None:
+                    o = stamps[rho] = dict(zip(row, count()))
+                length = len(row)
                 entry = row.pop(sigma)
+                del o[sigma]
+                u.pop(sigma, None)
                 cleared.append((rho, entry))
                 # -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k
                 f = {e - k: -c * v for e, v in entry.items()}
@@ -356,10 +429,42 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
                     if new:
                         if kappa not in row:
                             C[kappa].add(rho)
+                            o[kappa] = next(new_stamp)
                         row[kappa] = new
+                        if is_unit(new):
+                            u[kappa] = o[kappa]
+                        else:
+                            u.pop(kappa, None)
                     elif kappa in row:
-                        del row[kappa]
+                        del row[kappa], o[kappa]
                         C[kappa].discard(rho)
+                        u.pop(kappa, None)
+                # new keys for the unit entries whose key changed: all of
+                # them if the row's length changed, else those in the
+                # columns of the pivot row, which recompute their least key
+                # below.  Any other column keeps its length: a new key
+                # replaces its least if it is less, and the column
+                # recomputes its least if that was in this row, now longer
+                n = len(row)
+                for kappa in (u if n != length else pivot_row):
+                    s = u.get(kappa)
+                    if s is None:
+                        continue
+                    heappush(by_col.setdefault(kappa, []), (n, rho, s))
+                    if kappa in pivot_row:
+                        continue
+                    key = ((n - 1) * (len(C[kappa]) - 1), rho, s, kappa)
+                    cur = best.get(kappa)
+                    if cur is None or key < cur:
+                        best[kappa] = key
+                        heappush(heap, key)
+                    elif cur[1] == rho:
+                        worse.append(kappa)
+            del by_col[sigma], best[sigma]
+            for kappa in pivot_row:
+                refresh(kappa)
+            for kappa in worse:
+                refresh(kappa)
             pivots.append((q, tau, sigma, k, c, pivot_row, cleared))
             if q > 0:
                 for j in rows[q - 1].pop(sigma):
@@ -375,21 +480,6 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
         reduced.append([{col_pos[j]: p for j, p in R[tau].items()}
                         for tau in cells[q + 1]])
     return ReducedComplex(reduced, cells, list(sizes), pivots)
-
-
-def _cheapest_unit(R, C, is_unit):
-    """(row, column) of the first unit entry of least Markowitz cost, or
-    None; R maps rows to ``{column: entry}``, C columns to their rows."""
-    best, best_cost = None, None
-    for tau, row in R.items():
-        for sigma, p in row.items():
-            if is_unit(p):
-                cost = (len(row) - 1) * (len(C[sigma]) - 1)
-                if cost == 0:
-                    return tau, sigma
-                if best is None or cost < best_cost:
-                    best, best_cost = (tau, sigma), cost
-    return best
 
 
 def twisted_cohomology_dim(complex: SimplicialComplex, z: OneCocycle,
@@ -529,10 +619,11 @@ class DeformationComplex:
     1/a; evaluating at t = 0 gives dim H^q(N, wall_+).  ``rows[q]`` holds
     the differential in degree q as sparse Laurent rows, the q+1-simplices
     of N first, then the q-simplices of V; columns number the q-simplices
-    of N, then the q-1-simplices of V.  ``reduced()`` eliminates only the
-    constant pivots +-1: a pivot -t would be no unit at t = 0.  ``dim_at``
-    reads the reduced complex; there is no dense view of the unreduced
-    rows.
+    of N, then the q-1-simplices of V.  ``sizes`` and ``rows`` stop at the
+    top degree ``top`` = max(dim N, dim V + 1).  ``reduced()`` eliminates
+    only the constant pivots +-1: a pivot -t would be no unit at t = 0.
+    ``dim_at`` reads the reduced complex; there is no dense view of the
+    unreduced rows.
     """
 
     def __init__(self, cut: CutPresentation):
@@ -540,9 +631,9 @@ class DeformationComplex:
         N, V = cut.N, cut.V
         self.top = max(N.dim, V.dim + 1)
         self.sizes = [N.n_simplices(q) + V.n_simplices(q - 1)
-                      for q in range(self.top + 2)]
+                      for q in range(self.top + 1)]
         self.rows = []
-        for q in range(self.top + 1):
+        for q in range(self.top):
             rows = [_face_row(N.index[q], s, 0, 1)
                     for s in _simplices(N, q + 1)]
             wall = {s: N.n_simplices(q) + j
@@ -568,8 +659,6 @@ class DeformationComplex:
 
     def dim_at(self, q: int, a: Scalar) -> int:
         """dim H^q of the complex specialized at t = a (a = 0 allowed)."""
-        if not 0 <= q <= self.top:
-            raise DegreeOutOfRange(f"degree {q} outside 0..{self.top}")
         return self.reduced().dim_at(q, a)
 
 
@@ -580,16 +669,16 @@ def relative_cochain_indices(complex: SimplicialComplex,
             if not sub.has_simplex(s)]
 
 
-def relative_twisted_dim(complex: SimplicialComplex, sub: SimplicialComplex,
-                         z: OneCocycle, q: int, a: Scalar) -> int:
-    """dim H^q(X, A; E_a) from the cochains vanishing on the subcomplex.
+def relative_reduced(complex: SimplicialComplex, sub: SimplicialComplex,
+                     z: OneCocycle) -> ReducedComplex:
+    """C*(X, A; E), the cochains vanishing on the subcomplex, reduced by
+    its unit pivots +-t**k; ``dim_at(q, a)`` gives dim H^q(X, A; E_a) at
+    a != 0.
 
     Since A is a subcomplex, delta maps those cochains to themselves:
     C*(X, A) is delta_q restricted to the rows and columns of the
-    simplices outside A.  It is reduced by its unit pivots +-t**k and
-    read at a.
+    simplices outside A.
     """
-    check_nonzero(a)
     keep = [relative_cochain_indices(complex, sub, d)
             for d in range(complex.dim + 1)]
     deltas = []
@@ -599,7 +688,7 @@ def relative_twisted_dim(complex: SimplicialComplex, sub: SimplicialComplex,
         deltas.append([{col[j]: p for j, p in full[i].items() if j in col}
                        for i in keep[d + 1]])
     sizes = [len(k) for k in keep]
-    return _unit_pivot_reduction(deltas, sizes, _is_unit).dim_at(q, a)
+    return _unit_pivot_reduction(deltas, sizes, _is_unit)
 
 
 def restriction_epi(complex: SimplicialComplex, sub: SimplicialComplex,

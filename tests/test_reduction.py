@@ -215,3 +215,145 @@ def test_g_gives_cocycles_independent_modulo_coboundaries(name, data):
             for c in coboundary_image_vectors(X, z, q, a):
                 span.add(c)
             assert all(span.add(v) for v in reps), (q, a)
+
+
+# The pivot order against the rule it is defined by, rescanned for every
+# pivot: a reference reduction that keeps no selection state.
+
+def _scan_rule(R, C, is_unit):
+    """(row, column) of the first unit entry of least Markowitz cost, in
+    row order and, within a row, in entry order; None if there is none."""
+    best, best_cost = None, None
+    for tau, row in R.items():
+        for sigma, p in row.items():
+            if is_unit(p):
+                cost = (len(row) - 1) * (len(C[sigma]) - 1)
+                if cost == 0:
+                    return tau, sigma
+                if best is None or cost < best_cost:
+                    best, best_cost = (tau, sigma), cost
+    return best
+
+
+def _reduce_by_scanning(deltas, sizes, is_unit):
+    """The unit-pivot reduction with the pivots picked by ``_scan_rule``:
+    its pivot record (q, tau, sigma, k, c), cells and reduced rows."""
+    rows = [dict(enumerate(dict(r) for r in d)) for d in deltas]
+    cols = []
+    for d in rows:
+        c = {}
+        for i, r in d.items():
+            for j in r:
+                c.setdefault(j, set()).add(i)
+        cols.append(c)
+    alive = [dict.fromkeys(range(n)) for n in sizes]
+    record = []
+    for q, (R, C) in enumerate(zip(rows, cols)):
+        while (pivot := _scan_rule(R, C, is_unit)) is not None:
+            tau, sigma = pivot
+            pivot_row = R.pop(tau)
+            for kappa in pivot_row:
+                C[kappa].discard(tau)
+            (k, c), = pivot_row.pop(sigma).items()
+            for rho in C.pop(sigma):
+                row = R[rho]
+                f = {e - k: -c * v for e, v in row.pop(sigma).items()}
+                for kappa, p in pivot_row.items():
+                    new = twisted._add_product(row.get(kappa, {}), f, p)
+                    if new:
+                        if kappa not in row:
+                            C[kappa].add(rho)
+                        row[kappa] = new
+                    elif kappa in row:
+                        del row[kappa]
+                        C[kappa].discard(rho)
+            record.append((q, tau, sigma, k, c))
+            if q > 0:
+                for j in rows[q - 1].pop(sigma):
+                    cols[q - 1][j].discard(sigma)
+            if q + 1 < len(rows):
+                for rho in cols[q + 1].pop(tau, ()):
+                    del rows[q + 1][rho][tau]
+            del alive[q][sigma], alive[q + 1][tau]
+    cells = [list(a) for a in alive]
+    reduced = []
+    for q, R in enumerate(rows):
+        pos = {j: i for i, j in enumerate(cells[q])}
+        reduced.append([{pos[j]: p for j, p in R[tau].items()}
+                        for tau in cells[q + 1]])
+    return record, cells, reduced
+
+
+def assert_scan_order(red, deltas, sizes, is_unit):
+    record, cells, rows = _reduce_by_scanning(deltas, sizes, is_unit)
+    assert [p[:5] for p in red.pivots] == record
+    assert red.cells == cells
+    assert red.rows == rows
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(instances())
+def test_pivot_order_is_the_scan_rule_on_corpus_classes(instance):
+    X, z = instance
+    T = TwistedComplex(X, z)
+    assert_scan_order(T.reduced(), T.rows, T.sizes, twisted._is_unit)
+
+
+def _s1_times_surface(g):
+    """The twisted complex of S1 x Sigma_g, the mapping torus of the
+    identity."""
+    F = surface(g).complex
+    space = mapping_torus(F, {v: v for v in F.vertices()})
+    return TwistedComplex(space.complex, space.cocycle)
+
+
+def _relative(name):
+    """C*(X, A) reduced, for A three edges and a vertex of X."""
+    space = corpus_space(name)
+    X = space.complex
+    A = build_complex(X.simplices[1][:3] + [X.simplices[0][-1]])
+    return twisted.relative_reduced(X, A, space.cocycle)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: twisted.DeformationComplex(torus().cut).reduced(),
+    lambda: twisted.DeformationComplex(corpus_space("klein").cut).reduced(),
+    lambda: twisted.DeformationComplex(corpus_space("order3").cut).reduced(),
+    lambda: _relative("surface(2)"),
+    lambda: _relative("order3"),
+    lambda: _s1_times_surface(2).reduced(),
+], ids=["torus-deformation", "klein-deformation", "order3-deformation",
+        "surface(2)-relative", "order3-relative", "S1xSigma2"])
+def test_pivot_order_is_the_scan_rule(build, monkeypatch):
+    """Deformation complexes (constant pivots only), relative complexes
+    and S1 x Sigma_2 reduce exactly as the scan rule does."""
+    calls = []
+    real = twisted._unit_pivot_reduction
+
+    def spy(deltas, sizes, is_unit):
+        calls.append((deltas, sizes, is_unit))
+        return real(deltas, sizes, is_unit)
+
+    monkeypatch.setattr(twisted, "_unit_pivot_reduction", spy)
+    red = build()
+    (deltas, sizes, is_unit), = calls
+    assert red.pivots
+    assert_scan_order(red, deltas, sizes, is_unit)
+
+
+def test_unit_predicate_is_asked_a_few_times_per_entry():
+    """Pivot selection tests an entry when it is created or changed, not
+    on every pivot: on S1 x Sigma_4 (2538 cells) a rescan per pivot asks
+    the predicate about 97 times per initial entry."""
+    T = _s1_times_surface(4)
+    calls = 0
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return twisted._is_unit(p)
+
+    red = twisted._unit_pivot_reduction(T.rows, T.sizes, counted)
+    assert red.sizes == [1, 9, 9, 1]
+    entries = sum(len(row) for rows in T.rows for row in rows)
+    assert calls <= 10 * entries

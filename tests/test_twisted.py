@@ -7,12 +7,12 @@ from novikov.cli import parse_scalar
 from novikov.complexes import build_complex, validate_cocycle
 from novikov.corpus import (circle, mapping_torus, mv_oracle_dims,
                             sphere_complex, sphere_product, surface, torus)
-from novikov.errors import (DimensionMismatch, NotAChainComplex,
-                            NotAnIsomorphism, ZeroMonodromy)
+from novikov.errors import (DegreeOutOfRange, DimensionMismatch,
+                            NotAChainComplex, NotAnIsomorphism, ZeroMonodromy)
 from novikov.matrix import snf
 from novikov.twisted import (CutPresentation, DeformationComplex,
                              SimplicialMap, TwistedComplex, _evaluated_rank,
-                             check_square_zero, relative_twisted_dim,
+                             check_square_zero, relative_reduced,
                              restriction_epi, twisted_cohomology_dim)
 
 
@@ -61,7 +61,9 @@ def test_deformation_complex_cut_circle():
     """Interval cut of the circle: H^0 of the glued space jumps exactly at
     the unit monodromy, and the t = 0 fiber computes H^*(N, wall_+) = 0."""
     D = DeformationComplex(_cut_circle())
-    assert D.sizes[0] == 4 and D.sizes[1] == 4
+    assert D.top == 1 and D.sizes == [4, 4] and len(D.rows) == 1
+    with pytest.raises(DegreeOutOfRange):
+        D.dim_at(2, Fraction(1))
     form = snf(D.reduced().matrices[0])
     nonunit = [d for d in form.divisors if d.degree >= 1]
     assert len(nonunit) == 1 and nonunit[0].eval(Fraction(1)) == 0
@@ -122,7 +124,8 @@ def test_deformation_reduction_eliminates_only_constant_pivots():
         assert all(k == 0 for _q, _tau, _sigma, k, *_ in red.pivots)
         for a in points:
             for q in range(D.top + 1):
-                r_q = _evaluated_rank(D.rows[q], D.sizes[q], a)
+                r_q = (_evaluated_rank(D.rows[q], D.sizes[q], a)
+                       if q < D.top else 0)
                 r_prev = (_evaluated_rank(D.rows[q - 1], D.sizes[q - 1], a)
                           if q else 0)
                 assert D.dim_at(q, a) == D.sizes[q] - r_q - r_prev, (q, a)
@@ -151,21 +154,21 @@ def test_relative_dims_long_exact_euler():
     A = build_complex([s for s in X.simplices[1][:3]])
     empty = build_complex([])
     vertex = build_complex([X.simplices[0][0]])
+    rel_A, rel_empty, rel_X, rel_vertex = (
+        relative_reduced(X, B, z) for B in (A, empty, X, vertex))
     for a in (Fraction(2), Fraction(1), Fraction(-1, 3)):
-        rel = [relative_twisted_dim(X, A, z, q, a) for q in range(3)]
+        rel = [rel_A.dim_at(q, a) for q in range(3)]
         absolute = [twisted_cohomology_dim(X, z, q, a) for q in range(3)]
         sub_z = validate_cocycle(A, {e: z.value(*e) for e in A.edges()})
         sub = [twisted_cohomology_dim(A, sub_z, q, a) for q in range(A.dim + 1)]
         chi = lambda dims: sum((-1) ** i * d for i, d in enumerate(dims))
         assert chi(rel) == chi(absolute) - chi(sub)
-        assert [relative_twisted_dim(X, empty, z, q, a)
-                for q in range(3)] == absolute
-        assert [relative_twisted_dim(X, X, z, q, a)
-                for q in range(3)] == [0, 0, 0]
+        assert [rel_empty.dim_at(q, a) for q in range(3)] == absolute
+        assert [rel_X.dim_at(q, a) for q in range(3)] == [0, 0, 0]
         # H^0(v) = Q restricts from H^0(X; E_a) isomorphically at a = 1;
         # at any other a, H^0(X; E_a) = 0 and H^0(v) injects into H^1(X, v)
         assert absolute[0] == (a == 1)
-        assert [relative_twisted_dim(X, vertex, z, q, a) for q in range(3)] \
+        assert [rel_vertex.dim_at(q, a) for q in range(3)] \
             == [0, absolute[1] + (a != 1), absolute[2]]
 
 
