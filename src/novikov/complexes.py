@@ -16,7 +16,8 @@ from itertools import combinations
 from .errors import (DegreeOutOfRange, MalformedSimplex, MissingEdge,
                      NotACocycle)
 from .linalg import kernel_lattice_int
-from .numfield import Scalar, check_nonzero, scalar_pow
+from .numfield import (FieldElement, Scalar, check_nonzero, scalar_field,
+                       scalar_pow)
 
 
 class SimplicialComplex:
@@ -26,6 +27,7 @@ class SimplicialComplex:
         self.simplices = [sorted(s) for s in simplices_by_dim]
         self.index = [{s: i for i, s in enumerate(level)}
                       for level in self.simplices]
+        self._cup_tables = {}
 
     @property
     def dim(self) -> int:
@@ -74,6 +76,20 @@ class SimplicialComplex:
     def vertices(self):
         return [s[0] for s in self.simplices[0]]
 
+    def cup_table(self, p: int, q: int):
+        """The (p+q)-simplices grouped by their front p-face: entry i
+        lists (index of sigma, index of its back q-face) for every
+        (p+q)-simplex sigma whose front face v_0..v_p is the i-th
+        p-simplex.  Built on first use and kept per (p, q)."""
+        table = self._cup_tables.get((p, q))
+        if table is None:
+            front, back = self.index[p], self.index[q]
+            table = [[] for _ in self.simplices[p]]
+            for s, sigma in enumerate(self.simplices[p + q]):
+                table[front[sigma[:p + 1]]].append((s, back[sigma[p:]]))
+            self._cup_tables[(p, q)] = table
+        return table
+
     def maximal_simplices(self):
         """Simplices with no proper coface, all dimensions."""
         out = []
@@ -119,6 +135,7 @@ class OneCocycle:
     def __init__(self, complex: SimplicialComplex, values: dict):
         self.complex = complex
         self.values = dict(values)
+        self._front_exponents = {}
 
     def value(self, u: int, v: int) -> int:
         if u < v:
@@ -129,6 +146,18 @@ class OneCocycle:
         """Sum of edge values along consecutive vertices of ``path``."""
         return sum(self.value(path[i], path[i + 1])
                    for i in range(len(path) - 1))
+
+    def front_exponents(self, complex: SimplicialComplex, p: int):
+        """The transport exponent z(v_0 -> v_p) of every p-simplex of
+        ``complex``, in index order; any complex whose edges carry values
+        of z will do.  Kept per p, for the list of p-simplices it was
+        built from."""
+        level = complex.simplices[p]
+        cached = self._front_exponents.get(p)
+        if cached is None or cached[0] is not level:
+            cached = self._front_exponents[p] = (
+                level, [self.transport_exponent(s) for s in level])
+        return cached[1]
 
     def as_vector(self):
         """Values in the sorted-edge basis order."""
@@ -223,23 +252,47 @@ def twisted_cup(complex: SimplicialComplex, z: OneCocycle, p: int, q: int,
 
     The transport exponent z(v_0 -> v_p) is path-independent within a
     simplex by the cocycle condition.
+
+    Only the nonzero entries of alpha are visited: each walks the
+    (p+q)-simplices whose front face it is (``cup_table``) and multiplies
+    where beta is nonzero, so the cost is the nonzero front entries times
+    their cofaces, plus one power of a2 per distinct exponent.  Every
+    other entry is zero, a field element if a2 or an entry of alpha or
+    beta lies in a number field and a Fraction otherwise, as the product
+    formula gives it for cochains whose entries are all rational or all
+    in one field.
     """
     check_nonzero(a1)
     check_nonzero(a2)
     d = p + q
     if d > complex.dim:
         return []
-    front_index = complex.index[p]
-    back_index = complex.index[q]
-    out = []
-    for sigma in complex.simplices[d]:
-        front = sigma[:p + 1]
-        back = sigma[p:]
-        av = alpha[front_index[front]]
-        bv = beta[back_index[back]]
-        t = z.transport_exponent(front)
-        out.append(av * scalar_pow(a2, t) * bv)
+    field = scalar_field(a2) or _field_of(alpha) or _field_of(beta)
+    out = [field.zero() if field else Fraction(0)] * complex.n_simplices(d)
+    cofaces = complex.cup_table(p, q)
+    exponents = z.front_exponents(complex, p)
+    powers = {}
+    for i, av in enumerate(alpha):
+        if av and cofaces[i]:
+            t = exponents[i]
+            w = powers.get(t)
+            if w is None:
+                w = powers[t] = scalar_pow(a2, t)
+            x = av * w
+            for s, j in cofaces[i]:
+                bv = beta[j]
+                if bv:
+                    out[s] = x * bv
     return out
+
+
+def _field_of(cochain):
+    """The number field of the first field element in the cochain, or
+    None."""
+    for x in cochain:
+        if isinstance(x, FieldElement):
+            return x.field
+    return None
 
 
 def twisted_coboundary_values(complex: SimplicialComplex, z: OneCocycle,

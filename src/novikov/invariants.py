@@ -255,7 +255,10 @@ class _CohomologyCache:
     """Twisted cohomology of one instance in coordinates, per (monodromy,
     degree), shared by every cup-length search over that instance.
 
-    Only the cup products run at cochain level.  Everything else reads the
+    The cup products run at cochain level, sparsely: each costs the
+    nonzero entries of its left factor times their cofaces, and the
+    representatives g gives are mostly zero.  The cocycle checks evaluate
+    the unreduced coboundary once per (a, q).  Everything else reads the
     unit-pivot-reduced complex C_red and its transfer maps at t = a,
     g: C_red -> C and f: C -> C_red (``ReducedComplex.g``/``f``), with
     f g = id.  ``dim`` reads dim H^q(E_a) off the reduced ranks, so a

@@ -108,7 +108,8 @@ def check_square_zero(deltas) -> None:
 
 def _evaluator(a: Scalar):
     """p -> p(a) for Laurent polynomials, with the powers of a memoised;
-    constant terms stay integers."""
+    constant terms stay integers.  A negative power of a = 0 raises
+    ZeroMonodromy."""
     powers = {}
 
     def ev(p: dict):
@@ -119,6 +120,8 @@ def _evaluator(a: Scalar):
             else:
                 x = powers.get(e)
                 if x is None:
+                    if e < 0:
+                        check_nonzero(a)
                     x = powers[e] = scalar_pow(a, e)
                 out += c * x
         return out
@@ -217,6 +220,11 @@ class ReducedComplex:
     They give the two chain maps of the homotopy equivalence (Skoldberg,
     "Morse theory from an algebraic viewpoint", 2006), evaluated at a
     scalar by ``g`` and ``f``; f g is the identity.
+
+    ``at_zero`` says whether the complex may be read at t = 0, which
+    ``DeformationComplex`` sets: its entries are polynomials in t and its
+    pivots +-1.  Elsewhere t is a monodromy, and ``dim_at``, ``g`` and
+    ``f`` refuse t = 0 with ZeroMonodromy.
     """
 
     def __init__(self, rows, cells, full_sizes, pivots):
@@ -225,6 +233,11 @@ class ReducedComplex:
         self.sizes = [len(c) for c in cells]
         self.full_sizes = full_sizes
         self.pivots = pivots
+        self.at_zero = False
+
+    def _check_point(self, a: Scalar) -> None:
+        if not self.at_zero:
+            check_nonzero(a)
 
     @cached_property
     def matrices(self):
@@ -246,6 +259,7 @@ class ReducedComplex:
         if not 0 <= q < len(self.sizes):
             raise DegreeOutOfRange(
                 f"degree {q} outside 0..{len(self.sizes) - 1}")
+        self._check_point(a)
         r_q = (_evaluated_rank(self.rows[q], self.sizes[q], a)
                if q < len(self.rows) else 0)
         r_prev = (_evaluated_rank(self.rows[q - 1], self.sizes[q - 1], a)
@@ -258,22 +272,30 @@ class ReducedComplex:
         A reduced cochain is extended to the eliminated cells in reverse
         order of elimination: sigma of a degree-q pivot gets
         -u**-1 * sum_kappa b[kappa] x[kappa], which makes the coboundary
-        vanish on tau, and a q-cell eliminated as tau gets 0.
+        vanish on tau, and a q-cell eliminated as tau gets 0.  A step's
+        terms -u**-1 * b[kappa] are evaluated at a the first time some
+        x[kappa] is nonzero, and kept for later vectors.
         """
+        self._check_point(a)
         ev = _evaluator(a)
-        steps = []
-        for pq, _tau, sigma, k, c, b, _cleared in reversed(self.pivots):
-            if pq == q:
-                w = -c * scalar_pow(a, -k)
-                steps.append((sigma, [(kappa, w * ev(p))
-                                      for kappa, p in b.items()]))
+        steps = [(sigma, k, c, b)
+                 for pq, _tau, sigma, k, c, b, _cleared in reversed(self.pivots)
+                 if pq == q]
+        known = [None] * len(steps)
         n, cells = self.full_sizes[q], self.cells[q]
 
         def g(x):
             full = [0] * n
             for cell, v in zip(cells, x):
                 full[cell] = v
-            for sigma, terms in steps:
+            for i, (sigma, k, c, b) in enumerate(steps):
+                if not any(full[kappa] for kappa in b):
+                    continue
+                terms = known[i]
+                if terms is None:
+                    w = -c * scalar_pow(a, -k)
+                    terms = known[i] = [(kappa, w * ev(p))
+                                        for kappa, p in b.items()]
                 acc = 0
                 for kappa, w in terms:
                     v = full[kappa]
@@ -289,21 +311,28 @@ class ReducedComplex:
         For each pivot of degree q - 1, whose tau is a q-cell, in
         elimination order, every cleared rho loses
         delta_{q-1}[rho][sigma] * u**-1 times the value on tau; then the
-        vector is restricted to the surviving cells.
+        vector is restricted to the surviving cells.  A step's terms
+        delta_{q-1}[rho][sigma] * u**-1 are evaluated at a the first time
+        a vector is nonzero on its tau, and kept for later vectors.
         """
+        self._check_point(a)
         ev = _evaluator(a)
-        steps = []
-        for pq, tau, _sigma, k, c, _b, cleared in self.pivots:
-            if pq == q - 1 and cleared:
-                w = c * scalar_pow(a, -k)
-                steps.append((tau, [(rho, w * ev(p)) for rho, p in cleared]))
+        steps = [(tau, k, c, cleared)
+                 for pq, tau, _sigma, k, c, _b, cleared in self.pivots
+                 if pq == q - 1 and cleared]
+        known = [None] * len(steps)
         cells = self.cells[q]
 
         def f(v):
             y = list(v)
-            for tau, terms in steps:
+            for i, (tau, k, c, cleared) in enumerate(steps):
                 yt = y[tau]
                 if yt:
+                    terms = known[i]
+                    if terms is None:
+                        w = c * scalar_pow(a, -k)
+                        terms = known[i] = [(rho, w * ev(p))
+                                            for rho, p in cleared]
                     for rho, w in terms:
                         y[rho] -= w * yt
             return [y[cell] for cell in cells]
@@ -655,6 +684,7 @@ class DeformationComplex:
         if self._reduced is None:
             self._reduced = _unit_pivot_reduction(self.rows, self.sizes,
                                                   _is_constant_unit)
+            self._reduced.at_zero = True
         return self._reduced
 
     def dim_at(self, q: int, a: Scalar) -> int:
@@ -673,7 +703,7 @@ def relative_reduced(complex: SimplicialComplex, sub: SimplicialComplex,
                      z: OneCocycle) -> ReducedComplex:
     """C*(X, A; E), the cochains vanishing on the subcomplex, reduced by
     its unit pivots +-t**k; ``dim_at(q, a)`` gives dim H^q(X, A; E_a) at
-    a != 0.
+    a != 0 and raises ZeroMonodromy at a = 0.
 
     Since A is a subcomplex, delta maps those cochains to themselves:
     C*(X, A) is delta_q restricted to the rows and columns of the

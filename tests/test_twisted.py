@@ -12,8 +12,9 @@ from novikov.errors import (DegreeOutOfRange, DimensionMismatch,
 from novikov.matrix import snf
 from novikov.twisted import (CutPresentation, DeformationComplex,
                              SimplicialMap, TwistedComplex, _evaluated_rank,
-                             check_square_zero, relative_reduced,
-                             restriction_epi, twisted_cohomology_dim)
+                             check_square_zero, evaluate_rows,
+                             relative_reduced, restriction_epi,
+                             twisted_cohomology_dim)
 
 
 def test_twisted_complex_divisors_circle():
@@ -29,6 +30,33 @@ def test_zero_monodromy_rejected():
     c = circle(3)
     with pytest.raises(ZeroMonodromy):
         twisted_cohomology_dim(c.complex, c.cocycle, 0, Fraction(0))
+
+
+def test_laurent_routes_refuse_zero_monodromy():
+    """t is a monodromy on the twisted and relative routes, so t = 0 is
+    refused there, also where a pivot t**k would be inverted at 0; the
+    deformation complex is read at t = 0 on purpose."""
+    S = surface(2)
+    X, z = S.complex, S.cocycle
+    vertex = build_complex([X.simplices[0][0]])
+    for red in (TwistedComplex(X, z).reduced(),
+                relative_reduced(X, vertex, z)):
+        for q in range(3):
+            for zero in (Fraction(0), 0):
+                with pytest.raises(ZeroMonodromy):
+                    red.dim_at(q, zero)
+            with pytest.raises(ZeroMonodromy):
+                red.g(q, Fraction(0))
+            with pytest.raises(ZeroMonodromy):
+                red.f(q, Fraction(0))
+    # an entry t**-1 evaluated at 0 is no bare ZeroDivisionError
+    with pytest.raises(ZeroMonodromy):
+        evaluate_rows([{0: {-1: 1}}], Fraction(0))
+    D = DeformationComplex(
+        mapping_torus(circle(3).complex, {0: 0, 1: 2, 2: 1}).cut)
+    assert D.reduced().at_zero
+    assert [D.dim_at(q, Fraction(0)) for q in range(D.top + 1)] \
+        == [0] * (D.top + 1)
 
 
 def test_cut_presentation_rejects_overlapping_walls():
