@@ -4,11 +4,17 @@ Subcommands ingest the JSON complex format (file argument or --stdin),
 run the invariant computations, and print text or JSON reports.  Exit
 codes: 0 success, 2 input validation failure, 3 internal inconsistency
 detected by a cross-check.
+
+``main(argv)`` is the one entry point and may be called any number of
+times in one process: the argument parser is built on the first call and
+reused, and each call parses its ``argv`` into a fresh namespace, so no
+call sees another call's flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -203,7 +209,10 @@ def cmd_self_check(args):
     return 0 if failures == 0 else 3
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process on
+    first use (not at import)."""
     parser = argparse.ArgumentParser(
         prog="novikov",
         description="Twisted cohomology, Novikov numbers, and "
@@ -260,8 +269,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("self-check", help="run the cross-convention suite")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_self_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NotAChainComplex, InternalInconsistency) as exc:
@@ -269,6 +281,11 @@ def main(argv=None) -> int:
         return 3
     except (NovikovError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # e.g. a cocycle value too large to index a polynomial's exponents
+        print(f"error: a number in the input is too large: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -401,6 +401,16 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _typed(data: dict, key: str, kind: type, what: str, default):
+    """``data[key]`` if it has exactly the type ``kind`` (so a JSON boolean
+    is no integer), else ``default`` when the key is absent."""
+    if key not in data:
+        return default
+    if type(data[key]) is not kind:
+        raise MalformedInput(f"{key} must be {what}")
+    return data[key]
+
+
 def space_from_json(data: dict) -> GeneratedSpace:
     """Inverse of ``space_to_json``; a document of the wrong shape raises
     MalformedInput."""
@@ -413,6 +423,8 @@ def space_from_json(data: dict) -> GeneratedSpace:
     for u, v, val in _int_lists(cocycle.get("edges", []), "cocycle edges", 3):
         if u > v:
             u, v, val = v, u, -val
+        if (u, v) in edges:
+            raise MalformedInput(f"cocycle edge {[u, v]} is given twice")
         edges[(u, v)] = val
     z = validate_cocycle(complex, edges, default_zero=True)
     cut = None
@@ -423,6 +435,10 @@ def space_from_json(data: dict) -> GeneratedSpace:
             build_complex([tuple(s) for s in _int_lists(c.get("V"), "cut V")]),
             dict(_int_lists(c.get("i_plus"), "cut i_plus", 2)),
             dict(_int_lists(c.get("i_minus"), "cut i_minus", 2)))
-    return GeneratedSpace(complex, z, data.get("name", "input"),
-                          data.get("dimension", complex.dim),
-                          bool(data.get("manifold", False)), cut=cut)
+    return GeneratedSpace(complex, z,
+                          _typed(data, "name", str, "a string", "input"),
+                          _typed(data, "dimension", int, "an integer",
+                                 complex.dim),
+                          _typed(data, "manifold", bool, "true or false",
+                                 False),
+                          cut=cut)

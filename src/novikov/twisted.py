@@ -93,14 +93,18 @@ def sparse_coboundary(complex: SimplicialComplex, z: OneCocycle, q: int):
 
 def check_square_zero(deltas) -> None:
     """Raise NotAChainComplex unless delta_{q+1} delta_q = 0 for every q;
-    ``deltas[q]`` holds the sparse Laurent rows of delta_q."""
+    ``deltas[q]`` holds the sparse Laurent rows of delta_q.  Each row of
+    delta_{q+1} delta_q is summed into one ``{(column, exponent): int}``."""
     for q in range(len(deltas) - 1):
         lower = deltas[q]
         for row in deltas[q + 1]:
             acc = {}
             for j, p in row.items():
                 for k, r in lower[j].items():
-                    acc[k] = _add_product(acc.get(k, {}), p, r)
+                    for e, c in p.items():
+                        for f, d in r.items():
+                            key = (k, e + f)
+                            acc[key] = acc.get(key, 0) + c * d
             if any(acc.values()):
                 raise NotAChainComplex(
                     f"delta^2 != 0 between degrees {q} and {q + 2}")

@@ -1,10 +1,16 @@
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+import novikov
+from novikov import invariants
 from novikov.cli import main, parse_scalar
 from novikov.numfield import FieldElement
 
@@ -202,11 +208,28 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert code == 2
 
 
+TRIANGLE = '{"maximal_simplices": [[0, 1], [1, 2], [0, 2]]}'
+
+
 @pytest.mark.parametrize("argv, stdin_text", [
     (["info", "--stdin"], "{}"),
     (["info", "--stdin"], '{"maximal_simplices": 5}'),
     (["info", "--stdin"], "[[0, 1, 2]]"),
     (["twisted-dim", "--stdin", "--a", "1/0"], None),
+    (["info", "--stdin"], TRIANGLE[:-1] + ', "manifold": "false"}'),
+    (["info", "--stdin"], TRIANGLE[:-1] + ', "manifold": null}'),
+    (["info", "--stdin"], TRIANGLE[:-1] + ', "dimension": "x"}'),
+    (["info", "--stdin"], TRIANGLE[:-1] + ', "dimension": true}'),
+    (["info", "--stdin"], TRIANGLE[:-1] + ', "name": [1]}'),
+    (["jumps", "--stdin"],
+     TRIANGLE[:-1] + ', "cocycle": {"edges": [[0, 1, 1], [0, 1, 2]]}}'),
+    (["jumps", "--stdin"],
+     TRIANGLE[:-1] + ', "cocycle": {"edges": [[0, 1, 1], [1, 0, 1]]}}'),
+    # 2**63 and more fail before any list of that length is allocated
+    (["jumps", "--stdin"], TRIANGLE[:-1]
+     + ', "cocycle": {"edges": [[0, 1, 9223372036854775808]]}}'),
+    (["crit-bound", "--stdin"], TRIANGLE[:-1]
+     + ', "cocycle": {"edges": [[0, 1, -100000000000000000000]]}}'),
 ])
 def test_malformed_input_exits_2_with_message(argv, stdin_text, monkeypatch,
                                               capsys):
@@ -238,3 +261,57 @@ def test_crit_bound_computes_the_jump_locus_once(tmp_path, monkeypatch):
     code, _ = run_cli(["cup-length", str(path), "--candidates", "2,1/2",
                        "--manifold", "--json"])
     assert code == 0 and len(calls) == 1
+
+
+def test_calls_in_one_process_share_no_flags(tmp_path, monkeypatch):
+    """The parser is built once per process; each call still starts from
+    the defaults, as a lone call in a fresh process does."""
+    path = tmp_path / "surface.json"
+    path.write_text(gen("surface", "--genus", "2"))
+    src = os.path.dirname(os.path.dirname(novikov.__file__))
+    lone = subprocess.run(
+        [sys.executable, "-m", "novikov.cli", "crit-bound", str(path),
+         "--json"], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    code, seeded = run_cli(["crit-bound", str(path), "--json", "--seed", "5"])
+    assert code == 0 and seeded != lone
+    assert run_cli(["crit-bound", str(path), "--json"]) == (0, lone)
+
+    doc = json.loads(path.read_text())
+    doc["manifold"] = False
+    path.write_text(json.dumps(doc))
+    seen = []
+    real = invariants.cup_length
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["manifold"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "cup_length", recording)
+    for flags in (["--manifold"], []):
+        code, _ = run_cli(["cup-length", str(path), "--candidates", "2,1/2",
+                           *flags])
+        assert code == 0
+    assert seen == [True, False]
+    code, raw = run_cli(["info", str(path), "--json"])
+    assert code == 0 and json.loads(raw)["manifold"] is False
+
+
+def test_parser_is_built_at_most_once(tmp_path, monkeypatch):
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["info", str(path)], ["novikov", str(path)],
+                 ["twisted-dim", str(path), "--a", "2"]):
+        assert run_cli(argv)[0] == 0
+    assert built.count("novikov") <= 1
+    before = len(built)
+    assert run_cli(["betti", str(path)])[0] == 0
+    assert len(built) == before
