@@ -28,6 +28,7 @@ class SimplicialComplex:
         self.index = [{s: i for i, s in enumerate(level)}
                       for level in self.simplices]
         self._cup_tables = {}
+        self._coface_tables = {}
 
     @property
     def dim(self) -> int:
@@ -88,6 +89,21 @@ class SimplicialComplex:
             for s, sigma in enumerate(self.simplices[p + q]):
                 table[front[sigma[:p + 1]]].append((s, back[sigma[p:]]))
             self._cup_tables[(p, q)] = table
+        return table
+
+    def coface_table(self, q: int):
+        """Entry i lists the (q+1)-simplices that have the i-th q-simplex
+        as a face, by index; every entry is empty in the top degree.  Built
+        on first use and kept per q."""
+        table = self._coface_tables.get(q)
+        if table is None:
+            index = self.index[q]
+            table = [[] for _ in self.simplices[q]]
+            for s, sigma in enumerate(self.simplices[q + 1]
+                                      if q < self.dim else ()):
+                for i in range(len(sigma)):
+                    table[index[sigma[:i] + sigma[i + 1:]]].append(s)
+            self._coface_tables[q] = table
         return table
 
     def maximal_simplices(self):

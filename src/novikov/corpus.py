@@ -435,10 +435,14 @@ def space_from_json(data: dict) -> GeneratedSpace:
             build_complex([tuple(s) for s in _int_lists(c.get("V"), "cut V")]),
             dict(_int_lists(c.get("i_plus"), "cut i_plus", 2)),
             dict(_int_lists(c.get("i_minus"), "cut i_minus", 2)))
+    dimension = _typed(data, "dimension", int, "an integer", complex.dim)
+    if dimension != complex.dim:
+        raise MalformedInput(
+            f"dimension is {dimension}, but the simplices span dimension "
+            f"{complex.dim}")
     return GeneratedSpace(complex, z,
                           _typed(data, "name", str, "a string", "input"),
-                          _typed(data, "dimension", int, "an integer",
-                                 complex.dim),
+                          dimension,
                           _typed(data, "manifold", bool, "true or false",
                                  False),
                           cut=cut)

@@ -17,14 +17,14 @@ from functools import cached_property
 from .complexes import SimplicialComplex, twisted_cup
 from .errors import (InternalInconsistency, NotInSpan,
                      ZeroDivisorEncountered)
-from .linalg import Span, nullspace
+from .linalg import Span, express, nullspace
 from .matrix import SmithForm, snf
 from .numfield import (FieldElement, NumberField, Scalar, check_nonzero,
                        is_dirichlet_unit, scalar_field, scalar_key,
                        scalar_mul)
 from .polyq import Poly, coprime_basis, rational_roots, squarefree_factors
-from .twisted import (ReducedComplex, TwistedComplex, _unit_pivot_reduction,
-                      coboundary_at, column_span, evaluate_rows)
+from .twisted import (CoboundaryRows, ReducedComplex, TwistedComplex,
+                      _unit_pivot_reduction, evaluate_rows)
 
 
 class TwistedData:
@@ -257,9 +257,12 @@ class _CohomologyCache:
 
     The cup products run at cochain level, sparsely: each costs the
     nonzero entries of its left factor times their cofaces, and the
-    representatives g gives are mostly zero.  The cocycle checks evaluate
-    the unreduced coboundary once per (a, q).  Everything else reads the
-    unit-pivot-reduced complex C_red and its transfer maps at t = a,
+    representatives g gives are mostly zero.  So do the cocycle checks:
+    ``coboundary(a, q)`` holds the rows of the unreduced coboundary at a,
+    each evaluated the first time a check meets it, and a check walks only
+    the rows of the cofaces of its vector's support.  Everything else
+    reads the unit-pivot-reduced complex C_red and its transfer maps at
+    t = a,
     g: C_red -> C and f: C -> C_red (``ReducedComplex.g``/``f``), with
     f g = id.  ``dim`` reads dim H^q(E_a) off the reduced ranks, so a
     degree whose cohomology vanishes costs one rank evaluation.  Otherwise
@@ -280,7 +283,7 @@ class _CohomologyCache:
         self.cocycle = data.cocycle
         self._dims = {}
         self._bases = {}
-        self._deltas = {}
+        self._coboundaries = {}
         self._constants = {}
 
     def dim(self, a: Scalar, q: int) -> int:
@@ -307,8 +310,9 @@ class _CohomologyCache:
         field = scalar_field(a)
         zero = field.zero() if field else Fraction(0)
         one = field.one() if field else Fraction(1)
-        projector = column_span(
-            evaluate_rows(red.rows[q - 1], a) if q > 0 else [], n + b)
+        projector = Span(n + b)
+        for column in (_reduced_columns(red, q - 1, a) if q > 0 else ()):
+            projector.insert(column)
         upper = evaluate_rows(red.rows[q], a) if q < len(red.rows) else []
         basis = []
         for v in nullspace([[row.get(j, 0) for j in range(n)]
@@ -333,14 +337,20 @@ class _CohomologyCache:
                     "cocycle")
         return reps, projector, red.f(q, a)
 
-    def _is_cocycle(self, a, q, vec) -> bool:
-        """Whether delta_a vec = 0 at cochain level; delta_q is evaluated
-        once per (a, q)."""
+    def coboundary(self, a: Scalar, q: int) -> CoboundaryRows:
+        """The unreduced delta_q at a, its rows evaluated on demand and
+        kept for the rest of the search."""
         key = (scalar_key(a), q)
-        if key not in self._deltas:
-            self._deltas[key] = coboundary_at(self.complex, self.cocycle,
-                                              q, a)
-        return _annihilates(self._deltas[key], vec)
+        rows = self._coboundaries.get(key)
+        if rows is None:
+            rows = self._coboundaries[key] = CoboundaryRows(
+                self.complex, self.cocycle, q, a)
+        return rows
+
+    def _is_cocycle(self, a, q, vec) -> bool:
+        """Whether delta_a vec = 0 at cochain level, over the rows that
+        meet vec's support."""
+        return not self.coboundary(a, q).apply(vec)
 
     def coords(self, a: Scalar, q: int, vec) -> list:
         """Coordinates of a cocycle's class in the basis of H^q(E_a)."""
@@ -368,17 +378,19 @@ class _CohomologyCache:
         return self._constants[key]
 
 
-def _annihilates(rows, vec) -> bool:
-    """Whether the sparse rows send the dense vector to zero."""
-    for row in rows:
-        acc = 0
+def _reduced_columns(red: ReducedComplex, q: int, a: Scalar):
+    """The columns of the reduced delta_q at t = a, one ``{row: scalar}``
+    per reduced q-cell, in order."""
+    columns = [{} for _ in range(red.sizes[q])]
+    for i, row in enumerate(evaluate_rows(red.rows[q], a)):
         for j, x in row.items():
-            y = vec[j]
-            if y:
-                acc += x * y
-        if acc:
-            return False
-    return True
+            columns[j][i] = x
+    return columns
+
+
+def _pairing(u, v):
+    """The Kronecker pairing of a dense cochain with a dense chain."""
+    return sum(x * y for x, y in zip(u, v) if x and y)
 
 
 class _DPState:
@@ -538,9 +550,7 @@ def cup_length(X, z, candidates, *, manifold=False, require_nonunits=2,
     report = CritBoundReport(cl, certificate, mode, seed=seed,
                              skipped=skipped, notes=notes, jumps=jumps)
     if certificate is not None:
-        _verify_certificate(X, z, certificate,
-                            cache.reps(certificate.product_monodromy,
-                                       certificate.total_degree))
+        _verify_certificate(cache, certificate)
     return report
 
 
@@ -563,33 +573,67 @@ def _extract_certificate(k, m, degree, st):
     return CupLengthCertificate(k, factors, witness, m, degree)
 
 
-def _verify_certificate(X, z, cert: CupLengthCertificate, reps):
-    """Independent cochain-level re-check: confirm that every stored
-    representative is a cocycle, multiply them afresh, span the columns of
-    the unreduced delta into the product's degree, and confirm that the
-    product is not a coboundary but differs from sum witness_i reps_i by
-    one.  Reads neither the reduced complex nor its transfer maps."""
+def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
+    """Independent cochain-level re-check of a certificate.
+
+    Every stored representative must be a cocycle of the unreduced
+    coboundary; their product, formed afresh, must be no coboundary, but
+    must differ from diff = product - sum witness_i rep_i by one.  The
+    transfer maps of the reduced complex find a witness for each claim:
+
+    * a chain c = ft(c_red), with c_red in the kernel of the transposed
+      reduced delta_{d-1} and <f(product), c_red> != 0: a cycle that
+      pairs nonzero with the product, which is then no coboundary;
+    * pre = h(diff) + g(y), with y solving the reduced system
+      delta_red y = f(diff): a cochain with delta_{d-1} pre = diff.
+
+    Neither witness is trusted: c must be sent to zero by the transposed
+    unreduced delta_{d-1} and pair nonzero with the product, and
+    delta_{d-1} pre must equal diff, each checked over the rows of the
+    unreduced coboundary that meet its vector's support.  A corrupted
+    reduction can make the re-check fail, never pass.
+    """
+    X, z = cache.complex, cache.cocycle
     for a, d, w, _unit in cert.factors:
-        if not _annihilates(coboundary_at(X, z, d, a), w):
+        if cache.coboundary(a, d).apply(w):
             raise InternalInconsistency(
                 f"certificate representative in degree {d} is not a "
                 "cocycle")
     a0, d0, v0, _ = cert.factors[0]
-    acc_m, acc_d, acc_v = a0, d0, list(v0)
-    for a, d, w, _unit in cert.factors[1:]:
-        acc_v = twisted_cup(X, z, acc_d, d, acc_m, a, acc_v, w)
-        acc_m = scalar_mul(acc_m, a)
-        acc_d += d
-    span = column_span(coboundary_at(X, z, acc_d - 1, acc_m),
-                       X.n_simplices(acc_d))
-    if span.contains(acc_v):
+    m, d, product = a0, d0, list(v0)
+    for a, e, w, _unit in cert.factors[1:]:
+        product = twisted_cup(X, z, d, e, m, a, product, w)
+        m = scalar_mul(m, a)
+        d += e
+    reps, _projector, f = cache._basis(m, d)
+    red = cache.data.reduced
+    field = scalar_field(m)
+    zero = field.zero() if field else Fraction(0)
+    one = field.one() if field else Fraction(1)
+    n = red.sizes[d]
+    columns = [[col.get(i, 0) for i in range(n)]
+               for col in _reduced_columns(red, d - 1, m)]
+    delta = cache.coboundary(m, d - 1)
+    reduced_product = f(product)
+    dual = next((c for c in nullspace(columns, n, zero, one)
+                 if _pairing(reduced_product, c)), None)
+    if dual is None:
         raise InternalInconsistency(
             "certificate product re-evaluated to a coboundary")
-    diff = list(acc_v)
+    cycle = red.ft(d, m)(dual)
+    if delta.apply_transpose(cycle) or not _pairing(product, cycle):
+        raise InternalInconsistency(
+            "certificate product: the dual cycle found for it fails its "
+            "check")
+    diff = product
     for x, r in zip(cert.witness, reps):
         if x:
             diff = [y - x * e for y, e in zip(diff, r)]
-    if len(cert.witness) != len(reps) or not span.contains(diff):
+    y = express(columns, f(diff), zero)
+    if (len(cert.witness) != len(reps) or y is None
+            or delta.apply([u + v for u, v in zip(red.h(d, m)(diff),
+                                                  red.g(d - 1, m)(y))])
+            != {i: x for i, x in enumerate(diff) if x}):
         raise InternalInconsistency(
             "certificate witness does not match the re-evaluated product")
     if cert.nonunit_count() < 2:

@@ -177,6 +177,65 @@ def column_span(rows, ncols: int) -> Span:
     return span
 
 
+class CoboundaryRows:
+    """The unreduced twisted coboundary delta_q at t = a, a row at a time.
+
+    The row of a (q+1)-simplex is built and evaluated the first time a
+    product needs it, and kept.  ``apply`` and ``apply_transpose`` walk
+    only the rows that meet the support of their vector, the first through
+    the complex's coface table, so each costs in proportion to that
+    support and the cofaces of its cells, not to the number of simplices.
+    """
+
+    def __init__(self, complex: SimplicialComplex, z: OneCocycle, q: int,
+                 a: Scalar):
+        check_nonzero(a)
+        self.complex = complex
+        self.z = z
+        self.q = q
+        self._ev = _evaluator(a)
+        self._rows = {}
+
+    def row(self, tau: int) -> dict:
+        """Row tau of delta_q at a, as ``{column: scalar}``."""
+        row = self._rows.get(tau)
+        if row is None:
+            sigma = self.complex.simplices[self.q + 1][tau]
+            laurent = _face_row(self.complex.index[self.q], sigma,
+                                self.z.value(sigma[0], sigma[1]), 1)
+            row = self._rows[tau] = {j: self._ev(p)
+                                     for j, p in laurent.items()}
+        return row
+
+    def apply(self, vec) -> dict:
+        """delta_q vec at a for a dense q-cochain, as ``{row: value}``
+        without zeros; {} exactly when vec is a cocycle."""
+        cofaces = self.complex.coface_table(self.q)
+        rows = self._rows
+        out = {}
+        for j, x in enumerate(vec):
+            if x:
+                for tau in cofaces[j]:
+                    v = x * (rows.get(tau) or self.row(tau))[j]
+                    old = out.get(tau)
+                    out[tau] = v if old is None else old + v
+        return {tau: v for tau, v in out.items() if v}
+
+    def apply_transpose(self, chain) -> dict:
+        """The transpose of delta_q at a applied to a dense (q+1)-chain,
+        as ``{column: value}`` without zeros; {} exactly when the chain is
+        a cycle."""
+        rows = self._rows
+        out = {}
+        for tau, c in enumerate(chain):
+            if c:
+                for j, x in (rows.get(tau) or self.row(tau)).items():
+                    v = c * x
+                    old = out.get(j)
+                    out[j] = v if old is None else old + v
+        return {j: v for j, v in out.items() if v}
+
+
 class TwistedComplex:
     """Twisted cochain complex of a complex with a 1-cocycle, over Z[t, 1/t].
 
@@ -223,12 +282,14 @@ class ReducedComplex:
     delta_q[rho][sigma] the elimination cleared, as (rho, entry) pairs.
     They give the two chain maps of the homotopy equivalence (Skoldberg,
     "Morse theory from an algebraic viewpoint", 2006), evaluated at a
-    scalar by ``g`` and ``f``; f g is the identity.
+    scalar by ``g`` and ``f``, with f g the identity, and the homotopy
+    ``h``, with x - g f x = delta h x + h delta x; ``ft`` is f
+    transposed.
 
     ``at_zero`` says whether the complex may be read at t = 0, which
     ``DeformationComplex`` sets: its entries are polynomials in t and its
-    pivots +-1.  Elsewhere t is a monodromy, and ``dim_at``, ``g`` and
-    ``f`` refuse t = 0 with ZeroMonodromy.
+    pivots +-1.  Elsewhere t is a monodromy, and ``dim_at`` and the maps
+    refuse t = 0 with ZeroMonodromy.
     """
 
     def __init__(self, rows, cells, full_sizes, pivots):
@@ -281,31 +342,14 @@ class ReducedComplex:
         x[kappa] is nonzero, and kept for later vectors.
         """
         self._check_point(a)
-        ev = _evaluator(a)
-        steps = [(sigma, k, c, b)
-                 for pq, _tau, sigma, k, c, b, _cleared in reversed(self.pivots)
-                 if pq == q]
-        known = [None] * len(steps)
+        extend = self._backward(q, a)
         n, cells = self.full_sizes[q], self.cells[q]
 
         def g(x):
             full = [0] * n
             for cell, v in zip(cells, x):
                 full[cell] = v
-            for i, (sigma, k, c, b) in enumerate(steps):
-                if not any(full[kappa] for kappa in b):
-                    continue
-                terms = known[i]
-                if terms is None:
-                    w = -c * scalar_pow(a, -k)
-                    terms = known[i] = [(kappa, w * ev(p))
-                                        for kappa, p in b.items()]
-                acc = 0
-                for kappa, w in terms:
-                    v = full[kappa]
-                    if v:
-                        acc += w * v
-                full[sigma] = acc
+            extend(full, {})
             return full
         return g
 
@@ -320,27 +364,133 @@ class ReducedComplex:
         a vector is nonzero on its tau, and kept for later vectors.
         """
         self._check_point(a)
-        ev = _evaluator(a)
-        steps = [(tau, k, c, cleared)
-                 for pq, tau, _sigma, k, c, _b, cleared in self.pivots
-                 if pq == q - 1 and cleared]
-        known = [None] * len(steps)
+        clear = self._forward(q, a)
         cells = self.cells[q]
 
         def f(v):
             y = list(v)
-            for i, (tau, k, c, cleared) in enumerate(steps):
-                yt = y[tau]
-                if yt:
-                    terms = known[i]
-                    if terms is None:
-                        w = c * scalar_pow(a, -k)
-                        terms = known[i] = [(rho, w * ev(p))
-                                            for rho, p in cleared]
-                    for rho, w in terms:
-                        y[rho] -= w * yt
+            clear(y, None)
             return [y[cell] for cell in cells]
         return f
+
+    def h(self, q: int, a: Scalar):
+        """The homotopy C^q -> C^{q-1} at t = a, as a map of dense vectors,
+        with x - g f x = delta h x + h delta x in every degree.
+
+        It composes the one-step homotopies y -> u**-1 * y[tau] at sigma
+        of the pivots of degree q - 1.  The pass of ``f`` over them, in
+        elimination order, records u**-1 * y[tau] for each, y as that pass
+        has left the vector so far; the pass of ``g`` in degree q - 1, in
+        reverse order, then sets each sigma to its recorded value plus
+        -u**-1 * sum_kappa b[kappa] z[kappa], starting from zero.  Both
+        passes evaluate a step's terms only when a vector first needs
+        them.
+        """
+        self._check_point(a)
+        clear = self._forward(q, a, every=True)
+        extend = self._backward(q - 1, a)
+        n = self.full_sizes[q - 1] if q > 0 else 0
+
+        def h(x):
+            values = {}
+            clear(list(x), values)
+            out = [0] * n
+            extend(out, values)
+            return out
+        return h
+
+    def ft(self, q: int, a: Scalar):
+        """The transpose of ``f`` at t = a, C_red^q -> C^q on dual vectors
+        (chains), as a map of dense vectors.
+
+        A reduced chain is placed on the surviving cells; then, for each
+        pivot of degree q - 1 in reverse elimination order, tau gets
+        minus the sum over the cleared rho of delta_{q-1}[rho][sigma] *
+        u**-1 * c[rho].  It is a chain map of the dual complexes because f
+        is one.  A step's terms are evaluated at a the first time some
+        c[rho] is nonzero, and kept for later vectors.
+        """
+        self._check_point(a)
+        ev = _evaluator(a)
+        steps = [(tau, k, c, cleared)
+                 for pq, tau, _sigma, k, c, _b, cleared in reversed(self.pivots)
+                 if pq == q - 1 and cleared]
+        known = [None] * len(steps)
+        n, cells = self.full_sizes[q], self.cells[q]
+
+        def ft(c_red):
+            full = [0] * n
+            for cell, v in zip(cells, c_red):
+                full[cell] = v
+            for i, (tau, k, c, cleared) in enumerate(steps):
+                if not any(full[rho] for rho, _p in cleared):
+                    continue
+                terms = known[i]
+                if terms is None:
+                    w = c * scalar_pow(a, -k)
+                    terms = known[i] = [(rho, w * ev(p))
+                                        for rho, p in cleared]
+                acc = 0
+                for rho, w in terms:
+                    v = full[rho]
+                    if v:
+                        acc += w * v
+                full[tau] = -acc
+            return full
+        return ft
+
+    def _forward(self, q: int, a: Scalar, every: bool = False):
+        """The pass of ``f`` over the pivots of degree q - 1, as a function
+        of a dense q-cochain y, changed in place, and a dict or None: the
+        dict receives u**-1 * y[tau] at sigma for each step with
+        y[tau] != 0.  Pivots that cleared nothing leave y as it is, and
+        are passed over unless ``every`` asks for their values too."""
+        ev = _evaluator(a)
+        steps = [(tau, sigma, k, c, cleared)
+                 for pq, tau, sigma, k, c, _b, cleared in self.pivots
+                 if pq == q - 1 and (every or cleared)]
+        known = [None] * len(steps)
+
+        def clear(y, values):
+            for i, (tau, sigma, k, c, cleared) in enumerate(steps):
+                yt = y[tau]
+                if yt:
+                    step = known[i]
+                    if step is None:
+                        w = c * scalar_pow(a, -k)
+                        step = known[i] = (w, [(rho, w * ev(p))
+                                               for rho, p in cleared])
+                    if values is not None:
+                        values[sigma] = step[0] * yt
+                    for rho, w in step[1]:
+                        y[rho] -= w * yt
+        return clear
+
+    def _backward(self, q: int, a: Scalar):
+        """The pass of ``g`` over the pivots of degree q, in reverse order,
+        as a function of a dense q-cochain, changed in place, and a dict
+        of values added at the sigmas."""
+        ev = _evaluator(a)
+        steps = [(sigma, k, c, b)
+                 for pq, _tau, sigma, k, c, b, _cleared in reversed(self.pivots)
+                 if pq == q]
+        known = [None] * len(steps)
+
+        def extend(full, values):
+            for i, (sigma, k, c, b) in enumerate(steps):
+                acc = values.get(sigma, 0)
+                if any(full[kappa] for kappa in b):
+                    terms = known[i]
+                    if terms is None:
+                        w = -c * scalar_pow(a, -k)
+                        terms = known[i] = [(kappa, w * ev(p))
+                                            for kappa, p in b.items()]
+                    for kappa, w in terms:
+                        v = full[kappa]
+                        if v:
+                            acc += w * v
+                full[sigma] = acc
+        return extend
 
 
 def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:

@@ -12,6 +12,7 @@ import pytest
 import novikov
 from novikov import invariants
 from novikov.cli import main, parse_scalar
+from novikov.corpus import space_to_json, surface
 from novikov.numfield import FieldElement
 
 
@@ -211,6 +212,14 @@ def test_exit_codes(tmp_path, monkeypatch):
 TRIANGLE = '{"maximal_simplices": [[0, 1], [1, 2], [0, 2]]}'
 
 
+def _surface_declaring(dimension):
+    """The genus-2 surface, whose simplices span dimension 2, declaring
+    another dimension."""
+    doc = space_to_json(surface(2))
+    doc["dimension"] = dimension
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("argv, stdin_text", [
     (["info", "--stdin"], "{}"),
     (["info", "--stdin"], '{"maximal_simplices": 5}'),
@@ -230,6 +239,8 @@ TRIANGLE = '{"maximal_simplices": [[0, 1], [1, 2], [0, 2]]}'
      + ', "cocycle": {"edges": [[0, 1, 9223372036854775808]]}}'),
     (["crit-bound", "--stdin"], TRIANGLE[:-1]
      + ', "cocycle": {"edges": [[0, 1, -100000000000000000000]]}}'),
+    (["info", "--stdin"], _surface_declaring(7)),
+    (["info", "--stdin"], _surface_declaring(-3)),
 ])
 def test_malformed_input_exits_2_with_message(argv, stdin_text, monkeypatch,
                                               capsys):

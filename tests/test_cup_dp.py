@@ -4,7 +4,6 @@ guard its transfer maps, projector and structure constants."""
 
 import io
 import json
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -111,8 +110,9 @@ def test_pinned_certificate_is_a_cocycle_and_no_coboundary(name):
 
 def test_the_search_builds_no_cochain_level_basis(monkeypatch):
     """Bases come from the reduced complex: no cocycle space, no dense
-    coboundary image and no nullspace over n_q columns.  The certificate
-    re-check, and only it, spans the coboundaries of the unreduced rows."""
+    coboundary image and no nullspace over n_q columns.  Nothing on the
+    crit_bound path, the certificate re-check included, spans columns or
+    evaluates a whole unreduced coboundary."""
     def refuse(*args):
         raise AssertionError("a cochain-level basis built by the search")
 
@@ -123,29 +123,62 @@ def test_the_search_builds_no_cochain_level_basis(monkeypatch):
         widths.append(ncols)
         return real_nullspace(rows, ncols, zero, one)
 
-    callers = []
-    real_coboundary = invariants.coboundary_at
-
-    def recording_coboundary(X, z, q, a):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real_coboundary(X, z, q, a)
-
-    monkeypatch.setattr(twisted, "cocycle_space_basis", refuse)
-    monkeypatch.setattr(twisted, "coboundary_image_vectors", refuse)
+    for name in ("cocycle_space_basis", "coboundary_image_vectors",
+                 "column_span", "coboundary_at"):
+        monkeypatch.setattr(twisted, name, refuse)
+        monkeypatch.setattr(invariants, name, refuse, raising=False)
     monkeypatch.setattr(invariants, "nullspace", recording_nullspace)
-    monkeypatch.setattr(invariants, "coboundary_at", recording_coboundary)
+    certified = 0
     for space in (surface(2), connected_sum(torus(), torus()), _klein()):
         reduced = TwistedData.of(space).sizes
         widths.clear()
-        callers.clear()
         rep = crit_bound(space, seed=0)
         assert widths and set(widths) <= set(reduced)
         assert not set(widths) & set(space.complex.f_vector())
-        # the cocycle checks evaluate delta_q; the re-check also spans the
-        # columns of delta_{q-1} once per certificate
-        certified = rep.certificate is not None
-        assert set(callers) <= {"_is_cocycle", "_verify_certificate"}
-        assert ("_verify_certificate" in callers) == certified
+        certified += rep.certificate is not None
+    assert certified
+
+
+def test_a_cocycle_check_walks_only_the_cofaces_of_its_support(monkeypatch):
+    """A cocycle check of a vector evaluates at most one row of the
+    unreduced coboundary per coface of each cell in its support, and a
+    fresh check evaluates exactly the distinct ones."""
+    evaluated = []
+    real_face_row = twisted._face_row
+
+    def counting_face_row(*args):
+        evaluated.append(1)
+        return real_face_row(*args)
+
+    checks = []
+    real_is_cocycle = _CohomologyCache._is_cocycle
+
+    def recording(self, a, q, vec):
+        cofaces = self.complex.coface_table(q)
+        support = [j for j, x in enumerate(vec) if x]
+        bound = sum(len(cofaces[j]) for j in support)
+        before = len(evaluated)
+        out = real_is_cocycle(self, a, q, vec)
+        cached = len(evaluated) - before
+        before = len(evaluated)
+        assert (not twisted.CoboundaryRows(
+            self.complex, self.cocycle, q, a).apply(vec)) == out
+        fresh = len(evaluated) - before
+        distinct = len({tau for j in support for tau in cofaces[j]})
+        checks.append((cached, fresh, distinct, bound,
+                       self.complex.n_simplices(q + 1)))
+        return out
+
+    monkeypatch.setattr(twisted, "_face_row", counting_face_row)
+    monkeypatch.setattr(_CohomologyCache, "_is_cocycle", recording)
+    for space in (surface(2), connected_sum(torus(), torus())):
+        crit_bound(space, seed=0)
+    assert checks
+    for cached, fresh, distinct, bound, _rows in checks:
+        assert cached <= fresh == distinct <= bound
+    # the products are sparse: most checks meet a small share of the rows
+    assert sum(bound for *_, bound, _rows in checks) < sum(
+        rows for *_, rows in checks) / 2
 
 
 def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):

@@ -1,0 +1,83 @@
+"""The homotopy h and the transpose fT of the transfer maps against the
+identities that define them, on cochains of every degree, with the
+unreduced coboundary taken from ``twisted_coboundary_values``."""
+
+from hypothesis import given, settings, strategies as st
+
+from novikov.complexes import twisted_coboundary_values
+from novikov.twisted import TwistedComplex, evaluate_rows
+
+from test_cup_sparse import MONODROMIES, _cochain, instances
+
+
+def _apply(matrix, vec):
+    """A dense matrix times a dense vector."""
+    return [sum(x * y for x, y in zip(row, vec) if x and y) for row in matrix]
+
+
+def _transpose(matrix, ncols):
+    return [[row[j] for row in matrix] for j in range(ncols)]
+
+
+def _pairing(u, v):
+    return sum(x * y for x, y in zip(u, v) if x and y)
+
+
+def _dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def _equal(u, v):
+    return len(u) == len(v) and all(x == y for x, y in zip(u, v))
+
+
+def _setup(instance, data):
+    X, z = instance
+    a = data.draw(st.sampled_from(MONODROMIES))
+    red = TwistedComplex(X, z).reduced()
+    deltas = [twisted_coboundary_values(X, z, q, a) for q in range(X.dim)]
+    return X, a, red, deltas
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(instances(), st.data())
+def test_h_is_a_homotopy_from_the_identity_to_g_f(instance, data):
+    X, a, red, deltas = _setup(instance, data)
+    for q in range(X.dim + 1):
+        x = _cochain(data.draw, X.n_simplices(q), a)
+        gfx = red.g(q, a)(red.f(q, a)(x))
+        lhs = [u - v for u, v in zip(x, gfx)]
+        hx = red.h(q, a)(x)
+        assert len(hx) == X.n_simplices(q - 1) if q else hx == []
+        rhs = [0] * len(x)
+        if q > 0:
+            rhs = _apply(deltas[q - 1], hx)
+        if q < X.dim:
+            hdx = red.h(q + 1, a)(_apply(deltas[q], x))
+            rhs = [u + v for u, v in zip(rhs, hdx)]
+        assert _equal(lhs, rhs), (q, a)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(instances(), st.data())
+def test_ft_is_a_chain_map_of_the_dual_complexes(instance, data):
+    X, a, red, deltas = _setup(instance, data)
+    for q in range(X.dim):
+        c_red = _cochain(data.draw, red.sizes[q + 1], a)
+        lhs = _apply(_transpose(deltas[q], X.n_simplices(q)),
+                     red.ft(q + 1, a)(c_red))
+        reduced = _dense(evaluate_rows(red.rows[q], a), red.sizes[q])
+        rhs = red.ft(q, a)(_apply(_transpose(reduced, red.sizes[q]), c_red))
+        assert _equal(lhs, rhs), (q, a)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(instances(), st.data())
+def test_ft_is_the_transpose_of_f(instance, data):
+    X, a, red, _deltas = _setup(instance, data)
+    for q in range(X.dim + 1):
+        x = _cochain(data.draw, X.n_simplices(q), a)
+        c = _cochain(data.draw, red.sizes[q], a)
+        ft_c = red.ft(q, a)(c)
+        assert len(ft_c) == X.n_simplices(q)
+        assert _pairing(red.f(q, a)(x), c) == _pairing(x, ft_c), (q, a)
