@@ -57,20 +57,26 @@ class SimplicialComplex:
         q = len(s) - 1
         return 0 <= q <= self.dim and tuple(s) in self.index[q]
 
-    def coboundary_matrix(self, q: int):
-        """Integer matrix of delta: C^q -> C^{q+1}; rows are (q+1)-simplices,
-        columns are q-simplices, entry for (sigma, d_i sigma) is (-1)^i."""
-        if not 0 <= q <= self.dim:
-            raise DegreeOutOfRange(f"degree {q} outside 0..{self.dim}")
-        if q == self.dim:
+    def coboundary_rows(self, q: int):
+        """delta: C^q -> C^{q+1} over Z as sparse rows ``{column: +-1}``,
+        one per (q+1)-simplex, whose i-th face carries (-1)**i; no rows
+        outside degrees 0..dim-1."""
+        if not 0 <= q < self.dim:
             return []
         cols = self.index[q]
+        return [{cols[s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
+                for s in self.simplices[q + 1]]
+
+    def coboundary_matrix(self, q: int):
+        """``coboundary_rows`` as a dense integer matrix: rows are
+        (q+1)-simplices, columns q-simplices."""
+        if not 0 <= q <= self.dim:
+            raise DegreeOutOfRange(f"degree {q} outside 0..{self.dim}")
         rows = []
-        for sigma in self.simplices[q + 1]:
+        for sparse in self.coboundary_rows(q):
             row = [0] * len(self.simplices[q])
-            for i in range(len(sigma)):
-                face = sigma[:i] + sigma[i + 1:]
-                row[cols[face]] += (-1) ** i
+            for j, x in sparse.items():
+                row[j] = x
             rows.append(row)
         return rows
 
@@ -126,18 +132,16 @@ class SimplicialComplex:
 
 def build_complex(maximal_simplices) -> SimplicialComplex:
     """Face closure of the given simplices, deduplicated and sorted."""
-    by_dim = {}
+    levels = []  # levels[k - 1]: the set of faces with k vertices
     for s in maximal_simplices:
         tup = tuple(s)
         if len(set(tup)) != len(tup):
             raise MalformedSimplex(f"repeated vertex in {tup}")
         tup = tuple(sorted(tup))
+        while len(levels) < len(tup):
+            levels.append(set())
         for k in range(1, len(tup) + 1):
-            for face in combinations(tup, k):
-                by_dim.setdefault(k - 1, set()).add(face)
-    if not by_dim:
-        return SimplicialComplex([])
-    levels = [sorted(by_dim.get(q, set())) for q in range(max(by_dim) + 1)]
+            levels[k - 1].update(combinations(tup, k))
     return SimplicialComplex(levels)
 
 

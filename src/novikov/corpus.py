@@ -15,12 +15,11 @@ from .complexes import (SimplicialComplex, OneCocycle, build_complex,
                         coboundary_of_vertex_function, validate_cocycle)
 from .errors import (DimensionMismatch, MalformedInput, NotAManifoldInput,
                      NotAnIsomorphism, ParameterOutOfRange)
-from .linalg import Span, express, rank
+from .linalg import Span, kernel, rank
 from .matrix import PolyMatrix
 from .numfield import Scalar, check_nonzero, scalar_field
 from .polyq import Poly
-from .twisted import (CutPresentation, SimplicialMap, cocycle_space_basis,
-                      coboundary_image_vectors)
+from .twisted import CutPresentation, SimplicialMap
 
 
 class GeneratedSpace:
@@ -243,38 +242,67 @@ def surface(g: int) -> GeneratedSpace:
 
 
 def rational_cohomology(F: SimplicialComplex, q: int):
-    """Basis representatives and coboundary vectors of H^q(F; Q)."""
-    z0 = validate_cocycle(F, {}, default_zero=True)
-    one = Fraction(1)
-    cobs = coboundary_image_vectors(F, z0, q, one)
-    span = Span(F.n_simplices(q))
-    for v in cobs:
-        span.add(v)
+    """Representatives of a basis of H^q(F; Q), as sparse vectors, and the
+    echelon that gives coordinates in it.
+
+    The cocycles are the kernel of delta_q, read off one reduced echelon
+    of its rows; the representatives are the cocycles independent modulo
+    the columns of delta_{q-1}, in order.  The echelon holds the rows
+    [coboundary | 0] and [rep_i | e_i], column n_q + i standing for e_i:
+    reducing [v | 0] for a cocycle v clears every cochain column and
+    leaves minus v's coordinates in the e_i columns.
+    """
+    n = F.n_simplices(q)
+    cocycles = kernel(F.coboundary_rows(q), n)
+    echelon = Span(n + len(cocycles), reduced=False)
+    columns = [{} for _ in range(F.n_simplices(q - 1))]
+    for i, row in enumerate(F.coboundary_rows(q - 1)):
+        for j, x in row.items():
+            columns[j][i] = x
+    for column in columns:
+        echelon.insert(column)
+    b = len(cocycles) - echelon.dim
     reps = []
-    for v in cocycle_space_basis(F, z0, q, one):
-        if span.add(v):
+    for v in cocycles:
+        if len(reps) == b:
+            break
+        row = echelon.reduce({**v, n + len(reps): 1})
+        if min(row) < n:  # v is independent modulo coboundaries
+            echelon.insert(row)
             reps.append(v)
-    return reps, cobs
+    return reps, echelon
 
 
 def induced_map_on_cohomology(F: SimplicialComplex, h: SimplicialSelfMap,
                               q: int):
-    """Matrix of h* on H^q(F; Q) in the representative basis."""
-    reps, cobs = rational_cohomology(F, q)
+    """Matrix of h* on H^q(F; Q) in the representative basis.
+
+    h* is the signed permutation of the q-simplices that
+    ``SimplicialMap.image_simplex`` gives: (h* c)(s) = sign * c(h(s)).
+    Column j holds the coordinates of h*(rep_j), read off the echelon of
+    ``rational_cohomology``; an image that is no cocycle raises
+    NotAnIsomorphism.
+    """
+    reps, echelon = rational_cohomology(F, q)
     if not reps:
         return []
-    P = h.map.pullback_matrix(q)
+    n, k = F.n_simplices(q), len(reps)
+    index = F.index[q]
+    source = {}  # column of h(s) -> (column of s, sign)
+    for i, s in enumerate(F.simplices[q]):
+        image, sign = h.map.image_simplex(s)
+        source[index[image]] = (i, sign)
     cols = []
     for r in reps:
-        image = [sum(P[i][j] * r[j] for j in range(len(r)))
-                 for i in range(len(P))]
-        coeffs = express([list(x) for x in reps] + [list(c) for c in cobs],
-                         image, Fraction(0))
-        if coeffs is None:
+        image = {}
+        for j, x in r.items():
+            i, sign = source[j]
+            image[i] = sign * x
+        row = echelon.reduce(image)
+        if row and min(row) < n:
             raise NotAnIsomorphism(
                 "pullback of a cocycle left the cocycle space")
-        cols.append(coeffs[:len(reps)])
-    k = len(reps)
+        cols.append([-row.get(n + i, 0) for i in range(k)])
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 

@@ -61,6 +61,10 @@ class NotAnIsomorphism(NovikovError):
     """A vertex map does not define a simplicial isomorphism."""
 
 
+class ExponentTooLarge(NovikovError):
+    """A power t**k beyond ``twisted.MAX_EXPONENT`` was to be evaluated."""
+
+
 class ParameterOutOfRange(NovikovError):
     """A generator parameter is outside its allowed range."""
 

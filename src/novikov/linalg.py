@@ -3,9 +3,10 @@
 One sparse row-echelon routine, ``Span``, does every elimination over a
 field: rank, nullspaces, coordinates of a vector and incremental spans.
 Rows are ``{column: value}`` dicts holding ints, Fractions or
-FieldElements.  Every pivot is inverted exactly once, an int pivot as
-``Fraction(1, c)``, so no float can appear, and a zero divisor met as a
-pivot modulo a reducible minimal polynomial raises
+FieldElements.  Every pivot is inverted exactly once.  An int pivot +-1
+is its own inverse, so integer rows with such pivots stay integer; any
+other int pivot c becomes ``Fraction(1, c)``, so no float can appear.  A
+zero divisor met as a pivot modulo a reducible minimal polynomial raises
 ``ZeroDivisorEncountered``.
 """
 
@@ -40,8 +41,9 @@ class Span:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: dict) -> dict:
-        """Clear the pivot columns of ``vec`` in place, leftmost first."""
+    def reduce(self, vec: dict) -> dict:
+        """Clear the pivot columns of a sparse vector in place, leftmost
+        first, and return it: ``{}`` iff the span contains the vector."""
         rows = self.rows
         todo = [c for c in vec if c in rows]
         heapq.heapify(todo)
@@ -66,12 +68,17 @@ class Span:
 
     def insert(self, vec: dict) -> bool:
         """Insert a sparse vector (consumed); True if it enlarged the span."""
-        vec = self._reduce(vec)
+        vec = self.reduce(vec)
         if not vec:
             return False
         p = min(vec)
         pv = vec[p]
-        inv = pv.inverse() if isinstance(pv, FieldElement) else Fraction(1, pv)
+        if isinstance(pv, FieldElement):
+            inv = pv.inverse()
+        elif type(pv) is int and (pv == 1 or pv == -1):
+            inv = pv
+        else:
+            inv = Fraction(1, pv)
         row = {j: x * inv for j, x in vec.items()}
         if self.reduced:
             for other in self.rows.values():
@@ -97,7 +104,7 @@ class Span:
         """What is left of a dense vector once every pivot column of the
         span is cleared from it, as a sparse vector; ``{}`` iff the span
         contains it."""
-        return self._reduce(_sparse(vec))
+        return self.reduce(_sparse(vec))
 
 
 def _echelon(sparse_rows, ncols: int, reduced: bool) -> Span:
@@ -122,24 +129,33 @@ rank_rational = rank
 rank_generic = rank
 
 
-def nullspace(rows, ncols: int, zero, one):
-    """Basis of the right kernel of the matrix, as length-``ncols`` vectors.
+def kernel(rows, ncols: int, one=1):
+    """Basis of the right kernel of sparse rows (consumed), as sparse
+    vectors.
 
     One vector per free column of the reduced row echelon form, in column
-    order: 1 at its free column, minus the column's entries at the pivots.
-    Entries take the type of ``zero`` (a FieldElement in a number field).
+    order: ``one`` at its free column, minus the column's entries at the
+    pivots.
     """
-    pivots = _echelon(map(_sparse, rows), ncols, reduced=True).rows
-    basis = {}
-    for j in range(ncols):
-        if j not in pivots:
-            basis[j] = [zero] * ncols
-            basis[j][j] = one
+    pivots = _echelon(rows, ncols, reduced=True).rows
+    basis = {j: {j: one} for j in range(ncols) if j not in pivots}
     for p, row in pivots.items():
         for j, x in row.items():
             if j != p:
-                basis[j][p] = zero - x
+                basis[j][p] = -x
     return list(basis.values())
+
+
+def nullspace(rows, ncols: int, zero, one):
+    """``kernel`` of a dense matrix, as length-``ncols`` vectors whose
+    entries take the type of ``zero`` (a FieldElement in a number field)."""
+    out = []
+    for vec in kernel(map(_sparse, rows), ncols, one):
+        dense = [zero] * ncols
+        for j, x in vec.items():
+            dense[j] = zero + x
+        out.append(dense)
+    return out
 
 
 def express(generators, target, zero):

@@ -28,11 +28,12 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 
 from .complexes import SimplicialComplex, OneCocycle, twisted_coboundary_values
-from .errors import (DegreeOutOfRange, DimensionMismatch, NotAChainComplex,
-                     NotAnIsomorphism)
+from .errors import (DegreeOutOfRange, DimensionMismatch, ExponentTooLarge,
+                     NotAChainComplex, NotAnIsomorphism)
 from .linalg import Span, nullspace, rank
 from .matrix import PolyMatrix
-from .numfield import Scalar, check_nonzero, scalar_field, scalar_pow
+from .numfield import (Scalar, check_nonzero, scalar_field, scalar_key,
+                       scalar_pow)
 from .polyq import Poly
 
 
@@ -110,10 +111,26 @@ def check_square_zero(deltas) -> None:
                     f"delta^2 != 0 between degrees {q} and {q + 2}")
 
 
+# The largest |k| for which t**k is evaluated at a monodromy other than
+# rational 0 or +-1, whose powers cost nothing.  Elsewhere a**k grows with
+# |k|: a cocycle period of 10**20 would be a power that never finishes.
+MAX_EXPONENT = 10 ** 4
+
+
+def _power(a: Scalar, k: int) -> Scalar:
+    """a**k, refused with ExponentTooLarge when |k| exceeds MAX_EXPONENT
+    and a is not rational 0 or +-1."""
+    if abs(k) > MAX_EXPONENT and scalar_key(a) not in (0, 1, -1):
+        raise ExponentTooLarge(
+            f"t**{k} at a monodromy other than 0, 1 and -1: exponents "
+            f"beyond {MAX_EXPONENT} are refused")
+    return scalar_pow(a, k)
+
+
 def _evaluator(a: Scalar):
-    """p -> p(a) for Laurent polynomials, with the powers of a memoised;
-    constant terms stay integers.  A negative power of a = 0 raises
-    ZeroMonodromy."""
+    """p -> p(a) for Laurent polynomials, with the powers of a memoised
+    (``_power``); constant terms stay integers.  A negative power of a = 0
+    raises ZeroMonodromy."""
     powers = {}
 
     def ev(p: dict):
@@ -126,7 +143,7 @@ def _evaluator(a: Scalar):
                 if x is None:
                     if e < 0:
                         check_nonzero(a)
-                    x = powers[e] = scalar_pow(a, e)
+                    x = powers[e] = _power(a, e)
                 out += c * x
         return out
     return ev
@@ -299,6 +316,7 @@ class ReducedComplex:
         self.full_sizes = full_sizes
         self.pivots = pivots
         self.at_zero = False
+        self._ranks = {}
 
     def _check_point(self, a: Scalar) -> None:
         if not self.at_zero:
@@ -325,11 +343,20 @@ class ReducedComplex:
             raise DegreeOutOfRange(
                 f"degree {q} outside 0..{len(self.sizes) - 1}")
         self._check_point(a)
-        r_q = (_evaluated_rank(self.rows[q], self.sizes[q], a)
-               if q < len(self.rows) else 0)
-        r_prev = (_evaluated_rank(self.rows[q - 1], self.sizes[q - 1], a)
-                  if q > 0 else 0)
-        return self.sizes[q] - r_q - r_prev
+        return self.sizes[q] - self._rank(q, a) - self._rank(q - 1, a)
+
+    def _rank(self, q: int, a: Scalar) -> int:
+        """Rank of delta_q evaluated at a, 0 outside the rows; kept per
+        (q, a, field of a), so a loop over the degrees evaluates each
+        delta_q once."""
+        if not 0 <= q < len(self.rows):
+            return 0
+        key = (q, scalar_key(a), scalar_field(a))
+        r = self._ranks.get(key)
+        if r is None:
+            r = self._ranks[key] = _evaluated_rank(self.rows[q],
+                                                   self.sizes[q], a)
+        return r
 
     def g(self, q: int, a: Scalar):
         """The inclusion C_red^q -> C^q at t = a, as a map of dense vectors.
@@ -427,7 +454,7 @@ class ReducedComplex:
                     continue
                 terms = known[i]
                 if terms is None:
-                    w = c * scalar_pow(a, -k)
+                    w = c * _power(a, -k)
                     terms = known[i] = [(rho, w * ev(p))
                                         for rho, p in cleared]
                 acc = 0
@@ -457,7 +484,7 @@ class ReducedComplex:
                 if yt:
                     step = known[i]
                     if step is None:
-                        w = c * scalar_pow(a, -k)
+                        w = c * _power(a, -k)
                         step = known[i] = (w, [(rho, w * ev(p))
                                                for rho, p in cleared])
                     if values is not None:
@@ -482,7 +509,7 @@ class ReducedComplex:
                 if any(full[kappa] for kappa in b):
                     terms = known[i]
                     if terms is None:
-                        w = -c * scalar_pow(a, -k)
+                        w = -c * _power(a, -k)
                         terms = known[i] = [(kappa, w * ev(p))
                                             for kappa, p in b.items()]
                     for kappa, w in terms:
@@ -738,19 +765,6 @@ class SimplicialMap:
         image = tuple(sorted(mapped))
         sign = _permutation_sign(mapped)
         return image, sign
-
-    def pullback_matrix(self, q: int):
-        """Integer matrix of the cochain restriction C^q(N) -> C^q(V)."""
-        if q > self.source.dim:
-            return []
-        cols = self.target.index[q] if q <= self.target.dim else {}
-        rows = []
-        for s in self.source.simplices[q]:
-            row = [0] * self.target.n_simplices(q)
-            image, sign = self.image_simplex(s)
-            row[cols[image]] = sign
-            rows.append(row)
-        return rows
 
 
 def _permutation_sign(seq) -> int:

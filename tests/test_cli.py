@@ -241,6 +241,9 @@ def _surface_declaring(dimension):
      + ', "cocycle": {"edges": [[0, 1, -100000000000000000000]]}}'),
     (["info", "--stdin"], _surface_declaring(7)),
     (["info", "--stdin"], _surface_declaring(-3)),
+    # a power t**k at a = 2 that would never finish
+    (["twisted-dim", "--stdin", "--a", "2"], TRIANGLE[:-1]
+     + ', "cocycle": {"edges": [[0, 1, 100000000000000000000]]}}'),
 ])
 def test_malformed_input_exits_2_with_message(argv, stdin_text, monkeypatch,
                                               capsys):

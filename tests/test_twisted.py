@@ -3,15 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from novikov import twisted
 from novikov.cli import parse_scalar
 from novikov.complexes import build_complex, validate_cocycle
 from novikov.corpus import (circle, mapping_torus, mv_oracle_dims,
                             sphere_complex, sphere_product, surface, torus)
 from novikov.errors import (DegreeOutOfRange, DimensionMismatch,
-                            NotAChainComplex, NotAnIsomorphism, ZeroMonodromy)
+                            ExponentTooLarge, NotAChainComplex,
+                            NotAnIsomorphism, ZeroMonodromy)
+from novikov.invariants import TwistedData, twisted_dims
 from novikov.matrix import snf
-from novikov.twisted import (CutPresentation, DeformationComplex,
-                             SimplicialMap, TwistedComplex, _evaluated_rank,
+from novikov.twisted import (MAX_EXPONENT, CoboundaryRows, CutPresentation,
+                             DeformationComplex, SimplicialMap,
+                             TwistedComplex, _evaluated_rank,
                              check_square_zero, evaluate_rows,
                              relative_reduced, restriction_epi,
                              twisted_cohomology_dim)
@@ -227,3 +231,54 @@ def test_delta_squared_zero_on_corpus():
     for space in (torus(), surface(2), sphere_product(2)):
         T = TwistedComplex(space.complex, space.cocycle)
         check_square_zero(T.rows)
+
+
+def test_each_rank_is_evaluated_once_per_monodromy(monkeypatch):
+    """dim_at in degree q and q + 1 both need the rank of delta_q: it is
+    evaluated once per (q, a, field of a), on every route."""
+    calls = []
+    real = twisted._evaluated_rank
+
+    def counting(rows, ncols, a):
+        calls.append(a)
+        return real(rows, ncols, a)
+
+    monkeypatch.setattr(twisted, "_evaluated_rank", counting)
+    data = TwistedData.of(surface(2))
+    red = data.reduced
+    K = parse_scalar("@1,1,1").field
+    for a in (Fraction(2), Fraction(1), K.from_rational(1),
+              K.generator()):
+        calls.clear()
+        dims = twisted_dims(data, a)
+        assert len(calls) == len(red.rows)
+        assert twisted_dims(data, a) == dims
+        assert len(calls) == len(red.rows)
+    D = DeformationComplex(torus().cut)
+    for a in (Fraction(0), Fraction(-5, 2)):
+        calls.clear()
+        for q in range(D.top + 1):
+            D.dim_at(q, a)
+        assert len(calls) == len(D.reduced().rows)
+
+
+def test_exponents_beyond_the_bound_are_refused_off_zero_and_units():
+    """t**k with |k| > MAX_EXPONENT is evaluated at 0 and +-1 only, in
+    every evaluation that reads the cocycle's periods."""
+    X = build_complex([(0, 1), (1, 2), (0, 2)])
+    at_bound = validate_cocycle(X, {(0, 1): MAX_EXPONENT}, default_zero=True)
+    assert [TwistedComplex(X, at_bound).reduced().dim_at(q, Fraction(2))
+            for q in (0, 1)] == [0, 0]
+    z = validate_cocycle(X, {(0, 1): MAX_EXPONENT + 1}, default_zero=True)
+    red = TwistedComplex(X, z).reduced()
+    # the period is odd
+    assert [red.dim_at(q, Fraction(1)) for q in (0, 1)] == [1, 1]
+    assert [red.dim_at(q, Fraction(-1)) for q in (0, 1)] == [0, 0]
+    for a in (Fraction(2), Fraction(1, 2), parse_scalar("@1,1,1")):
+        uses = [lambda: red.dim_at(0, a), lambda: red.g(0, a)([1]),
+                lambda: red.f(1, a)([1, 1, 1]), lambda: red.h(1, a)([1, 1, 1]),
+                lambda: red.ft(1, a)([1]),
+                lambda: CoboundaryRows(X, z, 0, a).row(0)]
+        for use in uses:
+            with pytest.raises(ExponentTooLarge):
+                use()
