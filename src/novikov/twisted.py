@@ -95,17 +95,20 @@ def sparse_coboundary(complex: SimplicialComplex, z: OneCocycle, q: int):
 def check_square_zero(deltas) -> None:
     """Raise NotAChainComplex unless delta_{q+1} delta_q = 0 for every q;
     ``deltas[q]`` holds the sparse Laurent rows of delta_q.  Each row of
-    delta_{q+1} delta_q is summed into one ``{(column, exponent): int}``."""
+    delta_q is flattened once into (column, exponent, coefficient) triples,
+    and each row of delta_{q+1} delta_q is summed over them into one
+    ``{(column, exponent): int}``."""
     for q in range(len(deltas) - 1):
-        lower = deltas[q]
+        flat = [[(k, f, d) for k, r in row.items() for f, d in r.items()]
+                for row in deltas[q]]
         for row in deltas[q + 1]:
             acc = {}
             for j, p in row.items():
-                for k, r in lower[j].items():
-                    for e, c in p.items():
-                        for f, d in r.items():
-                            key = (k, e + f)
-                            acc[key] = acc.get(key, 0) + c * d
+                terms = flat[j]
+                for e, c in p.items():
+                    for k, f, d in terms:
+                        key = (k, e + f)
+                        acc[key] = acc.get(key, 0) + c * d
             if any(acc.values()):
                 raise NotAChainComplex(
                     f"delta^2 != 0 between degrees {q} and {q + 2}")
@@ -114,6 +117,9 @@ def check_square_zero(deltas) -> None:
 # The largest |k| for which t**k is evaluated at a monodromy other than
 # rational 0 or +-1, whose powers cost nothing.  Elsewhere a**k grows with
 # |k|: a cocycle period of 10**20 would be a power that never finishes.
+# It also bounds the exponent span of a reduced row that
+# ``ReducedComplex.matrices`` expands into dense polynomials for the Smith
+# forms, whose cost grows with that degree.
 MAX_EXPONENT = 10 ** 4
 
 
@@ -291,7 +297,8 @@ class ReducedComplex:
     ``rows[q]`` with each row multiplied by the power of t that makes its
     lowest exponent 0.  A row scaled by a unit changes elementary divisors
     only by powers of t, and ranks at t = a != 0 not at all, but these
-    matrices are no chain complex.
+    matrices are no chain complex.  A row whose exponents span more than
+    ``MAX_EXPONENT`` is refused with ExponentTooLarge rather than expanded.
 
     ``pivots`` records every elimination in order as (q, tau, sigma, k, c,
     b, cleared): the pivot u = delta_q[tau][sigma] = c * t**k, the pivot
@@ -328,7 +335,16 @@ class ReducedComplex:
         for q, kept in enumerate(self.rows):
             dense = []
             for row in kept:
-                shift = -min(e for p in row.values() for e in p) if row else 0
+                shift = 0
+                if row:
+                    low = min(e for p in row.values() for e in p)
+                    high = max(e for p in row.values() for e in p)
+                    if high - low > MAX_EXPONENT:
+                        raise ExponentTooLarge(
+                            f"a row of the reduced delta_{q} spans exponents "
+                            f"{low}..{high}: dense polynomials of degree "
+                            f"beyond {MAX_EXPONENT} are refused")
+                    shift = -low
                 entries = [Poly()] * self.sizes[q]
                 for j, p in row.items():
                     entries[j] = _to_poly(p, shift)
@@ -548,48 +564,70 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
 
     The selection is kept up to date as the reduction runs, so that a
     pivot costs work in proportion to the rows it changes, not to delta_q.
-    Each entry carries a stamp that grows with its insertion into its row,
-    and ``is_unit`` is asked once per created or changed entry.  Within a
-    column the cost orders the unit entries as their row lengths do, so
-    each column keeps a lazy heap of (row length, tau, stamp) over its unit
-    entries, and one global heap holds the least key (cost, tau, stamp,
-    sigma) of every column; a popped key counts only while it is still its
-    column's least.  After a pivot the rows it cleared push the keys of
-    their unit entries, and the columns of the pivot row, whose lengths
-    changed, recompute their least key.  Any other column keeps its
-    length, so its least key changes only when a pushed key beats it, or
-    when the row of its least entry grew.
+    The working rows and columns of delta_q are built in one pass when its
+    degree is reached, without the q-cells already eliminated as a tau;
+    ``is_unit`` is asked once per entry then and once per entry a Schur
+    update changes.  An entry's stamp orders it within its row: an initial
+    entry's is its position in ``deltas[q][tau]``, a filled-in entry's is
+    drawn from a counter above every position, and a row's stamps are
+    written out the first time a Schur update reaches it.  Within a column
+    the cost orders the unit entries as (row length, tau, stamp) does, and
+    one global heap holds the least key (cost, tau, stamp, sigma) of every
+    column; a popped key counts only while it is still its column's least.
+    Setup finds each column's least in its pass; a column gets a lazy heap
+    of its unit entries, built from the column as it stands, only when its
+    least must be recomputed, and pushes go only to heaps that exist.  A
+    pivot whose row holds nothing but sigma (cost 0, a free face) updates
+    no entry: it drops sigma from the rows it clears, whose unit entries
+    can only get cheaper.  After any other pivot, the columns of the pivot
+    row, whose lengths changed, recompute their least, and so does a
+    column whose least entry lies in a cleared row that grew; any other
+    column's least changes only when a new key beats it.
     """
-    rows = [dict(enumerate(dict(r) for r in d)) for d in deltas]
-    cols = []
-    for d in rows:
-        c = {}
-        for i, r in d.items():
-            for j in r:
-                c.setdefault(j, set()).add(i)
-        cols.append(c)
     alive = [dict.fromkeys(range(n)) for n in sizes]
+    rows = []
     pivots = []
     # stamps of filled-in entries exceed every initial position in a row
     new_stamp = count(max(sizes, default=0))
-    for q, (R, C) in enumerate(zip(rows, cols)):
-        # stamps of the initial entries are their positions in the row; a
-        # row's stamps are written out when it is first changed
-        stamps = {}   # tau -> {sigma: stamp} of every entry of row tau
+    for q, delta in enumerate(deltas):
+        live = alive[q]   # q-cells not eliminated as a tau in degree q - 1
+        R = {}        # tau -> row of delta_q, {sigma: Laurent polynomial}
+        C = {}        # sigma -> the rows with an entry in column sigma
         units = {}    # tau -> {sigma: stamp} of its unit entries
-        by_col = {}   # sigma -> heap of (row length, tau, stamp)
-        best = {}     # sigma -> its least key, None when it has no unit
-        heap = []     # keys (cost, tau, stamp, sigma), some stale
-        for tau, row in R.items():
+        least = {}    # sigma -> least (row length, tau, stamp) of column
+        for tau, full in enumerate(delta):
+            R[tau] = row = {}
             units[tau] = u = {}
+            for s, (sigma, p) in enumerate(full.items()):
+                if sigma in live:
+                    row[sigma] = p
+                    col = C.get(sigma)
+                    if col is None:
+                        C[sigma] = {tau}
+                    else:
+                        col.add(tau)
+                    if is_unit(p):
+                        u[sigma] = s
             n = len(row)
-            for s, (sigma, p) in enumerate(row.items()):
-                if is_unit(p):
-                    u[sigma] = s
-                    by_col.setdefault(sigma, []).append((n, tau, s))
+            for sigma, s in u.items():
+                cur = least.get(sigma)
+                if cur is None or n < cur[0]:
+                    least[sigma] = (n, tau, s)
+        rows.append(R)
+        heap = [((n - 1) * (len(C[sigma]) - 1), tau, s, sigma)
+                for sigma, (n, tau, s) in least.items()]
+        best = {key[3]: key for key in heap}   # sigma -> least key or None
+        heapify(heap)
+        stamps = {}   # tau -> {sigma: stamp} of row tau, once written
+        by_col = {}   # sigma -> lazy heap of (row length, tau, stamp)
 
         def refresh(sigma):
             h = by_col.get(sigma)
+            if h is None:
+                h = by_col[sigma] = [
+                    (len(R[rho]), rho, s) for rho in C[sigma]
+                    if (s := units[rho].get(sigma)) is not None]
+                heapify(h)
             key = None
             while h:
                 n, tau, s = h[0]
@@ -603,55 +641,75 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
                 if key is not None:
                     heappush(heap, key)
 
-        for sigma, h in by_col.items():
-            heapify(h)
-            n, tau, s = h[0]
-            best[sigma] = key = ((n - 1) * (len(C[sigma]) - 1), tau, s, sigma)
-            heap.append(key)
-        heapify(heap)
         while heap:
             key = heappop(heap)
             if best.get(key[3]) != key:
                 continue
             _cost, tau, _s, sigma = key
             pivot_row = R.pop(tau)
+            del units[tau], best[sigma]
             stamps.pop(tau, None)
-            del units[tau]
+            by_col.pop(sigma, None)
             for kappa in pivot_row:
                 C[kappa].discard(tau)
             (k, c), = pivot_row.pop(sigma).items()
-            worse = []
             cleared = []
+            worse = []
             for rho in C.pop(sigma):
                 row, u = R[rho], units[rho]
-                o = stamps.get(rho)
-                if o is None:
-                    o = stamps[rho] = dict(zip(row, count()))
                 length = len(row)
                 entry = row.pop(sigma)
-                del o[sigma]
                 u.pop(sigma, None)
                 cleared.append((rho, entry))
-                # -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k
-                f = {e - k: -c * v for e, v in entry.items()}
-                for kappa, p in pivot_row.items():
-                    new = _add_product(row.get(kappa, {}), f, p)
-                    if new:
-                        if kappa not in row:
-                            C[kappa].add(rho)
-                            o[kappa] = next(new_stamp)
-                        row[kappa] = new
-                        if is_unit(new):
-                            u[kappa] = o[kappa]
+                # the Schur update; after a free face, whose pivot row held
+                # only sigma, the row just gets shorter and no stamps are
+                # written
+                if pivot_row:
+                    o = stamps.get(rho)
+                    if o is None:
+                        o = stamps[rho] = {kappa: s for s, kappa
+                                           in enumerate(delta[rho])}
+                    # f = -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k;
+                    # a monomial f = fv * t**fe times a monomial is added
+                    # inline
+                    if len(entry) == 1:
+                        (e, v), = entry.items()
+                        f, fe, fv = None, e - k, -c * v
+                    else:
+                        f = {e - k: -c * v for e, v in entry.items()}
+                    for kappa, p in pivot_row.items():
+                        old = row.get(kappa)
+                        if f is None and len(p) == 1:
+                            (e, v), = p.items()
+                            e += fe
+                            v *= fv
+                            if old is None:
+                                new = {e: v}
+                            else:
+                                new = dict(old)
+                                v += new.get(e, 0)
+                                if v:
+                                    new[e] = v
+                                else:
+                                    del new[e]
                         else:
+                            new = _add_product(old or {}, f or {fe: fv}, p)
+                        if new:
+                            if kappa not in row:
+                                C[kappa].add(rho)
+                                o[kappa] = next(new_stamp)
+                            row[kappa] = new
+                            if is_unit(new):
+                                u[kappa] = o[kappa]
+                            else:
+                                u.pop(kappa, None)
+                        elif kappa in row:
+                            del row[kappa]
+                            C[kappa].discard(rho)
                             u.pop(kappa, None)
-                    elif kappa in row:
-                        del row[kappa], o[kappa]
-                        C[kappa].discard(rho)
-                        u.pop(kappa, None)
                 # new keys for the unit entries whose key changed: all of
                 # them if the row's length changed, else those in the
-                # columns of the pivot row, which recompute their least key
+                # columns of the pivot row, which recompute their least
                 # below.  Any other column keeps its length: a new key
                 # replaces its least if it is less, and the column
                 # recomputes its least if that was in this row, now longer
@@ -660,7 +718,9 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
                     s = u.get(kappa)
                     if s is None:
                         continue
-                    heappush(by_col.setdefault(kappa, []), (n, rho, s))
+                    h = by_col.get(kappa)
+                    if h is not None:
+                        heappush(h, (n, rho, s))
                     if kappa in pivot_row:
                         continue
                     key = ((n - 1) * (len(C[kappa]) - 1), rho, s, kappa)
@@ -668,20 +728,13 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
                     if cur is None or key < cur:
                         best[kappa] = key
                         heappush(heap, key)
-                    elif cur[1] == rho:
+                    elif cur[1] == rho and n > length:
                         worse.append(kappa)
-            del by_col[sigma], best[sigma]
             for kappa in pivot_row:
                 refresh(kappa)
             for kappa in worse:
                 refresh(kappa)
             pivots.append((q, tau, sigma, k, c, pivot_row, cleared))
-            if q > 0:
-                for j in rows[q - 1].pop(sigma):
-                    cols[q - 1][j].discard(sigma)
-            if q + 1 < len(rows):
-                for rho in cols[q + 1].pop(tau, ()):
-                    del rows[q + 1][rho][tau]
             del alive[q][sigma], alive[q + 1][tau]
     cells = [list(a) for a in alive]
     reduced = []

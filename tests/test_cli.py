@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from novikov import invariants
 from novikov.cli import main, parse_scalar
 from novikov.corpus import space_to_json, surface
 from novikov.numfield import FieldElement
+from novikov.polyq import Poly
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -210,6 +212,34 @@ def test_exit_codes(tmp_path, monkeypatch):
 
 
 TRIANGLE = '{"maximal_simplices": [[0, 1], [1, 2], [0, 2]]}'
+
+
+def test_jumps_refuses_a_row_beyond_the_exponent_bound(tmp_path):
+    """The Smith forms read each reduced row as a dense polynomial: on the
+    triangle boundary with one edge of period 10**5, whose reduced row
+    spans the exponents -100000..0, jumps exits 2 at once; at period 10**3
+    it splits t**1000 - 1 into its jump factors."""
+    path = tmp_path / "triangle.json"
+
+    def jumps(period):
+        path.write_text(TRIANGLE[:-1] + ', "cocycle": {"edges": [[0, 1, '
+                        + str(period) + ']]}}')
+        return run_cli(["jumps", str(path), "--json"])
+
+    start = time.perf_counter()
+    assert jumps(10 ** 5) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    code, out = jumps(10 ** 3)
+    assert code == 0
+    report = json.loads(out)
+    assert report["novikov"] == [0, 0]
+    for q in (0, 1):
+        entries = [e for e in report["jumps"] if e["q"] == q]
+        assert [e["dim"] for e in entries] == [1, 1, 1]
+        product = Poly([1])
+        for e in entries:
+            product = product * Poly([Fraction(c) for c in e["factor"]])
+        assert product == Poly.monomial(1000) - Poly([1])
 
 
 def _surface_declaring(dimension):

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from novikov import twisted
 from novikov.cli import parse_scalar
 from novikov.complexes import build_complex, coboundary_of_vertex_function
-from novikov.corpus import (circle, connected_sum, mapping_torus, surface,
-                            torus)
+from novikov.corpus import (circle, connected_sum, mapping_torus,
+                            sphere_product, surface, torus)
 from novikov.errors import NotAChainComplex
 from novikov.invariants import (TwistedData, _CohomologyCache, jump_locus,
                                 novikov_numbers, twisted_dims)
@@ -299,12 +299,69 @@ def test_pivot_order_is_the_scan_rule_on_corpus_classes(instance):
     assert_scan_order(T.reduced(), T.rows, T.sizes, twisted._is_unit)
 
 
+# Random sparse matrices over Z[t, 1/t] in two degrees, with the entries of
+# each row in random order: ties of cost, rows shortened by free faces and
+# entries turned into units or cancelled by Schur updates are far more
+# frequent than in a simplicial complex.  The reduction needs no
+# delta^2 = 0 to follow the rule.
+laurent = st.one_of(
+    st.tuples(st.integers(-2, 2), st.sampled_from([1, -1]))
+    .map(lambda ec: {ec[0]: ec[1]}),
+    st.sampled_from([{0: 2}, {0: 1, 1: 1}, {-1: 1, 1: -1}]))
+
+
+@st.composite
+def laurent_matrices(draw):
+    n = [draw(st.integers(1, 8)) for _ in range(3)]
+    deltas = [[draw(st.dictionaries(st.integers(0, n[q] - 1), laurent,
+                                    max_size=4))
+               for _ in range(n[q + 1])] for q in range(2)]
+    return deltas, n
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(laurent_matrices())
+def test_pivot_order_is_the_scan_rule_on_random_matrices(instance):
+    deltas, sizes = instance
+    red = twisted._unit_pivot_reduction(deltas, sizes, twisted._is_unit)
+    assert_scan_order(red, deltas, sizes, twisted._is_unit)
+
+
+def _twisted(space):
+    return TwistedComplex(space.complex, space.cocycle)
+
+
 def _s1_times_surface(g):
     """The twisted complex of S1 x Sigma_g, the mapping torus of the
     identity."""
     F = surface(g).complex
-    space = mapping_torus(F, {v: v for v in F.vertices()})
-    return TwistedComplex(space.complex, space.cocycle)
+    return _twisted(mapping_torus(F, {v: v for v in F.vertices()}))
+
+
+def _disk():
+    """The twisted complex of a triangulated 3 x 2 square, a disk, under
+    the coboundary of a vertex function: each boundary edge lies in one
+    triangle only, so some pivots have a column of length 1."""
+    X = build_complex([s for v in (0, 1, 2, 4, 5, 6)
+                       for s in ((v, v + 1, v + 4), (v + 1, v + 4, v + 5))])
+    return TwistedComplex(X, coboundary_of_vertex_function(
+        X, {v: v * v % 5 - 2 for v in X.vertices()}))
+
+
+def _disk_mod_vertices():
+    """C*(D, D^0) of that disk reduced: delta_1 keeps rows of length 3, so
+    a pivot in the column of a boundary edge clears nothing, though its
+    row holds more than the pivot."""
+    T = _disk()
+    X = T.complex
+    return twisted.relative_reduced(
+        X, build_complex([(v,) for v in X.vertices()]), T.z)
+
+
+def _matrix(rows):
+    """One delta_0 of four columns over Z[t, 1/t], reduced."""
+    return twisted._unit_pivot_reduction([rows], [4, len(rows)],
+                                         twisted._is_unit)
 
 
 def _relative(name):
@@ -322,11 +379,31 @@ def _relative(name):
     lambda: _relative("surface(2)"),
     lambda: _relative("order3"),
     lambda: _s1_times_surface(2).reduced(),
+    lambda: _twisted(corpus_space("order3")).reduced(),
+    lambda: _twisted(sphere_product(3)).reduced(),
+    lambda: _twisted(sphere_product(2)).reduced(),
+    lambda: _disk().reduced(),
+    _disk_mod_vertices,
+    # two matrices, found by random search, on which a slip in the
+    # selection state picks another pivot: a column heap that misses the
+    # key of a row a free face shortened, and stamps renumbered from the
+    # row as it stands when a Schur update first reaches it
+    lambda: _matrix([{0: {0: 2}, 2: {1: 1}, 1: {0: -1}, 3: {1: 1}}, {},
+                     {2: {1: 1}}, {0: {2: 1}, 3: {-1: -1}, 2: {0: -1}},
+                     {2: {1: 1}, 0: {2: 1}}]),
+    lambda: _matrix([{3: {0: -1}},
+                     {3: {0: 2}, 2: {2: 1}, 1: {0: 1, 1: 1}, 0: {0: 1}},
+                     {0: {0: -1}, 1: {0: -1}},
+                     {1: {2: 1}, 3: {0: -1}, 2: {1: 1}}]),
 ], ids=["torus-deformation", "klein-deformation", "order3-deformation",
-        "surface(2)-relative", "order3-relative", "S1xSigma2"])
+        "surface(2)-relative", "order3-relative", "S1xSigma2", "order3",
+        "S1xS3", "S1xS2", "disk", "disk-relative",
+        "column-heap-after-a-free-face", "stamps-of-a-shortened-row"])
 def test_pivot_order_is_the_scan_rule(build, monkeypatch):
-    """Deformation complexes (constant pivots only), relative complexes
-    and S1 x Sigma_2 reduce exactly as the scan rule does."""
+    """Deformation complexes (constant pivots only), relative complexes,
+    S1 x Sigma_2, the spaces of the jumps benchmark that the corpus
+    classes above leave out, a disk and two small matrices reduce exactly
+    as the scan rule does."""
     calls = []
     real = twisted._unit_pivot_reduction
 
@@ -357,3 +434,39 @@ def test_unit_predicate_is_asked_a_few_times_per_entry():
     assert red.sizes == [1, 9, 9, 1]
     entries = sum(len(row) for rows in T.rows for row in rows)
     assert calls <= 10 * entries
+
+
+def test_a_disk_pivots_in_columns_of_length_one():
+    """Pivots whose column holds only their own row clear nothing: the
+    disk reduces to a point through some, with rows of length 1 as well,
+    and C*(D, D^0) reduces through such pivots alone, in rows of length
+    3."""
+    red = _disk().reduced()
+    assert red.sizes == [1, 0, 0]
+    assert any(not cleared for *_, cleared in red.pivots)
+    red = _disk_mod_vertices()
+    assert red.sizes == [0, 11, 0]
+    assert all(len(b) == 2 and not cleared for *_, b, cleared in red.pivots)
+
+
+def test_free_faces_push_few_heap_keys(monkeypatch):
+    """On S1 x S3, where 184 of the 223 pivots are free faces, pivot
+    selection pushes at most half as many heap keys as the complex has
+    entries (1500).  Pushing a key for every unit entry of each row a free
+    face shortens, into column heaps filled from the start, makes more
+    than 1000."""
+    T = _twisted(sphere_product(3))
+    pushes = 0
+    real = twisted.heappush
+
+    def counted(heap, item):
+        nonlocal pushes
+        pushes += 1
+        real(heap, item)
+
+    monkeypatch.setattr(twisted, "heappush", counted)
+    red = T.reduced()
+    assert red.sizes == [1, 1, 0, 1, 1]
+    entries = sum(len(row) for rows in T.rows for row in rows)
+    assert entries == 1500
+    assert pushes <= entries // 2
