@@ -669,31 +669,10 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
                     if o is None:
                         o = stamps[rho] = {kappa: s for s, kappa
                                            in enumerate(delta[rho])}
-                    # f = -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k;
-                    # a monomial f = fv * t**fe times a monomial is added
-                    # inline
-                    if len(entry) == 1:
-                        (e, v), = entry.items()
-                        f, fe, fv = None, e - k, -c * v
-                    else:
-                        f = {e - k: -c * v for e, v in entry.items()}
+                    # f = -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k
+                    f = {e - k: -c * v for e, v in entry.items()}
                     for kappa, p in pivot_row.items():
-                        old = row.get(kappa)
-                        if f is None and len(p) == 1:
-                            (e, v), = p.items()
-                            e += fe
-                            v *= fv
-                            if old is None:
-                                new = {e: v}
-                            else:
-                                new = dict(old)
-                                v += new.get(e, 0)
-                                if v:
-                                    new[e] = v
-                                else:
-                                    del new[e]
-                        else:
-                            new = _add_product(old or {}, f or {fe: fv}, p)
+                        new = _add_product(row.get(kappa, {}), f, p)
                         if new:
                             if kappa not in row:
                                 C[kappa].add(rho)
