@@ -273,7 +273,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # CPython 3.10-3.12 read an option value of exactly "--", as in
+        # --a=--, as no value at all, [] (3.13 keeps the string); no
+        # option here takes a list
+        if isinstance(value, list):
+            parser.error(f"argument --{name}: expected one argument, "
+                         f"not '--'")
     try:
         return args.func(args)
     except (NotAChainComplex, InternalInconsistency) as exc:

@@ -11,7 +11,7 @@ coboundary multiplies the 0-th face term by the transport a**z(v0, v1).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .errors import (DegreeOutOfRange, MalformedSimplex, MissingEdge,
                      NotACocycle)
@@ -25,7 +25,7 @@ class SimplicialComplex:
 
     def __init__(self, simplices_by_dim):
         self.simplices = [sorted(s) for s in simplices_by_dim]
-        self.index = [{s: i for i, s in enumerate(level)}
+        self.index = [dict(zip(level, range(len(level))))
                       for level in self.simplices]
         self._cup_tables = {}
         self._coface_tables = {}
@@ -132,17 +132,16 @@ class SimplicialComplex:
 
 def build_complex(maximal_simplices) -> SimplicialComplex:
     """Face closure of the given simplices, deduplicated and sorted."""
-    levels = []  # levels[k - 1]: the set of faces with k vertices
+    tops = []
     for s in maximal_simplices:
         tup = tuple(s)
         if len(set(tup)) != len(tup):
             raise MalformedSimplex(f"repeated vertex in {tup}")
-        tup = tuple(sorted(tup))
-        while len(levels) < len(tup):
-            levels.append(set())
-        for k in range(1, len(tup) + 1):
-            levels[k - 1].update(combinations(tup, k))
-    return SimplicialComplex(levels)
+        tops.append(tuple(sorted(tup)))
+    # level k - 1: the faces with k vertices, as k-subsets of sorted tuples
+    return SimplicialComplex(
+        set(chain.from_iterable(map(combinations, tops, repeat(k))))
+        for k in range(1, max(map(len, tops), default=0) + 1))
 
 
 class OneCocycle:
@@ -209,13 +208,12 @@ def validate_cocycle(complex: SimplicialComplex, edge_values: dict,
     extra = set(edge_values) - set(values)
     if extra:
         raise MissingEdge(f"cocycle assigns values to non-edges: {sorted(extra)}")
-    z = OneCocycle(complex, values)
     if complex.dim >= 2:
         for tri in complex.simplices[2]:
             u, v, w = tri
-            if z.value(u, v) + z.value(v, w) - z.value(u, w) != 0:
+            if values[u, v] + values[v, w] != values[u, w]:
                 raise NotACocycle(tri)
-    return z
+    return OneCocycle(complex, values)
 
 
 def class_rank_and_divisibility(complex: SimplicialComplex, z: OneCocycle):

@@ -10,6 +10,7 @@ torus cohomology (kernel/cokernel of h* - a on the fiber).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .complexes import (SimplicialComplex, OneCocycle, build_complex,
                         coboundary_of_vertex_function, validate_cocycle)
@@ -414,10 +415,11 @@ def space_to_json(space: GeneratedSpace) -> dict:
 
 
 def _int_lists(value, what: str, width=None):
-    """``value`` itself if it is a list of integer lists (of ``width``)."""
-    if isinstance(value, list) and all(
-            isinstance(s, list) and (width is None or len(s) == width)
-            and all(type(v) is int for v in s) for s in value):
+    """``value`` itself if it is a list of integer lists (of ``width``);
+    an integer is of type int exactly, so a JSON boolean is none."""
+    if (isinstance(value, list) and all(map(isinstance, value, repeat(list)))
+            and (width is None or set(map(len, value)) <= {width})
+            and {int}.issuperset(map(type, chain.from_iterable(value)))):
         return value
     shape = "integer lists" if width is None else f"integer {width}-lists"
     raise MalformedInput(f"{what} must be a list of {shape}")
@@ -443,9 +445,8 @@ def space_from_json(data: dict) -> GeneratedSpace:
     """Inverse of ``space_to_json``; a document of the wrong shape raises
     MalformedInput."""
     _object(data, "a space")
-    complex = build_complex(
-        [tuple(s) for s in _int_lists(data.get("maximal_simplices"),
-                                      "maximal_simplices")])
+    complex = build_complex(_int_lists(data.get("maximal_simplices"),
+                                       "maximal_simplices"))
     edges = {}
     cocycle = _object(data.get("cocycle", {}), "cocycle")
     for u, v, val in _int_lists(cocycle.get("edges", []), "cocycle edges", 3):
@@ -459,8 +460,8 @@ def space_from_json(data: dict) -> GeneratedSpace:
     if "cut" in data:
         c = _object(data["cut"], "cut")
         cut = CutPresentation(
-            build_complex([tuple(s) for s in _int_lists(c.get("N"), "cut N")]),
-            build_complex([tuple(s) for s in _int_lists(c.get("V"), "cut V")]),
+            build_complex(_int_lists(c.get("N"), "cut N")),
+            build_complex(_int_lists(c.get("V"), "cut V")),
             dict(_int_lists(c.get("i_plus"), "cut i_plus", 2)),
             dict(_int_lists(c.get("i_minus"), "cut i_minus", 2)))
     dimension = _typed(data, "dimension", int, "an integer", complex.dim)

@@ -70,13 +70,22 @@ def _to_poly(p: dict, shift: int) -> Poly:
     return Poly(coeffs)
 
 
+# The constant entries of coboundary rows, shared by every row that holds
+# one: _SIGNED[sign][i % 2] is sign * (-1)**i.  No Laurent entry is ever
+# changed in place (the reduction and every evaluation build new ones), so
+# rows may share them.
+_PLUS, _MINUS = {0: 1}, {0: -1}
+_SIGNED = {1: (_PLUS, _MINUS), -1: (_MINUS, _PLUS)}
+
+
 def _face_row(cols, sigma, transport: int, sign: int) -> dict:
     """sign times the coboundary row of the simplex sigma, as ``{column:
     Laurent polynomial}``: the i-th face, at column cols[face], carries
     (-1)**i, and the 0-th face also t**transport."""
-    row = {cols[sigma[1:]]: {transport: sign}}
+    signed = _SIGNED[sign]
+    row = {cols[sigma[1:]]: {transport: sign} if transport else signed[0]}
     for i in range(1, len(sigma)):
-        row[cols[sigma[:i] + sigma[i + 1:]]] = {0: sign * (-1) ** i}
+        row[cols[sigma[:i] + sigma[i + 1:]]] = signed[i & 1]
     return row
 
 
@@ -87,27 +96,33 @@ def _simplices(complex: SimplicialComplex, q: int):
 def sparse_coboundary(complex: SimplicialComplex, z: OneCocycle, q: int):
     """Twisted coboundary delta_q over Z[t, 1/t]: one ``{column: Laurent
     polynomial}`` row per (q+1)-simplex.  The 0-th face carries the
-    transport t**z(v0, v1), the i-th face the sign (-1)**i."""
-    return [_face_row(complex.index[q], sigma, z.value(sigma[0], sigma[1]), 1)
+    transport t**z(v0, v1), the i-th face the sign (-1)**i; a simplex is
+    sorted, so (v0, v1) is an edge as the cocycle stores it."""
+    cols, values = complex.index[q], z.values
+    return [_face_row(cols, sigma, values[sigma[:2]], 1)
             for sigma in complex.simplices[q + 1]]
 
 
 def check_square_zero(deltas) -> None:
     """Raise NotAChainComplex unless delta_{q+1} delta_q = 0 for every q;
     ``deltas[q]`` holds the sparse Laurent rows of delta_q.  Each row of
-    delta_q is flattened once into (column, exponent, coefficient) triples,
-    and each row of delta_{q+1} delta_q is summed over them into one
-    ``{(column, exponent): int}``."""
+    delta_q is flattened once into (key, coefficient) pairs, and each row
+    of delta_{q+1} delta_q is summed over them into one ``{key: int}``.
+    The key of column k and exponent e is k + e * n, with n above every
+    column of delta_q, so distinct (k, e) never share a key, whatever the
+    sign of e."""
     for q in range(len(deltas) - 1):
-        flat = [[(k, f, d) for k, r in row.items() for f, d in r.items()]
+        n = 1 + max(map(max, filter(None, deltas[q])), default=0)
+        flat = [[(k + f * n, d) for k, r in row.items() for f, d in r.items()]
                 for row in deltas[q]]
         for row in deltas[q + 1]:
             acc = {}
             for j, p in row.items():
                 terms = flat[j]
                 for e, c in p.items():
-                    for k, f, d in terms:
-                        key = (k, e + f)
+                    shift = e * n
+                    for b, d in terms:
+                        key = b + shift
                         acc[key] = acc.get(key, 0) + c * d
             if any(acc.values()):
                 raise NotAChainComplex(
@@ -225,7 +240,7 @@ class CoboundaryRows:
         if row is None:
             sigma = self.complex.simplices[self.q + 1][tau]
             laurent = _face_row(self.complex.index[self.q], sigma,
-                                self.z.value(sigma[0], sigma[1]), 1)
+                                self.z.values[sigma[:2]], 1)
             row = self._rows[tau] = {j: self._ev(p)
                                      for j, p in laurent.items()}
         return row
@@ -566,7 +581,8 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
     pivot costs work in proportion to the rows it changes, not to delta_q.
     The working rows and columns of delta_q are built in one pass when its
     degree is reached, without the q-cells already eliminated as a tau;
-    ``is_unit`` is asked once per entry then and once per entry a Schur
+    ``is_unit`` is asked then once per distinct entry object, which the
+    entries +-1 of coboundary rows share, and once per entry a Schur
     update changes.  An entry's stamp orders it within its row: an initial
     entry's is its position in ``deltas[q][tau]``, a filled-in entry's is
     drawn from a counter above every position, and a row's stamps are
@@ -592,21 +608,21 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
     for q, delta in enumerate(deltas):
         live = alive[q]   # q-cells not eliminated as a tau in degree q - 1
         R = {}        # tau -> row of delta_q, {sigma: Laurent polynomial}
-        C = {}        # sigma -> the rows with an entry in column sigma
+        C = {sigma: set() for sigma in live}   # sigma -> rows with an entry
         units = {}    # tau -> {sigma: stamp} of its unit entries
         least = {}    # sigma -> least (row length, tau, stamp) of column
+        unit = {}     # id of an entry of delta_q -> is_unit(entry)
         for tau, full in enumerate(delta):
             R[tau] = row = {}
             units[tau] = u = {}
             for s, (sigma, p) in enumerate(full.items()):
                 if sigma in live:
                     row[sigma] = p
-                    col = C.get(sigma)
-                    if col is None:
-                        C[sigma] = {tau}
-                    else:
-                        col.add(tau)
-                    if is_unit(p):
+                    C[sigma].add(tau)
+                    ok = unit.get(id(p))
+                    if ok is None:
+                        ok = unit[id(p)] = is_unit(p)
+                    if ok:
                         u[sigma] = s
             n = len(row)
             for sigma, s in u.items():
@@ -784,9 +800,10 @@ class SimplicialMap:
         for v in source.vertices():
             if v not in self.vertex_map:
                 raise NotAnIsomorphism(f"vertex {v} has no image")
+        image_of = self.vertex_map.__getitem__
         for level in source.simplices:
             for s in level:
-                image = tuple(sorted(self.vertex_map[v] for v in s))
+                image = tuple(sorted(map(image_of, s)))
                 if not target.has_simplex(image):
                     raise NotAnIsomorphism(
                         f"image {image} of simplex {s} is not a simplex")
@@ -870,7 +887,7 @@ class DeformationComplex:
             for s in _simplices(V, q):
                 row = _face_row(wall, s, 0, -1) if q else {}
                 image, sign = cut.i_plus.image_simplex(s)
-                row[N.index[q][image]] = {0: sign}
+                row[N.index[q][image]] = _SIGNED[sign][0]
                 image, sign = cut.i_minus.image_simplex(s)
                 row[N.index[q][image]] = {1: -sign}
                 rows.append(row)

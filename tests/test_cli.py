@@ -293,6 +293,29 @@ def test_malformed_input_exits_2_with_message(argv, stdin_text, monkeypatch,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["twisted-dim", "--a=--"],
+    ["oracle-mv", "--a=--"],
+    ["cup-length", "--candidates=--"],
+    ["thm3-bound", "--approximants=--"],
+    ["crit-bound", "--seed=--"],
+])
+def test_an_option_value_of_a_double_dash_exits_2(argv, tmp_path, capsys):
+    """CPython 3.10-3.12 parse --a=-- into the value [], where 3.13 keeps
+    '--': either way the call exits 2 with a message, through argparse or
+    through main's handler, and never with a traceback."""
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    capsys.readouterr()
+    try:
+        code = main([argv[0], str(path), *argv[1:]])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
 def test_crit_bound_computes_the_jump_locus_once(tmp_path, monkeypatch):
     from novikov import invariants, twisted
     path = tmp_path / "torus.json"

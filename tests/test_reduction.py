@@ -2,6 +2,7 @@
 unreduced simplicial complex it came from, and the transfer maps between
 the two."""
 
+import copy
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -132,6 +133,63 @@ def test_corrupted_sparse_entry_is_not_a_chain_complex(monkeypatch):
     monkeypatch.setattr(twisted, "sparse_coboundary", corrupted)
     with pytest.raises(NotAChainComplex):
         TwistedComplex(s.complex, s.cocycle)
+
+
+def test_square_zero_keeps_columns_apart_at_negative_exponents():
+    """delta_1 delta_0 holds t at column 0 and -1 at column k: a key of
+    stride k for (column, exponent) would give both the key k, and they
+    would cancel.  For every k below the column count the check refuses
+    the product, and passes once a second row makes it vanish."""
+    for ncols in (2, 3, 5):
+        for k in range(1, ncols):
+            row = {0: {0: 1}, k: {-1: -1}}
+            shifted = {0: {1: 1}, k: {0: -1}}      # t * row
+            other = {ncols - 1: {-2: 1}}
+            with pytest.raises(NotAChainComplex):
+                twisted.check_square_zero([[row, shifted, other],
+                                           [{0: {1: 1}}]])
+            twisted.check_square_zero([[row, shifted, other],
+                                       [{0: {1: 1}, 1: {0: -1}}]])
+            with pytest.raises(NotAChainComplex):
+                twisted.check_square_zero([[row, shifted, other],
+                                           [{0: {-3: 1}, 1: {-4: 1}}]])
+            twisted.check_square_zero([[row, shifted, other],
+                                       [{0: {-3: 1}, 1: {-4: -1}}]])
+
+
+def test_reduction_and_transfer_maps_leave_their_input_rows_unchanged(
+        monkeypatch):
+    """Coboundary rows share their constant entries +-1, and a relative
+    complex shares the entries of the rows it is cut from, so no step may
+    change a Laurent entry in place: reducing and evaluating g, f, h and
+    ft leaves every input row as it was."""
+    space = corpus_space("order3")
+    X, z = space.complex, space.cocycle
+    inputs = []
+    real = twisted._unit_pivot_reduction
+
+    def recording(deltas, sizes, is_unit):
+        inputs.append((deltas, copy.deepcopy(deltas)))
+        return real(deltas, sizes, is_unit)
+
+    monkeypatch.setattr(twisted, "_unit_pivot_reduction", recording)
+    T = TwistedComplex(X, z)
+    D = twisted.DeformationComplex(space.cut)
+    copies = [copy.deepcopy(T.rows), copy.deepcopy(D.rows)]
+    A = build_complex([X.simplices[X.dim][0]])
+    reduced = [T.reduced(), D.reduced(), twisted.relative_reduced(X, A, z)]
+    assert len(inputs) == 3
+    for a in (Fraction(3, 2), parse_scalar("@1,1,1")):
+        one = a / a
+        for red in reduced:
+            for q, n in enumerate(red.full_sizes):
+                red.g(q, a)([one] * red.sizes[q])
+                red.f(q, a)([one] * n)
+                red.h(q, a)([one] * n)
+                red.ft(q, a)([one] * red.sizes[q])
+    assert T.rows == copies[0] and D.rows == copies[1]
+    for deltas, before in inputs:
+        assert deltas == before
 
 
 # The transfer maps g: C_red -> C and f: C -> C_red, evaluated at t = a.
