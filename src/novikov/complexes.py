@@ -2,8 +2,9 @@
 twisted Alexander-Whitney cup product.
 
 Simplices are strictly increasing vertex tuples; the global integer order
-on vertices fixes all orientation signs.  A cochain in degree q is a flat
-list of values indexed by the sorted q-simplex list.  Cochain values sit
+on vertices fixes all orientation signs.  A cochain in degree q is a
+sparse dict ``{index: nonzero value}`` over the sorted q-simplex list.
+Cochain values sit
 in the fiber over the first (minimal) vertex of the simplex; the twisted
 coboundary multiplies the 0-th face term by the transport a**z(v0, v1).
 """
@@ -16,8 +17,7 @@ from itertools import chain, combinations, repeat
 from .errors import (DegreeOutOfRange, MalformedSimplex, MissingEdge,
                      NotACocycle)
 from .linalg import kernel_lattice_int
-from .numfield import (FieldElement, Scalar, check_nonzero, scalar_field,
-                       scalar_pow)
+from .numfield import Scalar, check_nonzero, scalar_pow
 
 
 class SimplicialComplex:
@@ -259,7 +259,7 @@ def coboundary_of_vertex_function(complex: SimplicialComplex, f: dict) -> OneCoc
 
 
 def twisted_cup(complex: SimplicialComplex, z: OneCocycle, p: int, q: int,
-                a1: Scalar, a2: Scalar, alpha, beta):
+                a1: Scalar, a2: Scalar, alpha: dict, beta: dict) -> dict:
     """Alexander-Whitney cup product with local-coefficient transport.
 
     alpha is a p-cochain with monodromy a1, beta a q-cochain with monodromy
@@ -271,46 +271,34 @@ def twisted_cup(complex: SimplicialComplex, z: OneCocycle, p: int, q: int,
     The transport exponent z(v_0 -> v_p) is path-independent within a
     simplex by the cocycle condition.
 
-    Only the nonzero entries of alpha are visited: each walks the
+    Cochains are sparse, ``{simplex index: nonzero value}``, and so is the
+    result: no zero is stored.  Each entry of alpha walks the
     (p+q)-simplices whose front face it is (``cup_table``) and multiplies
-    where beta is nonzero, so the cost is the nonzero front entries times
-    their cofaces, plus one power of a2 per distinct exponent.  Every
-    other entry is zero, a field element if a2 or an entry of alpha or
-    beta lies in a number field and a Fraction otherwise, as the product
-    formula gives it for cochains whose entries are all rational or all
-    in one field.
+    where beta has an entry, so the cost follows the support of alpha and
+    its cofaces, plus one power of a2 per distinct exponent.
     """
     check_nonzero(a1)
     check_nonzero(a2)
-    d = p + q
-    if d > complex.dim:
-        return []
-    field = scalar_field(a2) or _field_of(alpha) or _field_of(beta)
-    out = [field.zero() if field else Fraction(0)] * complex.n_simplices(d)
+    if p + q > complex.dim:
+        return {}
     cofaces = complex.cup_table(p, q)
     exponents = z.front_exponents(complex, p)
     powers = {}
-    for i, av in enumerate(alpha):
-        if av and cofaces[i]:
+    out = {}
+    for i, av in alpha.items():
+        if cofaces[i]:
             t = exponents[i]
             w = powers.get(t)
             if w is None:
                 w = powers[t] = scalar_pow(a2, t)
             x = av * w
             for s, j in cofaces[i]:
-                bv = beta[j]
-                if bv:
-                    out[s] = x * bv
+                bv = beta.get(j)
+                if bv is not None:
+                    v = x * bv
+                    if v:
+                        out[s] = v
     return out
-
-
-def _field_of(cochain):
-    """The number field of the first field element in the cochain, or
-    None."""
-    for x in cochain:
-        if isinstance(x, FieldElement):
-            return x.field
-    return None
 
 
 def twisted_coboundary_values(complex: SimplicialComplex, z: OneCocycle,

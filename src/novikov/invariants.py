@@ -17,7 +17,7 @@ from functools import cached_property
 from .complexes import SimplicialComplex, twisted_cup
 from .errors import (InternalInconsistency, NotInSpan,
                      ZeroDivisorEncountered)
-from .linalg import Span, express, nullspace
+from .linalg import Span, express, kernel
 from .matrix import SmithForm, snf
 from .numfield import (FieldElement, NumberField, Scalar, check_nonzero,
                        is_dirichlet_unit, scalar_field, scalar_key,
@@ -215,16 +215,20 @@ class CupLengthCertificate:
     """A reproducible witness for a nontrivial k-fold twisted cup product.
 
     ``factors`` lists (monodromy, degree, cocycle representative, is_unit)
-    in product order; ``witness`` holds the product's coordinates in the
-    cohomology basis at the accumulated monodromy.
+    in product order, each representative a sparse cochain; ``witness``
+    holds the product's coordinates in the cohomology basis at the
+    accumulated monodromy.  ``f_vector`` counts the simplices of the
+    complex, the length of each representative written out in full.
     """
 
-    def __init__(self, k, factors, witness, product_monodromy, total_degree):
+    def __init__(self, k, factors, witness, product_monodromy, total_degree,
+                 f_vector):
         self.k = k
         self.factors = factors
         self.witness = witness
         self.product_monodromy = product_monodromy
         self.total_degree = total_degree
+        self.f_vector = f_vector
 
     def nonunit_count(self):
         return sum(1 for f in self.factors if not f[3])
@@ -255,14 +259,14 @@ class _CohomologyCache:
     """Twisted cohomology of one instance in coordinates, per (monodromy,
     degree), shared by every cup-length search over that instance.
 
-    The cup products run at cochain level, sparsely: each costs the
-    nonzero entries of its left factor times their cofaces, and the
-    representatives g gives are mostly zero.  So do the cocycle checks:
-    ``coboundary(a, q)`` holds the rows of the unreduced coboundary at a,
-    each evaluated the first time a check meets it, and a check walks only
-    the rows of the cofaces of its vector's support.  Everything else
-    reads the unit-pivot-reduced complex C_red and its transfer maps at
-    t = a,
+    Representatives, products and every other cochain are sparse,
+    ``{index: nonzero value}``, and each cost follows a vector's support:
+    a cup product costs the entries of its left factor times their
+    cofaces, and the representatives g gives are mostly zero.  A cocycle
+    check walks only the rows of the cofaces of its vector's support in
+    ``coboundary(a, q)``, the unreduced coboundary at a, each row
+    evaluated the first time a check meets it.  Everything else reads the
+    unit-pivot-reduced complex C_red and its transfer maps at t = a,
     g: C_red -> C and f: C -> C_red (``ReducedComplex.g``/``f``), with
     f g = id.  ``dim`` reads dim H^q(E_a) off the reduced ranks, so a
     degree whose cohomology vanishes costs one rank evaluation.  Otherwise
@@ -308,16 +312,13 @@ class _CohomologyCache:
         red = self.data.reduced
         n = red.sizes[q]
         field = scalar_field(a)
-        zero = field.zero() if field else Fraction(0)
-        one = field.one() if field else Fraction(1)
         projector = Span(n + b)
         for column in (_reduced_columns(red, q - 1, a) if q > 0 else ()):
             projector.insert(column)
         upper = evaluate_rows(red.rows[q], a) if q < len(red.rows) else []
         basis = []
-        for v in nullspace([[row.get(j, 0) for j in range(n)]
-                            for row in upper], n, zero, one):
-            row = projector.residue(list(v) + [0] * len(basis) + [1])
+        for v in kernel(upper, n):
+            row = projector.reduce({**v, n + len(basis): 1})
             if min(row) < n:  # v is independent modulo coboundaries
                 projector.insert(row)
                 basis.append(v)
@@ -328,8 +329,9 @@ class _CohomologyCache:
         g = red.g(q, a)
         reps = [g(v) for v in basis]
         if field is not None:
-            reps = [[x if isinstance(x, FieldElement)
-                     else field.from_rational(x) for x in v] for v in reps]
+            reps = [{j: x if isinstance(x, FieldElement)
+                     else field.from_rational(x) for j, x in v.items()}
+                    for v in reps]
         for v in reps:
             if not self._is_cocycle(a, q, v):
                 raise InternalInconsistency(
@@ -359,7 +361,7 @@ class _CohomologyCache:
             raise InternalInconsistency(
                 f"a cup product in degree {q} is not a cocycle")
         n = projector.ncols - len(reps)
-        row = projector.residue(f(vec))
+        row = projector.reduce(f(vec))
         if row and min(row) < n:
             raise InternalInconsistency(
                 f"a cup product in degree {q} projects to no reduced cocycle")
@@ -388,9 +390,21 @@ def _reduced_columns(red: ReducedComplex, q: int, a: Scalar):
     return columns
 
 
-def _pairing(u, v):
-    """The Kronecker pairing of a dense cochain with a dense chain."""
-    return sum(x * y for x, y in zip(u, v) if x and y)
+def _pairing(u: dict, v: dict):
+    """The Kronecker pairing of a cochain with a chain."""
+    return sum(x * v[j] for j, x in u.items() if j in v)
+
+
+def _add(u: dict, v: dict, c=1) -> dict:
+    """u + c * v for sparse vectors and a nonzero c, as a new vector."""
+    out = dict(u)
+    for j, x in v.items():
+        y = out.get(j, 0) + c * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+    return out
 
 
 class _DPState:
@@ -501,9 +515,8 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
     return best, found, skipped
 
 
-def cup_length(X, z, candidates, *, manifold=False, require_nonunits=2,
-               jumps=None, seed=None, mode="exhaustive-over-candidates",
-               cache=None):
+def cup_length(X, z, candidates, *, manifold=False, jumps=None, seed=None,
+               mode="exhaustive-over-candidates", cache=None):
     """Longest certified nontrivial product of positive-degree twisted classes.
 
     ``X`` and ``z`` are read as by ``TwistedData.of``; ``cache``, a
@@ -532,10 +545,10 @@ def cup_length(X, z, candidates, *, manifold=False, require_nonunits=2,
         if any(scalar_key(c) == key for c in cands):
             continue
         cands.append(a)
-    cl, found, skipped = _search(cache, cands, require_nonunits)
+    cl, found, skipped = _search(cache, cands, 2)
     certificate = None
     if found is not None:
-        certificate = _extract_certificate(cl, *found)
+        certificate = _extract_certificate(cl, *found, X.f_vector())
     notes = []
     if manifold and cl < 2:
         dual = _duality_bound(
@@ -554,7 +567,7 @@ def cup_length(X, z, candidates, *, manifold=False, require_nonunits=2,
     return report
 
 
-def _extract_certificate(k, m, degree, st):
+def _extract_certificate(k, m, degree, st, f_vector):
     coords, prov = st.vectors[0]
     factors = []
     while prov is not None:
@@ -570,7 +583,7 @@ def _extract_certificate(k, m, degree, st):
     else:
         witness = [c.as_rational() if isinstance(c, FieldElement)
                    else Fraction(c) for c in coords]
-    return CupLengthCertificate(k, factors, witness, m, degree)
+    return CupLengthCertificate(k, factors, witness, m, degree, f_vector)
 
 
 def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
@@ -599,23 +612,17 @@ def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
             raise InternalInconsistency(
                 f"certificate representative in degree {d} is not a "
                 "cocycle")
-    a0, d0, v0, _ = cert.factors[0]
-    m, d, product = a0, d0, list(v0)
+    m, d, product, _ = cert.factors[0]
     for a, e, w, _unit in cert.factors[1:]:
         product = twisted_cup(X, z, d, e, m, a, product, w)
         m = scalar_mul(m, a)
         d += e
     reps, _projector, f = cache._basis(m, d)
     red = cache.data.reduced
-    field = scalar_field(m)
-    zero = field.zero() if field else Fraction(0)
-    one = field.one() if field else Fraction(1)
-    n = red.sizes[d]
-    columns = [[col.get(i, 0) for i in range(n)]
-               for col in _reduced_columns(red, d - 1, m)]
+    columns = _reduced_columns(red, d - 1, m)
     delta = cache.coboundary(m, d - 1)
     reduced_product = f(product)
-    dual = next((c for c in nullspace(columns, n, zero, one)
+    dual = next((c for c in kernel(map(dict, columns), red.sizes[d])
                  if _pairing(reduced_product, c)), None)
     if dual is None:
         raise InternalInconsistency(
@@ -628,12 +635,11 @@ def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
     diff = product
     for x, r in zip(cert.witness, reps):
         if x:
-            diff = [y - x * e for y, e in zip(diff, r)]
-    y = express(columns, f(diff), zero)
+            diff = _add(diff, r, -x)
+    y = express(columns, f(diff))
     if (len(cert.witness) != len(reps) or y is None
-            or delta.apply([u + v for u, v in zip(red.h(d, m)(diff),
-                                                  red.g(d - 1, m)(y))])
-            != {i: x for i, x in enumerate(diff) if x}):
+            or delta.apply(_add(red.h(d, m)(diff), red.g(d - 1, m)(y)))
+            != diff):
         raise InternalInconsistency(
             "certificate witness does not match the re-evaluated product")
     if cert.nonunit_count() < 2:
@@ -786,19 +792,27 @@ def _scalar_json(a: Scalar):
     return _frac_str(a)
 
 
+def _cochain_json(a: Scalar, w: dict, n: int) -> list:
+    """A sparse cochain at monodromy a written out in full, n entries, its
+    zeros as "0" or as the zero of a's number field."""
+    field = scalar_field(a)
+    out = [_scalar_json(field.zero()) if field else "0"] * n
+    for j, c in w.items():
+        out[j] = _scalar_json(c)
+    return out
+
+
 def certificate_json(cert):
     if cert is None:
         return None
     return {
         "k": cert.k,
         "factors": [{"monodromy": _scalar_json(a), "degree": d,
-                     "representative": [_frac_str(c) if not isinstance(c, FieldElement)
-                                        else _scalar_json(c) for c in w],
+                     "representative": _cochain_json(a, w, cert.f_vector[d]),
                      "is_unit": u}
                     for a, d, w, u in cert.factors],
         "witness": None if cert.witness is None
-        else [_frac_str(c) if not isinstance(c, FieldElement)
-              else _scalar_json(c) for c in cert.witness],
+        else [_scalar_json(c) for c in cert.witness],
         "total_degree": cert.total_degree,
         "product_monodromy": _scalar_json(cert.product_monodromy),
     }

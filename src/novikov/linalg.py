@@ -98,13 +98,7 @@ class Span:
         return self.insert(_sparse(vec))
 
     def contains(self, vec) -> bool:
-        return not self.residue(vec)
-
-    def residue(self, vec) -> dict:
-        """What is left of a dense vector once every pivot column of the
-        span is cleared from it, as a sparse vector; ``{}`` iff the span
-        contains it."""
-        return self.reduce(_sparse(vec))
+        return not self.reduce(_sparse(vec))
 
 
 def _echelon(sparse_rows, ncols: int, reduced: bool) -> Span:
@@ -158,28 +152,21 @@ def nullspace(rows, ncols: int, zero, one):
     return out
 
 
-def express(generators, target, zero):
-    """Coefficients x with sum x_i * generators[i] = target, or None.
-
-    Free variables are set to zero; entries take the type of ``zero``.
-    """
+def express(generators, target: dict):
+    """Coefficients x with sum x_i * generators[i] = target, as a sparse
+    vector ``{i: x_i}``, or None; the generators and the target are sparse
+    vectors.  Free variables are set to zero."""
     k = len(generators)
-    rows = [{} for _ in target]
+    rows = {}
     for i, g in enumerate(generators):
-        for r, x in enumerate(g):
-            if x:
-                rows[r][i] = x
-    for r, x in enumerate(target):
-        if x:
-            rows[r][k] = x
-    pivots = _echelon(rows, k + 1, reduced=True).rows
+        for r, x in g.items():
+            rows.setdefault(r, {})[i] = x
+    for r, x in target.items():
+        rows.setdefault(r, {})[k] = x
+    pivots = _echelon(rows.values(), k + 1, reduced=True).rows
     if k in pivots:
         return None  # inconsistent
-    coeffs = [zero] * k
-    for p, row in pivots.items():
-        if k in row:
-            coeffs[p] = zero + row[k]
-    return coeffs
+    return {p: row[k] for p, row in pivots.items() if k in row}
 
 
 def kernel_lattice_int(rows, ncols: int):

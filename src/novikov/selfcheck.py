@@ -59,32 +59,35 @@ def check_leibniz(report):
     for _ in range(10):
         a1, a2 = _random_rationals(rng, 2)
         for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            u = [Fraction(rng.randint(-3, 3)) for _ in range(X.n_simplices(p))]
-            v = [Fraction(rng.randint(-3, 3)) for _ in range(X.n_simplices(q))]
+            u = _random_cochain(rng, X.n_simplices(p))
+            v = _random_cochain(rng, X.n_simplices(q))
             ok = ok and _leibniz_holds(X, z, p, q, a1, a2, u, v)
     report("twisted Leibniz identity", ok)
 
 
+def _random_cochain(rng, n):
+    """n values drawn from -3..3, as a sparse cochain."""
+    return {j: Fraction(x) for j in range(n) if (x := rng.randint(-3, 3))}
+
+
 def _apply(rows, vec):
-    return [sum(r[j] * vec[j] for j in range(len(vec))) for r in rows]
+    """A dense matrix times a sparse vector, as a sparse vector."""
+    out = (sum(row[j] * y for j, y in vec.items()) for row in rows)
+    return {i: x for i, x in enumerate(out) if x}
 
 
 def _leibniz_holds(X, z, p, q, a1, a2, u, v):
-    lhs_vec = twisted_cup(X, z, p, q, a1, a2, u, v)
-    d_rows = twisted_coboundary_values(X, z, p + q, a1 * a2)
-    lhs = _apply(d_rows, lhs_vec) if d_rows else []
-    du = _apply(twisted_coboundary_values(X, z, p, a1) or [], u)
-    dv = _apply(twisted_coboundary_values(X, z, q, a2) or [], v)
-    term1 = twisted_cup(X, z, p + 1, q, a1, a2, du, v) if p + 1 + q <= X.dim else []
-    term2 = twisted_cup(X, z, p, q + 1, a1, a2, u, dv) if p + q + 1 <= X.dim else []
+    """The Leibniz identity for sparse cochains u and v, with every
+    coboundary taken from the dense ``twisted_coboundary_values``."""
+    lhs = _apply(twisted_coboundary_values(X, z, p + q, a1 * a2),
+                 twisted_cup(X, z, p, q, a1, a2, u, v))
+    du = _apply(twisted_coboundary_values(X, z, p, a1), u)
+    dv = _apply(twisted_coboundary_values(X, z, q, a2), v)
+    term1 = twisted_cup(X, z, p + 1, q, a1, a2, du, v)
+    term2 = twisted_cup(X, z, p, q + 1, a1, a2, u, dv)
     sign = (-1) ** p
-    n = max(len(lhs), len(term1), len(term2))
-
-    def at(vec, i):
-        return vec[i] if i < len(vec) else Fraction(0)
-
-    return all(at(lhs, i) == at(term1, i) + sign * at(term2, i)
-               for i in range(n))
+    return all(lhs.get(i, 0) == term1.get(i, 0) + sign * term2.get(i, 0)
+               for i in {*lhs, *term1, *term2})
 
 
 def check_oracle_vs_generic(report):

@@ -30,7 +30,7 @@ from itertools import count
 from .complexes import SimplicialComplex, OneCocycle, twisted_coboundary_values
 from .errors import (DegreeOutOfRange, DimensionMismatch, ExponentTooLarge,
                      NotAChainComplex, NotAnIsomorphism)
-from .linalg import Span, nullspace, rank
+from .linalg import Span, kernel, nullspace, rank
 from .matrix import PolyMatrix
 from .numfield import (Scalar, check_nonzero, scalar_field, scalar_key,
                        scalar_pow)
@@ -219,10 +219,11 @@ class CoboundaryRows:
     """The unreduced twisted coboundary delta_q at t = a, a row at a time.
 
     The row of a (q+1)-simplex is built and evaluated the first time a
-    product needs it, and kept.  ``apply`` and ``apply_transpose`` walk
-    only the rows that meet the support of their vector, the first through
-    the complex's coface table, so each costs in proportion to that
-    support and the cofaces of its cells, not to the number of simplices.
+    product needs it, and kept.  ``apply`` and ``apply_transpose`` take and
+    return sparse vectors ``{index: nonzero value}`` and walk only the rows
+    that meet their vector's support, the first through the complex's
+    coface table, so each costs in proportion to that support and the
+    cofaces of its cells, not to the number of simplices.
     """
 
     def __init__(self, complex: SimplicialComplex, z: OneCocycle, q: int,
@@ -245,32 +246,29 @@ class CoboundaryRows:
                                      for j, p in laurent.items()}
         return row
 
-    def apply(self, vec) -> dict:
-        """delta_q vec at a for a dense q-cochain, as ``{row: value}``
-        without zeros; {} exactly when vec is a cocycle."""
+    def apply(self, vec: dict) -> dict:
+        """delta_q vec at a for a q-cochain; {} exactly when vec is a
+        cocycle."""
         cofaces = self.complex.coface_table(self.q)
         rows = self._rows
         out = {}
-        for j, x in enumerate(vec):
-            if x:
-                for tau in cofaces[j]:
-                    v = x * (rows.get(tau) or self.row(tau))[j]
-                    old = out.get(tau)
-                    out[tau] = v if old is None else old + v
+        for j, x in vec.items():
+            for tau in cofaces[j]:
+                v = x * (rows.get(tau) or self.row(tau))[j]
+                old = out.get(tau)
+                out[tau] = v if old is None else old + v
         return {tau: v for tau, v in out.items() if v}
 
-    def apply_transpose(self, chain) -> dict:
-        """The transpose of delta_q at a applied to a dense (q+1)-chain,
-        as ``{column: value}`` without zeros; {} exactly when the chain is
-        a cycle."""
+    def apply_transpose(self, chain: dict) -> dict:
+        """The transpose of delta_q at a applied to a (q+1)-chain; {}
+        exactly when the chain is a cycle."""
         rows = self._rows
         out = {}
-        for tau, c in enumerate(chain):
-            if c:
-                for j, x in (rows.get(tau) or self.row(tau)).items():
-                    v = c * x
-                    old = out.get(j)
-                    out[j] = v if old is None else old + v
+        for tau, c in chain.items():
+            for j, x in (rows.get(tau) or self.row(tau)).items():
+                v = c * x
+                old = out.get(j)
+                out[j] = v if old is None else old + v
         return {j: v for j, v in out.items() if v}
 
 
@@ -323,7 +321,10 @@ class ReducedComplex:
     "Morse theory from an algebraic viewpoint", 2006), evaluated at a
     scalar by ``g`` and ``f``, with f g the identity, and the homotopy
     ``h``, with x - g f x = delta h x + h delta x; ``ft`` is f
-    transposed.
+    transposed.  The maps take and return sparse vectors ``{index: nonzero
+    value}``, indexed by simplex on the full complex and by position in
+    ``cells[q]`` on the reduced one; they store no zero, and ``f`` and
+    ``h`` visit only the steps their vector's support reaches.
 
     ``at_zero`` says whether the complex may be read at t = 0, which
     ``DeformationComplex`` sets: its entries are polynomials in t and its
@@ -390,7 +391,7 @@ class ReducedComplex:
         return r
 
     def g(self, q: int, a: Scalar):
-        """The inclusion C_red^q -> C^q at t = a, as a map of dense vectors.
+        """The inclusion C_red^q -> C^q at t = a.
 
         A reduced cochain is extended to the eliminated cells in reverse
         order of elimination: sigma of a degree-q pivot gets
@@ -401,18 +402,16 @@ class ReducedComplex:
         """
         self._check_point(a)
         extend = self._backward(q, a)
-        n, cells = self.full_sizes[q], self.cells[q]
+        cells = self.cells[q]
 
         def g(x):
-            full = [0] * n
-            for cell, v in zip(cells, x):
-                full[cell] = v
+            full = {cells[i]: v for i, v in x.items()}
             extend(full, {})
             return full
         return g
 
     def f(self, q: int, a: Scalar):
-        """The projection C^q -> C_red^q at t = a, as a map of dense vectors.
+        """The projection C^q -> C_red^q at t = a.
 
         For each pivot of degree q - 1, whose tau is a q-cell, in
         elimination order, every cleared rho loses
@@ -426,14 +425,14 @@ class ReducedComplex:
         cells = self.cells[q]
 
         def f(v):
-            y = list(v)
+            y = dict(v)
             clear(y, None)
-            return [y[cell] for cell in cells]
+            return {i: y[cell] for i, cell in enumerate(cells) if cell in y}
         return f
 
     def h(self, q: int, a: Scalar):
-        """The homotopy C^q -> C^{q-1} at t = a, as a map of dense vectors,
-        with x - g f x = delta h x + h delta x in every degree.
+        """The homotopy C^q -> C^{q-1} at t = a, with
+        x - g f x = delta h x + h delta x in every degree.
 
         It composes the one-step homotopies y -> u**-1 * y[tau] at sigma
         of the pivots of degree q - 1.  The pass of ``f`` over them, in
@@ -447,19 +446,17 @@ class ReducedComplex:
         self._check_point(a)
         clear = self._forward(q, a, every=True)
         extend = self._backward(q - 1, a)
-        n = self.full_sizes[q - 1] if q > 0 else 0
 
         def h(x):
-            values = {}
-            clear(list(x), values)
-            out = [0] * n
+            values, out = {}, {}
+            clear(dict(x), values)
             extend(out, values)
             return out
         return h
 
     def ft(self, q: int, a: Scalar):
         """The transpose of ``f`` at t = a, C_red^q -> C^q on dual vectors
-        (chains), as a map of dense vectors.
+        (chains).
 
         A reduced chain is placed on the surviving cells; then, for each
         pivot of degree q - 1 in reverse elimination order, tau gets
@@ -469,86 +466,96 @@ class ReducedComplex:
         c[rho] is nonzero, and kept for later vectors.
         """
         self._check_point(a)
-        ev = _evaluator(a)
-        steps = [(tau, k, c, cleared)
-                 for pq, tau, _sigma, k, c, _b, cleared in reversed(self.pivots)
-                 if pq == q - 1 and cleared]
-        known = [None] * len(steps)
-        n, cells = self.full_sizes[q], self.cells[q]
+        extend = _extension(
+            [(tau, k, c, cleared)
+             for pq, tau, _sigma, k, c, _b, cleared in reversed(self.pivots)
+             if pq == q - 1 and cleared], a)
+        cells = self.cells[q]
 
         def ft(c_red):
-            full = [0] * n
-            for cell, v in zip(cells, c_red):
-                full[cell] = v
-            for i, (tau, k, c, cleared) in enumerate(steps):
-                if not any(full[rho] for rho, _p in cleared):
-                    continue
-                terms = known[i]
-                if terms is None:
-                    w = c * _power(a, -k)
-                    terms = known[i] = [(rho, w * ev(p))
-                                        for rho, p in cleared]
-                acc = 0
-                for rho, w in terms:
-                    v = full[rho]
-                    if v:
-                        acc += w * v
-                full[tau] = -acc
+            full = {cells[i]: v for i, v in c_red.items()}
+            extend(full, {})
             return full
         return ft
 
     def _forward(self, q: int, a: Scalar, every: bool = False):
         """The pass of ``f`` over the pivots of degree q - 1, as a function
-        of a dense q-cochain y, changed in place, and a dict or None: the
-        dict receives u**-1 * y[tau] at sigma for each step with
-        y[tau] != 0.  Pivots that cleared nothing leave y as it is, and
-        are passed over unless ``every`` asks for their values too."""
+        of a q-cochain y, changed in place, and a dict or None: the dict
+        receives u**-1 * y[tau] at sigma for each step with y[tau] != 0.
+        Pivots that cleared nothing leave y as it is, and are passed over
+        unless ``every`` asks for their values too.
+
+        Only the steps whose tau is in y's support are visited, in
+        elimination order through a heap of step numbers.  A step reads and
+        drops y[tau], skips its entries that vanish at a, and adds entries
+        only at later taus: the rows it clears were not yet eliminated."""
         ev = _evaluator(a)
         steps = [(tau, sigma, k, c, cleared)
                  for pq, tau, sigma, k, c, _b, cleared in self.pivots
                  if pq == q - 1 and (every or cleared)]
+        order = {step[0]: i for i, step in enumerate(steps)}
         known = [None] * len(steps)
 
         def clear(y, values):
-            for i, (tau, sigma, k, c, cleared) in enumerate(steps):
-                yt = y[tau]
-                if yt:
-                    step = known[i]
-                    if step is None:
-                        w = c * _power(a, -k)
-                        step = known[i] = (w, [(rho, w * ev(p))
-                                               for rho, p in cleared])
-                    if values is not None:
-                        values[sigma] = step[0] * yt
-                    for rho, w in step[1]:
-                        y[rho] -= w * yt
+            todo = [order[tau] for tau in y if tau in order]
+            heapify(todo)
+            while todo:
+                i = heappop(todo)
+                tau, sigma, k, c, cleared = steps[i]
+                yt = y.pop(tau, None)
+                if yt is None:
+                    continue
+                step = known[i]
+                if step is None:
+                    w = c * _power(a, -k)
+                    step = known[i] = (w, [(rho, x) for rho, p in cleared
+                                           if (x := w * ev(p))])
+                if values is not None:
+                    values[sigma] = step[0] * yt
+                for rho, w in step[1]:
+                    v = y.get(rho, 0) - w * yt
+                    if not v:
+                        del y[rho]
+                        continue
+                    if rho not in y and rho in order:
+                        heappush(todo, order[rho])
+                    y[rho] = v
         return clear
 
     def _backward(self, q: int, a: Scalar):
         """The pass of ``g`` over the pivots of degree q, in reverse order,
-        as a function of a dense q-cochain, changed in place, and a dict
-        of values added at the sigmas."""
-        ev = _evaluator(a)
-        steps = [(sigma, k, c, b)
-                 for pq, _tau, sigma, k, c, b, _cleared in reversed(self.pivots)
-                 if pq == q]
-        known = [None] * len(steps)
+        as an ``_extension``."""
+        return _extension(
+            [(sigma, k, c, b.items())
+             for pq, _tau, sigma, k, c, b, _cleared in reversed(self.pivots)
+             if pq == q], a)
 
-        def extend(full, values):
-            for i, (sigma, k, c, b) in enumerate(steps):
-                acc = values.get(sigma, 0)
-                if any(full[kappa] for kappa in b):
-                    terms = known[i]
-                    if terms is None:
-                        w = -c * _power(a, -k)
-                        terms = known[i] = [(kappa, w * ev(p))
-                                            for kappa, p in b.items()]
-                    for kappa, w in terms:
-                        v = full[kappa]
-                        if v:
-                            acc += w * v
-                full[sigma] = acc
-        return extend
+
+def _extension(steps, a: Scalar):
+    """Steps (cell, k, c, terms) of a pass in reverse elimination order, as
+    a function of a sparse vector, changed in place, and a dict of values
+    added at the cells: each step sets its cell, one eliminated, to its
+    value plus -(c * t**k)**-1 * sum_j terms[j] * vector[j] at t = a.  A
+    step's products are evaluated the first time the vector has an entry
+    at some j, and kept for later vectors."""
+    ev = _evaluator(a)
+    known = [None] * len(steps)
+
+    def extend(full, values):
+        for i, (cell, k, c, terms) in enumerate(steps):
+            acc = values.get(cell, 0)
+            if any(j in full for j, _p in terms):
+                products = known[i]
+                if products is None:
+                    w = -c * _power(a, -k)
+                    products = known[i] = [(j, w * ev(p)) for j, p in terms]
+                for j, w in products:
+                    v = full.get(j)
+                    if v is not None:
+                        acc += w * v
+            if acc:
+                full[cell] = acc
+    return extend
 
 
 def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
@@ -948,14 +955,13 @@ def restriction_epi(complex: SimplicialComplex, sub: SimplicialComplex,
     that span has the dimension n_q - rank(delta_q) of Z^q(X).
     """
     check_nonzero(a)
-    field = scalar_field(a)
-    zero = field.zero() if field else Fraction(0)
-    one = field.one() if field else Fraction(1)
     n_q = complex.n_simplices(q)
     delta = sparse_coboundary(complex, z, q) if q < complex.dim else []
     span = column_span(coboundary_at(complex, z, q - 1, a), n_q)
     keep = relative_cochain_indices(complex, sub, q)
-    sliced = [[row.get(j, 0) for j in keep] for row in evaluate_rows(delta, a)]
-    for small in nullspace(sliced, len(keep), zero, one):
-        span.insert({j: x for j, x in zip(keep, small) if x})
+    at = {j: i for i, j in enumerate(keep)}
+    sliced = [{at[j]: x for j, x in row.items() if j in at}
+              for row in evaluate_rows(delta, a)]
+    for small in kernel(sliced, len(keep)):
+        span.insert({keep[i]: x for i, x in small.items()})
     return span.dim == n_q - _evaluated_rank(delta, n_q, a)

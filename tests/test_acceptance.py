@@ -18,7 +18,7 @@ from novikov.invariants import (crit_bound, cup_length, jump_locus,
 from novikov.matrix import PolyMatrix, rank_at, snf
 from novikov.numfield import NumberField, is_dirichlet_unit
 from novikov.polyq import Poly
-from novikov.selfcheck import _leibniz_holds
+from novikov.selfcheck import _leibniz_holds, _random_cochain
 from novikov.twisted import (DeformationComplex, TwistedComplex,
                              check_square_zero, restriction_epi)
 
@@ -225,8 +225,8 @@ def test_algebraic_property_suite():
         check_square_zero(T.rows)
         a1, a2 = _random_rational(rng), _random_rational(rng)
         p, q = rng.randint(0, X.dim - 1), rng.randint(0, X.dim - 1)
-        u = [Fraction(rng.randint(-3, 3)) for _ in range(X.n_simplices(p))]
-        v = [Fraction(rng.randint(-3, 3)) for _ in range(X.n_simplices(q))]
+        u = _random_cochain(rng, X.n_simplices(p))
+        v = _random_cochain(rng, X.n_simplices(q))
         ok = ok and _leibniz_holds(X, z, p, q, a1, a2, u, v)
     elapsed = time.perf_counter() - start
     _report("SNF chains and rank agreement; delta^2 = 0 and Leibniz", ok,

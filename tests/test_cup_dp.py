@@ -67,6 +67,36 @@ def test_pinned_bound_and_certificate(name):
     assert certificate_json(rep.certificate) == PINNED[name]["certificate"]
 
 
+@pytest.mark.parametrize("name, zero", [
+    ("crit_bound surface(2) seed=0", "0"),
+    ("cup_length torus wedge circle [@-1,-3,2, 2, 1/2]",
+     {"minpoly": ["-1", "-3", "2"], "residue": []}),
+])
+def test_certificate_json_writes_a_representative_in_full(name, zero):
+    """A sparse representative is written with one entry per simplex of
+    its degree, its length taken from the f-vector: also when it has no
+    entry at the last simplex, that entry is the zero of its monodromy."""
+    cert = RUNS[name]().certificate
+    a, d, w, unit = cert.factors[0]
+    n = cert.f_vector[d]
+    cert.factors[0] = (a, d, {j: x for j, x in w.items() if j != n - 1},
+                       unit)
+    written = certificate_json(cert)["factors"][0]["representative"]
+    pinned = PINNED[name]["certificate"]["factors"][0]["representative"]
+    assert len(written) == len(pinned) == n
+    assert written == pinned[:-1] + [zero]
+
+
+def _sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _plus(u, v, c=1):
+    """u + c * v for sparse cochains, without zeros."""
+    out = {j: u.get(j, 0) + c * v.get(j, 0) for j in {*u, *v}}
+    return {j: x for j, x in out.items() if x}
+
+
 def _scalar(doc):
     if isinstance(doc, dict):
         return NumberField([int(c) for c in doc["minpoly"]]).element(
@@ -96,9 +126,11 @@ def test_pinned_certificate_is_a_cocycle_and_no_coboundary(name):
                for f in cert["factors"]]
     assert all(is_cocycle(*f) for f in factors)
     (m, d, v), *rest = factors
+    v = _sparse(v)
     for a, e, w in rest:
-        v = twisted_cup(X, z, d, e, m, a, v, w)
+        v = twisted_cup(X, z, d, e, m, a, v, _sparse(w))
         m, d = scalar_mul(m, a), d + e
+    v = [v.get(j, 0) for j in range(X.n_simplices(d))]
     assert scalar_key(m) == scalar_key(_scalar(cert["product_monodromy"]))
     assert d == cert["total_degree"]
     assert is_cocycle(m, d, v)
@@ -110,24 +142,24 @@ def test_pinned_certificate_is_a_cocycle_and_no_coboundary(name):
 
 def test_the_search_builds_no_cochain_level_basis(monkeypatch):
     """Bases come from the reduced complex: no cocycle space, no dense
-    coboundary image and no nullspace over n_q columns.  Nothing on the
+    coboundary image and no kernel over n_q columns.  Nothing on the
     crit_bound path, the certificate re-check included, spans columns or
     evaluates a whole unreduced coboundary."""
     def refuse(*args):
         raise AssertionError("a cochain-level basis built by the search")
 
     widths = []
-    real_nullspace = invariants.nullspace
+    real_kernel = invariants.kernel
 
-    def recording_nullspace(rows, ncols, zero, one):
+    def recording_kernel(rows, ncols, one=1):
         widths.append(ncols)
-        return real_nullspace(rows, ncols, zero, one)
+        return real_kernel(rows, ncols, one)
 
     for name in ("cocycle_space_basis", "coboundary_image_vectors",
                  "column_span", "coboundary_at"):
         monkeypatch.setattr(twisted, name, refuse)
         monkeypatch.setattr(invariants, name, refuse, raising=False)
-    monkeypatch.setattr(invariants, "nullspace", recording_nullspace)
+    monkeypatch.setattr(invariants, "kernel", recording_kernel)
     certified = 0
     for space in (surface(2), connected_sum(torus(), torus()), _klein()):
         reduced = TwistedData.of(space).sizes
@@ -155,7 +187,7 @@ def test_a_cocycle_check_walks_only_the_cofaces_of_its_support(monkeypatch):
 
     def recording(self, a, q, vec):
         cofaces = self.complex.coface_table(q)
-        support = [j for j, x in enumerate(vec) if x]
+        support = list(vec)
         bound = sum(len(cofaces[j]) for j in support)
         before = len(evaluated)
         out = real_is_cocycle(self, a, q, vec)
@@ -216,7 +248,7 @@ def test_coordinates_of_representatives_and_coboundaries():
     assert len(reps) == cache.dim(one, 1) == 4
     for i, v in enumerate(reps):
         assert cache.coords(one, 1, v) == [int(i == j) for j in range(4)]
-    combo = [3 * x - y for x, y in zip(reps[0], reps[2])]
+    combo = _plus(_plus({}, reps[0], 3), reps[2], -1)
     assert cache.coords(one, 1, combo) == [3, 0, -1, 0]
     assert cache.dim(Fraction(2), 2) == 0
     assert cache.reps(Fraction(2), 2) == []
@@ -226,10 +258,9 @@ def test_a_product_that_is_not_a_cocycle_is_refused():
     cache = _surface_cache()
     one = Fraction(1)
     rep = cache.reps(one, 1)[0]
-    edge = [0] * len(rep)
-    edge[0] = 1  # the indicator of one edge is no 1-cocycle
+    edge = {0: 1}  # the indicator of one edge is no 1-cocycle
     with pytest.raises(InternalInconsistency, match="not a cocycle"):
-        cache.coords(one, 1, [x + e for x, e in zip(rep, edge)])
+        cache.coords(one, 1, _plus(rep, edge))
 
 
 def test_representative_count_must_match_the_reduced_dimension(monkeypatch):

@@ -1,5 +1,6 @@
-"""The sparse twisted cup product against the dense loop it replaced, and
-the work counts that keep the cup product and the transfer maps sparse."""
+"""The sparse twisted cup product against the dense loop it replaced, the
+work counts that keep the cup product and the transfer maps sparse, and
+the rule that no sparse cochain they give stores a zero."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -12,9 +13,10 @@ from novikov.cli import parse_scalar
 from novikov.complexes import (build_complex, coboundary_of_vertex_function,
                                twisted_cup)
 from novikov.corpus import circle, connected_sum, mapping_torus, surface, torus
+from novikov.invariants import TwistedData, _CohomologyCache
 from novikov.numfield import (FieldElement, check_nonzero, scalar_field,
                               scalar_pow)
-from novikov.twisted import TwistedComplex
+from novikov.twisted import CoboundaryRows, TwistedComplex
 
 
 def _dense_cup(complex, z, p, q, a1, a2, alpha, beta):
@@ -70,10 +72,18 @@ def instances(draw):
     return X, z
 
 
+def _sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _dense(vec, n):
+    return [vec.get(j, 0) for j in range(n)]
+
+
 def _cochain(draw, n, a):
-    """A cochain of length n in the field of a: all zero, sparse or dense.
-    Rational cochains mix int zeros with Fractions, as ``g`` gives them;
-    a cochain in a number field holds only field elements."""
+    """A sparse cochain over n simplices in the field of a: empty, with a
+    few entries or with nearly all.  No zero is stored; a cochain in a
+    number field holds only field elements."""
     kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
     if kind == "zero":
         values = [0] * n
@@ -86,14 +96,21 @@ def _cochain(draw, n, a):
         values = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
                   for _ in range(n)]
     field = scalar_field(a)
-    if field is None:
-        return values
-    return [field.element([x, draw(st.integers(-2, 2))]) if x
-            else field.zero() for x in values]
+    if field is not None:
+        values = [field.element([x, draw(st.integers(-2, 2))]) if x else 0
+                  for x in values]
+    return _sparse(values)
 
 
 def _typed(cochain):
-    return [(type(x), x) for x in cochain]
+    return {j: (type(x), x) for j, x in cochain.items()}
+
+
+def _reference(complex, z, p, q, a1, a2, alpha, beta):
+    """``_dense_cup`` of sparse cochains, without its zero entries."""
+    return _sparse(_dense_cup(complex, z, p, q, a1, a2,
+                              _dense(alpha, complex.n_simplices(p)),
+                              _dense(beta, complex.n_simplices(q))))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -107,22 +124,22 @@ def test_sparse_cup_is_the_dense_cup_entry_by_entry(instance, data):
             alpha = _cochain(data.draw, X.n_simplices(p), a1)
             beta = _cochain(data.draw, X.n_simplices(q), a2)
             sparse = twisted_cup(X, z, p, q, a1, a2, alpha, beta)
-            dense = _dense_cup(X, z, p, q, a1, a2, alpha, beta)
+            dense = _reference(X, z, p, q, a1, a2, alpha, beta)
             assert _typed(sparse) == _typed(dense), (p, q, a1, a2)
-    assert twisted_cup(X, z, X.dim, 1, a1, a2, [], []) == []
+    assert twisted_cup(X, z, X.dim, 1, a1, a2, {}, {}) == {}
 
 
 def test_mixed_monodromies_give_field_elements_everywhere():
     space = corpus_space("surface(2)")
     X, z = space.complex, space.cocycle
-    alpha = [0] * X.n_simplices(1)
-    alpha[3] = Fraction(2)
-    beta = [ROOT.field.from_rational(1)] * X.n_simplices(1)
+    alpha = {i: Fraction(2) for i in range(0, X.n_simplices(1), 3)}
+    beta = dict.fromkeys(range(X.n_simplices(1)),
+                         ROOT.field.from_rational(1))
     for args in ((Fraction(2), ROOT, alpha, beta),
                  (ROOT, Fraction(2), beta, alpha)):
         out = twisted_cup(X, z, 1, 1, *args)
-        assert all(isinstance(x, FieldElement) for x in out)
-        assert _typed(out) == _typed(_dense_cup(X, z, 1, 1, *args))
+        assert out and all(isinstance(x, FieldElement) for x in out.values())
+        assert _typed(out) == _typed(_reference(X, z, 1, 1, *args))
 
 
 def test_cup_on_a_complex_other_than_the_cocycles():
@@ -133,10 +150,12 @@ def test_cup_on_a_complex_other_than_the_cocycles():
     sub = build_complex(X.simplices[2][:12])
     for Y in (sub, surface(2).complex, sub, X):
         for p, q in ((0, 1), (1, 1), (0, 2), (1, 0)):
-            alpha = [Fraction(i % 3 - 1) for i in range(Y.n_simplices(p))]
-            beta = [Fraction(i % 4, 2) for i in range(Y.n_simplices(q))]
+            alpha = _sparse([Fraction(i % 3 - 1)
+                             for i in range(Y.n_simplices(p))])
+            beta = _sparse([Fraction(i % 4, 2)
+                            for i in range(Y.n_simplices(q))])
             args = (Y, z, p, q, Fraction(2), Fraction(-1, 3), alpha, beta)
-            assert _typed(twisted_cup(*args)) == _typed(_dense_cup(*args))
+            assert _typed(twisted_cup(*args)) == _typed(_reference(*args))
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -152,18 +171,16 @@ def test_cup_of_one_entry_takes_one_power(name, monkeypatch):
     monkeypatch.setattr(complexes, "scalar_pow", counting)
     for p in range(X.dim + 1):
         for q in range(X.dim + 1 - p):
+            ones = [dict.fromkeys(range(X.n_simplices(d)), Fraction(1))
+                    for d in (p, q)]
             for i in range(0, X.n_simplices(p), 7):
-                alpha = [0] * X.n_simplices(p)
-                alpha[i] = Fraction(1)
-                beta = [Fraction(1)] * X.n_simplices(q)
                 calls.clear()
-                twisted_cup(X, z, p, q, Fraction(2), Fraction(3), alpha, beta)
+                twisted_cup(X, z, p, q, Fraction(2), Fraction(3),
+                            {i: Fraction(1)}, ones[1])
                 assert len(calls) <= 1, (p, q, i)
-            # a dense alpha takes one power per distinct exponent
+            # a full alpha takes one power per distinct exponent
             calls.clear()
-            twisted_cup(X, z, p, q, Fraction(2), Fraction(3),
-                        [Fraction(1)] * X.n_simplices(p),
-                        [Fraction(1)] * X.n_simplices(q))
+            twisted_cup(X, z, p, q, Fraction(2), Fraction(3), *ones)
             assert len(calls) == len(set(calls)), (p, q)
 
 
@@ -197,17 +214,47 @@ def test_transfer_maps_evaluate_only_the_steps_a_vector_needs(name,
             g, f = red.g(q, a), red.f(q, a)
             # g of zero, and f of a vector zero on every tau of a degree
             # q - 1 pivot, read no pivot entry
-            assert g([0] * red.sizes[q]) == [0] * X.n_simplices(q)
+            assert g({}) == {}
             taus = {tau for pq, tau, *_ in red.pivots if pq == q - 1}
-            v = [0 if i in taus else Fraction(i + 1)
-                 for i in range(X.n_simplices(q))]
-            assert f(v) == [v[cell] for cell in red.cells[q]]
+            v = {i: Fraction(i + 1) for i in range(X.n_simplices(q))
+                 if i not in taus}
+            assert f(v) == {j: v[cell] for j, cell in enumerate(red.cells[q])}
             assert not calls, (q, a)
             # a vector that needs the steps evaluates each of them once
-            ones = [Fraction(1)] * red.sizes[q]
+            ones = dict.fromkeys(range(red.sizes[q]), Fraction(1))
             first = g(ones)
             used += len(calls)
             n = len(calls)
             assert g(ones) == first and len(calls) == n, (q, a)
             calls.clear()
     assert used
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(instances(), st.data())
+def test_no_sparse_output_stores_a_zero(instance, data):
+    """The cup product, the transfer maps, the coboundary rows and the
+    cohomology representatives give sparse cochains with no zero value:
+    the certificate re-check compares them as dicts, where a stored zero
+    would make equal cochains differ."""
+    X, z = instance
+    a = data.draw(st.sampled_from([Fraction(3, 2), Fraction(-1), ROOT]))
+    red = TwistedComplex(X, z).reduced()
+    cache = _CohomologyCache(TwistedData.of(X, z))
+    outputs = []
+    for q in range(X.dim + 1):
+        x = _cochain(data.draw, X.n_simplices(q), a)
+        c = _cochain(data.draw, red.sizes[q], a)
+        gc = red.g(q, a)(c)
+        outputs += [gc, red.f(q, a)(x), red.f(q, a)(gc), red.h(q, a)(x),
+                    red.h(q, a)(gc), red.ft(q, a)(c), *cache.reps(a, q)]
+        if q < X.dim:
+            delta = CoboundaryRows(X, z, q, a)
+            chain = _cochain(data.draw, X.n_simplices(q + 1), a)
+            outputs += [delta.apply(x), delta.apply(gc),
+                        delta.apply_transpose(chain)]
+        for p in range(X.dim + 1 - q):
+            y = _cochain(data.draw, X.n_simplices(p), Fraction(-1))
+            outputs.append(twisted_cup(X, z, q, p, a, Fraction(-1), x, y))
+    for out in outputs:
+        assert all(out.values()), out

@@ -57,6 +57,10 @@ def _transpose(m, ncols):
     return [[row[j] for row in m] for j in range(ncols)]
 
 
+def _sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
 def _exact(values, zero):
     """No floats; over the field every entry is a FieldElement, like zero."""
     kinds = (FieldElement,) if isinstance(zero, FieldElement) \
@@ -114,7 +118,6 @@ def test_express_and_span_agree(name):
     rng = random.Random(name)
     for _ in range(60):
         gens, n, _r = _known_rank_matrix(rng, entry, zero, one)
-        snapshot = copy.deepcopy(gens)
         span = Span(n)
         for g in gens:
             span.add(g)
@@ -122,14 +125,17 @@ def test_express_and_span_agree(name):
         inside = [sum((w * g[j] for w, g in zip(weights, gens)), zero)
                   for j in range(n)]
         outside = [entry(rng) for _ in range(n)]
+        sparse_gens = [_sparse(g) for g in gens]
+        snapshot = copy.deepcopy(sparse_gens)
         for target in (inside, outside):
-            coeffs = express(gens, target, zero)
+            coeffs = express(sparse_gens, _sparse(target))
             assert span.contains(target) == (coeffs is not None)
             if coeffs is not None:
-                assert _exact(coeffs, zero)
-                assert [sum((c * g[j] for c, g in zip(coeffs, gens)), zero)
-                        for j in range(n)] == target
-        assert gens == snapshot
+                assert _exact(coeffs.values(), zero)
+                assert all(coeffs.values())
+                assert [sum((c * gens[i][j] for i, c in coeffs.items()),
+                            zero) for j in range(n)] == target
+        assert sparse_gens == snapshot
 
 
 def test_nullspace_is_the_free_column_basis():
@@ -137,14 +143,15 @@ def test_nullspace_is_the_free_column_basis():
     m = [[1, 2, 1, 7], [2, 4, 1, 10]]
     assert nullspace(m, 4, 0, 1) == [[-2, 1, 0, 0], [-3, 0, -4, 1]]
     # free variables of an underdetermined system come out zero
-    assert express([[1, 0], [0, 1], [1, 1]], [2, 3], 0) == [2, 3, 0]
+    assert express([{0: 1}, {1: 1}, {0: 1, 1: 1}], {0: 2, 1: 3}) \
+        == {0: 2, 1: 3}
 
 
 def test_int_pivots_are_inverted_exactly():
     basis = nullspace([[3, 1, 0], [0, 7, 2]], 3, 0, 1)
     assert basis == [[Fraction(2, 21), Fraction(-2, 7), 1]]
     assert _exact(basis[0], 0)
-    assert express([[2], [0]], [1], 0) == [Fraction(1, 2), 0]
+    assert express([{0: 2}, {}], {0: 1}) == {0: Fraction(1, 2)}
 
 
 def test_zero_divisor_pivot_is_caught():

@@ -275,9 +275,10 @@ def test_exponents_beyond_the_bound_are_refused_off_zero_and_units():
     assert [red.dim_at(q, Fraction(1)) for q in (0, 1)] == [1, 1]
     assert [red.dim_at(q, Fraction(-1)) for q in (0, 1)] == [0, 0]
     for a in (Fraction(2), Fraction(1, 2), parse_scalar("@1,1,1")):
-        uses = [lambda: red.dim_at(0, a), lambda: red.g(0, a)([1]),
-                lambda: red.f(1, a)([1, 1, 1]), lambda: red.h(1, a)([1, 1, 1]),
-                lambda: red.ft(1, a)([1]),
+        edges = {0: 1, 1: 1, 2: 1}
+        uses = [lambda: red.dim_at(0, a), lambda: red.g(0, a)({0: 1}),
+                lambda: red.f(1, a)(edges), lambda: red.h(1, a)(edges),
+                lambda: red.ft(1, a)({0: 1}),
                 lambda: CoboundaryRows(X, z, 0, a).row(0)]
         for use in uses:
             with pytest.raises(ExponentTooLarge):
