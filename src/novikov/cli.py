@@ -75,7 +75,7 @@ def cmd_info(args):
         "euler_characteristic": X.euler_characteristic(),
         "cocycle_zero": space.cocycle.is_zero(),
         "manifold": space.manifold,
-        "has_cut": space.cut is not None,
+        "has_cut": space.has_cut,
     }
     _emit(args, payload, [f"{k}: {v}" for k, v in payload.items()])
     return 0

@@ -24,17 +24,37 @@ from .twisted import CutPresentation, SimplicialMap
 
 
 class GeneratedSpace:
-    """A complex with its class, provenance label, and optional cut data."""
+    """A complex with its class, provenance label, and optional cut data.
+
+    ``cut`` is a CutPresentation, or a function of no arguments that builds
+    one: ``space_from_json`` passes such a function, so that N, V and the
+    checks that read their faces cost nothing until ``cut`` is first read,
+    which only ``oracle-mv`` and the deformation complex do.  ``has_cut``
+    says whether there is a cut without building it.
+    """
 
     def __init__(self, complex: SimplicialComplex, cocycle: OneCocycle,
                  label: str, dimension: int, manifold: bool,
-                 cut: CutPresentation = None):
+                 cut=None):
         self.complex = complex
         self.cocycle = cocycle
         self.label = label
         self.dimension = dimension
         self.manifold = manifold
-        self.cut = cut
+        self._cut = cut
+
+    @property
+    def has_cut(self) -> bool:
+        return self._cut is not None
+
+    @property
+    def cut(self) -> CutPresentation:
+        """The cut presentation or None, built the first time it is read
+        if it was given as a function; a build that raises is tried again
+        on the next read."""
+        if callable(self._cut):
+            self._cut = self._cut()
+        return self._cut
 
     def __repr__(self):
         return f"GeneratedSpace({self.label!r}, f={self.complex.f_vector()})"
@@ -403,7 +423,7 @@ def space_to_json(space: GeneratedSpace) -> dict:
         "dimension": space.dimension,
         "manifold": space.manifold,
     }
-    if space.cut is not None:
+    if space.has_cut:
         cut = space.cut
         out["cut"] = {
             "N": [list(s) for s in cut.N.maximal_simplices()],
@@ -441,9 +461,29 @@ def _typed(data: dict, key: str, kind: type, what: str, default):
     return data[key]
 
 
+def _deferred_cut(c: dict):
+    """A function that builds the cut presentation of the JSON object c.
+
+    The checks that read no faces of N or V run now: c's shape, and
+    ``CutPresentation.check_vertices`` on the vertices its simplex lists
+    name.  Building N and V, and checking that i+ and i- send simplices to
+    simplices, wait for the call."""
+    N = _int_lists(c.get("N"), "cut N")
+    V = _int_lists(c.get("V"), "cut V")
+    i_plus = dict(_int_lists(c.get("i_plus"), "cut i_plus", 2))
+    i_minus = dict(_int_lists(c.get("i_minus"), "cut i_minus", 2))
+    CutPresentation.check_vertices(sorted(set(chain.from_iterable(V))),
+                                   set(chain.from_iterable(N)),
+                                   i_plus, i_minus)
+    return lambda: CutPresentation(build_complex(N), build_complex(V),
+                                   i_plus, i_minus)
+
+
 def space_from_json(data: dict) -> GeneratedSpace:
     """Inverse of ``space_to_json``; a document of the wrong shape raises
-    MalformedInput."""
+    MalformedInput.  The cut, if any, is built when it is first read (see
+    ``_deferred_cut``), so a malformed simplex of N or V, or a face that
+    i+ or i- sends to no simplex, is refused only then."""
     _object(data, "a space")
     complex = build_complex(_int_lists(data.get("maximal_simplices"),
                                        "maximal_simplices"))
@@ -458,12 +498,7 @@ def space_from_json(data: dict) -> GeneratedSpace:
     z = validate_cocycle(complex, edges, default_zero=True)
     cut = None
     if "cut" in data:
-        c = _object(data["cut"], "cut")
-        cut = CutPresentation(
-            build_complex(_int_lists(c.get("N"), "cut N")),
-            build_complex(_int_lists(c.get("V"), "cut V")),
-            dict(_int_lists(c.get("i_plus"), "cut i_plus", 2)),
-            dict(_int_lists(c.get("i_minus"), "cut i_minus", 2)))
+        cut = _deferred_cut(_object(data["cut"], "cut"))
     dimension = _typed(data, "dimension", int, "an integer", complex.dim)
     if dimension != complex.dim:
         raise MalformedInput(

@@ -106,20 +106,34 @@ class Poly:
     __rmul__ = __mul__
 
     def divmod(self, other: "Poly"):
-        """Euclidean division; other must be nonzero."""
+        """Euclidean division; other must be nonzero.
+
+        When other's leading coefficient is +-1 and both operands have
+        integer coefficients, so have the quotient and remainder, and the
+        loop runs on Python ints: dividing by +-1 is multiplying by it."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
         lead = other.coeffs[-1]
+        if (lead in (1, -1) and all(c.denominator == 1 for c in self.coeffs)
+                and all(c.denominator == 1 for c in other.coeffs)):
+            rem = [c.numerator for c in self.coeffs]
+            divisor = [c.numerator for c in other.coeffs]
+            quot = [0] * (dq + 1)
+            inverse = divisor[-1]
+        else:
+            rem = list(self.coeffs)
+            divisor = other.coeffs
+            quot = [Fraction(0)] * (dq + 1)
+            inverse = 1 / lead
+        top = other.degree
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
+            c = rem[k + top] * inverse
             if c:
                 quot[k] = c
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(divisor):
                     rem[k + j] -= c * b
         return Poly(quot), Poly(rem)
 

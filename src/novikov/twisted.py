@@ -558,6 +558,54 @@ def _extension(steps, a: Scalar):
     return extend
 
 
+def _collapse(q: int, R, C, units, pivots, alive) -> None:
+    """The collapse phase of ``_unit_pivot_reduction`` in degree q, on its
+    working rows ``R``, columns ``C`` and unit stamps ``units``: eliminate
+    the unit entries of Markowitz cost 0, those alone in their row (free
+    faces) or in their column, least (tau, stamp) first, until none is
+    left, recording each pivot as the Markowitz phase does.
+
+    Such a pivot changes no entry, it only removes some: a free face drops
+    sigma from the rows it clears, and a pivot alone in its column clears
+    no row and drops tau from the other columns of its row.  So stamps stay
+    initial positions, and an entry of cost 0 stays so until it goes.  One
+    plain heap of (tau, stamp, sigma) holds the candidates: the entries of
+    cost 0 at the start, then each unit entry whose row or column falls to
+    one entry; a popped candidate counts while its entry is in its row.
+    """
+    heap = [(tau, s, sigma) for tau, u in units.items() if len(R[tau]) == 1
+            for sigma, s in u.items()]
+    heap += [(tau, s, sigma) for sigma, col in C.items() if len(col) == 1
+             for tau in col if (s := units[tau].get(sigma)) is not None]
+    heapify(heap)
+    while heap:
+        tau, _s, sigma = heappop(heap)
+        pivot_row = R.get(tau)
+        if pivot_row is None or sigma not in pivot_row:
+            continue
+        del R[tau], units[tau]
+        for kappa in pivot_row:
+            C[kappa].discard(tau)
+        (k, c), = pivot_row.pop(sigma).items()
+        cleared = []
+        for rho in C.pop(sigma):   # none unless pivot_row is now empty
+            row, u = R[rho], units[rho]
+            cleared.append((rho, row.pop(sigma)))
+            u.pop(sigma, None)
+            if len(row) == 1:
+                for kappa, s in u.items():
+                    heappush(heap, (rho, s, kappa))
+        for kappa in pivot_row:
+            col = C[kappa]
+            if len(col) == 1:
+                for rho in col:
+                    s = units[rho].get(kappa)
+                    if s is not None:
+                        heappush(heap, (rho, s, kappa))
+        pivots.append((q, tau, sigma, k, c, pivot_row, cleared))
+        del alive[q][sigma], alive[q + 1][tau]
+
+
 def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
     """Eliminate every cell pair joined by a unit entry, degree by degree.
 
@@ -584,28 +632,39 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
     row, the entry inserted first, where an entry cancelled by a Schur
     update and filled in again later counts as the newest.
 
-    The selection is kept up to date as the reduction runs, so that a
-    pivot costs work in proportion to the rows it changes, not to delta_q.
-    The working rows and columns of delta_q are built in one pass when its
-    degree is reached, without the q-cells already eliminated as a tau;
-    ``is_unit`` is asked then once per distinct entry object, which the
-    entries +-1 of coboundary rows share, and once per entry a Schur
-    update changes.  An entry's stamp orders it within its row: an initial
-    entry's is its position in ``deltas[q][tau]``, a filled-in entry's is
-    drawn from a counter above every position, and a row's stamps are
-    written out the first time a Schur update reaches it.  Within a column
-    the cost orders the unit entries as (row length, tau, stamp) does, and
-    one global heap holds the least key (cost, tau, stamp, sigma) of every
-    column; a popped key counts only while it is still its column's least.
-    Setup finds each column's least in its pass; a column gets a lazy heap
-    of its unit entries, built from the column as it stands, only when its
-    least must be recomputed, and pushes go only to heaps that exist.  A
-    pivot whose row holds nothing but sigma (cost 0, a free face) updates
-    no entry: it drops sigma from the rows it clears, whose unit entries
-    can only get cheaper.  After any other pivot, the columns of the pivot
-    row, whose lengths changed, recompute their least, and so does a
-    column whose least entry lies in a cleared row that grew; any other
-    column's least changes only when a new key beats it.
+    The selection runs in two phases per degree.  The working rows and
+    columns of delta_q are built in one pass when its degree is reached,
+    without the q-cells already eliminated as a tau; ``is_unit`` is asked
+    then once per distinct entry object, which the entries +-1 of
+    coboundary rows share, and once per entry a Schur update changes.  An
+    entry's stamp orders it within its row: an initial entry's is its
+    position in ``deltas[q][tau]``, a filled-in entry's is drawn from a
+    counter above every position, and a row's stamps are written out the
+    first time a Schur update reaches it.
+
+    The collapse phase (``_collapse``) comes first: it eliminates the
+    pivots of cost 0, free faces and entries alone in their column, least
+    (tau, stamp) first.  Cost-0 keys pop before any other, and these
+    pivots make no fill-in, so this is the rule's order, with no cost
+    computed.  Most pivots of a mapping torus are of this kind (184 of 223
+    on S1 x S3).
+
+    The Markowitz phase then builds its state once, over the rows the
+    collapse left, and keeps it up to date as the reduction runs, so that
+    a pivot costs work in proportion to the rows it changes, not to
+    delta_q.  Within a column the cost orders the unit entries as (row
+    length, tau, stamp) does, and one global heap holds the least key
+    (cost, tau, stamp, sigma) of every column; a popped key counts only
+    while it is still its column's least.  A column gets a lazy heap of its
+    unit entries, built from the column as it stands, only when its least
+    must be recomputed, and pushes go only to heaps that exist.  A pivot
+    whose row holds nothing but sigma (cost 0, a free face; the Schur
+    updates of this phase can make new ones) updates no entry: it drops
+    sigma from the rows it clears, whose unit entries can only get
+    cheaper.  After any other pivot, the columns of the pivot row, whose
+    lengths changed, recompute their least, and so does a column whose
+    least entry lies in a cleared row that grew; any other column's least
+    changes only when a new key beats it.
     """
     alive = [dict.fromkeys(range(n)) for n in sizes]
     rows = []
@@ -617,7 +676,6 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
         R = {}        # tau -> row of delta_q, {sigma: Laurent polynomial}
         C = {sigma: set() for sigma in live}   # sigma -> rows with an entry
         units = {}    # tau -> {sigma: stamp} of its unit entries
-        least = {}    # sigma -> least (row length, tau, stamp) of column
         unit = {}     # id of an entry of delta_q -> is_unit(entry)
         for tau, full in enumerate(delta):
             R[tau] = row = {}
@@ -631,12 +689,15 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
                         ok = unit[id(p)] = is_unit(p)
                     if ok:
                         u[sigma] = s
+        rows.append(R)
+        _collapse(q, R, C, units, pivots, alive)
+        least = {}    # sigma -> least (row length, tau, stamp) of column
+        for tau, row in R.items():
             n = len(row)
-            for sigma, s in u.items():
+            for sigma, s in units[tau].items():
                 cur = least.get(sigma)
                 if cur is None or n < cur[0]:
                     least[sigma] = (n, tau, s)
-        rows.append(R)
         heap = [((n - 1) * (len(C[sigma]) - 1), tau, s, sigma)
                 for sigma, (n, tau, s) in least.items()]
         best = {key[3]: key for key in heap}   # sigma -> least key or None
@@ -794,6 +855,22 @@ def coboundary_image_vectors(complex: SimplicialComplex, z: OneCocycle,
     return [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
 
 
+def check_vertex_map(vertex_map: dict, source_vertices,
+                     target_vertices) -> None:
+    """The checks of a simplicial map that read no faces, NotAnIsomorphism
+    if one fails: the vertex map is injective, gives each source vertex an
+    image, and sends it to a target vertex."""
+    if len(set(vertex_map.values())) != len(vertex_map):
+        raise NotAnIsomorphism("vertex map is not injective")
+    for v in source_vertices:
+        if v not in vertex_map:
+            raise NotAnIsomorphism(f"vertex {v} has no image")
+    for v in source_vertices:
+        if vertex_map[v] not in target_vertices:
+            raise NotAnIsomorphism(f"image {(vertex_map[v],)} of simplex "
+                                   f"{(v,)} is not a simplex")
+
+
 class SimplicialMap:
     """Injective simplicial map V -> N given by its vertex assignment."""
 
@@ -802,13 +879,10 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.vertex_map = dict(vertex_map)
-        if len(set(self.vertex_map.values())) != len(self.vertex_map):
-            raise NotAnIsomorphism("vertex map is not injective")
-        for v in source.vertices():
-            if v not in self.vertex_map:
-                raise NotAnIsomorphism(f"vertex {v} has no image")
+        check_vertex_map(self.vertex_map, source.vertices(),
+                         set(target.vertices()))
         image_of = self.vertex_map.__getitem__
-        for level in source.simplices:
+        for level in source.simplices[1:]:
             for s in level:
                 image = tuple(sorted(map(image_of, s)))
                 if not target.has_simplex(image):
@@ -845,18 +919,28 @@ class CutPresentation:
     """Complement-and-wall data (N, V, i+, i-) for a space cut along V.
 
     The cut space is reassembled by gluing i+(V) to i-(V); the monodromy
-    variable t counts signed passages through the wall.
+    variable t counts signed passages through the wall.  ``check_vertices``
+    runs the checks that read no faces, first; then i+ and i- must send
+    each simplex of V to one of N.
     """
 
     def __init__(self, N: SimplicialComplex, V: SimplicialComplex,
                  i_plus: dict, i_minus: dict):
+        self.check_vertices(V.vertices(), set(N.vertices()), i_plus, i_minus)
         self.N = N
         self.V = V
         self.i_plus = SimplicialMap(V, N, i_plus)
         self.i_minus = SimplicialMap(V, N, i_minus)
-        plus_verts = set(self.i_plus.vertex_map.values())
-        minus_verts = set(self.i_minus.vertex_map.values())
-        if plus_verts & minus_verts:
+
+    @staticmethod
+    def check_vertices(V_vertices, N_vertices, i_plus: dict,
+                       i_minus: dict) -> None:
+        """The checks of a cut on vertices alone: i+ and i- pass
+        ``check_vertex_map`` from V_vertices to N_vertices, and their images
+        are disjoint (DimensionMismatch otherwise)."""
+        check_vertex_map(i_plus, V_vertices, N_vertices)
+        check_vertex_map(i_minus, V_vertices, N_vertices)
+        if set(i_plus.values()) & set(i_minus.values()):
             raise DimensionMismatch("i+ and i- images share vertices")
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from novikov.polyq import (Poly, coprime_basis, poly_gcd, poly_xgcd,
                            rational_roots, squarefree_factors)
@@ -33,6 +34,52 @@ def test_divmod_remainder_degree():
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
+
+
+def _fraction_divmod(a, b):
+    """Long division of coefficient lists (low degree first) over
+    Fractions, b with a nonzero leading coefficient: the reference."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(quot))):
+        c = rem[k + len(b) - 1] / Fraction(b[-1])
+        quot[k] = c
+        for j, x in enumerate(b):
+            rem[k + j] -= c * x
+    while quot and quot[-1] == 0:
+        quot.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quot), tuple(rem)
+
+
+integers = st.integers(-30, 30)
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
+
+
+@st.composite
+def division_operands(draw):
+    """Coefficient lists a and b, integral or rational, b's last (leading)
+    coefficient +-1 or any other nonzero value of the same kind."""
+    coeff = draw(st.sampled_from([integers, rationals]))
+    a = draw(st.lists(coeff, max_size=9))
+    b = draw(st.lists(coeff, max_size=5))
+    lead = draw(st.one_of(st.sampled_from([1, -1]), coeff.filter(bool)))
+    return a, b + [lead]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(division_operands())
+def test_divmod_is_exact_fraction_division(operands):
+    """The integer loop, taken when b's leading coefficient is +-1 and
+    every coefficient is an integer, gives the quotient and remainder of
+    Fraction long division, as Fractions."""
+    a, b = operands
+    q, r = Poly(a).divmod(Poly(b))
+    if len(a) < len(b):
+        assert (q, r) == (Poly(), Poly(a))
+    assert (q.coeffs, r.coeffs) == _fraction_divmod(a, b)
+    assert all(type(c) is Fraction for c in q.coeffs + r.coeffs)
 
 
 def test_gcd_properties():

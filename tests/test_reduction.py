@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from novikov import twisted
 from novikov.cli import parse_scalar
-from novikov.complexes import build_complex, coboundary_of_vertex_function
+from novikov.complexes import (build_complex, coboundary_of_vertex_function,
+                               validate_cocycle)
 from novikov.corpus import (circle, connected_sum, mapping_torus,
                             sphere_product, surface, torus)
 from novikov.errors import NotAChainComplex
@@ -409,6 +410,34 @@ def _disk():
         X, {v: v * v % 5 - 2 for v in X.vertices()}))
 
 
+def _punctured_surface():
+    """The twisted complex of surface(2) less its first triangle, with the
+    class restricted: the edges of the hole lie in one triangle each."""
+    space = surface(2)
+    X = space.complex
+    P = build_complex(X.simplices[2][1:])
+    z = validate_cocycle(P, {e: space.cocycle.values[e] for e in P.edges()},
+                         default_zero=True)
+    return TwistedComplex(P, z)
+
+
+def _cone():
+    """The twisted complex of the cone on the 9-vertex torus, apex 9, under
+    the coboundary of a vertex function: it reduces to a point, 45 of its
+    54 pivots free faces."""
+    X = build_complex([s + (9,) for s in torus().complex.simplices[2]])
+    return TwistedComplex(X, coboundary_of_vertex_function(
+        X, {v: (3 * v) % 4 - 1 for v in X.vertices()}))
+
+
+def _dangling_edge():
+    """The twisted complex of two triangles on an edge with an edge hung
+    on, under the coboundary of a vertex function."""
+    X = build_complex([(0, 1, 2), (1, 2, 3), (3, 4)])
+    return TwistedComplex(X, coboundary_of_vertex_function(
+        X, {0: 2, 1: -1, 2: 0, 3: 1, 4: 3}))
+
+
 def _disk_mod_vertices():
     """C*(D, D^0) of that disk reduced: delta_1 keeps rows of length 3, so
     a pivot in the column of a boundary edge clears nothing, though its
@@ -445,6 +474,9 @@ def _relative(name):
     lambda: _twisted(sphere_product(2)).reduced(),
     lambda: _disk().reduced(),
     _disk_mod_vertices,
+    lambda: _punctured_surface().reduced(),
+    lambda: _cone().reduced(),
+    lambda: _dangling_edge().reduced(),
     # two matrices, found by random search, on which a slip in the
     # selection state picks another pivot: a column heap that misses the
     # key of a row a free face shortened, and stamps renumbered from the
@@ -458,13 +490,15 @@ def _relative(name):
                      {1: {2: 1}, 3: {0: -1}, 2: {1: 1}}]),
 ], ids=["torus-deformation", "klein-deformation", "order3-deformation",
         "surface(2)-relative", "order3-relative", "S1xSigma2", "order3",
-        "S1xS3", "S1xS2", "disk", "disk-relative",
-        "column-heap-after-a-free-face", "stamps-of-a-shortened-row"])
+        "S1xS3", "S1xS2", "disk", "disk-relative", "punctured-surface(2)",
+        "cone", "dangling-edge", "column-heap-after-a-free-face",
+        "stamps-of-a-shortened-row"])
 def test_pivot_order_is_the_scan_rule(build, monkeypatch):
     """Deformation complexes (constant pivots only), relative complexes,
     S1 x Sigma_2, the spaces of the jumps benchmark that the corpus
-    classes above leave out, a disk and two small matrices reduce exactly
-    as the scan rule does."""
+    classes above leave out, complexes with boundary, where pivots of cost
+    0 come from columns of length 1 as well as rows, and two small
+    matrices reduce exactly as the scan rule does."""
     calls = []
     real = twisted._unit_pivot_reduction
 
@@ -508,6 +542,51 @@ def test_a_disk_pivots_in_columns_of_length_one():
     red = _disk_mod_vertices()
     assert red.sizes == [0, 11, 0]
     assert all(len(b) == 2 and not cleared for *_, b, cleared in red.pivots)
+    # the edges of a hole lie in one triangle each: 22 of the 47 pivots of
+    # the punctured surface are alone in their column but not in their row
+    red = _punctured_surface().reduced()
+    assert red.sizes == [1, 4, 0]
+    assert len(red.pivots) == 47
+    assert sum(1 for *_, b, cleared in red.pivots if b and not cleared) == 22
+
+
+def test_collapse_pushes_no_markowitz_key(monkeypatch):
+    """On S1 x S3 the collapse phase takes the pivots of cost 0 with no
+    Markowitz key (cost, tau, stamp, sigma); the Markowitz heaps are built
+    after it, over the rows it leaves, and get 77 keys in all.  Keeping
+    the Markowitz state from the start, as one loop over all pivots would,
+    takes 398."""
+    T = _twisted(sphere_product(3))
+    collapsing = False
+    keys = []   # per Markowitz key pushed or heapified: in the collapse?
+    real_collapse = twisted._collapse
+    real_push, real_heapify = twisted.heappush, twisted.heapify
+
+    def collapse(*args):
+        nonlocal collapsing
+        collapsing = True
+        try:
+            real_collapse(*args)
+        finally:
+            collapsing = False
+
+    def push(heap, item):
+        if len(item) == 4:
+            keys.append(collapsing)
+        real_push(heap, item)
+
+    def heapify(heap):
+        keys.extend(collapsing for item in heap if len(item) == 4)
+        real_heapify(heap)
+
+    monkeypatch.setattr(twisted, "_collapse", collapse)
+    monkeypatch.setattr(twisted, "heappush", push)
+    monkeypatch.setattr(twisted, "heapify", heapify)
+    red = T.reduced()
+    assert red.sizes == [1, 1, 0, 1, 1]
+    assert len(red.pivots) == 223
+    assert not any(keys)
+    assert len(keys) <= 100
 
 
 def test_free_faces_push_few_heap_keys(monkeypatch):
