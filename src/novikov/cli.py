@@ -70,7 +70,7 @@ def cmd_info(args):
     payload = {
         "name": space.label,
         "f_vector": list(X.f_vector()),
-        "reduced_cells": invariants.TwistedData.of(space).sizes,
+        "reduced_cells": invariants.reduced_complex(space).sizes,
         "dimension": X.dim,
         "euler_characteristic": X.euler_characteristic(),
         "cocycle_zero": space.cocycle.is_zero(),
@@ -120,9 +120,9 @@ def cmd_cup_length(args):
     # one is separated by semicolons, as --approximants is
     sep = ";" if ";" in args.candidates else ","
     cands = [parse_scalar(c) for c in args.candidates.split(sep)]
-    data = invariants.TwistedData.of(space)
-    jumps = invariants.jump_locus(data)
-    rep = invariants.cup_length(data, None, cands, manifold=space.manifold,
+    twisted = invariants.twisted_complex(space)
+    jumps = invariants.jump_locus(twisted)
+    rep = invariants.cup_length(twisted, None, cands, manifold=space.manifold,
                                 jumps=jumps, seed=args.seed)
     return _emit_crit(args, jumps, rep)
 

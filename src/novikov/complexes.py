@@ -14,9 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 
-from .errors import (DegreeOutOfRange, MalformedSimplex, MissingEdge,
-                     NotACocycle)
-from .linalg import kernel_lattice_int
+from .errors import MalformedSimplex, MissingEdge, NotACocycle
 from .numfield import Scalar, check_nonzero, scalar_pow
 
 
@@ -66,19 +64,6 @@ class SimplicialComplex:
         cols = self.index[q]
         return [{cols[s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
                 for s in self.simplices[q + 1]]
-
-    def coboundary_matrix(self, q: int):
-        """``coboundary_rows`` as a dense integer matrix: rows are
-        (q+1)-simplices, columns q-simplices."""
-        if not 0 <= q <= self.dim:
-            raise DegreeOutOfRange(f"degree {q} outside 0..{self.dim}")
-        rows = []
-        for sparse in self.coboundary_rows(q):
-            row = [0] * len(self.simplices[q])
-            for j, x in sparse.items():
-                row[j] = x
-            rows.append(row)
-        return rows
 
     def vertices(self):
         return [s[0] for s in self.simplices[0]]
@@ -178,10 +163,6 @@ class OneCocycle:
                 level, [self.transport_exponent(s) for s in level])
         return cached[1]
 
-    def as_vector(self):
-        """Values in the sorted-edge basis order."""
-        return [self.values[e] for e in self.complex.edges()]
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values.values())
 
@@ -214,42 +195,6 @@ def validate_cocycle(complex: SimplicialComplex, edge_values: dict,
             if values[u, v] + values[v, w] != values[u, w]:
                 raise NotACocycle(tri)
     return OneCocycle(complex, values)
-
-
-def class_rank_and_divisibility(complex: SimplicialComplex, z: OneCocycle):
-    """Image of the pairing of [z] with H_1(X; Z).
-
-    Returns (rank, divisibility): rank 0 iff the class pairs to zero with
-    every cycle, otherwise 1 with divisibility the gcd of the pairing
-    values over an integral basis of the cycle lattice.
-    """
-    if complex.dim < 1:
-        return (0, 0)
-    edges = complex.edges()
-    nv = complex.vertex_count
-    vindex = {v: i for i, v in enumerate(complex.vertices())}
-    # boundary matrix: rows vertices, columns edges
-    rows = [[0] * len(edges) for _ in range(nv)]
-    for j, (u, v) in enumerate(edges):
-        rows[vindex[u]][j] -= 1
-        rows[vindex[v]][j] += 1
-    zvec = z.as_vector()
-    pairings = []
-    for kvec in kernel_lattice_int(rows, len(edges)):
-        pairings.append(sum(a * b for a, b in zip(zvec, kvec)))
-    nonzero = [abs(p) for p in pairings if p]
-    if not nonzero:
-        return (0, 0)
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = _gcd(g, p)
-    return (1, g)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def coboundary_of_vertex_function(complex: SimplicialComplex, f: dict) -> OneCocycle:

@@ -1,10 +1,11 @@
 """Generators for test spaces with canonical degree-1 classes.
 
 Circles, surfaces as iterated connected sums of tori, S^1 x S^n, mapping
-tori with their cut presentations, and a synthetic chain-level instance
-whose degree-1 elementary divisor is the Alexander polynomial
-2 - 3t + 2t^2.  Also the independent Mayer-Vietoris oracle for mapping
-torus cohomology (kernel/cokernel of h* - a on the fiber).
+tori with their cut presentations, and the presentation complexes of
+one-relator groups: that of the knot 5_2, xyXYxyxYXyxYXY with x, y -> 1,
+has the Alexander polynomial 2 - 3t + 2t^2, whose roots are no Dirichlet
+units.  Also the independent Mayer-Vietoris oracle for mapping torus
+cohomology (kernel/cokernel of h* - a on the fiber).
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from .complexes import (SimplicialComplex, OneCocycle, build_complex,
 from .errors import (DimensionMismatch, MalformedInput, NotAManifoldInput,
                      NotAnIsomorphism, ParameterOutOfRange)
 from .linalg import Span, kernel, rank
-from .matrix import PolyMatrix
 from .numfield import Scalar, check_nonzero, scalar_field
-from .polyq import Poly
 from .twisted import CutPresentation, SimplicialMap
 
 
@@ -262,6 +261,53 @@ def surface(g: int) -> GeneratedSpace:
     return space
 
 
+def one_relator_complex(relator: str, weights: dict) -> GeneratedSpace:
+    """Presentation complex of a group with one relator, and the class that
+    sends each generator to its integer weight.
+
+    ``weights`` maps the generators, lower-case letters, to their weights;
+    the relator is a word in them, a capital letter standing for an
+    inverse.  Generator k is the loop 0 -> 2k+1 -> 2k+2 -> 0 with its
+    weight on the edge (0, 2k+1).  The relator's disk is glued along the
+    path b_0 .. b_{n-1} that runs through its letters' loops (backwards for
+    a capital): a ring of fresh vertices c_i and a centre give the
+    triangles (b_i, b_{i+1}, c_i), (b_{i+1}, c_i, c_{i+1}) and
+    (c_i, c_{i+1}, centre), indices mod n.  On the disk the cocycle is read
+    off the potential lifted along the path, 0 at the inner vertices; it
+    closes up exactly when the relator's weights sum to 0.
+    """
+    letters = list(weights)
+    path, phi = [], [0]   # b_i, and the potential lifted to position i
+    for ch in relator:
+        if ch.lower() not in weights:
+            raise ParameterOutOfRange(f"relator letter {ch!r} is no generator")
+        k, w = letters.index(ch.lower()), weights[ch.lower()]
+        p = phi[-1]
+        if ch.islower():
+            path += [0, 2 * k + 1, 2 * k + 2]
+            phi += [p + w] * 3
+        else:
+            path += [0, 2 * k + 2, 2 * k + 1]
+            phi += [p, p, p - w]
+    n = len(path)
+    if not n or phi[n]:
+        raise ParameterOutOfRange(
+            "the relator must be a nonempty word of weight sum 0")
+    ring = 2 * len(letters) + 1   # c_i is ring + i, the centre ring + n
+    triangles = []
+    values = {(0, 2 * k + 1): w for k, w in enumerate(weights.values())}
+    for i in range(n):
+        j = (i + 1) % n
+        c, d = ring + i, ring + j
+        triangles += [(path[i], path[j], c), (path[j], c, d),
+                      (c, d, ring + n)]
+        values[(path[i], c)] = -phi[i]
+        values[(path[j], c)] = -phi[i + 1]
+    X = build_complex(triangles)
+    z = validate_cocycle(X, values, default_zero=True)
+    return GeneratedSpace(X, z, f"one_relator({relator})", 2, False)
+
+
 def rational_cohomology(F: SimplicialComplex, q: int):
     """Representatives of a basis of H^q(F; Q), as sparse vectors, and the
     echelon that gives coordinates in it.
@@ -361,39 +407,6 @@ def mv_dims_from_matrices(mats, a: Scalar):
     return dims
 
 
-class ChainInstance:
-    """Synthetic chain-level data exposing the same polynomial matrices a
-    twisted simplicial complex would."""
-
-    def __init__(self, matrices, sizes, dimension, label, manifold):
-        self.matrices = matrices
-        self.sizes = sizes
-        self.dimension = dimension
-        self.label = label
-        self.manifold = manifold
-
-    def __repr__(self):
-        return f"ChainInstance({self.label!r})"
-
-
-def alexander_style_instance() -> ChainInstance:
-    """Chain data whose degree-1 elementary divisor is 2 - 3t + 2t^2.
-
-    Stand-in for 0-surgery on the knot 5_2 (a closed 3-manifold whose
-    Alexander polynomial this is); a certified triangulation of the
-    surgered manifold is out of scope, but the phenomenon of interest --
-    all generic twisted cohomology vanishes while a non-unit jump root
-    forces a critical point -- lives entirely in these matrices.
-    """
-    t = Poly.monomial(1)
-    one = Poly.const(1)
-    d0 = PolyMatrix(2, 1, [[t - one], [Poly()]])
-    d1 = PolyMatrix(1, 2, [[Poly(), Poly([2, -3, 2])]])
-    d2 = PolyMatrix(0, 1, [])
-    return ChainInstance([d0, d1, d2], [1, 2, 1, 0], 3,
-                         "alexander 2-3t+2t^2 (5_2 surgery stand-in)", True)
-
-
 def standard_corpus():
     """The instances exercised by the cross-module property suites."""
     F3 = circle(3).complex
@@ -461,17 +474,28 @@ def _typed(data: dict, key: str, kind: type, what: str, default):
     return data[key]
 
 
+def _vertex_map(value, what: str) -> dict:
+    """The map of a list of [vertex, image] pairs; a vertex given twice
+    raises MalformedInput."""
+    out = {}
+    for v, w in _int_lists(value, what, 2):
+        if v in out:
+            raise MalformedInput(f"{what} gives vertex {v} twice")
+        out[v] = w
+    return out
+
+
 def _deferred_cut(c: dict):
     """A function that builds the cut presentation of the JSON object c.
 
-    The checks that read no faces of N or V run now: c's shape, and
-    ``CutPresentation.check_vertices`` on the vertices its simplex lists
-    name.  Building N and V, and checking that i+ and i- send simplices to
-    simplices, wait for the call."""
+    The checks that read no faces of N or V run now: c's shape, no vertex
+    given twice in i+ or i-, and ``CutPresentation.check_vertices`` on the
+    vertices its simplex lists name.  Building N and V, and checking that
+    i+ and i- send simplices to simplices, wait for the call."""
     N = _int_lists(c.get("N"), "cut N")
     V = _int_lists(c.get("V"), "cut V")
-    i_plus = dict(_int_lists(c.get("i_plus"), "cut i_plus", 2))
-    i_minus = dict(_int_lists(c.get("i_minus"), "cut i_minus", 2))
+    i_plus = _vertex_map(c.get("i_plus"), "cut i_plus")
+    i_minus = _vertex_map(c.get("i_minus"), "cut i_minus")
     CutPresentation.check_vertices(sorted(set(chain.from_iterable(V))),
                                    set(chain.from_iterable(N)),
                                    i_plus, i_minus)

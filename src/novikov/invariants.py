@@ -6,101 +6,52 @@ LOWER bound: candidate monodromies default to the jump roots (the only
 points where twisted cohomology can exceed its generic dimension), a
 random rational surrogate standing in for a transcendental point, 1, and
 the inverses of all of these.
+
+Every invariant reads one sparse Laurent complex.  ``twisted_complex``
+takes a space (which carries its cocycle), a simplicial complex with a
+cocycle, or a TwistedComplex to the TwistedComplex, and
+``reduced_complex`` to its unit-pivot reduction; a ReducedComplex is also
+taken as it is.  The Novikov numbers and the jump locus read the reduced
+complex's Smith forms (``ReducedComplex.smith``), the twisted dimensions
+its ranks at a point, and the cup-length search holds the TwistedComplex,
+whose unreduced coboundary checks every cochain it makes.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
 
 from .complexes import SimplicialComplex, twisted_cup
 from .errors import (InternalInconsistency, NotInSpan,
                      ZeroDivisorEncountered)
 from .linalg import Span, express, kernel
-from .matrix import SmithForm, snf
 from .numfield import (FieldElement, NumberField, Scalar, check_nonzero,
                        is_dirichlet_unit, scalar_field, scalar_key,
                        scalar_mul)
 from .polyq import Poly, coprime_basis, rational_roots, squarefree_factors
 from .twisted import (CoboundaryRows, ReducedComplex, TwistedComplex,
-                      _unit_pivot_reduction, evaluate_rows)
+                      evaluate_rows)
 
 
-class TwistedData:
-    """Uniform handle on the polynomial coboundary data of an instance.
-
-    Wraps either a simplicial complex with a 1-cocycle or raw polynomial
-    matrices (synthetic chain instances).  A simplicial instance builds its
-    TwistedComplex (with the delta^2 = 0 check) and reduces it once, on
-    first use, and reads ``matrices`` from the reduced complex.  Chain
-    data is read as given: ``reduced`` holds its matrices as sparse rows,
-    with no cell eliminated.  ``sizes`` and ``dim_at`` read ``reduced``;
-    Smith forms are computed lazily and cached per degree.
-    """
-
-    def __init__(self, matrices, sizes, dimension, complex=None, cocycle=None):
-        self._matrices = matrices
-        self._sizes = sizes
-        self.dimension = dimension
-        self.complex = complex
-        self.cocycle = cocycle
-        self._smith = {}
-
-    @cached_property
-    def reduced(self) -> ReducedComplex:
-        if self.simplicial:
-            return TwistedComplex(self.complex, self.cocycle).reduced()
-        rows = [[{j: {e: c for e, c in enumerate(p.coeffs) if c}
-                  for j, p in enumerate(row) if not p.is_zero()}
-                 for row in m.entries] for m in self._matrices]
-        return _unit_pivot_reduction(rows, self._sizes, lambda p: False)
-
-    @property
-    def matrices(self):
-        if self._matrices is None:
-            return self.reduced.matrices
-        return self._matrices
-
-    @property
-    def sizes(self):
-        return self.reduced.sizes
-
-    @property
-    def euler(self) -> int:
-        if self.simplicial:
-            return self.complex.euler_characteristic()
-        return sum((-1) ** q * n for q, n in enumerate(self.sizes))
-
-    @staticmethod
-    def of(X, z=None) -> "TwistedData":
-        if isinstance(X, TwistedData):
-            return X
-        if getattr(X, "complex", None) is not None and z is None:
-            # GeneratedSpace and friends carry their own cocycle
-            X, z = X.complex, X.cocycle
+def twisted_complex(X, z=None) -> TwistedComplex:
+    """The twisted complex of a space, which carries its cocycle, or of a
+    simplicial complex X with the cocycle z; a TwistedComplex is its own."""
+    if isinstance(X, TwistedComplex):
+        return X
+    if z is None:
         if isinstance(X, SimplicialComplex):
-            if z is None:
-                raise ValueError("a simplicial complex needs a cocycle")
-            return TwistedData(None, None, X.dim, complex=X, cocycle=z)
-        # chain-instance duck type: .matrices, .sizes, .dimension
-        return TwistedData(list(X.matrices), list(X.sizes), X.dimension)
+            raise ValueError("a simplicial complex needs a cocycle")
+        X, z = X.complex, X.cocycle
+    return TwistedComplex(X, z)
 
-    @property
-    def simplicial(self) -> bool:
-        return self.complex is not None
 
-    def smith(self, q: int) -> SmithForm:
-        if q not in self._smith:
-            if q < len(self.matrices):
-                self._smith[q] = snf(self.matrices[q])
-            else:
-                self._smith[q] = SmithForm([])
-        return self._smith[q]
-
-    def dim_at(self, q: int, a: Scalar) -> int:
-        check_nonzero(a)
-        return self.reduced.dim_at(q, a)
+def reduced_complex(X, z=None) -> ReducedComplex:
+    """X if it is a ReducedComplex, else the reduction of
+    ``twisted_complex(X, z)``."""
+    if isinstance(X, ReducedComplex):
+        return X
+    return twisted_complex(X, z).reduced()
 
 
 class JumpEntry:
@@ -153,14 +104,12 @@ class JumpReport:
 
 def novikov_numbers(X, z=None):
     """Generic dimensions b_q of twisted cohomology, via Smith form ranks
-    of the reduced coboundaries."""
-    data = TwistedData.of(X, z)
-    b = []
-    for q in range(data.dimension + 1):
-        r_q = data.smith(q).rank
-        r_prev = data.smith(q - 1).rank if q > 0 else 0
-        b.append(data.sizes[q] - r_q - r_prev)
-    if sum((-1) ** q * bq for q, bq in enumerate(b)) != data.euler:
+    of the reduced coboundaries; X and z are read by ``reduced_complex``."""
+    red = reduced_complex(X, z)
+    b = [n - red.smith(q).rank - red.smith(q - 1).rank
+         for q, n in enumerate(red.sizes)]
+    if (sum((-1) ** q * bq for q, bq in enumerate(b))
+            != sum((-1) ** q * n for q, n in enumerate(red.full_sizes))):
         raise InternalInconsistency(
             "alternating sum of generic dimensions differs from the "
             "Euler characteristic")
@@ -180,11 +129,11 @@ def jump_locus(X, z=None) -> JumpReport:
     divisible by a basis factor or coprime to it, so the dimension at the
     factor's roots is well defined.
     """
-    data = TwistedData.of(X, z)
-    generic = novikov_numbers(data)
+    red = reduced_complex(X, z)
+    generic = novikov_numbers(red)
     collected = []
-    for q in range(data.dimension):
-        for d in data.smith(q).divisors:
+    for q in range(len(red.rows)):
+        for d in red.smith(q).divisors:
             for f, _mult in squarefree_factors(d):
                 if f.degree >= 1 and not _t_power(f):
                     collected.append(f)
@@ -192,10 +141,9 @@ def jump_locus(X, z=None) -> JumpReport:
     for h in coprime_basis(collected):
         if h.degree < 1 or _t_power(h):
             continue
-        for q in range(data.dimension + 1):
-            r_q = data.smith(q).rank_at_factor_root(h)
-            r_prev = data.smith(q - 1).rank_at_factor_root(h) if q > 0 else 0
-            dim = data.sizes[q] - r_q - r_prev
+        for q, n in enumerate(red.sizes):
+            dim = (n - red.smith(q).rank_at_factor_root(h)
+                   - red.smith(q - 1).rank_at_factor_root(h))
             if dim > generic[q]:
                 entries.append(JumpEntry(q, h.monic(), dim))
     return JumpReport(generic, entries)
@@ -206,9 +154,9 @@ def twisted_dims(X, z, a: Scalar = None):
     coboundaries at a."""
     if a is None:
         X, z, a = X, None, z
-    data = TwistedData.of(X, z)
     check_nonzero(a)
-    return [data.dim_at(q, a) for q in range(data.dimension + 1)]
+    red = reduced_complex(X, z)
+    return [red.dim_at(q, a) for q in range(len(red.sizes))]
 
 
 class CupLengthCertificate:
@@ -281,10 +229,10 @@ class _CohomologyCache:
     coords(rep^m_i cup rep^a_j), computed once per (m, p, a, d).
     """
 
-    def __init__(self, data: TwistedData):
-        self.data = data
-        self.complex = data.complex
-        self.cocycle = data.cocycle
+    def __init__(self, twisted: TwistedComplex):
+        self.twisted = twisted
+        self.complex = twisted.complex
+        self.cocycle = twisted.z
         self._dims = {}
         self._bases = {}
         self._coboundaries = {}
@@ -293,7 +241,7 @@ class _CohomologyCache:
     def dim(self, a: Scalar, q: int) -> int:
         key = (scalar_key(a), q)
         if key not in self._dims:
-            self._dims[key] = self.data.dim_at(q, a)
+            self._dims[key] = self.twisted.reduced().dim_at(q, a)
         return self._dims[key]
 
     def reps(self, a: Scalar, q: int):
@@ -309,7 +257,7 @@ class _CohomologyCache:
         b = self.dim(a, q)
         if b == 0:
             return [], None, None
-        red = self.data.reduced
+        red = self.twisted.reduced()
         n = red.sizes[q]
         field = scalar_field(a)
         projector = Span(n + b)
@@ -519,8 +467,8 @@ def cup_length(X, z, candidates, *, manifold=False, jumps=None, seed=None,
                mode="exhaustive-over-candidates", cache=None):
     """Longest certified nontrivial product of positive-degree twisted classes.
 
-    ``X`` and ``z`` are read as by ``TwistedData.of``; ``cache``, a
-    ``_CohomologyCache`` of the same instance, lets several searches share
+    ``X`` and ``z`` are read by ``twisted_complex``; ``cache``, a
+    ``_CohomologyCache`` of the same complex, lets several searches share
     their bases and structure constants.  Each DP state stores a spanning
     set of realizable products in cohomology coordinates, which suffices
     because the cup product is bilinear.  Returns a CritBoundReport whose
@@ -529,7 +477,7 @@ def cup_length(X, z, candidates, *, manifold=False, jumps=None, seed=None,
     search at the unit monodromy with no non-unit requirement.
     """
     if cache is None:
-        cache = _CohomologyCache(TwistedData.of(X, z))
+        cache = _CohomologyCache(twisted_complex(X, z))
     X, z = cache.complex, cache.cocycle
     if z.is_zero():
         untw, _, _ = _search(cache, [Fraction(1)], 0)
@@ -552,7 +500,7 @@ def cup_length(X, z, candidates, *, manifold=False, jumps=None, seed=None,
     notes = []
     if manifold and cl < 2:
         dual = _duality_bound(
-            jumps if jumps is not None else jump_locus(cache.data), X.dim)
+            jumps if jumps is not None else jump_locus(cache.twisted), X.dim)
         if dual is not None:
             cl = 2
             notes.append(dual)
@@ -618,7 +566,7 @@ def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
         m = scalar_mul(m, a)
         d += e
     reps, _projector, f = cache._basis(m, d)
-    red = cache.data.reduced
+    red = cache.twisted.reduced()
     columns = _reduced_columns(red, d - 1, m)
     delta = cache.coboundary(m, d - 1)
     reduced_product = f(product)
@@ -709,26 +657,16 @@ def crit_bound(X, z=None, *, manifold=None, seed=0):
     the three attempts share one cohomology cache."""
     if manifold is None:
         manifold = bool(getattr(X, "manifold", False))
-    data = TwistedData.of(X, z)
-    jumps = jump_locus(data)
-    if not data.simplicial:
-        # synthetic chain data has no cup product; only the duality route
-        notes = []
-        cl = 0
-        if manifold:
-            dual = _duality_bound(jumps, data.dimension)
-            if dual is not None:
-                cl = 2
-                notes.append(dual)
-        return CritBoundReport(cl, None, "exhaustive-over-candidates",
-                               seed=seed, notes=notes, jumps=jumps)
+    twisted = twisted_complex(X, z)
+    jumps = jump_locus(twisted)
     rng = random.Random(seed)
-    cache = _CohomologyCache(data)
+    cache = _CohomologyCache(twisted)
     last = None
     for _attempt in range(3):
         cands = default_candidates(jumps, rng)
-        last = cup_length(data, None, cands, manifold=manifold, jumps=jumps,
-                          seed=seed, mode="probabilistic", cache=cache)
+        last = cup_length(twisted, None, cands, manifold=manifold,
+                          jumps=jumps, seed=seed, mode="probabilistic",
+                          cache=cache)
         if last.cl_lower_bound > 0:
             return last
     return last

@@ -169,37 +169,6 @@ def express(generators, target: dict):
     return {p: row[k] for p, row in pivots.items() if k in row}
 
 
-def kernel_lattice_int(rows, ncols: int):
-    """Basis of the integer kernel lattice of an integer matrix.
-
-    Unimodular column reduction; the non-pivot transform columns span
-    ker as a Z-lattice.
-    """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    t = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_sub(c, c0, q):
-        for i in range(nrows):
-            m[i][c] -= q * m[i][c0]
-        for i in range(ncols):
-            t[i][c] -= q * t[i][c0]
-
-    pivot_cols = set()
-    for r in range(nrows):
-        active = [c for c in range(ncols) if c not in pivot_cols and m[r][c]]
-        while len(active) > 1:
-            active.sort(key=lambda c: abs(m[r][c]))
-            c0 = active[0]
-            for c in active[1:]:
-                col_sub(c, c0, m[r][c] // m[r][c0])
-            active = [c for c in active if m[r][c]]
-        if active:
-            pivot_cols.add(active[0])
-    return [[t[i][c] for i in range(ncols)]
-            for c in range(ncols) if c not in pivot_cols]
-
-
 def char_poly_rational(mat) -> Poly:
     """Characteristic polynomial det(tI - A) of a small rational matrix."""
     n = len(mat)

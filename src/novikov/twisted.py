@@ -4,7 +4,8 @@ Each complex is kept as sparse Laurent rows, passes the same delta^2 = 0
 check and is reduced by its unit pivots (algebraic Morse reduction); every
 twisted dimension is read off the reduced complex by
 ``ReducedComplex.dim_at``, whose dense Q[t] ``matrices`` feed the Smith
-forms.  The unreduced evaluations kept here are oracles.
+forms, kept per degree by ``ReducedComplex.smith``.  The unreduced
+evaluations kept here are oracles.
 
 * ``TwistedComplex`` substitutes t**z(u, v) for the monodromy transport in
   the simplicial coboundary.  Its pivots +-t**k stay units at every
@@ -31,7 +32,7 @@ from .complexes import SimplicialComplex, OneCocycle, twisted_coboundary_values
 from .errors import (DegreeOutOfRange, DimensionMismatch, ExponentTooLarge,
                      NotAChainComplex, NotAnIsomorphism)
 from .linalg import Span, kernel, nullspace, rank
-from .matrix import PolyMatrix
+from .matrix import PolyMatrix, SmithForm, snf
 from .numfield import (Scalar, check_nonzero, scalar_field, scalar_key,
                        scalar_pow)
 from .polyq import Poly
@@ -312,6 +313,7 @@ class ReducedComplex:
     only by powers of t, and ranks at t = a != 0 not at all, but these
     matrices are no chain complex.  A row whose exponents span more than
     ``MAX_EXPONENT`` is refused with ExponentTooLarge rather than expanded.
+    ``smith(q)`` is the Smith form of ``matrices[q]``, computed once.
 
     ``pivots`` records every elimination in order as (q, tau, sigma, k, c,
     b, cleared): the pivot u = delta_q[tau][sigma] = c * t**k, the pivot
@@ -340,6 +342,7 @@ class ReducedComplex:
         self.pivots = pivots
         self.at_zero = False
         self._ranks = {}
+        self._smith = {}
 
     def _check_point(self, a: Scalar) -> None:
         if not self.at_zero:
@@ -367,6 +370,16 @@ class ReducedComplex:
                 dense.append(entries)
             out.append(PolyMatrix(len(dense), self.sizes[q], dense))
         return out
+
+    def smith(self, q: int) -> SmithForm:
+        """The Smith form of ``matrices[q]`` over Q[t], computed on first
+        use and kept; it has no divisor outside the degrees of ``rows``."""
+        form = self._smith.get(q)
+        if form is None:
+            form = self._smith[q] = (snf(self.matrices[q])
+                                     if 0 <= q < len(self.rows)
+                                     else SmithForm([]))
+        return form
 
     def dim_at(self, q: int, a: Scalar) -> int:
         """dim H^q of the complex at t = a: the q-cells minus the ranks of
@@ -611,10 +624,12 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
 
     ``is_unit`` picks the entries that may serve as pivots, among the
     units +-t**k of Z[t, 1/t]: all of them for a complex read only at
-    t != 0, only +-1 for one that must stay valid at t = 0, none for one
-    read as given.  A pivot u = delta_q[tau][sigma] = +-t**k removes the
-    q-cell sigma and the (q+1)-cell tau: delta_q becomes its Schur
-    complement
+    t != 0 (``TwistedComplex``, ``relative_reduced``), only +-1 for one
+    that must stay valid at t = 0 (``DeformationComplex``).  With none, the
+    tests' unreduced oracle, the rows come back as given, as a
+    ReducedComplex that the invariants read like any other.  A pivot
+    u = delta_q[tau][sigma] = +-t**k removes the q-cell sigma and the
+    (q+1)-cell tau: delta_q becomes its Schur complement
     delta_q[rho][kappa] - delta_q[rho][sigma] * u**-1 * delta_q[tau][kappa],
     delta_{q-1} loses row sigma and delta_{q+1} loses column tau.  The
     result is chain-homotopy equivalent over Z[t, 1/t] (Kaczynski, Mrozek

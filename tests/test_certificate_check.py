@@ -11,8 +11,8 @@ import pytest
 from novikov.complexes import twisted_coboundary_values
 from novikov.corpus import connected_sum, surface, torus
 from novikov.errors import InternalInconsistency
-from novikov.invariants import (TwistedData, _CohomologyCache,
-                                _verify_certificate, crit_bound, cup_length)
+from novikov.invariants import (_CohomologyCache, _verify_certificate,
+                                crit_bound, cup_length, twisted_complex)
 from novikov.numfield import NumberField
 from novikov.twisted import ReducedComplex
 
@@ -42,7 +42,7 @@ def _certified(case):
     space = SPACES[name]()
     cert = run(space).certificate
     assert cert is not None
-    return space, cert, _CohomologyCache(TwistedData.of(space))
+    return space, cert, _CohomologyCache(twisted_complex(space))
 
 
 def _plus(u, v):

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from novikov.corpus import (SimplicialSelfMap, alexander_style_instance,
-                            circle, connected_sum, mapping_torus,
-                            mv_dims_from_matrices, mv_oracle_dims,
+from novikov.corpus import (SimplicialSelfMap, circle, connected_sum,
+                            mapping_torus, mv_dims_from_matrices,
+                            mv_oracle_dims, one_relator_complex,
                             rational_cohomology, space_from_json,
                             space_to_json, sphere_complex, sphere_product,
                             standard_corpus, surface, torus)
 from novikov.corpus import GeneratedSpace
 from novikov.errors import (DimensionMismatch, NotAManifoldInput,
                             ParameterOutOfRange)
-from novikov.invariants import crit_bound, cup_length, jump_locus, twisted_dims
+from novikov.invariants import (crit_bound, cup_length, jump_locus,
+                                jumps_json, reduced_complex, twisted_dims)
 from novikov.linalg import char_poly_rational
 from novikov.twisted import DeformationComplex
 
@@ -146,13 +147,33 @@ def test_connected_sum_cup_bound_dominates_summands():
 
 
 def test_alexander_instance_shape():
-    inst = alexander_style_instance()
-    assert inst.sizes == [1, 2, 1, 0]
-    assert inst.dimension == 3
-    assert inst.manifold
-    report = jump_locus(inst)
-    assert report.generic == [0, 0, 0, 0]
+    """The presentation complex of 5_2: 2 generator loops of 3 edges, a
+    relator of 14 letters, so a disk of 3 * 42 triangles; it reduces to
+    one 0-cell, one 1-cell per generator and one 2-cell."""
+    knot = one_relator_complex("xyXYxyxYXyxYXY", {"x": 1, "y": 1})
+    assert knot.complex.f_vector() == (48, 174, 126)
+    assert knot.dimension == 2 and not knot.manifold and not knot.has_cut
+    assert reduced_complex(knot).sizes == [1, 2, 1]
+    report = jump_locus(knot)
+    assert report.generic == [0, 0, 0]
     assert report.entries
+    # the JSON form keeps the class
+    again = space_from_json(json.loads(json.dumps(space_to_json(knot))))
+    assert jumps_json(jump_locus(again)) == jumps_json(report)
+
+
+def test_one_relator_complex_generators_and_relator():
+    bs = one_relator_complex("taTAA", {"a": 0, "t": 1})
+    assert bs.complex.f_vector() == (21, 66, 45)
+    # generator k is the loop 0 -> 2k+1 -> 2k+2 -> 0, its weight on the
+    # edge (0, 2k+1)
+    assert [bs.cocycle.transport_exponent([0, 2 * k + 1, 2 * k + 2, 0])
+            for k in range(2)] == [0, 1]
+    assert bs.cocycle.value(0, 3) == 1
+    for relator, weights in [("xY", {"x": 1}), ("xy", {"x": 1, "y": 1}),
+                             ("", {"x": 0})]:
+        with pytest.raises(ParameterOutOfRange):
+            one_relator_complex(relator, weights)
 
 
 def test_standard_corpus_is_consistent():

@@ -17,8 +17,9 @@ from novikov.corpus import (circle, connected_sum, mapping_torus,
                             space_from_json, space_to_json, sphere_product,
                             surface, torus)
 from novikov.errors import InternalInconsistency
-from novikov.invariants import (TwistedData, _CohomologyCache,
-                                certificate_json, crit_bound, cup_length)
+from novikov.invariants import (_CohomologyCache, certificate_json,
+                                crit_bound, cup_length, reduced_complex,
+                                twisted_complex)
 from novikov.linalg import Span
 from novikov.numfield import NumberField, scalar_key, scalar_mul
 from novikov.twisted import coboundary_image_vectors
@@ -162,7 +163,7 @@ def test_the_search_builds_no_cochain_level_basis(monkeypatch):
     monkeypatch.setattr(invariants, "kernel", recording_kernel)
     certified = 0
     for space in (surface(2), connected_sum(torus(), torus()), _klein()):
-        reduced = TwistedData.of(space).sizes
+        reduced = reduced_complex(space).sizes
         widths.clear()
         rep = crit_bound(space, seed=0)
         assert widths and set(widths) <= set(reduced)
@@ -238,7 +239,7 @@ def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):
 
 def _surface_cache():
     s = surface(2)
-    return _CohomologyCache(TwistedData.of(s))
+    return _CohomologyCache(twisted_complex(s))
 
 
 def test_coordinates_of_representatives_and_coboundaries():
@@ -264,8 +265,8 @@ def test_a_product_that_is_not_a_cocycle_is_refused():
 
 
 def test_representative_count_must_match_the_reduced_dimension(monkeypatch):
-    real = TwistedData.dim_at
-    monkeypatch.setattr(TwistedData, "dim_at",
+    real = twisted.ReducedComplex.dim_at
+    monkeypatch.setattr(twisted.ReducedComplex, "dim_at",
                         lambda self, q, a: real(self, q, a) + (q == 1))
     s = surface(2)
     with pytest.raises(InternalInconsistency, match="representatives"):

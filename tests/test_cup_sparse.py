@@ -13,7 +13,7 @@ from novikov.cli import parse_scalar
 from novikov.complexes import (build_complex, coboundary_of_vertex_function,
                                twisted_cup)
 from novikov.corpus import circle, connected_sum, mapping_torus, surface, torus
-from novikov.invariants import TwistedData, _CohomologyCache
+from novikov.invariants import _CohomologyCache
 from novikov.numfield import (FieldElement, check_nonzero, scalar_field,
                               scalar_pow)
 from novikov.twisted import CoboundaryRows, TwistedComplex
@@ -240,7 +240,7 @@ def test_no_sparse_output_stores_a_zero(instance, data):
     X, z = instance
     a = data.draw(st.sampled_from([Fraction(3, 2), Fraction(-1), ROOT]))
     red = TwistedComplex(X, z).reduced()
-    cache = _CohomologyCache(TwistedData.of(X, z))
+    cache = _CohomologyCache(TwistedComplex(X, z))
     outputs = []
     for q in range(X.dim + 1):
         x = _cochain(data.draw, X.n_simplices(q), a)

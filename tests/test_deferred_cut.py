@@ -14,6 +14,7 @@ import pytest
 from novikov import corpus
 from novikov.cli import main
 from novikov.complexes import build_complex
+from novikov.errors import MalformedInput
 
 
 def gen_torus() -> dict:
@@ -119,6 +120,8 @@ BAD_CUTS = {
     "V-float": _with_cut(V=[[0, 1.5]]),
     "i_plus-3-lists": _with_cut(i_plus=[[0, 0, 1], [1, 1, 1], [2, 2, 1]]),
     "i_minus-boolean": _with_cut(i_minus=[[0, True], [1, 10], [2, 11]]),
+    # the last pair of a vertex given twice used to win without a word
+    "i_plus-vertex-twice": _with_cut(i_plus=[[0, 0], [1, 1], [2, 2], [2, 4]]),
     # vertex checks: no faces of N or V needed
     "i_minus-not-injective": _with_cut(i_minus=[[0, 9], [1, 9], [2, 11]]),
     "i_minus-misses-a-vertex": _with_cut(i_minus=[[0, 9], [1, 10]]),
@@ -134,3 +137,14 @@ def test_a_cut_of_the_wrong_shape_exits_2_on_every_command(name, argv,
     code, out, err = run(argv, BAD_CUTS[name], tmp_path, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, pairs", [
+    ("i_plus", [[0, 0], [1, 1], [2, 2], [2, 4]]),
+    # the same pair twice is refused too, as a cocycle edge given twice is
+    ("i_minus", [[0, 9], [1, 10], [2, 11], [0, 9]]),
+])
+def test_a_vertex_given_twice_in_a_cut_map_is_refused_at_load(key, pairs):
+    with pytest.raises(MalformedInput,
+                       match=f"^cut {key} gives vertex [02] twice$"):
+        corpus.space_from_json(_with_cut(**{key: pairs}))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from novikov.complexes import OneCocycle, validate_cocycle
-from novikov.corpus import (alexander_style_instance, circle, connected_sum,
+from novikov.corpus import (circle, connected_sum, one_relator_complex,
                             sphere_product, surface, torus)
 from novikov.errors import NotInSpan
 from novikov.invariants import (crit_bound, cup_length, default_candidates,
@@ -126,20 +126,42 @@ def test_crit_bound_deterministic_given_seed():
 
 
 def test_crit_bound_alexander_instance():
-    inst = alexander_style_instance()
-    assert novikov_numbers(inst) == [0, 0, 0, 0]
-    report = jump_locus(inst)
-    assert any(e.factor == Poly([Fraction(1), Fraction(-3, 2), Fraction(1)])
-               for e in report.entries)
-    rep = crit_bound(inst)
+    """The presentation complex of the knot 5_2: every generic twisted
+    dimension vanishes, and the roots of its Alexander polynomial
+    2 - 3t + 2t^2, no units, jump.  It is no closed manifold, and the
+    search certifies no product of two non-unit classes; the duality route
+    gives length 2 only when the caller asserts a manifold."""
+    knot = one_relator_complex("xyXYxyxYXyxYXY", {"x": 1, "y": 1})
+    assert novikov_numbers(knot) == [0, 0, 0]
+    report = jump_locus(knot)
+    alexander = Poly([Fraction(1), Fraction(-3, 2), Fraction(1)])
+    assert [e.q for e in report.entries if e.factor == alexander] == [1, 2]
+    rep = crit_bound(knot)
+    assert (rep.cl_lower_bound, rep.crit_bound, rep.notes) == (0, 0, [])
+    rep = crit_bound(knot, manifold=True)
     assert rep.cl_lower_bound == 2
     assert rep.crit_bound == 1
-    assert rep.notes
-    # chain data is evaluated as given, with no cell eliminated
+    assert rep.certificate is None
+    assert rep.notes == [
+        "duality pairing: jump factor [2, -3, 2] in degree 1 has a non-unit "
+        "root; its inverse root pairs with it into degree 2"]
     root = NumberField([2, -3, 2]).generator()
-    assert twisted_dims(inst, Fraction(2)) == [0, 0, 0, 0]
-    assert twisted_dims(inst, Fraction(1)) == [1, 1, 0, 0]
-    assert twisted_dims(inst, root) == [0, 1, 1, 0]
+    assert twisted_dims(knot, Fraction(2)) == [0, 0, 0]
+    assert twisted_dims(knot, Fraction(1)) == [1, 1, 0]
+    assert twisted_dims(knot, root) == [0, 1, 1]
+    assert twisted_dims(knot, root.inverse()) == [0, 1, 1]
+
+
+def test_baumslag_solitar_jump_is_not_reciprocal():
+    """BS(1,2) = <a, t | t a t^-1 = a^2> with a -> 0, t -> 1: the jump
+    factor t - 2 has the root 2, whose inverse 1/2 is no jump."""
+    bs = one_relator_complex("taTAA", {"a": 0, "t": 1})
+    report = jump_locus(bs)
+    assert report.generic == [0, 0, 0]
+    assert [e.q for e in report.entries if e.factor == Poly([-2, 1])] \
+        == [1, 2]
+    assert twisted_dims(bs, Fraction(2)) == [0, 1, 1]
+    assert twisted_dims(bs, Fraction(1, 2)) == [0, 0, 0]
 
 
 def test_crit_bound_connected_sum():

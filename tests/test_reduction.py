@@ -15,10 +15,12 @@ from novikov.cli import parse_scalar
 from novikov.complexes import (build_complex, coboundary_of_vertex_function,
                                validate_cocycle)
 from novikov.corpus import (circle, connected_sum, mapping_torus,
-                            sphere_product, surface, torus)
+                            one_relator_complex, sphere_product, surface,
+                            torus)
 from novikov.errors import NotAChainComplex
-from novikov.invariants import (TwistedData, _CohomologyCache, jump_locus,
-                                novikov_numbers, twisted_dims)
+from novikov.invariants import (_CohomologyCache, jump_locus,
+                                novikov_numbers, reduced_complex,
+                                twisted_dims)
 from novikov.linalg import Span, nullspace
 from novikov.twisted import (TwistedComplex, coboundary_image_vectors,
                              evaluate_rows, sparse_coboundary,
@@ -37,6 +39,13 @@ def corpus_space(name):
         return mapping_torus(circle(3).complex, {0: 0, 1: 2, 2: 1})
     if name == "torus#torus":
         return connected_sum(torus(), torus())
+    if name == "5_2":
+        # the presentation complex of the knot 5_2: Alexander polynomial
+        # 2 - 3t + 2t^2, whose roots are no units
+        return one_relator_complex("xyXYxyxYXyxYXY", {"x": 1, "y": 1})
+    if name == "BS(1,2)":
+        # t a t^-1 = a^2: the jump root 2 is not reciprocal
+        return one_relator_complex("taTAA", {"a": 0, "t": 1})
     if name == "order3":
         # the 7-vertex torus under v -> 2v mod 7: reduces to [1, 2, 2, 1]
         seven = build_complex(
@@ -68,11 +77,12 @@ def instances(draw, names=spaces):
 
 
 def unreduced(X, z):
-    """TwistedData over the full simplicial coboundaries (no reduction)."""
+    """The full simplicial coboundaries as a ReducedComplex with no cell
+    eliminated, which the invariants read as they read a reduction."""
     T = TwistedComplex(X, z)
     full = twisted._unit_pivot_reduction(T.rows, T.sizes, lambda p: False)
     assert full.sizes == T.sizes and not full.pivots
-    return TwistedData(full.matrices, full.sizes, X.dim)
+    return full
 
 
 def jump_triples(report):
@@ -95,10 +105,25 @@ def test_reduced_and_unreduced_smith_forms_agree(instance):
                              min_size=2, max_size=2))
 def test_reduced_dims_match_direct_elimination(instance, rationals):
     X, z = instance
-    data = TwistedData.of(X, z)
+    red = reduced_complex(X, z)
     for a in rationals + [Fraction(1), parse_scalar("@-1,-3,2")]:
         direct = [twisted_cohomology_dim(X, z, q, a) for q in range(X.dim + 1)]
-        assert twisted_dims(data, a) == direct, a
+        assert twisted_dims(red, a) == direct, a
+
+
+@pytest.mark.parametrize("name", ["5_2", "BS(1,2)"])
+def test_one_relator_complexes_reduced_and_unreduced_agree(name):
+    """The presentation complexes of 5_2 and BS(1,2), whose jump roots are
+    no units, read reduced, unreduced and by direct elimination."""
+    space = corpus_space(name)
+    X, z = space.complex, space.cocycle
+    full = unreduced(X, z)
+    assert novikov_numbers(X, z) == novikov_numbers(full) == [0, 0, 0]
+    assert jump_triples(jump_locus(X, z)) == jump_triples(jump_locus(full))
+    for a in [Fraction(2), Fraction(1, 2), Fraction(1), Fraction(-3, 5),
+              parse_scalar("@2,-3,2"), parse_scalar("@-1,-3,2")]:
+        direct = [twisted_cohomology_dim(X, z, q, a) for q in range(X.dim + 1)]
+        assert twisted_dims(X, z, a) == twisted_dims(full, a) == direct, a
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -218,7 +243,7 @@ def cochains(rng, n, count=2):
 
 
 @pytest.mark.parametrize("name", ["surface(2)", "klein", "torus#torus",
-                                  (5, -1, 2), "order3"])
+                                  (5, -1, 2), "order3", "5_2", "BS(1,2)"])
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_transfer_maps_are_inverse_chain_maps(name, data):
@@ -253,9 +278,9 @@ def test_transfer_maps_are_inverse_chain_maps(name, data):
 @given(data=st.data())
 def test_g_gives_cocycles_independent_modulo_coboundaries(name, data):
     X, z = data.draw(instances(st.just(name)))
-    instance = TwistedData.of(X, z)
-    red = instance.reduced
-    cache = _CohomologyCache(instance)
+    T = TwistedComplex(X, z)
+    red = T.reduced()
+    cache = _CohomologyCache(T)
     for a in SCALARS:
         for q in range(X.dim + 1):
             n = red.sizes[q]
@@ -272,7 +297,7 @@ def test_g_gives_cocycles_independent_modulo_coboundaries(name, data):
             # the basis representatives stay independent modulo the
             # coboundaries of the unreduced complex
             reps = cache.reps(a, q)
-            assert len(reps) == twisted_dims(instance, a)[q]
+            assert len(reps) == twisted_dims(red, a)[q]
             span = Span(X.n_simplices(q))
             for c in coboundary_image_vectors(X, z, q, a):
                 span.add(c)

@@ -11,7 +11,7 @@ from novikov.corpus import (circle, mapping_torus, mv_oracle_dims,
 from novikov.errors import (DegreeOutOfRange, DimensionMismatch,
                             ExponentTooLarge, NotAChainComplex,
                             NotAnIsomorphism, ZeroMonodromy)
-from novikov.invariants import TwistedData, twisted_dims
+from novikov.invariants import reduced_complex, twisted_dims
 from novikov.matrix import snf
 from novikov.twisted import (MAX_EXPONENT, CoboundaryRows, CutPresentation,
                              DeformationComplex, SimplicialMap,
@@ -244,15 +244,14 @@ def test_each_rank_is_evaluated_once_per_monodromy(monkeypatch):
         return real(rows, ncols, a)
 
     monkeypatch.setattr(twisted, "_evaluated_rank", counting)
-    data = TwistedData.of(surface(2))
-    red = data.reduced
+    red = reduced_complex(surface(2))
     K = parse_scalar("@1,1,1").field
     for a in (Fraction(2), Fraction(1), K.from_rational(1),
               K.generator()):
         calls.clear()
-        dims = twisted_dims(data, a)
+        dims = twisted_dims(red, a)
         assert len(calls) == len(red.rows)
-        assert twisted_dims(data, a) == dims
+        assert twisted_dims(red, a) == dims
         assert len(calls) == len(red.rows)
     D = DeformationComplex(torus().cut)
     for a in (Fraction(0), Fraction(-5, 2)):
