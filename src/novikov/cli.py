@@ -157,10 +157,13 @@ def cmd_thm3_bound(args):
     base = [space.cocycle]
     approximants = [[int(c) for c in chunk.split(",")]
                     for chunk in args.approximants.split(";")]
-    rep = invariants.thm3_bound(space.complex, base, approximants,
+    twisted = invariants.twisted_complex(space)
+    rep = invariants.thm3_bound(twisted, base, approximants,
                                 manifold=space.manifold, seed=args.seed)
-    # the report's own jumps belong to the best approximant, not the class
-    return _emit_crit(args, invariants.jump_locus(space), rep)
+    # the report's own jumps belong to the best approximant, not the
+    # class; the class's complex also serves its own approximant, so the
+    # class is reduced once
+    return _emit_crit(args, invariants.jump_locus(twisted), rep)
 
 
 def cmd_gen(args):

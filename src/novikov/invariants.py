@@ -529,8 +529,8 @@ def _extract_certificate(k, m, degree, st, f_vector):
         witness = [c if isinstance(c, FieldElement)
                    else field.from_rational(c) for c in coords]
     else:
-        witness = [c.as_rational() if isinstance(c, FieldElement)
-                   else Fraction(c) for c in coords]
+        witness = [c.as_rational() if isinstance(c, FieldElement) else c
+                   for c in coords]
     return CupLengthCertificate(k, factors, witness, m, degree, f_vector)
 
 
@@ -676,8 +676,13 @@ def thm3_bound(X, base_classes, approximants, *, manifold=False, seed=0):
     """Best bound over integer combinations of the base classes.
 
     Each approximant is a coefficient vector; the zero vector is rejected
-    since it does not present a rank-1 class vanishing on the kernel.
+    since it does not present a rank-1 class vanishing on the kernel.  X
+    is a simplicial complex, or a TwistedComplex, whose reduction then
+    serves the approximant that gives its own cocycle.
     """
+    twisted = X if isinstance(X, TwistedComplex) else None
+    if twisted is not None:
+        X = twisted.complex
     best = None
     for coeffs in approximants:
         coeffs = list(coeffs)
@@ -686,14 +691,17 @@ def thm3_bound(X, base_classes, approximants, *, manifold=False, seed=0):
         if all(c == 0 for c in coeffs):
             raise NotInSpan("zero approximant is not a rank-1 class")
         eta = base_classes[0].scaled_sum(list(zip(base_classes, coeffs)))
-        rep = crit_bound(X, eta, manifold=manifold, seed=seed)
+        if twisted is not None and eta.values == twisted.z.values:
+            rep = crit_bound(twisted, manifold=manifold, seed=seed)
+        else:
+            rep = crit_bound(X, eta, manifold=manifold, seed=seed)
         if best is None or rep.cl_lower_bound > best.cl_lower_bound:
             best = rep
     return best
 
 
-def _frac_str(c: Fraction) -> str:
-    c = Fraction(c)
+def _frac_str(c) -> str:
+    """An int or a Fraction as "n" or "n/d"."""
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 \
         else str(c.numerator)
 

@@ -3,9 +3,10 @@
 One sparse row-echelon routine, ``Span``, does every elimination over a
 field: rank, nullspaces, coordinates of a vector and incremental spans.
 Rows are ``{column: value}`` dicts holding ints, Fractions or
-FieldElements.  Every pivot is inverted exactly once.  An int pivot +-1
-is its own inverse, so integer rows with such pivots stay integer; any
-other int pivot c becomes ``Fraction(1, c)``, so no float can appear.  A
+FieldElements.  Every pivot is inverted at most once.  An int pivot +-1
+is its own inverse, and an int pivot that divides every entry of an
+integer row divides it exactly, so such rows stay integer; any other int
+pivot c becomes ``Fraction(1, c)``, so no float can appear.  A
 zero divisor met as a pivot modulo a reducible minimal polynomial raises
 ``ZeroDivisorEncountered``.
 """
@@ -77,9 +78,13 @@ class Span:
             inv = pv.inverse()
         elif type(pv) is int and (pv == 1 or pv == -1):
             inv = pv
+        elif type(pv) is int and all(type(x) is int and not x % pv
+                                     for x in vec.values()):
+            inv = None   # pv divides every entry of an integer row
         else:
             inv = Fraction(1, pv)
-        row = {j: x * inv for j, x in vec.items()}
+        row = ({j: x // pv for j, x in vec.items()} if inv is None
+               else {j: x * inv for j, x in vec.items()})
         if self.reduced:
             for other in self.rows.values():
                 f = other.get(p)

@@ -1,11 +1,12 @@
 """Exact arithmetic in Q[x]/(m) and the Dirichlet-unit / algebraic-integer tests.
 
-A monodromy value ("scalar") is either a ``Fraction`` or a ``FieldElement``:
-a residue modulo an integer minimal polynomial asserted irreducible by the
-caller.  Irreducibility is verified only by cheap necessary conditions
-(squarefree, no rational root in degree >= 2); a reducible modulus is
-detected lazily whenever an inversion meets a zero divisor, which raises
-``ZeroDivisorEncountered`` carrying the discovered factor.
+A monodromy value ("scalar") is an ``int``, a ``Fraction`` or a
+``FieldElement``: a residue modulo an integer minimal polynomial asserted
+irreducible by the caller.  Irreducibility is verified only by cheap
+necessary conditions (squarefree, no rational root in degree >= 2); a
+reducible modulus is detected lazily whenever an inversion meets a zero
+divisor, which raises ``ZeroDivisorEncountered`` carrying the discovered
+factor.
 """
 
 from __future__ import annotations
@@ -199,7 +200,10 @@ class FieldElement:
         return f"FieldElement({self.residue!r} mod {list(self.field.int_coeffs)})"
 
 
-Scalar = Union[Fraction, FieldElement]
+# A rational scalar is an int or a Fraction: integral values may stay ints,
+# and a Fraction appears where a division makes one.  Two ints are never
+# divided with ``/``, which would give a float.
+Scalar = Union[int, Fraction, FieldElement]
 
 
 def scalar_is_zero(a: Scalar) -> bool:
@@ -222,26 +226,32 @@ def scalar_inv(a: Scalar) -> Scalar:
 
 
 def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, FieldElement) or isinstance(b, FieldElement):
-        if not isinstance(a, FieldElement):
-            a, b = b, a
-        return a * b
-    return Fraction(a) * Fraction(b)
+    """a * b; two ints give an int."""
+    return a * b
 
 
 def scalar_pow(a: Scalar, n: int) -> Scalar:
+    """a**n for an integer n.  A rational power that is integral (n >= 0
+    and a integral, or a = +-1, or n = 0) is an int; any other rational
+    power is a Fraction, never a float."""
     if isinstance(a, FieldElement):
         return a ** n
-    return Fraction(a) ** n
+    if a.denominator == 1 and (n >= 0 or a.numerator in (1, -1)):
+        return a.numerator ** abs(n)
+    if n == 0:
+        return 1
+    return (a if isinstance(a, Fraction) else Fraction(a)) ** n
 
 
 def scalar_key(a: Scalar):
-    """Hashable canonical key; rational field elements collapse to Fraction."""
+    """Hashable canonical key; rational field elements collapse to their
+    rational value, which hashes and compares as the equal int or
+    Fraction does."""
     if isinstance(a, FieldElement):
         if a.is_rational():
             return a.as_rational()
         return (a.field.int_coeffs, a.residue.coeffs)
-    return Fraction(a)
+    return a
 
 
 def scalar_field(a: Scalar):
@@ -256,7 +266,7 @@ def is_algebraic_integer(a: Scalar) -> bool:
             return is_algebraic_integer(a.as_rational())
         coeffs = a.min_poly_int_coeffs()
         return abs(coeffs[-1]) == 1
-    return Fraction(a).denominator == 1
+    return a.denominator == 1
 
 
 def is_dirichlet_unit(a: Scalar) -> bool:
@@ -272,5 +282,4 @@ def is_dirichlet_unit(a: Scalar) -> bool:
             return is_dirichlet_unit(a.as_rational())
         coeffs = a.min_poly_int_coeffs()
         return abs(coeffs[-1]) == 1 and abs(coeffs[0]) == 1
-    a = Fraction(a)
     return abs(a.numerator) == 1 and a.denominator == 1

@@ -139,20 +139,13 @@ def check_square_zero(deltas) -> None:
 MAX_EXPONENT = 10 ** 4
 
 
-def _power(a: Scalar, k: int) -> Scalar:
-    """a**k, refused with ExponentTooLarge when |k| exceeds MAX_EXPONENT
-    and a is not rational 0 or +-1."""
-    if abs(k) > MAX_EXPONENT and scalar_key(a) not in (0, 1, -1):
-        raise ExponentTooLarge(
-            f"t**{k} at a monodromy other than 0, 1 and -1: exponents "
-            f"beyond {MAX_EXPONENT} are refused")
-    return scalar_pow(a, k)
-
-
 def _evaluator(a: Scalar):
-    """p -> p(a) for Laurent polynomials, with the powers of a memoised
-    (``_power``); constant terms stay integers.  A negative power of a = 0
-    raises ZeroMonodromy."""
+    """p -> p(a) for Laurent polynomials, with the powers of a memoised.
+    Constant terms stay ints, and so does every value at an integral a
+    that needs no negative power of it (at +-1, every value): a power is
+    ``scalar_pow``'s, an int whenever it is integral.  A negative power of
+    a = 0 raises ZeroMonodromy; t**e with |e| beyond MAX_EXPONENT raises
+    ExponentTooLarge unless a is rational 0 or +-1."""
     powers = {}
 
     def ev(p: dict):
@@ -165,7 +158,12 @@ def _evaluator(a: Scalar):
                 if x is None:
                     if e < 0:
                         check_nonzero(a)
-                    x = powers[e] = _power(a, e)
+                    if (abs(e) > MAX_EXPONENT
+                            and scalar_key(a) not in (0, 1, -1)):
+                        raise ExponentTooLarge(
+                            f"t**{e} at a monodromy other than 0, 1 and -1: "
+                            f"exponents beyond {MAX_EXPONENT} are refused")
+                    x = powers[e] = scalar_pow(a, e)
                 out += c * x
         return out
     return ev
@@ -325,8 +323,8 @@ class ReducedComplex:
     ``h``, with x - g f x = delta h x + h delta x; ``ft`` is f
     transposed.  The maps take and return sparse vectors ``{index: nonzero
     value}``, indexed by simplex on the full complex and by position in
-    ``cells[q]`` on the reduced one; they store no zero, and ``f`` and
-    ``h`` visit only the steps their vector's support reaches.
+    ``cells[q]`` on the reduced one; they store no zero, and each visits
+    only the steps its vector's support reaches.
 
     ``at_zero`` says whether the complex may be read at t = 0, which
     ``DeformationComplex`` sets: its entries are polynomials in t and its
@@ -520,7 +518,7 @@ class ReducedComplex:
                     continue
                 step = known[i]
                 if step is None:
-                    w = c * _power(a, -k)
+                    w = ev({-k: c})   # u**-1
                     step = known[i] = (w, [(rho, x) for rho, p in cleared
                                            if (x := w * ev(p))])
                 if values is not None:
@@ -550,24 +548,45 @@ def _extension(steps, a: Scalar):
     added at the cells: each step sets its cell, one eliminated, to its
     value plus -(c * t**k)**-1 * sum_j terms[j] * vector[j] at t = a.  A
     step's products are evaluated the first time the vector has an entry
-    at some j, and kept for later vectors."""
+    at some j, and kept for later vectors.
+
+    Only the steps that the vector's support or the values reach are
+    visited, in order, through a heap of step numbers: ``readers`` maps a
+    cell to the steps whose terms hold it.  A step sets only its own
+    cell, which only later steps read: the terms of an earlier step are
+    a row of a pivot taken after that cell was eliminated."""
     ev = _evaluator(a)
+    order = {step[0]: i for i, step in enumerate(steps)}
+    readers = {}
+    for i, (_cell, _k, _c, terms) in enumerate(steps):
+        for j, _p in terms:
+            readers.setdefault(j, []).append(i)
     known = [None] * len(steps)
 
     def extend(full, values):
-        for i, (cell, k, c, terms) in enumerate(steps):
+        todo = [i for j in full for i in readers.get(j, ())]
+        todo += [order[cell] for cell in values]
+        heapify(todo)
+        last = -1
+        while todo:
+            i = heappop(todo)
+            if i == last:
+                continue
+            last = i
+            cell, k, c, terms = steps[i]
             acc = values.get(cell, 0)
-            if any(j in full for j, _p in terms):
-                products = known[i]
-                if products is None:
-                    w = -c * _power(a, -k)
-                    products = known[i] = [(j, w * ev(p)) for j, p in terms]
-                for j, w in products:
-                    v = full.get(j)
-                    if v is not None:
-                        acc += w * v
+            products = known[i]
+            if products is None and any(j in full for j, _p in terms):
+                w = ev({-k: -c})   # -u**-1
+                products = known[i] = [(j, w * ev(p)) for j, p in terms]
+            for j, w in products or ():
+                v = full.get(j)
+                if v is not None:
+                    acc += w * v
             if acc:
                 full[cell] = acc
+                for r in readers.get(cell, ()):
+                    heappush(todo, r)
     return extend
 
 

@@ -174,6 +174,31 @@ def test_thm3_bound_cli(tmp_path):
     assert json.loads(raw)["cl_lower_bound"] == 2
 
 
+def test_thm3_bound_reduces_the_class_once(tmp_path, monkeypatch):
+    """The approximant 1 is the class itself, whose jumps the report
+    prints: its one reduction serves both.  On surface(2) both approximants
+    give the bound 2, so the first one's report is printed, which is the
+    crit-bound report of the class."""
+    path = tmp_path / "surface.json"
+    path.write_text(gen("surface", "--genus", "2"))
+    _code, expected = run_cli(["crit-bound", str(path), "--seed", "3"])
+    reductions = []
+    real = twisted._unit_pivot_reduction
+
+    def counting(*args):
+        reductions.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(twisted, "_unit_pivot_reduction", counting)
+    for approximants, count in [("1", 1), ("1;2", 2)]:
+        reductions.clear()
+        code, out = run_cli(["thm3-bound", str(path), "--approximants",
+                             approximants, "--seed", "3"])
+        assert code == 0
+        assert len(reductions) == count, approximants
+        assert out == expected, approximants
+
+
 def test_gen_families():
     assert json.loads(gen("circle", "--k", "5"))["dimension"] == 1
     assert json.loads(gen("torus"))["manifold"] is True

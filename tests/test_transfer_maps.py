@@ -1,13 +1,20 @@
 """The homotopy h and the transpose fT of the transfer maps against the
 identities that define them, on cochains of every degree, with the
-unreduced coboundary taken from ``twisted_coboundary_values``."""
+unreduced coboundary taken from ``twisted_coboundary_values``; and the
+passes of g, h and fT, which follow their vector's support, against the
+scan over every step that they replaced."""
+
+from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from novikov.complexes import twisted_coboundary_values
+from novikov import twisted
+from novikov.complexes import (coboundary_of_vertex_function,
+                               twisted_coboundary_values)
 from novikov.twisted import TwistedComplex, evaluate_rows
 
-from test_cup_sparse import MONODROMIES, _cochain, instances
+from test_cup_sparse import MONODROMIES, _cochain, corpus_space, instances
 
 
 def _apply(matrix, vec):
@@ -86,3 +93,57 @@ def test_ft_is_the_transpose_of_f(instance, data):
         ft_c = red.ft(q, a)(c)
         assert _within(ft_c, X.n_simplices(q))
         assert _pairing(red.f(q, a)(x), c) == _pairing(x, ft_c), (q, a)
+
+
+def _full_scan_extension(steps, a):
+    """The pass of g, h and fT as it was before it followed the support:
+    every step, in order, tests whether the vector has an entry in its
+    terms.  The reference for ``twisted._extension``."""
+    ev = twisted._evaluator(a)
+    known = [None] * len(steps)
+
+    def extend(full, values):
+        for i, (cell, k, c, terms) in enumerate(steps):
+            acc = values.get(cell, 0)
+            if any(j in full for j, _p in terms):
+                products = known[i]
+                if products is None:
+                    w = ev({-k: -c})
+                    products = known[i] = [(j, w * ev(p)) for j, p in terms]
+                for j, w in products:
+                    v = full.get(j)
+                    if v is not None:
+                        acc += w * v
+            if acc:
+                full[cell] = acc
+    return extend
+
+
+def _listed(vec):
+    """A sparse vector as its entries in dict order, each with its type."""
+    return [(j, type(x), x) for j, x in vec.items()]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(["surface(2)", "torus#torus"]),
+       st.sampled_from([Fraction(1), Fraction(2, 3)]), st.booleans(),
+       st.data())
+def test_support_pass_is_the_full_scan(name, a, gauge, data):
+    """g, h and fT through the support-following pass give the values,
+    the types and the dict order of the full scan, on the class as given
+    or gauge-changed, for vectors that reach few or many steps; each map
+    is applied twice, so the second vector meets kept products."""
+    space = corpus_space(name)
+    X, z = space.complex, space.cocycle
+    if gauge:
+        f = {v: data.draw(st.integers(-2, 2)) for v in X.vertices()}
+        z = z.scaled_sum([(z, 1), (coboundary_of_vertex_function(X, f), 1)])
+    red = TwistedComplex(X, z).reduced()
+    for q in range(X.dim + 1):
+        xs = [_cochain(data.draw, X.n_simplices(q), a) for _ in range(2)]
+        cs = [_cochain(data.draw, red.sizes[q], a) for _ in range(2)]
+        maps = [(red.g, cs), (red.h, xs), (red.ft, cs)]
+        got = [[_listed(m(q, a)(v)) for v in vs] for m, vs in maps]
+        with mock.patch.object(twisted, "_extension", _full_scan_extension):
+            want = [[_listed(m(q, a)(v)) for v in vs] for m, vs in maps]
+        assert got == want, (name, q, a)
