@@ -32,10 +32,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return len(self.simplices) - 1
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.simplices[0]) if self.simplices else 0
-
     def f_vector(self):
         return tuple(len(level) for level in self.simplices)
 

@@ -68,8 +68,9 @@ class JumpReport:
     """Generic twisted Betti numbers plus all monodromy jumps.
 
     ``generic[q]`` is the Novikov number b_q; each entry records a monic
-    squarefree factor (never a power of t), the degree, and the strictly
-    larger dimension attained at the factor's roots.
+    squarefree factor, the degree, and the strictly larger dimension
+    attained at the factor's roots.  No factor is a power of t, by
+    construction: the Smith forms are over Q[t, 1/t].
     """
 
     def __init__(self, generic, entries):
@@ -116,31 +117,23 @@ def novikov_numbers(X, z=None):
     return b
 
 
-def _t_power(p: Poly) -> bool:
-    return all(c == 0 for c in p.coeffs[:-1])
-
-
 def jump_locus(X, z=None) -> JumpReport:
     """All monodromies where some twisted cohomology exceeds its generic dim.
 
     Factors are collected from the elementary divisors of every coboundary,
-    made squarefree, split into a pairwise-coprime basis, and powers of t
-    are dropped (t = 0 is not a monodromy).  Every divisor is then either
+    made squarefree and split into a pairwise-coprime basis.  The divisors
+    are over Q[t, 1/t], with nonzero constant terms, so no factor is a
+    power of t (t = 0 is not a monodromy).  Every divisor is then either
     divisible by a basis factor or coprime to it, so the dimension at the
     factor's roots is well defined.
     """
     red = reduced_complex(X, z)
     generic = novikov_numbers(red)
-    collected = []
-    for q in range(len(red.rows)):
-        for d in red.smith(q).divisors:
-            for f, _mult in squarefree_factors(d):
-                if f.degree >= 1 and not _t_power(f):
-                    collected.append(f)
+    collected = [f for q in range(len(red.rows))
+                 for d in red.smith(q).divisors
+                 for f, _mult in squarefree_factors(d)]
     entries = []
     for h in coprime_basis(collected):
-        if h.degree < 1 or _t_power(h):
-            continue
         for q, n in enumerate(red.sizes):
             dim = (n - red.smith(q).rank_at_factor_root(h)
                    - red.smith(q - 1).rank_at_factor_root(h))

@@ -2,8 +2,9 @@
 
 A polynomial is represented as a tuple of ``Fraction`` coefficients,
 index = exponent, with a nonzero leading coefficient (the zero polynomial
-is the empty tuple).  This is the coefficient ring Q[t] used for the
-deformation differentials and the Smith normal form.
+is the empty tuple).  The Smith forms over Q[t, 1/t] divide in Q[t]
+after writing each Laurent entry as a power of t times a polynomial, and
+their divisors are polynomials.
 """
 
 from __future__ import annotations

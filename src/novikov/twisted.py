@@ -3,9 +3,9 @@
 Each complex is kept as sparse Laurent rows, passes the same delta^2 = 0
 check and is reduced by its unit pivots (algebraic Morse reduction); every
 twisted dimension is read off the reduced complex by
-``ReducedComplex.dim_at``, whose dense Q[t] ``matrices`` feed the Smith
-forms, kept per degree by ``ReducedComplex.smith``.  The unreduced
-evaluations kept here are oracles.
+``ReducedComplex.dim_at``, and the Smith forms over Q[t, 1/t], kept per
+degree by ``ReducedComplex.smith``, are computed on the same reduced rows
+(``_laurent_smith``).  The unreduced evaluations kept here are oracles.
 
 * ``TwistedComplex`` substitutes t**z(u, v) for the monodromy transport in
   the simplicial coboundary.  Its pivots +-t**k stay units at every
@@ -24,7 +24,6 @@ evaluations kept here are oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import count
 
@@ -32,7 +31,7 @@ from .complexes import SimplicialComplex, OneCocycle, twisted_coboundary_values
 from .errors import (DegreeOutOfRange, DimensionMismatch, ExponentTooLarge,
                      NotAChainComplex, NotAnIsomorphism)
 from .linalg import Span, kernel, nullspace, rank
-from .matrix import PolyMatrix, SmithForm, snf
+from .matrix import SmithForm
 from .numfield import (Scalar, check_nonzero, scalar_field, scalar_key,
                        scalar_pow)
 from .polyq import Poly
@@ -61,14 +60,6 @@ def _is_unit(p: dict) -> bool:
 def _is_constant_unit(p: dict) -> bool:
     """Whether p is +-1, a unit at every t including t = 0."""
     return len(p) == 1 and abs(p.get(0, 0)) == 1
-
-
-def _to_poly(p: dict, shift: int) -> Poly:
-    """t**shift * p as a polynomial; shift clears negative exponents."""
-    coeffs = [0] * (max(p) + shift + 1)
-    for e, c in p.items():
-        coeffs[e + shift] = c
-    return Poly(coeffs)
 
 
 # The constant entries of coboundary rows, shared by every row that holds
@@ -133,9 +124,9 @@ def check_square_zero(deltas) -> None:
 # The largest |k| for which t**k is evaluated at a monodromy other than
 # rational 0 or +-1, whose powers cost nothing.  Elsewhere a**k grows with
 # |k|: a cocycle period of 10**20 would be a power that never finishes.
-# It also bounds the exponent span of a reduced row that
-# ``ReducedComplex.matrices`` expands into dense polynomials for the Smith
-# forms, whose cost grows with that degree.
+# It also bounds the exponent span of a Laurent entry that the Smith forms
+# write as t**low * P with P a dense polynomial (``_as_poly``), whose cost
+# grows with the degree of P.
 MAX_EXPONENT = 10 ** 4
 
 
@@ -304,14 +295,9 @@ class ReducedComplex:
     ``cells[q]`` lists the surviving q-cells (simplex indices) and
     ``sizes[q]`` counts them; ``rows[q]`` is the reduced delta_q as sparse
     Laurent rows, one per surviving (q+1)-cell, whose columns number the
-    surviving q-cells by position.  ``dim_at`` evaluates these rows.
-    ``matrices[q]``, the one dense Q[t] view, feeds the Smith forms: it is
-    ``rows[q]`` with each row multiplied by the power of t that makes its
-    lowest exponent 0.  A row scaled by a unit changes elementary divisors
-    only by powers of t, and ranks at t = a != 0 not at all, but these
-    matrices are no chain complex.  A row whose exponents span more than
-    ``MAX_EXPONENT`` is refused with ExponentTooLarge rather than expanded.
-    ``smith(q)`` is the Smith form of ``matrices[q]``, computed once.
+    surviving q-cells by position.  ``dim_at`` evaluates these rows, and
+    ``smith(q)`` is their Smith form over Q[t, 1/t] (``_laurent_smith``),
+    computed once.
 
     ``pivots`` records every elimination in order as (q, tau, sigma, k, c,
     b, cleared): the pivot u = delta_q[tau][sigma] = c * t**k, the pivot
@@ -328,8 +314,9 @@ class ReducedComplex:
 
     ``at_zero`` says whether the complex may be read at t = 0, which
     ``DeformationComplex`` sets: its entries are polynomials in t and its
-    pivots +-1.  Elsewhere t is a monodromy, and ``dim_at`` and the maps
-    refuse t = 0 with ZeroMonodromy.
+    pivots +-1.  Its dims at t = 0 come only from evaluation: t is a unit
+    of Q[t, 1/t], so the Smith forms say nothing there.  Elsewhere t is a
+    monodromy, and ``dim_at`` and the maps refuse t = 0 with ZeroMonodromy.
     """
 
     def __init__(self, rows, cells, full_sizes, pivots):
@@ -346,37 +333,13 @@ class ReducedComplex:
         if not self.at_zero:
             check_nonzero(a)
 
-    @cached_property
-    def matrices(self):
-        out = []
-        for q, kept in enumerate(self.rows):
-            dense = []
-            for row in kept:
-                shift = 0
-                if row:
-                    low = min(e for p in row.values() for e in p)
-                    high = max(e for p in row.values() for e in p)
-                    if high - low > MAX_EXPONENT:
-                        raise ExponentTooLarge(
-                            f"a row of the reduced delta_{q} spans exponents "
-                            f"{low}..{high}: dense polynomials of degree "
-                            f"beyond {MAX_EXPONENT} are refused")
-                    shift = -low
-                entries = [Poly()] * self.sizes[q]
-                for j, p in row.items():
-                    entries[j] = _to_poly(p, shift)
-                dense.append(entries)
-            out.append(PolyMatrix(len(dense), self.sizes[q], dense))
-        return out
-
     def smith(self, q: int) -> SmithForm:
-        """The Smith form of ``matrices[q]`` over Q[t], computed on first
+        """The Smith form of ``rows[q]`` over Q[t, 1/t], computed on first
         use and kept; it has no divisor outside the degrees of ``rows``."""
         form = self._smith.get(q)
         if form is None:
-            form = self._smith[q] = (snf(self.matrices[q])
-                                     if 0 <= q < len(self.rows)
-                                     else SmithForm([]))
+            form = self._smith[q] = _laurent_smith(
+                self.rows[q] if 0 <= q < len(self.rows) else [])
         return form
 
     def dim_at(self, q: int, a: Scalar) -> int:
@@ -840,6 +803,102 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
         reduced.append([{col_pos[j]: p for j, p in R[tau].items()}
                         for tau in cells[q + 1]])
     return ReducedComplex(reduced, cells, list(sizes), pivots)
+
+
+def _as_poly(p: dict):
+    """A nonzero Laurent polynomial p as (low, P), p = t**low * P with
+    P(0) != 0.  An entry whose exponents span more than MAX_EXPONENT raises
+    ExponentTooLarge rather than become a dense P of that degree."""
+    low, high = min(p), max(p)
+    if high - low > MAX_EXPONENT:
+        raise ExponentTooLarge(
+            f"a Smith form entry spans exponents {low}..{high}: dense "
+            f"polynomials of degree beyond {MAX_EXPONENT} are refused")
+    coeffs = [0] * (high - low + 1)
+    for e, c in p.items():
+        coeffs[e - low] = c
+    return low, Poly(coeffs)
+
+
+def _laurent_divmod(a: dict, b: dict):
+    """(q, r) with a = q * b + r over Q[t, 1/t], r zero or of smaller
+    exponent span than b: with a = t**i * A and b = t**j * B, the division
+    A = Q * B + R in Q[t] gives q = t**(i - j) * Q and r = t**i * R, whose
+    span is at most deg R < deg B."""
+    i, A = _as_poly(a)
+    j, B = _as_poly(b)
+    Q, R = A.divmod(B)
+    return ({e + i - j: c for e, c in enumerate(Q.coeffs) if c},
+            {e + i: c for e, c in enumerate(R.coeffs) if c})
+
+
+def _laurent_smith(rows) -> SmithForm:
+    """The Smith form over Q[t, 1/t] of sparse Laurent rows ``{column:
+    Laurent polynomial}``: the PID phase after the unit-pivot reduction.
+
+    Each stage takes the entry of least exponent span as its pivot, ties
+    going to the least row, then the least column.  Row steps clear the
+    pivot's column and column steps its row, each by one Euclidean
+    division, and a nonzero remainder, of smaller span, becomes the pivot.
+    Once the pivot is alone in its row and column, the usual fixup adds
+    into the pivot row a row holding an entry that the pivot does not
+    divide, and the steps go on.  Once it divides every entry, its row
+    goes, and the pivot t**low * P gives the next divisor, P made monic:
+    every divisor has a nonzero constant term, and each divides the next.  The rows are
+    copied, and no entry is changed in place.
+    """
+    M = [dict(row) for row in rows if row]
+    divisors = []
+    while M:
+        _span, i, j = min((max(p) - min(p), r, k)
+                          for r, row in enumerate(M) for k, p in row.items())
+        while True:
+            pivot_row = M[i]
+            p = pivot_row[j]
+            moved = False
+            # row steps: row r -= q * pivot row leaves the remainder at j
+            for r, row in enumerate(M):
+                if r == i or j not in row:
+                    continue
+                q, rem = _laurent_divmod(row[j], p)
+                q = {e: -c for e, c in q.items()}
+                for k, x in pivot_row.items():
+                    new = _add_product(row.get(k, {}), q, x)
+                    if new:
+                        row[k] = new
+                    else:
+                        row.pop(k, None)
+                if rem:
+                    i, moved = r, True
+                    break
+            if moved:
+                continue
+            # column steps: the pivot is alone in column j, so column k -=
+            # q * column j changes only the pivot row, to the remainder
+            for k in [k for k in pivot_row if k != j]:
+                rem = _laurent_divmod(pivot_row[k], p)[1]
+                if rem:
+                    pivot_row[k] = rem
+                    j, moved = k, True
+                    break
+                del pivot_row[k]
+            if moved:
+                continue
+            # fixup; a unit divides every entry.  The pivot row holds only
+            # the pivot and row r nothing at j, so their sum is a union
+            if len(p) > 1:
+                for r, row in enumerate(M):
+                    if r != i and any(_laurent_divmod(x, p)[1]
+                                      for x in row.values()):
+                        pivot_row.update(row)
+                        moved = True
+                        break
+            if not moved:
+                break
+        divisors.append(_as_poly(p)[1].monic())
+        del M[i]
+        M = [row for row in M if row]
+    return SmithForm(divisors)
 
 
 def twisted_cohomology_dim(complex: SimplicialComplex, z: OneCocycle,

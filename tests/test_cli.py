@@ -240,20 +240,21 @@ TRIANGLE = '{"maximal_simplices": [[0, 1], [1, 2], [0, 2]]}'
 
 def test_jumps_refuses_a_row_beyond_the_exponent_bound(tmp_path,
                                                       monkeypatch):
-    """The Smith forms read each reduced row as a dense polynomial: on the
-    triangle boundary with one edge of period 10**5, whose reduced row
-    spans the exponents -100000..0, jumps exits 2 without expanding any
-    entry beyond MAX_EXPONENT; at period 10**3 it splits t**1000 - 1 into
-    its jump factors."""
+    """The Smith forms write each Laurent entry t**low * P with P a dense
+    polynomial: on the triangle boundary with one edge of period 10**5,
+    whose reduced entry spans the exponents -100000..0, jumps exits 2
+    without building any P of degree beyond MAX_EXPONENT; at period 10**3
+    it splits t**1000 - 1 into its jump factors."""
     path = tmp_path / "triangle.json"
-    to_poly = twisted._to_poly
+    as_poly = twisted._as_poly
 
-    def bounded_to_poly(p, shift):
-        if max(p) + shift > twisted.MAX_EXPONENT:
-            pytest.fail(f"a dense polynomial of degree {max(p) + shift}")
-        return to_poly(p, shift)
+    def bounded_as_poly(p):
+        low, poly = as_poly(p)
+        if poly.degree > twisted.MAX_EXPONENT:
+            pytest.fail(f"a dense polynomial of degree {poly.degree}")
+        return low, poly
 
-    monkeypatch.setattr(twisted, "_to_poly", bounded_to_poly)
+    monkeypatch.setattr(twisted, "_as_poly", bounded_as_poly)
 
     def jumps(period):
         path.write_text(TRIANGLE[:-1] + ', "cocycle": {"edges": [[0, 1, '

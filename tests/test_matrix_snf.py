@@ -1,97 +1,155 @@
-import random
+"""Smith forms over Q[t, 1/t] on sparse Laurent rows, checked against
+evaluation: at any a != 0 the rank of the rows evaluated at a, found by
+elimination with no Smith form, is the number of divisors that do not
+vanish at a."""
+
+import copy
 from fractions import Fraction
 
-from novikov.matrix import PolyMatrix, rank_at, snf
+from hypothesis import given, settings, strategies as st
+
+from novikov import twisted
+from novikov.cli import parse_scalar
+from novikov.linalg import rank
 from novikov.numfield import NumberField
 from novikov.polyq import Poly
+from novikov.twisted import _laurent_smith, evaluate_rows
+
+S = Poly([-1, 1])                  # t - 1
+U = Poly([1, 1])                   # t + 1
+ALEXANDER = Poly([-1, -3, 2])      # the minimal polynomial of @-1,-3,2
 
 
-def t():
-    return Poly.monomial(1)
+def laurent(p: Poly, low: int = 0) -> dict:
+    """t**low * p as a Laurent polynomial."""
+    return {e + low: c for e, c in enumerate(p.coeffs) if c}
 
 
-def rand_matrix(rng, rows, cols, deg):
-    entries = [[Poly([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(0, deg) + 1)])
-                for _ in range(cols)] for _ in range(rows)]
-    return PolyMatrix(rows, cols, entries)
+def evaluated_rank(rows, ncols, a):
+    dense = [[vec.get(j, 0) for j in range(ncols)]
+             for vec in evaluate_rows(rows, a)]
+    return rank(dense, ncols)
+
+
+def assert_divisor_chain(form):
+    for d in form.divisors:
+        assert d.leading() == 1 and d.constant_term() != 0
+    for d1, d2 in zip(form.divisors, form.divisors[1:]):
+        assert d1.divides(d2)
+
+
+# The points of evaluation: rationals, the roots 1, -1 and 1/2 of the
+# factors below, and an algebraic root of ALEXANDER.
+POINTS = [Fraction(2), Fraction(-1, 3), Fraction(5, 2), Fraction(1),
+          Fraction(-1), Fraction(1, 2), parse_scalar("@-1,-3,2")]
+
+
+def _product(factors):
+    out = Poly([1])
+    for f in factors:
+        out = out * f
+    return out
+
+
+coefficients = st.fractions(min_value=-3, max_value=3,
+                            max_denominator=4).filter(bool)
+# an entry is either a random sum of terms c * t**e, or a monomial such as
+# 2 * t**-3 times a product of factors that the entries share, so that
+# divisors other than 1 are frequent
+random_entry = st.dictionaries(st.integers(-4, 3), coefficients,
+                               min_size=1, max_size=3)
+factor_entry = st.builds(
+    lambda c, e, fs: laurent(Poly([c]) * _product(fs), e),
+    coefficients, st.integers(-4, 3),
+    st.lists(st.sampled_from([S, U, Poly([-1, 2]), ALEXANDER]),
+             max_size=3))
+
+
+@st.composite
+def laurent_rows(draw):
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(random_entry, factor_entry)
+    rows = [draw(st.dictionaries(st.integers(0, ncols - 1), entry,
+                                 max_size=ncols))
+            for _ in range(nrows)]
+    return rows, ncols
 
 
 def test_snf_upper_triangular_example():
-    m = PolyMatrix(2, 2, [[t(), Poly.const(1)], [Poly(), t()]])
-    form = snf(m)
-    assert form.divisors == [Poly.const(1), t() * t()]
+    """[[t, 1], [0, t]]: t is a unit of Q[t, 1/t], so both divisors are 1."""
+    rows = [{0: {1: 1}, 1: {0: 1}}, {1: {1: 1}}]
+    form = _laurent_smith(rows)
+    assert form.divisors == [Poly([1]), Poly([1])]
     assert form.rank == 2
-    assert form.rank_at(Fraction(0)) == 1
-    assert form.rank_at(Fraction(5)) == 2
+    assert form.rank_at(Fraction(5)) == 2 == evaluated_rank(rows, 2, 5)
 
 
-def test_snf_divisibility_chain_random():
-    rng = random.Random(7)
-    for _ in range(200):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = rand_matrix(rng, rows, cols, 4)
-        form = snf(m)
-        divisors = form.divisors
-        assert len(divisors) <= min(rows, cols)
-        for d in divisors:
-            assert not d.is_zero()
-            assert d.leading() == 1  # monic normalization
-        for d1, d2 in zip(divisors, divisors[1:]):
-            assert d1.divides(d2)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(laurent_rows())
+def test_snf_divisibility_chain_random(instance):
+    rows, ncols = instance
+    before = copy.deepcopy(rows)
+    form = _laurent_smith(rows)
+    assert rows == before
+    assert form.rank <= min(len(rows), ncols)
+    assert_divisor_chain(form)
 
 
-def test_snf_rank_matches_direct_rank_at_points():
-    rng = random.Random(8)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = rand_matrix(rng, rows, cols, 3)
-        form = snf(m)
-        for _ in range(4):
-            a = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-            assert form.rank_at(a) == rank_at(m, a)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(laurent_rows())
+def test_snf_rank_matches_direct_rank_at_points(instance):
+    rows, ncols = instance
+    form = _laurent_smith(rows)
+    for a in POINTS:
+        assert form.rank_at(a) == evaluated_rank(rows, ncols, a), a
 
 
 def test_rank_at_field_element():
     field = NumberField([2, -3, 2])
     a = field.generator()
-    m = PolyMatrix(1, 2, [[Poly(), Poly([2, -3, 2])]])
-    assert rank_at(m, a) == 0
-    assert rank_at(m, Fraction(1)) == 1
+    rows = [{1: laurent(Poly([2, -3, 2]), -3)}]
+    form = _laurent_smith(rows)
+    assert form.rank_at(a) == 0 == evaluated_rank(rows, 2, a)
+    assert form.rank_at(Fraction(1)) == 1 == evaluated_rank(rows, 2, 1)
 
 
 def test_rank_at_factor_root():
-    m = PolyMatrix(2, 2, [[Poly([-1, 1]), Poly()],
-                          [Poly(), Poly([-1, 1]) * Poly([2, -3, 2])]])
-    form = snf(m)
+    rows = [{0: laurent(S)}, {1: laurent(S * Poly([2, -3, 2]), -2)}]
+    form = _laurent_smith(rows)
     assert form.rank == 2
-    assert form.rank_at_factor_root(Poly([-1, 1])) == 0
+    assert form.rank_at_factor_root(S) == 0
     assert form.rank_at_factor_root(Poly([1, Fraction(-3, 2), 1])) == 1
 
 
 def test_empty_and_zero_matrices():
-    assert snf(PolyMatrix(0, 3)).rank == 0
-    assert snf(PolyMatrix(3, 0)).rank == 0
-    assert snf(PolyMatrix(2, 2)).rank == 0
+    assert _laurent_smith([]).rank == 0
+    assert _laurent_smith([{}, {}, {}]).rank == 0
 
 
 def test_divisibility_fixup_skips_zero_entries(monkeypatch):
-    """On a sparse matrix the fixup never asks whether the pivot divides a
-    zero entry, and the divisors are those of the scattered diagonal."""
-    s = Poly([-1, 1])            # t - 1
-    u = Poly([1, 1])             # t + 1
-    m = PolyMatrix(5, 6)
-    m[0, 3] = s * u
-    m[2, 0] = Poly.const(3)
-    m[3, 5] = t() * s
-    m[4, 1] = s
+    """On a sparse matrix no division ever reads a zero entry, and the
+    divisors are those of the scattered diagonal with its powers of t
+    dropped."""
     calls = []
-    real = Poly.divides
+    real = twisted._laurent_divmod
 
-    def recording(self, other):
-        calls.append(other)
-        return real(self, other)
+    def recording(a, b):
+        calls.append(a)
+        return real(a, b)
 
-    monkeypatch.setattr(Poly, "divides", recording)
-    form = snf(m)
-    assert calls and all(not c.is_zero() for c in calls)
-    assert form.divisors == [Poly.const(1), s, s, s * u * t()]
+    monkeypatch.setattr(twisted, "_laurent_divmod", recording)
+    rows = [{3: laurent(S * U)}, {}, {0: {0: 3}}, {5: laurent(S, 1)},
+            {1: laurent(S)}]
+    form = _laurent_smith(rows)
+    assert calls and all(calls)
+    assert form.divisors == [Poly([1]), S, S, S * U]
+
+
+def test_fixup_turns_a_coprime_diagonal_into_a_chain():
+    """diag(t - 1, t**-2 * (t + 1)) has the divisors 1 and t**2 - 1: only
+    the fixup, which adds the second row into the first, finds the 1."""
+    rows = [{0: laurent(S)}, {1: laurent(U, -2)}]
+    form = _laurent_smith(rows)
+    assert form.divisors == [Poly([1]), S * U]
+    for a in (Fraction(1), Fraction(-1), Fraction(3)):
+        assert form.rank_at(a) == evaluated_rank(rows, 2, a)
