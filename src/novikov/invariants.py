@@ -26,10 +26,11 @@ from .complexes import SimplicialComplex, twisted_cup
 from .errors import (InternalInconsistency, NotInSpan,
                      ZeroDivisorEncountered)
 from .linalg import Span, express, kernel
-from .numfield import (FieldElement, NumberField, Scalar, check_nonzero,
-                       is_dirichlet_unit, scalar_field, scalar_key,
-                       scalar_mul)
-from .polyq import Poly, coprime_basis, rational_roots, squarefree_factors
+from .numfield import (FieldElement, NumberField, Scalar, cache_key,
+                       check_nonzero, is_dirichlet_unit, scalar_field,
+                       scalar_key, scalar_mul)
+from .polyq import (Poly, coprime_basis, linear_factor, rational_roots,
+                    squarefree_factors)
 from .twisted import (CoboundaryRows, ReducedComplex, TwistedComplex,
                       evaluate_rows)
 
@@ -232,7 +233,7 @@ class _CohomologyCache:
         self._constants = {}
 
     def dim(self, a: Scalar, q: int) -> int:
-        key = (scalar_key(a), q)
+        key = (cache_key(a), q)
         if key not in self._dims:
             self._dims[key] = self.twisted.reduced().dim_at(q, a)
         return self._dims[key]
@@ -241,7 +242,7 @@ class _CohomologyCache:
         return self._basis(a, q)[0]
 
     def _basis(self, a, q):
-        key = (scalar_key(a), q)
+        key = (cache_key(a), q)
         if key not in self._bases:
             self._bases[key] = self._build(a, q)
         return self._bases[key]
@@ -283,7 +284,7 @@ class _CohomologyCache:
     def coboundary(self, a: Scalar, q: int) -> CoboundaryRows:
         """The unreduced delta_q at a, its rows evaluated on demand and
         kept for the rest of the search."""
-        key = (scalar_key(a), q)
+        key = (cache_key(a), q)
         rows = self._coboundaries.get(key)
         if rows is None:
             rows = self._coboundaries[key] = CoboundaryRows(
@@ -310,7 +311,7 @@ class _CohomologyCache:
 
     def constants(self, m: Scalar, p: int, a: Scalar, d: int):
         """C[i][j] = coords(rep^m_i cup rep^a_j) in H^{p+d}(E_{ma})."""
-        key = (scalar_key(m), p, scalar_key(a), d)
+        key = (cache_key(m), p, cache_key(a), d)
         if key not in self._constants:
             X, z = self.complex, self.cocycle
             ma = scalar_mul(m, a)
@@ -405,7 +406,7 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
     skipped = []
 
     def get_state(m, degree, nonunits, length):
-        key = (scalar_key(m), degree, nonunits, length)
+        key = (cache_key(m), degree, nonunits, length)
         if key not in states:
             states[key] = (m, _DPState(cache.dim(m, degree)))
         return states[key][1]
@@ -433,8 +434,8 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
             for a, unit, degs in cand_info:
                 m2 = _compatible_product(m, a)
                 if m2 is None:
-                    if (mkey, scalar_key(a)) not in skipped:
-                        skipped.append((mkey, scalar_key(a)))
+                    if (mkey, cache_key(a)) not in skipped:
+                        skipped.append((mkey, cache_key(a)))
                     continue
                 nu2 = min(nonunits + (0 if unit else 1), 2)
                 for d, reps in degs:
@@ -611,7 +612,7 @@ def _has_nonunit_root(factor: Poly) -> bool:
             return True
     rest = factor
     for r in rational_roots(factor):
-        rest = rest // Poly([-r, Fraction(1)])
+        rest = rest // linear_factor(r)
     if rest.degree >= 1:
         coeffs = rest.primitive_int_coeffs()
         # if every irreducible factor had unit leading and constant

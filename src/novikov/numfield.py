@@ -56,7 +56,7 @@ class NumberField:
         return self.element([0, 1])
 
     def from_rational(self, c) -> "FieldElement":
-        return self.element([Fraction(c)])
+        return self.element([c])
 
     def zero(self) -> "FieldElement":
         return self.element([])
@@ -185,7 +185,7 @@ class FieldElement:
         cols = []
         for i in range(n):
             prod = (self.residue * Poly.monomial(i)) % self.field.min_poly
-            col = [Fraction(0)] * n
+            col = [0] * n
             for j, c in enumerate(prod.coeffs):
                 col[j] = c
             cols.append(col)
@@ -252,6 +252,17 @@ def scalar_key(a: Scalar):
             return a.as_rational()
         return (a.field.int_coeffs, a.residue.coeffs)
     return a
+
+
+def cache_key(a: Scalar):
+    """A key for values kept per monodromy: (numerator, denominator) of a
+    rational a, rational field elements included, and ``scalar_key``'s
+    tuple for any other field element.  A pair of ints hashes without the
+    modular inverse that hashing a Fraction computes on every lookup."""
+    key = scalar_key(a)
+    if type(key) is tuple:
+        return key
+    return key.numerator, key.denominator
 
 
 def scalar_field(a: Scalar):

@@ -1,10 +1,15 @@
 """Univariate polynomials with exact rational coefficients.
 
-A polynomial is represented as a tuple of ``Fraction`` coefficients,
-index = exponent, with a nonzero leading coefficient (the zero polynomial
-is the empty tuple).  The Smith forms over Q[t, 1/t] divide in Q[t]
-after writing each Laurent entry as a power of t times a polynomial, and
-their divisors are polynomials.
+A polynomial is represented as a tuple of coefficients, index = exponent,
+with a nonzero leading coefficient (the zero polynomial is the empty
+tuple).  A coefficient is an ``int`` or a ``Fraction``, never a float: an
+integral value stays an int, and a Fraction appears only where a division
+by a leading coefficient other than +-1 makes one.  Every such division
+is exact (``_reciprocal``), since two ints divided with ``/`` would give a
+float.  Values, equality and hashing do not depend on the mix, because an
+int and the equal Fraction compare and hash alike.  The Smith forms over
+Q[t, 1/t] divide in Q[t] after writing each Laurent entry as a power of t
+times a polynomial, and their divisors are polynomials.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        # the arithmetic below hands over Fractions, which need no copy
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -32,11 +36,11 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([Fraction(c)])
+        return Poly([c])
 
     @staticmethod
     def monomial(exp: int, c=1) -> "Poly":
-        return Poly([0] * exp + [Fraction(c)])
+        return Poly([0] * exp + [c])
 
     # -- basic queries ---------------------------------------------------
 
@@ -48,14 +52,14 @@ class Poly:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
 
-    def leading(self) -> Fraction:
+    def leading(self):
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self):
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[0]
 
     def is_constant(self) -> bool:
@@ -96,7 +100,7 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -109,26 +113,20 @@ class Poly:
     def divmod(self, other: "Poly"):
         """Euclidean division; other must be nonzero.
 
-        When other's leading coefficient is +-1 and both operands have
-        integer coefficients, so have the quotient and remainder, and the
-        loop runs on Python ints: dividing by +-1 is multiplying by it."""
+        The quotient and remainder have int or Fraction coefficients, never
+        floats.  Each quotient coefficient is a coefficient of the running
+        remainder times the exact reciprocal of other's lead: +-1 itself,
+        so integer operands divided by a lead of +-1 stay ints, or else a
+        Fraction."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly(), self
-        lead = other.coeffs[-1]
-        if (lead in (1, -1) and all(c.denominator == 1 for c in self.coeffs)
-                and all(c.denominator == 1 for c in other.coeffs)):
-            rem = [c.numerator for c in self.coeffs]
-            divisor = [c.numerator for c in other.coeffs]
-            quot = [0] * (dq + 1)
-            inverse = divisor[-1]
-        else:
-            rem = list(self.coeffs)
-            divisor = other.coeffs
-            quot = [Fraction(0)] * (dq + 1)
-            inverse = 1 / lead
+        divisor = other.coeffs
+        inverse = _reciprocal(divisor[-1])
+        rem = list(self.coeffs)
+        quot = [0] * (dq + 1)
         top = other.degree
         for k in range(dq, -1, -1):
             c = rem[k + top] * inverse
@@ -158,17 +156,18 @@ class Poly:
             else:
                 acc = acc * x + c
         if acc is None:
-            return Fraction(0)
+            return 0
         return acc
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        """self divided by its lead, exactly; self itself when the lead is
+        1, and the zero polynomial as it is."""
+        if self.is_zero() or self.coeffs[-1] == 1:
             return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
+        return self * _reciprocal(self.coeffs[-1])
 
     # -- integer normal forms ----------------------------------------------
 
@@ -222,9 +221,17 @@ def poly_xgcd(a: Poly, b: Poly):
         v0, v1 = v1, v0 - q * v1
     if r0.is_zero():
         return r0, u0, v0
-    lead = r0.leading()
-    inv = 1 / lead
+    inv = _reciprocal(r0.leading())
     return r0.monic(), u0 * inv, v0 * inv
+
+
+def _reciprocal(c):
+    """1 / c for a nonzero int or Fraction, exactly: +-1 is its own
+    reciprocal, as an int, and any other c gives a Fraction.  Never
+    ``1 / c`` on an int c, which would be a float."""
+    if c == 1 or c == -1:
+        return int(c)
+    return Fraction(c.denominator, c.numerator)
 
 
 def rational_roots(p: Poly):
@@ -246,9 +253,17 @@ def rational_roots(p: Poly):
     for num in _divisors(a0):
         for den in _divisors(an):
             for cand in (Fraction(num, den), Fraction(-num, den)):
-                if q.eval(cand) == 0 and cand not in roots:
+                # an integral candidate is tried as an int: q stays in ints
+                x = cand.numerator if cand.denominator == 1 else cand
+                if q.eval(x) == 0 and cand not in roots:
                     roots.append(cand)
     return sorted(roots)
+
+
+def linear_factor(r) -> Poly:
+    """t - r for a rational r, with an int constant term when r is
+    integral, so that dividing an integer polynomial by it stays in ints."""
+    return Poly([-r.numerator if r.denominator == 1 else -r, 1])
 
 
 def _divisors(n: int):
@@ -295,7 +310,7 @@ def _split_rational_roots(f: Poly, mult: int):
     """Split the linear factors of a squarefree monic f off its residue."""
     pieces = []
     for r in rational_roots(f):
-        lin = Poly([-r, 1])
+        lin = linear_factor(r)
         f = f // lin
         pieces.append((lin, mult))
     if not f.is_constant():

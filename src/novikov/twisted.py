@@ -32,8 +32,8 @@ from .errors import (DegreeOutOfRange, DimensionMismatch, ExponentTooLarge,
                      NotAChainComplex, NotAnIsomorphism)
 from .linalg import Span, kernel, nullspace, rank
 from .matrix import SmithForm
-from .numfield import (Scalar, check_nonzero, scalar_field, scalar_key,
-                       scalar_pow)
+from .numfield import (Scalar, cache_key, check_nonzero, scalar_field,
+                       scalar_key, scalar_pow)
 from .polyq import Poly
 
 
@@ -328,6 +328,7 @@ class ReducedComplex:
         self.at_zero = False
         self._ranks = {}
         self._smith = {}
+        self._passes = {}
 
     def _check_point(self, a: Scalar) -> None:
         if not self.at_zero:
@@ -357,7 +358,7 @@ class ReducedComplex:
         delta_q once."""
         if not 0 <= q < len(self.rows):
             return 0
-        key = (q, scalar_key(a), scalar_field(a))
+        key = (q, cache_key(a), scalar_field(a))
         r = self._ranks.get(key)
         if r is None:
             r = self._ranks[key] = _evaluated_rank(self.rows[q],
@@ -440,10 +441,7 @@ class ReducedComplex:
         c[rho] is nonzero, and kept for later vectors.
         """
         self._check_point(a)
-        extend = _extension(
-            [(tau, k, c, cleared)
-             for pq, tau, _sigma, k, c, _b, cleared in reversed(self.pivots)
-             if pq == q - 1 and cleared], a)
+        extend = _extension(self._steps("ft", q), a)
         cells = self.cells[q]
 
         def ft(c_red):
@@ -464,10 +462,7 @@ class ReducedComplex:
         drops y[tau], skips its entries that vanish at a, and adds entries
         only at later taus: the rows it clears were not yet eliminated."""
         ev = _evaluator(a)
-        steps = [(tau, sigma, k, c, cleared)
-                 for pq, tau, sigma, k, c, _b, cleared in self.pivots
-                 if pq == q - 1 and (every or cleared)]
-        order = {step[0]: i for i, step in enumerate(steps)}
+        steps, order = self._steps("h" if every else "f", q)
         known = [None] * len(steps)
 
         def clear(y, values):
@@ -499,13 +494,55 @@ class ReducedComplex:
     def _backward(self, q: int, a: Scalar):
         """The pass of ``g`` over the pivots of degree q, in reverse order,
         as an ``_extension``."""
-        return _extension(
-            [(sigma, k, c, b.items())
-             for pq, _tau, sigma, k, c, b, _cleared in reversed(self.pivots)
-             if pq == q], a)
+        return _extension(self._steps("g", q), a)
+
+    def _steps(self, kind: str, q: int):
+        """The steps of a pass in degree q, built on first use and kept:
+        they do not depend on a, so the maps at every point share them.
+
+        * "g": (sigma, k, c, pivot row) of the pivots of degree q, and
+          "ft": (tau, k, c, cleared) of those of degree q - 1 that cleared
+          some row, each in reverse elimination order, as a ``_Pass``;
+        * "f": (tau, sigma, k, c, cleared) of the pivots of degree q - 1
+          that cleared some row, and "h": of all of them, each in
+          elimination order, with the map from tau to step number.
+        """
+        key = (kind, q)
+        steps = self._passes.get(key)
+        if steps is None:
+            if kind == "g":
+                steps = _Pass((sigma, k, c, b.items()) for pq, _tau, sigma,
+                              k, c, b, _cleared in reversed(self.pivots)
+                              if pq == q)
+            elif kind == "ft":
+                steps = _Pass((tau, k, c, cleared) for pq, tau, _sigma, k,
+                              c, _b, cleared in reversed(self.pivots)
+                              if pq == q - 1 and cleared)
+            else:
+                steps = [(tau, sigma, k, c, cleared)
+                         for pq, tau, sigma, k, c, _b, cleared in self.pivots
+                         if pq == q - 1 and (kind == "h" or cleared)]
+                steps = steps, {step[0]: i for i, step in enumerate(steps)}
+            self._passes[key] = steps
+        return steps
 
 
-def _extension(steps, a: Scalar):
+class _Pass(list):
+    """The steps (cell, k, c, terms) of a pass of ``_extension``, in
+    reverse elimination order, with its index: ``order`` maps a step's
+    cell to its number, and ``readers`` maps a cell to the numbers of the
+    steps whose terms hold it."""
+
+    def __init__(self, steps):
+        super().__init__(steps)
+        self.order = {step[0]: i for i, step in enumerate(self)}
+        self.readers = {}
+        for i, (_cell, _k, _c, terms) in enumerate(self):
+            for j, _p in terms:
+                self.readers.setdefault(j, []).append(i)
+
+
+def _extension(steps: _Pass, a: Scalar):
     """Steps (cell, k, c, terms) of a pass in reverse elimination order, as
     a function of a sparse vector, changed in place, and a dict of values
     added at the cells: each step sets its cell, one eliminated, to its
@@ -514,16 +551,12 @@ def _extension(steps, a: Scalar):
     at some j, and kept for later vectors.
 
     Only the steps that the vector's support or the values reach are
-    visited, in order, through a heap of step numbers: ``readers`` maps a
-    cell to the steps whose terms hold it.  A step sets only its own
-    cell, which only later steps read: the terms of an earlier step are
-    a row of a pivot taken after that cell was eliminated."""
+    visited, in order, through a heap of step numbers and the pass's
+    index, built with its steps.  A step sets only its own cell, which
+    only later steps read: the terms of an earlier step are a row of a
+    pivot taken after that cell was eliminated."""
     ev = _evaluator(a)
-    order = {step[0]: i for i, step in enumerate(steps)}
-    readers = {}
-    for i, (_cell, _k, _c, terms) in enumerate(steps):
-        for j, _p in terms:
-            readers.setdefault(j, []).append(i)
+    order, readers = steps.order, steps.readers
     known = [None] * len(steps)
 
     def extend(full, values):
@@ -636,8 +669,12 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
     coboundary rows share, and once per entry a Schur update changes.  An
     entry's stamp orders it within its row: an initial entry's is its
     position in ``deltas[q][tau]``, a filled-in entry's is drawn from a
-    counter above every position, and a row's stamps are written out the
-    first time a Schur update reaches it.
+    counter above every position.  Each stamp is written once, when its
+    entry enters the row: a unit entry's in ``units[tau]``, any other's in
+    one map ``(tau, sigma) -> stamp`` per degree, and a Schur update that
+    changes whether an entry is a unit moves its stamp between the two.
+    The stamp of an entry that left its row may stay in that map, unread
+    until a fill-in at the same place writes a new one.
 
     The collapse phase (``_collapse``) comes first: it eliminates the
     pivots of cost 0, free faces and entries alone in their column, least
@@ -673,6 +710,7 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
         R = {}        # tau -> row of delta_q, {sigma: Laurent polynomial}
         C = {sigma: set() for sigma in live}   # sigma -> rows with an entry
         units = {}    # tau -> {sigma: stamp} of its unit entries
+        other = {}    # (tau, sigma) -> stamp of a non-unit entry
         unit = {}     # id of an entry of delta_q -> is_unit(entry)
         for tau, full in enumerate(delta):
             R[tau] = row = {}
@@ -686,6 +724,8 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
                         ok = unit[id(p)] = is_unit(p)
                     if ok:
                         u[sigma] = s
+                    else:
+                        other[tau, sigma] = s
         rows.append(R)
         _collapse(q, R, C, units, pivots, alive)
         least = {}    # sigma -> least (row length, tau, stamp) of column
@@ -699,7 +739,6 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
                 for sigma, (n, tau, s) in least.items()]
         best = {key[3]: key for key in heap}   # sigma -> least key or None
         heapify(heap)
-        stamps = {}   # tau -> {sigma: stamp} of row tau, once written
         by_col = {}   # sigma -> lazy heap of (row length, tau, stamp)
 
         def refresh(sigma):
@@ -729,7 +768,6 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
             _cost, tau, _s, sigma = key
             pivot_row = R.pop(tau)
             del units[tau], best[sigma]
-            stamps.pop(tau, None)
             by_col.pop(sigma, None)
             for kappa in pivot_row:
                 C[kappa].discard(tau)
@@ -743,30 +781,55 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
                 u.pop(sigma, None)
                 cleared.append((rho, entry))
                 # the Schur update; after a free face, whose pivot row held
-                # only sigma, the row just gets shorter and no stamps are
-                # written
+                # only sigma, the row just gets shorter
                 if pivot_row:
-                    o = stamps.get(rho)
-                    if o is None:
-                        o = stamps[rho] = {kappa: s for s, kappa
-                                           in enumerate(delta[rho])}
-                    # f = -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k
-                    f = {e - k: -c * v for e, v in entry.items()}
+                    # f = -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k;
+                    # a monomial f is kept as its term (ef, cf), and its
+                    # product with a monomial entry is formed in place
+                    if len(entry) == 1:
+                        (ef, cf), = entry.items()
+                        ef -= k
+                        cf *= -c
+                        f = None
+                    else:
+                        f = {e - k: -c * v for e, v in entry.items()}
                     for kappa, p in pivot_row.items():
-                        new = _add_product(row.get(kappa, {}), f, p)
-                        if new:
-                            if kappa not in row:
-                                C[kappa].add(rho)
-                                o[kappa] = next(new_stamp)
-                            row[kappa] = new
-                            if is_unit(new):
-                                u[kappa] = o[kappa]
+                        old = row.get(kappa)
+                        if old is None:   # a fill-in, never zero
+                            if f is None and len(p) == 1:
+                                (e, v), = p.items()
+                                new = {e + ef: v * cf}
                             else:
-                                u.pop(kappa, None)
-                        elif kappa in row:
+                                new = _add_product({}, f or {ef: cf}, p)
+                            row[kappa] = new
+                            C[kappa].add(rho)
+                            if is_unit(new):
+                                u[kappa] = next(new_stamp)
+                            else:
+                                other[rho, kappa] = next(new_stamp)
+                            continue
+                        if f is None and len(p) == 1:
+                            (e, v), = p.items()
+                            e += ef
+                            new = dict(old)
+                            v = new.get(e, 0) + cf * v
+                            if v:
+                                new[e] = v
+                            else:
+                                del new[e]
+                        else:
+                            new = _add_product(old, f or {ef: cf}, p)
+                        if not new:
                             del row[kappa]
                             C[kappa].discard(rho)
                             u.pop(kappa, None)
+                            continue
+                        row[kappa] = new
+                        if is_unit(new):
+                            if kappa not in u:
+                                u[kappa] = other.pop((rho, kappa))
+                        elif kappa in u:
+                            other[rho, kappa] = u.pop(kappa)
                 # new keys for the unit entries whose key changed: all of
                 # them if the row's length changed, else those in the
                 # columns of the pivot row, which recompute their least

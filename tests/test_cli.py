@@ -243,8 +243,9 @@ def test_jumps_refuses_a_row_beyond_the_exponent_bound(tmp_path,
     """The Smith forms write each Laurent entry t**low * P with P a dense
     polynomial: on the triangle boundary with one edge of period 10**5,
     whose reduced entry spans the exponents -100000..0, jumps exits 2
-    without building any P of degree beyond MAX_EXPONENT; at period 10**3
-    it splits t**1000 - 1 into its jump factors."""
+    without building any P of degree beyond MAX_EXPONENT; at period 10**3,
+    and at the bound itself, it splits t**period - 1 into its jump
+    factors."""
     path = tmp_path / "triangle.json"
     as_poly = twisted._as_poly
 
@@ -262,17 +263,19 @@ def test_jumps_refuses_a_row_beyond_the_exponent_bound(tmp_path,
         return run_cli(["jumps", str(path), "--json"])
 
     assert jumps(10 ** 5) == (2, "")
-    code, out = jumps(10 ** 3)
-    assert code == 0
-    report = json.loads(out)
-    assert report["novikov"] == [0, 0]
-    for q in (0, 1):
-        entries = [e for e in report["jumps"] if e["q"] == q]
-        assert [e["dim"] for e in entries] == [1, 1, 1]
-        product = Poly([1])
-        for e in entries:
-            product = product * Poly([Fraction(c) for c in e["factor"]])
-        assert product == Poly.monomial(1000) - Poly([1])
+    assert twisted.MAX_EXPONENT == 10 ** 4
+    for period in (10 ** 3, twisted.MAX_EXPONENT):
+        code, out = jumps(period)
+        assert code == 0
+        report = json.loads(out)
+        assert report["novikov"] == [0, 0]
+        for q in (0, 1):
+            entries = [e for e in report["jumps"] if e["q"] == q]
+            assert [e["dim"] for e in entries] == [1, 1, 1]
+            product = Poly([1])
+            for e in entries:
+                product = product * Poly([Fraction(c) for c in e["factor"]])
+            assert product == Poly.monomial(period) - Poly([1]), period
 
 
 def _surface_declaring(dimension):

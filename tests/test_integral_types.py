@@ -1,5 +1,6 @@
-"""The types of the values on the certificate path: an integral value stays
-an int, and a Fraction appears only where a division makes one.
+"""The types of the values on the certificate path and in ``polyq``: an
+integral value stays an int, and a Fraction appears only where a division
+makes one.
 
 At a = +-1 every power of a is +-1, so the transfer maps, the coboundary
 rows and the cup product of integer cochains divide by nothing, and the
@@ -7,7 +8,9 @@ cohomology representatives of the corpus classes need no division either:
 every value is an int.  At a = 2 a negative power of 2 is a division, so
 ints are required where none is taken.  At any other rational a, each
 value is an int or a Fraction; a float, which a ``/`` of two ints would
-give, never appears.
+give, never appears.  The same holds for the coefficients of polynomials,
+of the Smith forms over Q[t, 1/t] and of number-field residues, which
+must also equal those of the same computation on Fraction inputs.
 """
 
 from fractions import Fraction
@@ -16,7 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from novikov.complexes import coboundary_of_vertex_function, twisted_cup
 from novikov.invariants import _CohomologyCache
-from novikov.twisted import CoboundaryRows, TwistedComplex
+from novikov.numfield import NumberField
+from novikov.polyq import (Poly, coprime_basis, poly_gcd, poly_xgcd,
+                           squarefree_factors)
+from novikov.twisted import CoboundaryRows, TwistedComplex, _laurent_smith
 
 from test_cup_sparse import corpus_space, instances
 
@@ -134,3 +140,108 @@ def test_no_value_is_a_float(instance, a, data):
     out = _outputs(X, z, a, data.draw)
     for name, values in out.items():
         assert all(type(v) in (int, Fraction) for v in values), (name, a)
+
+
+# Integer polynomials as coefficient lists, low degree first, whose lead
+# is +-1 (division stays in ints) or any other nonzero integer (division
+# makes Fractions).
+leads = st.one_of(st.sampled_from([1, -1]),
+                  st.integers(-4, 4).filter(bool))
+
+
+@st.composite
+def int_polys(draw, max_degree=4):
+    return draw(st.lists(st.integers(-6, 6), max_size=max_degree)) + [
+        draw(leads)]
+
+
+def _fractions(coeffs):
+    return Poly([Fraction(c) for c in coeffs])
+
+
+def _assert_same(got, want):
+    """got equals want, polynomial by polynomial, and every coefficient of
+    either is an int or a Fraction."""
+    if isinstance(want, Poly):
+        assert isinstance(got, Poly)
+        assert all(type(c) in (int, Fraction)
+                   for c in got.coeffs + want.coeffs), (got, want)
+        assert got.coeffs == want.coeffs
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            _assert_same(x, y)
+    else:
+        assert type(got) in (int, Fraction) and got == want
+
+
+POLY_STEPS = {
+    "divmod": lambda a, b: a.divmod(b),
+    "monic": lambda a, b: a.monic(),
+    "poly_gcd": poly_gcd,
+    "poly_xgcd": poly_xgcd,
+    "squarefree_factors": lambda a, b: squarefree_factors(a * b * b),
+    "coprime_basis": lambda a, b: coprime_basis([a, b, a * b]),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(int_polys(), int_polys())
+def test_polyq_gives_ints_or_fractions_equal_to_fraction_inputs(a, b):
+    for name, step in POLY_STEPS.items():
+        got = step(Poly(a), Poly(b))
+        _assert_same(got, step(_fractions(a), _fractions(b)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(int_polys(), int_polys(max_degree=2))
+def test_division_by_a_lead_of_plus_minus_one_stays_in_ints(a, b):
+    """Integer operands divided by a lead of +-1 give integer quotients and
+    remainders, as ints; a monic integer polynomial is its own monic."""
+    b[-1] = 1 if b[-1] > 0 else -1
+    quotient, remainder = Poly(a).divmod(Poly(b))
+    assert all(type(c) is int for c in quotient.coeffs + remainder.coeffs)
+    a[-1] = 1
+    p = Poly(a)
+    assert p.monic() is p
+
+
+laurent = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool),
+                          min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.dictionaries(st.integers(0, 2), laurent, max_size=3),
+                min_size=1, max_size=3))
+def test_laurent_smith_of_integer_rows_matches_fraction_rows(rows):
+    fractions = [{j: {e: Fraction(c) for e, c in p.items()}
+                  for j, p in row.items()} for row in rows]
+    _assert_same(_laurent_smith(rows).divisors,
+                 _laurent_smith(fractions).divisors)
+
+
+# Irreducible moduli: t^2 - 2, t^2 + t + 1, 2t^2 - 3t - 1 (not monic) and
+# t^3 + 2.
+MODULI = [[-2, 0, 1], [1, 1, 1], [-1, -3, 2], [2, 0, 0, 1]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(MODULI),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+       st.integers(-2, 3))
+def test_number_field_residues_match_fraction_residues(modulus, x, y, n):
+    K = NumberField(modulus)
+    ints = [K.element(x), K.element(y)]
+    fractions = [K.element([Fraction(c) for c in v]) for v in (x, y)]
+    for (u, v) in (ints, fractions):
+        assert all(type(c) in (int, Fraction)
+                   for c in u.residue.coeffs + v.residue.coeffs)
+
+    def results(u, v):
+        out = [u * v, u * 3, u + Fraction(1, 2), u ** max(n, 0)]
+        if u:
+            out += [u.inverse(), u ** n]
+        return [w.residue for w in out]
+
+    _assert_same(results(*ints), results(*fractions))
