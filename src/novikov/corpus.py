@@ -268,13 +268,14 @@ def one_relator_complex(relator: str, weights: dict) -> GeneratedSpace:
     ``weights`` maps the generators, lower-case letters, to their weights;
     the relator is a word in them, a capital letter standing for an
     inverse.  Generator k is the loop 0 -> 2k+1 -> 2k+2 -> 0 with its
-    weight on the edge (0, 2k+1).  The relator's disk is glued along the
-    path b_0 .. b_{n-1} that runs through its letters' loops (backwards for
-    a capital): a ring of fresh vertices c_i and a centre give the
-    triangles (b_i, b_{i+1}, c_i), (b_{i+1}, c_i, c_{i+1}) and
-    (c_i, c_{i+1}, centre), indices mod n.  On the disk the cocycle is read
-    off the potential lifted along the path, 0 at the inner vertices; it
-    closes up exactly when the relator's weights sum to 0.
+    weight on the edge (0, 2k+1), present whether the relator uses it or
+    not.  The relator's disk is glued along the path b_0 .. b_{n-1} that
+    runs through its letters' loops (backwards for a capital): a ring of
+    fresh vertices c_i and a centre give the triangles (b_i, b_{i+1}, c_i),
+    (b_{i+1}, c_i, c_{i+1}) and (c_i, c_{i+1}, centre), indices mod n.  On
+    the disk the cocycle is read off the potential lifted along the path,
+    0 at the inner vertices; it closes up exactly when the relator's
+    weights sum to 0.
     """
     letters = list(weights)
     path, phi = [], [0]   # b_i, and the potential lifted to position i
@@ -294,16 +295,18 @@ def one_relator_complex(relator: str, weights: dict) -> GeneratedSpace:
         raise ParameterOutOfRange(
             "the relator must be a nonempty word of weight sum 0")
     ring = 2 * len(letters) + 1   # c_i is ring + i, the centre ring + n
-    triangles = []
+    simplices = [loop for k in range(len(letters))
+                 for loop in ((0, 2 * k + 1), (2 * k + 1, 2 * k + 2),
+                              (0, 2 * k + 2))]
     values = {(0, 2 * k + 1): w for k, w in enumerate(weights.values())}
     for i in range(n):
         j = (i + 1) % n
         c, d = ring + i, ring + j
-        triangles += [(path[i], path[j], c), (path[j], c, d),
+        simplices += [(path[i], path[j], c), (path[j], c, d),
                       (c, d, ring + n)]
         values[(path[i], c)] = -phi[i]
         values[(path[j], c)] = -phi[i + 1]
-    X = build_complex(triangles)
+    X = build_complex(simplices)
     z = validate_cocycle(X, values, default_zero=True)
     return GeneratedSpace(X, z, f"one_relator({relator})", 2, False)
 

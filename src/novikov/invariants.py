@@ -28,7 +28,7 @@ from .errors import (InternalInconsistency, NotInSpan,
 from .linalg import Span, express, kernel
 from .numfield import (FieldElement, NumberField, Scalar, cache_key,
                        check_nonzero, is_dirichlet_unit, scalar_field,
-                       scalar_key, scalar_mul)
+                       scalar_key)
 from .polyq import (Poly, coprime_basis, linear_factor, rational_roots,
                     squarefree_factors)
 from .twisted import (CoboundaryRows, ReducedComplex, TwistedComplex,
@@ -314,7 +314,7 @@ class _CohomologyCache:
         key = (cache_key(m), p, cache_key(a), d)
         if key not in self._constants:
             X, z = self.complex, self.cocycle
-            ma = scalar_mul(m, a)
+            ma = m * a
             self._constants[key] = [
                 [self.coords(ma, p + d, twisted_cup(X, z, p, d, m, a, u, w))
                  for w in self.reps(a, d)]
@@ -389,7 +389,7 @@ def _compatible_product(m: Scalar, a: Scalar):
     fm, fa = scalar_field(m), scalar_field(a)
     if fm is not None and fa is not None and fm != fa:
         return None
-    return scalar_mul(m, a)
+    return m * a
 
 
 def _search(cache: _CohomologyCache, cands, require_nonunits: int):
@@ -557,7 +557,7 @@ def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
     m, d, product, _ = cert.factors[0]
     for a, e, w, _unit in cert.factors[1:]:
         product = twisted_cup(X, z, d, e, m, a, product, w)
-        m = scalar_mul(m, a)
+        m *= a
         d += e
     reps, _projector, f = cache._basis(m, d)
     red = cache.twisted.reduced()

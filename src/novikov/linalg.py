@@ -1,7 +1,8 @@
 """Exact linear algebra over Q and over number fields.
 
 One sparse row-echelon routine, ``Span``, does every elimination over a
-field: rank, nullspaces, coordinates of a vector and incremental spans.
+field: rank, nullspaces, coordinates of a vector, incremental spans and
+the minimal polynomials of number-field elements.
 Rows are ``{column: value}`` dicts holding ints, Fractions or
 FieldElements.  Every pivot is inverted at most once.  An int pivot +-1
 is its own inverse, and an int pivot that divides every entry of an
@@ -17,7 +18,6 @@ import heapq
 from fractions import Fraction
 
 from .numfield import FieldElement
-from .polyq import Poly
 
 
 def _sparse(vec) -> dict:
@@ -172,30 +172,3 @@ def express(generators, target: dict):
     if k in pivots:
         return None  # inconsistent
     return {p: row[k] for p, row in pivots.items() if k in row}
-
-
-def char_poly_rational(mat) -> Poly:
-    """Characteristic polynomial det(tI - A) of a small rational matrix."""
-    n = len(mat)
-    entries = [[Poly([-Fraction(mat[i][j]), 1]) if i == j
-                else Poly([-Fraction(mat[i][j])])
-                for j in range(n)] for i in range(n)]
-    return _poly_det(entries)
-
-
-def _poly_det(entries) -> Poly:
-    n = len(entries)
-    if n == 0:
-        return Poly.const(1)
-    if n == 1:
-        return entries[0][0]
-    det = Poly()
-    sign = 1
-    for j in range(n):
-        if not entries[0][j].is_zero():
-            minor = [[entries[i][k] for k in range(n) if k != j]
-                     for i in range(1, n)]
-            term = entries[0][j] * _poly_det(minor)
-            det = det + (term if sign > 0 else -term)
-        sign = -sign
-    return det

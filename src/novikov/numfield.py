@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q[x]/(m) and the Dirichlet-unit / algebraic-integer tests.
+"""Exact arithmetic in Q[x]/(m) and the Dirichlet-unit test.
 
 A monodromy value ("scalar") is an ``int``, a ``Fraction`` or a
 ``FieldElement``: a residue modulo an integer minimal polynomial asserted
@@ -6,7 +6,10 @@ irreducible by the caller.  Irreducibility is verified only by cheap
 necessary conditions (squarefree, no rational root in degree >= 2); a
 reducible modulus is detected lazily whenever an inversion meets a zero
 divisor, which raises ``ZeroDivisorEncountered`` carrying the discovered
-factor.
+factor.  The Dirichlet-unit test reads an element's minimal polynomial,
+the first linear dependence among its powers, off one ``linalg.Span``
+echelon; that needs no inversion and is right modulo any squarefree
+modulus, reducible or not.
 """
 
 from __future__ import annotations
@@ -175,26 +178,29 @@ class FieldElement:
     def min_poly_int_coeffs(self) -> tuple:
         """Primitive integer minimal polynomial of this element over Q.
 
-        Computed from the characteristic polynomial of multiplication by the
-        element on the power basis; for a generator this is the field
-        modulus.  The result is squarefree because the field modulus is.
+        The first linear dependence among 1, a, a^2, ...: one echelon holds
+        the rows [residue(a^k) | e_k], column n + k standing for e_k, and
+        the first row whose residue columns clear on reduction holds the
+        relation's coefficients in its e columns, with 1 at e_k.  For a
+        generator this is the field modulus.  The modulus is squarefree,
+        so Q[x]/(m) is a product of fields and multiplication by a is
+        semisimple: this is also the squarefree part of the characteristic
+        polynomial of that multiplication.
         """
-        from .linalg import char_poly_rational
+        from .linalg import Span
 
         n = self.field.degree
-        cols = []
-        for i in range(n):
-            prod = (self.residue * Poly.monomial(i)) % self.field.min_poly
-            col = [0] * n
-            for j, c in enumerate(prod.coeffs):
-                col[j] = c
-            cols.append(col)
-        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-        cp = char_poly_rational(mat)
-        # the char poly is a power of the minimal polynomial; take the
-        # squarefree part
-        g = poly_gcd(cp, cp.derivative())
-        return (cp // g).primitive_int_coeffs()
+        echelon = Span(2 * n + 1, reduced=False)
+        power, k = self.field.one(), 0
+        while True:  # n + 1 powers in dimension n: ends by k = n
+            row = {j: c for j, c in enumerate(power.residue.coeffs) if c}
+            row[n + k] = 1
+            row = echelon.reduce(row)
+            if min(row) >= n:
+                return Poly([row.get(n + j, 0)
+                             for j in range(k + 1)]).primitive_int_coeffs()
+            echelon.insert(row)
+            power, k = power * self, k + 1
 
     def __repr__(self):
         return f"FieldElement({self.residue!r} mod {list(self.field.int_coeffs)})"
@@ -206,28 +212,10 @@ class FieldElement:
 Scalar = Union[int, Fraction, FieldElement]
 
 
-def scalar_is_zero(a: Scalar) -> bool:
-    if isinstance(a, FieldElement):
-        return not bool(a)
-    return a == 0
-
-
 def check_nonzero(a: Scalar) -> Scalar:
-    if scalar_is_zero(a):
+    if not a:
         raise ZeroMonodromy("monodromy value must be nonzero")
     return a
-
-
-def scalar_inv(a: Scalar) -> Scalar:
-    check_nonzero(a)
-    if isinstance(a, FieldElement):
-        return a.inverse()
-    return 1 / Fraction(a)
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    """a * b; two ints give an int."""
-    return a * b
 
 
 def scalar_pow(a: Scalar, n: int) -> Scalar:
@@ -267,17 +255,6 @@ def cache_key(a: Scalar):
 
 def scalar_field(a: Scalar):
     return a.field if isinstance(a, FieldElement) else None
-
-
-def is_algebraic_integer(a: Scalar) -> bool:
-    """True iff a is a root of a monic integer polynomial."""
-    check_nonzero(a)
-    if isinstance(a, FieldElement):
-        if a.is_rational():
-            return is_algebraic_integer(a.as_rational())
-        coeffs = a.min_poly_int_coeffs()
-        return abs(coeffs[-1]) == 1
-    return a.denominator == 1
 
 
 def is_dirichlet_unit(a: Scalar) -> bool:

@@ -21,7 +21,7 @@ from novikov.invariants import (_CohomologyCache, certificate_json,
                                 crit_bound, cup_length, reduced_complex,
                                 twisted_complex)
 from novikov.linalg import Span
-from novikov.numfield import NumberField, scalar_key, scalar_mul
+from novikov.numfield import NumberField, scalar_key
 from novikov.twisted import coboundary_image_vectors
 
 # cl_lower_bound as the cochain-level search first gave it, certificate_json
@@ -130,7 +130,7 @@ def test_pinned_certificate_is_a_cocycle_and_no_coboundary(name):
     v = _sparse(v)
     for a, e, w in rest:
         v = twisted_cup(X, z, d, e, m, a, v, _sparse(w))
-        m, d = scalar_mul(m, a), d + e
+        m, d = m * a, d + e
     v = [v.get(j, 0) for j in range(X.n_simplices(d))]
     assert scalar_key(m) == scalar_key(_scalar(cert["product_monodromy"]))
     assert d == cert["total_degree"]

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from novikov.errors import ZeroMonodromy
-from novikov.numfield import (FieldElement, NumberField, is_algebraic_integer,
-                              is_dirichlet_unit, scalar_inv, scalar_key,
-                              scalar_mul)
+from novikov.numfield import (FieldElement, NumberField, check_nonzero,
+                              is_dirichlet_unit, scalar_key)
+from novikov.polyq import Poly
+from reference_charpoly import min_poly
 
 
 def test_field_axioms_sqrt2():
@@ -46,13 +48,6 @@ def test_dirichlet_unit_table():
         assert is_dirichlet_unit(a) is expected, a
 
 
-def test_algebraic_integer():
-    assert is_algebraic_integer(Fraction(7))
-    assert not is_algebraic_integer(Fraction(1, 2))
-    assert is_algebraic_integer(NumberField([-1, -1, 1]).generator())
-    assert not is_algebraic_integer(NumberField([2, -3, 2]).generator())
-
-
 def test_min_poly_of_derived_element():
     K = NumberField([-2, 0, 1])
     a = K.generator()
@@ -63,13 +58,81 @@ def test_min_poly_of_derived_element():
     assert K.from_rational(Fraction(3, 2)).min_poly_int_coeffs() == (-3, 2)
 
 
+@st.composite
+def _squarefree_fields(draw):
+    """Q[x]/(m) for an integer m of degree <= 6 that NumberField admits:
+    squarefree and without a rational root, irreducible or a product of
+    two such factors."""
+    def factor(lo, hi):
+        d = draw(st.integers(lo, hi))
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=d + 1,
+                               max_size=d + 1))
+        assume(coeffs[-1])
+        return Poly(coeffs)
+
+    m = factor(2, 6)
+    if m.degree <= 4 and draw(st.booleans()):
+        m = m * factor(2, 6 - m.degree)
+    try:
+        return NumberField(m.coeffs)
+    except ValueError:
+        assume(False)
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _field_elements(draw):
+    K = draw(_squarefree_fields())
+    kind = draw(st.sampled_from(["residue", "rational", "inverse", "power"]))
+    if kind == "rational":
+        return K.from_rational(draw(_fractions))
+    if kind == "inverse":
+        return K.generator().inverse()
+    if kind == "power":
+        return K.generator() ** draw(st.integers(2, 4))
+    return K.element(draw(st.lists(_fractions, min_size=2,
+                                   max_size=K.degree)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_field_elements())
+def test_min_poly_is_the_squarefree_part_of_the_char_poly(x):
+    assert x.min_poly_int_coeffs() == min_poly(x)
+
+
+@pytest.mark.parametrize("modulus", [
+    [-2, 0, -1, 0, 1],            # (t^2 + 1)(t^2 - 2)
+    [1, -3, 2, -3, 1],            # (t^2 + 1)(t^2 - 3t + 1)
+    [6, 0, -5, 0, 1],             # (t^2 - 2)(t^2 - 3)
+])
+def test_min_poly_modulo_a_reducible_modulus(modulus):
+    K = NumberField(modulus)
+    x = K.generator()
+    assert x.min_poly_int_coeffs() == min_poly(x) == K.int_coeffs
+    for y in (x * x, x + x ** 3, x ** 2 + 1, 2 * x ** 3 - x):
+        assert y.min_poly_int_coeffs() == min_poly(y)
+
+
+def test_min_poly_at_degree_998():
+    # (t^1000 - 1) / (t^2 - 1) = 1 + t^2 + ... + t^998, squarefree with
+    # no rational root; far beyond the reach of a cofactor expansion
+    K = NumberField([1, 0] * 499 + [1])
+    assert K.degree == 998
+    x = K.generator()
+    assert x.min_poly_int_coeffs() == K.int_coeffs
+    assert x.inverse().min_poly_int_coeffs() == tuple(reversed(K.int_coeffs))
+
+
 def test_scalar_helpers():
     K = NumberField([-2, 0, 1])
     assert scalar_key(K.from_rational(5)) == scalar_key(Fraction(5))
-    assert scalar_mul(Fraction(2), K.generator()) == K.generator() * 2
-    assert scalar_inv(Fraction(2, 3)) == Fraction(3, 2)
-    with pytest.raises(ZeroMonodromy):
-        scalar_inv(Fraction(0))
+    for a in (3, Fraction(2, 3), K.generator()):
+        assert check_nonzero(a) is a
+    for zero in (0, Fraction(0), K.zero()):
+        with pytest.raises(ZeroMonodromy):
+            check_nonzero(zero)
 
 
 def test_rejects_rational_root_modulus():

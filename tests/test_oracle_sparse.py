@@ -15,10 +15,11 @@ from novikov.corpus import (SimplicialSelfMap, circle, connected_sum,
                             mv_oracle_dims, rational_cohomology,
                             sphere_complex, sphere_product, surface, torus)
 from novikov.errors import MalformedSimplex, NotAnIsomorphism
-from novikov.linalg import Span, char_poly_rational, express
+from novikov.linalg import Span, express
 from novikov.numfield import FieldElement, NumberField
 from novikov.twisted import (SimplicialMap, cocycle_space_basis,
                              coboundary_image_vectors)
+from reference_charpoly import char_poly
 
 SEVEN_VERTEX_TORUS = ([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
                       + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
@@ -109,7 +110,7 @@ def test_sparse_and_dense_h_star_have_the_same_char_polys(fiber, data):
         sparse = induced_map_on_cohomology(F, h, q)
         dense = _dense_induced_map(F, h, q)
         assert len(sparse) == len(dense), (name, q)
-        assert char_poly_rational(sparse) == char_poly_rational(dense), \
+        assert char_poly(sparse) == char_poly(dense), \
             (name, h.map.vertex_map, q)
 
 
