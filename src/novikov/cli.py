@@ -122,8 +122,7 @@ def cmd_cup_length(args):
     cands = [parse_scalar(c) for c in args.candidates.split(sep)]
     twisted = invariants.twisted_complex(space)
     jumps = invariants.jump_locus(twisted)
-    rep = invariants.cup_length(twisted, None, cands, manifold=space.manifold,
-                                jumps=jumps, seed=args.seed)
+    rep = invariants.cup_length(twisted, None, cands, seed=args.seed)
     return _emit_crit(args, jumps, rep)
 
 
@@ -158,8 +157,7 @@ def cmd_thm3_bound(args):
     approximants = [[int(c) for c in chunk.split(",")]
                     for chunk in args.approximants.split(";")]
     twisted = invariants.twisted_complex(space)
-    rep = invariants.thm3_bound(twisted, base, approximants,
-                                manifold=space.manifold, seed=args.seed)
+    rep = invariants.thm3_bound(twisted, base, approximants, seed=args.seed)
     # the report's own jumps belong to the best approximant, not the
     # class; the class's complex also serves its own approximant, so the
     # class is reduced once
@@ -228,7 +226,9 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--stdin", action="store_true",
                            help="read the JSON complex from stdin")
             p.add_argument("--manifold", action="store_true",
-                           help="assert the input is a closed manifold")
+                           help="record the claim that the input is a "
+                                "closed manifold (info prints it; no "
+                                "bound depends on it)")
         p.add_argument("--json", action="store_true", help="JSON report")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the generic surrogate monodromy")

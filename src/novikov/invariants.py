@@ -23,14 +23,12 @@ import random
 from fractions import Fraction
 
 from .complexes import SimplicialComplex, twisted_cup
-from .errors import (InternalInconsistency, NotInSpan,
-                     ZeroDivisorEncountered)
+from .errors import InternalInconsistency, NotInSpan
 from .linalg import Span, express, kernel
 from .numfield import (FieldElement, NumberField, Scalar, cache_key,
                        check_nonzero, is_dirichlet_unit, scalar_field,
                        scalar_key)
-from .polyq import (Poly, coprime_basis, linear_factor, rational_roots,
-                    squarefree_factors)
+from .polyq import Poly, coprime_basis, rational_roots, squarefree_factors
 from .twisted import (CoboundaryRows, ReducedComplex, TwistedComplex,
                       evaluate_rows)
 
@@ -177,11 +175,11 @@ class CupLengthCertificate:
 
 
 class CritBoundReport:
-    """Cup-length bound with its certificate; ``jumps`` is the JumpReport
-    of the class when the search had one."""
+    """Cup-length bound with its certificate; ``crit_bound`` sets
+    ``jumps``, the JumpReport of the class."""
 
     def __init__(self, cl_lower_bound, certificate, mode, *, seed=None,
-                 skipped=(), notes=(), untwisted_cup_length=None, jumps=None):
+                 skipped=(), notes=(), untwisted_cup_length=None):
         self.cl_lower_bound = cl_lower_bound
         self.crit_bound = max(cl_lower_bound - 1, 0)
         self.certificate = certificate
@@ -190,7 +188,7 @@ class CritBoundReport:
         self.skipped = list(skipped)
         self.notes = list(notes)
         self.untwisted_cup_length = untwisted_cup_length
-        self.jumps = jumps
+        self.jumps = None
 
     def __repr__(self):
         return (f"CritBoundReport(cl>={self.cl_lower_bound}, "
@@ -457,18 +455,20 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
     return best, found, skipped
 
 
-def cup_length(X, z, candidates, *, manifold=False, jumps=None, seed=None,
+def cup_length(X, z, candidates, *, seed=None,
                mode="exhaustive-over-candidates", cache=None):
-    """Longest certified nontrivial product of positive-degree twisted classes.
+    """Longest certified nontrivial product of positive-degree twisted classes
+    whose monodromies are products of the given candidates.
 
     ``X`` and ``z`` are read by ``twisted_complex``; ``cache``, a
     ``_CohomologyCache`` of the same complex, lets several searches share
     their bases and structure constants.  Each DP state stores a spanning
     set of realizable products in cohomology coordinates, which suffices
     because the cup product is bilinear.  Returns a CritBoundReport whose
-    clLowerBound certifies the bound with a re-checkable certificate; for
-    the zero class it reports the untwisted cup-length instead, the same
-    search at the unit monodromy with no non-unit requirement.
+    cl_lower_bound is 0 or the length of a product it found, its
+    certificate re-checked at cochain level; for the zero class it reports
+    the untwisted cup-length instead, the same search at the unit
+    monodromy with no non-unit requirement.
     """
     if cache is None:
         cache = _CohomologyCache(twisted_complex(X, z))
@@ -476,7 +476,7 @@ def cup_length(X, z, candidates, *, manifold=False, jumps=None, seed=None,
     if z.is_zero():
         untw, _, _ = _search(cache, [Fraction(1)], 0)
         return CritBoundReport(
-            0, None, mode, seed=seed, untwisted_cup_length=untw, jumps=jumps,
+            0, None, mode, seed=seed, untwisted_cup_length=untw,
             notes=["zero class: the twisted length needs two non-unit "
                    "monodromies, which products of trivial monodromy "
                    "never supply"])
@@ -492,18 +492,12 @@ def cup_length(X, z, candidates, *, manifold=False, jumps=None, seed=None,
     if found is not None:
         certificate = _extract_certificate(cl, *found, X.f_vector())
     notes = []
-    if manifold and cl < 2:
-        dual = _duality_bound(
-            jumps if jumps is not None else jump_locus(cache.twisted), X.dim)
-        if dual is not None:
-            cl = 2
-            notes.append(dual)
     if skipped:
         notes.append(f"skipped {len(skipped)} monodromy pair(s) from "
                      "different number fields: their products were not "
                      "formed, so the bound does not cover them")
     report = CritBoundReport(cl, certificate, mode, seed=seed,
-                             skipped=skipped, notes=notes, jumps=jumps)
+                             skipped=skipped, notes=notes)
     if certificate is not None:
         _verify_certificate(cache, certificate)
     return report
@@ -589,39 +583,6 @@ def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
             "certificate has fewer than two non-unit monodromies")
 
 
-def _duality_bound(jumps: JumpReport, n: int):
-    """Length-2 bound from the duality pairing on a closed manifold.
-
-    If some jump factor in a middle degree has a root that is not a
-    Dirichlet unit, the twisted class at that root pairs nontrivially with
-    a class at the inverse root, and the inverse of a non-unit is a
-    non-unit; two non-unit factors give length 2.
-    """
-    for e in jumps.entries:
-        if 0 < e.q < n and _has_nonunit_root(e.factor):
-            return ("duality pairing: jump factor "
-                    f"{list(e.factor.primitive_int_coeffs())} in degree "
-                    f"{e.q} has a non-unit root; its inverse root pairs "
-                    f"with it into degree {n}")
-    return None
-
-
-def _has_nonunit_root(factor: Poly) -> bool:
-    for r in rational_roots(factor):
-        if r not in (1, -1):
-            return True
-    rest = factor
-    for r in rational_roots(factor):
-        rest = rest // linear_factor(r)
-    if rest.degree >= 1:
-        coeffs = rest.primitive_int_coeffs()
-        # if every irreducible factor had unit leading and constant
-        # coefficients, the product would too
-        if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
-            return True
-    return False
-
-
 def default_candidates(jumps: JumpReport, rng: random.Random):
     """Jump roots and their inverses, one number-field root per irrational
     factor, the unit monodromy, and a random rational surrogate pair."""
@@ -631,13 +592,9 @@ def default_candidates(jumps: JumpReport, rng: random.Random):
             if c is not None and c != 0 and c not in cands:
                 cands.append(c)
     for f in jumps.irrational_factors():
-        try:
-            field = NumberField(f.primitive_int_coeffs())
-            root = field.generator()
-            cands.append(root)
-            cands.append(root.inverse())
-        except (ZeroDivisorEncountered, ValueError):
-            continue
+        root = NumberField(f.primitive_int_coeffs()).generator()
+        cands.append(root)
+        cands.append(root.inverse())
     g = Fraction(rng.randint(2, 10 ** 6), rng.randint(2, 10 ** 6))
     while g in (1, -1) or g in cands:
         g = Fraction(rng.randint(2, 10 ** 6), rng.randint(2, 10 ** 6))
@@ -646,28 +603,27 @@ def default_candidates(jumps: JumpReport, rng: random.Random):
     return cands
 
 
-def crit_bound(X, z=None, *, manifold=None, seed=0):
-    """Jump locus plus cup-length search over the default candidate set;
-    the three attempts share one cohomology cache."""
-    if manifold is None:
-        manifold = bool(getattr(X, "manifold", False))
+def crit_bound(X, z=None, *, seed=0):
+    """Jump locus plus cup-length search over the default candidate set,
+    up to three draws of the surrogate; the attempts share one cohomology
+    cache.  A bound above 0 is always a product that ``cup_length`` found
+    and re-checked."""
     twisted = twisted_complex(X, z)
     jumps = jump_locus(twisted)
     rng = random.Random(seed)
     cache = _CohomologyCache(twisted)
-    last = None
     for _attempt in range(3):
-        cands = default_candidates(jumps, rng)
-        last = cup_length(twisted, None, cands, manifold=manifold,
-                          jumps=jumps, seed=seed, mode="probabilistic",
-                          cache=cache)
+        last = cup_length(twisted, None, default_candidates(jumps, rng),
+                          seed=seed, mode="probabilistic", cache=cache)
         if last.cl_lower_bound > 0:
-            return last
+            break
+    last.jumps = jumps
     return last
 
 
-def thm3_bound(X, base_classes, approximants, *, manifold=False, seed=0):
-    """Best bound over integer combinations of the base classes.
+def thm3_bound(X, base_classes, approximants, *, seed=0):
+    """Best ``crit_bound`` over integer combinations of the base classes,
+    each bound a certified product over that class's default candidates.
 
     Each approximant is a coefficient vector; the zero vector is rejected
     since it does not present a rank-1 class vanishing on the kernel.  X
@@ -686,9 +642,9 @@ def thm3_bound(X, base_classes, approximants, *, manifold=False, seed=0):
             raise NotInSpan("zero approximant is not a rank-1 class")
         eta = base_classes[0].scaled_sum(list(zip(base_classes, coeffs)))
         if twisted is not None and eta.values == twisted.z.values:
-            rep = crit_bound(twisted, manifold=manifold, seed=seed)
+            rep = crit_bound(twisted, seed=seed)
         else:
-            rep = crit_bound(X, eta, manifold=manifold, seed=seed)
+            rep = crit_bound(X, eta, seed=seed)
         if best is None or rep.cl_lower_bound > best.cl_lower_bound:
             best = rep
     return best

@@ -75,16 +75,14 @@ def test_connected_sum_bound_and_monotonicity():
     cands = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
              Fraction(1, 3)]
     glued = connected_sum(torus(), torus())
-    rep = cup_length(glued.complex, glued.cocycle, cands, manifold=True)
+    rep = cup_length(glued.complex, glued.cocycle, cands)
     ok = rep.cl_lower_bound == 2
     pairs = [(torus(), torus()), (surface(2), torus()),
              (torus(), surface(2))]
     for x1, x2 in pairs:
         whole = cup_length(connected_sum(x1, x2).complex,
-                           connected_sum(x1, x2).cocycle, cands,
-                           manifold=True)
-        best = max(cup_length(x.complex, x.cocycle, cands,
-                              manifold=True).cl_lower_bound
+                           connected_sum(x1, x2).cocycle, cands)
+        best = max(cup_length(x.complex, x.cocycle, cands).cl_lower_bound
                    for x in (x1, x2))
         ok = ok and whole.cl_lower_bound >= best
     elapsed = time.perf_counter() - start
@@ -121,8 +119,9 @@ def test_jump_locus_properties_on_corpus():
 
 def test_alexander_instance():
     """The presentation complex of the knot 5_2, whose Alexander
-    polynomial is 2 - 3t + 2t^2.  It is no closed manifold: the bound comes
-    from the duality route, which runs when the caller asserts one."""
+    polynomial is 2 - 3t + 2t^2.  Its jump roots are non-units, but it is
+    no closed manifold and the search certifies no product of two non-unit
+    classes: the bound is 0, with no note and no certificate."""
     start = time.perf_counter()
     knot = one_relator_complex("xyXYxyxYXyxYXY", {"x": 1, "y": 1})
     nov = novikov_numbers(knot)
@@ -135,11 +134,12 @@ def test_alexander_instance():
         gen = field.generator()
         roots_nonunit = (not is_dirichlet_unit(gen)
                          and not is_dirichlet_unit(gen.inverse()))
-    rep = crit_bound(knot, manifold=True)
+    rep = crit_bound(knot)
     ok = (nov[1] == 0 and bool(h1) and roots_nonunit
-          and rep.crit_bound >= 1)
+          and (rep.cl_lower_bound, rep.crit_bound) == (0, 0)
+          and rep.notes == [] and rep.certificate is None)
     elapsed = time.perf_counter() - start
-    _report("trivial Novikov numbers, non-unit jump, crit bound >= 1", ok,
+    _report("trivial Novikov numbers, non-unit jump, crit bound 0", ok,
             elapsed)
     assert ok
 

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 import novikov
-from novikov import invariants, twisted
+from novikov import corpus, twisted
+from novikov.complexes import build_complex
 from novikov.cli import main, parse_scalar
 from novikov.corpus import space_to_json, surface
 from novikov.numfield import FieldElement
@@ -366,9 +367,11 @@ def test_crit_bound_computes_the_jump_locus_once(tmp_path, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
-def test_calls_in_one_process_share_no_flags(tmp_path, monkeypatch):
+def test_calls_in_one_process_share_no_flags(tmp_path):
     """The parser is built once per process; each call still starts from
-    the defaults, as a lone call in a fresh process does."""
+    the defaults, as a lone call in a fresh process does.  --manifold only
+    records the claim: it changes the manifold field of info and nothing
+    else."""
     path = tmp_path / "surface.json"
     path.write_text(gen("surface", "--genus", "2"))
     src = os.path.dirname(os.path.dirname(novikov.__file__))
@@ -383,21 +386,13 @@ def test_calls_in_one_process_share_no_flags(tmp_path, monkeypatch):
     doc = json.loads(path.read_text())
     doc["manifold"] = False
     path.write_text(json.dumps(doc))
-    seen = []
-    real = invariants.cup_length
-
-    def recording(*args, **kwargs):
-        seen.append(kwargs["manifold"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(invariants, "cup_length", recording)
+    infos = []
     for flags in (["--manifold"], []):
-        code, _ = run_cli(["cup-length", str(path), "--candidates", "2,1/2",
-                           *flags])
+        code, raw = run_cli(["info", str(path), "--json", *flags])
         assert code == 0
-    assert seen == [True, False]
-    code, raw = run_cli(["info", str(path), "--json"])
-    assert code == 0 and json.loads(raw)["manifold"] is False
+        infos.append(json.loads(raw))
+    assert [info.pop("manifold") for info in infos] == [True, False]
+    assert infos[0] == infos[1]
 
 
 def test_parser_is_built_at_most_once(tmp_path, monkeypatch):
@@ -418,3 +413,51 @@ def test_parser_is_built_at_most_once(tmp_path, monkeypatch):
     before = len(built)
     assert run_cli(["betti", str(path)])[0] == 0
     assert len(built) == before
+
+
+def _order3():
+    """The seven-vertex torus under v -> 2v mod 7, an order-3 map."""
+    F = build_complex([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+                      + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+    return corpus.mapping_torus(F, {v: 2 * v % 7 for v in range(7)})
+
+
+BOUND_SPACES = {
+    **{f"surface({g})": lambda g=g: corpus.surface(g) for g in range(2, 7)},
+    "S1xS2": lambda: corpus.sphere_product(2),
+    "S1xS3": lambda: corpus.sphere_product(3),
+    "torus": corpus.torus,
+    "torus#torus": lambda: corpus.connected_sum(corpus.torus(),
+                                                corpus.torus()),
+    "rotation": lambda: corpus.mapping_torus(corpus.circle(3).complex,
+                                             {0: 1, 1: 2, 2: 0}),
+    "klein": lambda: corpus.mapping_torus(corpus.circle(3).complex,
+                                          {0: 0, 1: 2, 2: 1}),
+    "order3": _order3,
+    "5_2": lambda: corpus.one_relator_complex("xyXYxyxYXyxYXY",
+                                              {"x": 1, "y": 1}),
+    "BS(1,2)": lambda: corpus.one_relator_complex("taTAA",
+                                                  {"a": 0, "t": 1}),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUND_SPACES))
+def test_no_bound_without_a_certificate(name, tmp_path):
+    """Every cup-length bound of 2 or more is a certified product of at
+    least two non-unit classes, and --manifold, which only records a
+    claim, changes no bound: 5_2 and BS(1,2) are no manifolds, and a
+    claim that they are gives them no bound."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space_to_json(BOUND_SPACES[name]())))
+    for argv in (["crit-bound", str(path), "--json"],
+                 ["cup-length", str(path), "--candidates", "1,2,1/2,3,1/3",
+                  "--json"]):
+        plain = run_cli(argv)
+        assert plain == run_cli([*argv, "--manifold"])
+        code, raw = plain
+        doc = json.loads(raw)
+        assert code == 0
+        if doc["cl_lower_bound"] >= 2:
+            cert = doc["certificate"]
+            assert cert is not None
+            assert sum(not f["is_unit"] for f in cert["factors"]) >= 2

@@ -55,7 +55,7 @@ RUNS = {
     "crit_bound klein seed=0": lambda: crit_bound(_klein(), seed=0),
     "cup_length surface(2) [2, 1/2, @-1,-3,2]": lambda: cup_length(
         surface(2).complex, surface(2).cocycle,
-        [Fraction(2), Fraction(1, 2), _root()], manifold=True),
+        [Fraction(2), Fraction(1, 2), _root()]),
     "cup_length torus wedge circle [@-1,-3,2, 2, 1/2]": lambda: cup_length(
         _torus_wedge_circle(), None, [_root(), Fraction(2), Fraction(1, 2)]),
 }

@@ -66,8 +66,7 @@ def test_twisted_dims_agree_with_jump_report():
 
 def test_cup_length_surface_with_jump_roots():
     s = surface(2)
-    rep = cup_length(s.complex, s.cocycle, [Fraction(2), Fraction(1, 2)],
-                     manifold=True)
+    rep = cup_length(s.complex, s.cocycle, [Fraction(2), Fraction(1, 2)])
     assert rep.cl_lower_bound == 2
     assert rep.crit_bound == 1
     cert = rep.certificate
@@ -80,10 +79,9 @@ def test_cup_length_surface_with_jump_roots():
 
 def test_cup_length_monotone_in_candidates():
     s = surface(2)
-    small = cup_length(s.complex, s.cocycle, [Fraction(2)], manifold=True)
+    small = cup_length(s.complex, s.cocycle, [Fraction(2)])
     large = cup_length(s.complex, s.cocycle,
-                       [Fraction(2), Fraction(1, 2), Fraction(1)],
-                       manifold=True)
+                       [Fraction(2), Fraction(1, 2), Fraction(1)])
     assert large.cl_lower_bound >= small.cl_lower_bound
 
 
@@ -93,7 +91,7 @@ def test_cup_length_field_candidates():
     field = NumberField([2, -3, 2])
     a = field.generator()
     s = surface(2)
-    rep = cup_length(s.complex, s.cocycle, [a, a.inverse()], manifold=True)
+    rep = cup_length(s.complex, s.cocycle, [a, a.inverse()])
     assert rep.cl_lower_bound == 2
     assert rep.certificate is not None
     assert rep.certificate.nonunit_count() >= 2
@@ -129,8 +127,8 @@ def test_crit_bound_alexander_instance():
     """The presentation complex of the knot 5_2: every generic twisted
     dimension vanishes, and the roots of its Alexander polynomial
     2 - 3t + 2t^2, no units, jump.  It is no closed manifold, and the
-    search certifies no product of two non-unit classes; the duality route
-    gives length 2 only when the caller asserts a manifold."""
+    search certifies no product of two non-unit classes, so the bound is
+    0: no note, no certificate."""
     knot = one_relator_complex("xyXYxyxYXyxYXY", {"x": 1, "y": 1})
     assert novikov_numbers(knot) == [0, 0, 0]
     report = jump_locus(knot)
@@ -138,13 +136,7 @@ def test_crit_bound_alexander_instance():
     assert [e.q for e in report.entries if e.factor == alexander] == [1, 2]
     rep = crit_bound(knot)
     assert (rep.cl_lower_bound, rep.crit_bound, rep.notes) == (0, 0, [])
-    rep = crit_bound(knot, manifold=True)
-    assert rep.cl_lower_bound == 2
-    assert rep.crit_bound == 1
     assert rep.certificate is None
-    assert rep.notes == [
-        "duality pairing: jump factor [2, -3, 2] in degree 1 has a non-unit "
-        "root; its inverse root pairs with it into degree 2"]
     root = NumberField([2, -3, 2]).generator()
     assert twisted_dims(knot, Fraction(2)) == [0, 0, 0]
     assert twisted_dims(knot, Fraction(1)) == [1, 1, 0]
@@ -183,8 +175,8 @@ def test_default_candidates_closed_under_inverse():
 
 def test_thm3_bound_single_base_matches_crit_bound():
     s = surface(2)
-    direct = crit_bound(s.complex, s.cocycle, manifold=True, seed=0)
-    via = thm3_bound(s.complex, [s.cocycle], [(1,)], manifold=True, seed=0)
+    direct = crit_bound(s.complex, s.cocycle, seed=0)
+    via = thm3_bound(s.complex, [s.cocycle], [(1,)], seed=0)
     assert via.cl_lower_bound == direct.cl_lower_bound
 
 
@@ -198,8 +190,7 @@ def test_thm3_bound_rejects_degenerate_approximants():
 
 def test_thm3_bound_scaled_class_keeps_bound():
     s = surface(2)
-    rep = thm3_bound(s.complex, [s.cocycle], [(1,), (2,), (-1,)],
-                     manifold=True, seed=0)
+    rep = thm3_bound(s.complex, [s.cocycle], [(1,), (2,), (-1,)], seed=0)
     assert rep.cl_lower_bound == 2
 
 
