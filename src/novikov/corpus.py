@@ -17,7 +17,7 @@ from .complexes import (SimplicialComplex, OneCocycle, build_complex,
                         coboundary_of_vertex_function, validate_cocycle)
 from .errors import (DimensionMismatch, MalformedInput, NotAManifoldInput,
                      NotAnIsomorphism, ParameterOutOfRange)
-from .linalg import Span, kernel, rank
+from .linalg import cohomology, rank
 from .numfield import Scalar, check_nonzero, scalar_field
 from .twisted import CutPresentation, SimplicialMap
 
@@ -33,14 +33,16 @@ class GeneratedSpace:
     """
 
     def __init__(self, complex: SimplicialComplex, cocycle: OneCocycle,
-                 label: str, dimension: int, manifold: bool,
-                 cut=None):
+                 label: str, manifold: bool, cut=None):
         self.complex = complex
         self.cocycle = cocycle
         self.label = label
-        self.dimension = dimension
         self.manifold = manifold
         self._cut = cut
+
+    @property
+    def dimension(self) -> int:
+        return self.complex.dim
 
     @property
     def has_cut(self) -> bool:
@@ -68,11 +70,6 @@ class SimplicialSelfMap:
             raise NotAnIsomorphism("vertex map is not a bijection of F")
         self.F = F
         self.map = SimplicialMap(F, F, vertex_map)
-        inv = {w: v for v, w in vertex_map.items()}
-        # a bijection whose forward map is simplicial need not have a
-        # simplicial inverse in general posets, but here both directions
-        # must be checked for an isomorphism
-        self.inverse_map = SimplicialMap(F, F, inv)
 
     def __call__(self, v):
         return self.map.vertex_map[v]
@@ -89,7 +86,7 @@ def circle(k: int) -> GeneratedSpace:
     edges = [(i, (i + 1) % k) for i in range(k)]
     X = build_complex(edges)
     z = validate_cocycle(X, {tuple(sorted((0, 1))): 1}, default_zero=True)
-    return GeneratedSpace(X, z, f"circle({k})", 1, True)
+    return GeneratedSpace(X, z, f"circle({k})", True)
 
 
 def _staircase_block(F: SimplicialComplex, bottom, top):
@@ -153,7 +150,7 @@ def mapping_torus(F: SimplicialComplex, h: SimplicialSelfMap) -> GeneratedSpace:
     i_minus = {v: nid(levels, h(v)) for v in fverts}
     cut = CutPresentation(N, V, i_plus, i_minus)
     label = f"mapping_torus(F={F.f_vector()}, h)"
-    return GeneratedSpace(X, z, label, F.dim + 1, True, cut=cut)
+    return GeneratedSpace(X, z, label, True, cut=cut)
 
 
 def torus() -> GeneratedSpace:
@@ -243,7 +240,7 @@ def connected_sum(X1: GeneratedSpace, X2: GeneratedSpace) -> GeneratedSpace:
             values[e] = val if e == (relabel[u], relabel[v]) else -val
     z = validate_cocycle(glued, values, default_zero=True)
     label = f"({X1.label}) # ({X2.label})"
-    return GeneratedSpace(glued, z, label, n, True)
+    return GeneratedSpace(glued, z, label, True)
 
 
 def surface(g: int) -> GeneratedSpace:
@@ -308,39 +305,15 @@ def one_relator_complex(relator: str, weights: dict) -> GeneratedSpace:
         values[(path[j], c)] = -phi[i + 1]
     X = build_complex(simplices)
     z = validate_cocycle(X, values, default_zero=True)
-    return GeneratedSpace(X, z, f"one_relator({relator})", 2, False)
+    return GeneratedSpace(X, z, f"one_relator({relator})", False)
 
 
 def rational_cohomology(F: SimplicialComplex, q: int):
     """Representatives of a basis of H^q(F; Q), as sparse vectors, and the
-    echelon that gives coordinates in it.
-
-    The cocycles are the kernel of delta_q, read off one reduced echelon
-    of its rows; the representatives are the cocycles independent modulo
-    the columns of delta_{q-1}, in order.  The echelon holds the rows
-    [coboundary | 0] and [rep_i | e_i], column n_q + i standing for e_i:
-    reducing [v | 0] for a cocycle v clears every cochain column and
-    leaves minus v's coordinates in the e_i columns.
-    """
-    n = F.n_simplices(q)
-    cocycles = kernel(F.coboundary_rows(q), n)
-    echelon = Span(n + len(cocycles), reduced=False)
-    columns = [{} for _ in range(F.n_simplices(q - 1))]
-    for i, row in enumerate(F.coboundary_rows(q - 1)):
-        for j, x in row.items():
-            columns[j][i] = x
-    for column in columns:
-        echelon.insert(column)
-    b = len(cocycles) - echelon.dim
-    reps = []
-    for v in cocycles:
-        if len(reps) == b:
-            break
-        row = echelon.reduce({**v, n + len(reps): 1})
-        if min(row) < n:  # v is independent modulo coboundaries
-            echelon.insert(row)
-            reps.append(v)
-    return reps, echelon
+    coordinates of a cocycle's class in it: ``linalg.cohomology`` of
+    delta_q and delta_{q-1}."""
+    return cohomology(F.coboundary_rows(q), F.coboundary_rows(q - 1),
+                      F.n_simplices(q), F.n_simplices(q - 1))
 
 
 def induced_map_on_cohomology(F: SimplicialComplex, h: SimplicialSelfMap,
@@ -349,14 +322,13 @@ def induced_map_on_cohomology(F: SimplicialComplex, h: SimplicialSelfMap,
 
     h* is the signed permutation of the q-simplices that
     ``SimplicialMap.image_simplex`` gives: (h* c)(s) = sign * c(h(s)).
-    Column j holds the coordinates of h*(rep_j), read off the echelon of
-    ``rational_cohomology``; an image that is no cocycle raises
+    Column j holds the coordinates of h*(rep_j) that
+    ``rational_cohomology`` gives; an image that is no cocycle raises
     NotAnIsomorphism.
     """
-    reps, echelon = rational_cohomology(F, q)
+    reps, coords = rational_cohomology(F, q)
     if not reps:
         return []
-    n, k = F.n_simplices(q), len(reps)
     index = F.index[q]
     source = {}  # column of h(s) -> (column of s, sign)
     for i, s in enumerate(F.simplices[q]):
@@ -368,25 +340,12 @@ def induced_map_on_cohomology(F: SimplicialComplex, h: SimplicialSelfMap,
         for j, x in r.items():
             i, sign = source[j]
             image[i] = sign * x
-        row = echelon.reduce(image)
-        if row and min(row) < n:
+        col = coords(image)
+        if col is None:
             raise NotAnIsomorphism(
                 "pullback of a cocycle left the cocycle space")
-        cols.append([-row.get(n + i, 0) for i in range(k)])
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
-
-
-def ker_coker_dims(mat, a: Scalar):
-    """(dim ker, dim coker) of (M - a*I) for a square rational matrix M."""
-    k = len(mat)
-    if k == 0:
-        return (0, 0)
-    field = scalar_field(a)
-    shifted = [[(field.from_rational(mat[i][j]) if field else
-                 Fraction(mat[i][j])) - (a if i == j else 0 * a)
-                for j in range(k)] for i in range(k)]
-    r = rank(shifted, k)
-    return (k - r, k - r)
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
 
 
 def mv_oracle_dims(F: SimplicialComplex, h, a: Scalar):
@@ -400,31 +359,18 @@ def mv_oracle_dims(F: SimplicialComplex, h, a: Scalar):
 
 
 def mv_dims_from_matrices(mats, a: Scalar):
-    """Same kernel/cokernel bookkeeping from explicit h* matrices."""
+    """Same bookkeeping from explicit h* matrices: the square M - a*I has
+    equal kernel and cokernel dimensions, its nullity, read once."""
     check_nonzero(a)
-    dims = []
-    for i in range(len(mats) + 1):
-        ker = ker_coker_dims(mats[i], a)[0] if i < len(mats) else 0
-        cok = ker_coker_dims(mats[i - 1], a)[1] if i > 0 else 0
-        dims.append(ker + cok)
-    return dims
-
-
-def standard_corpus():
-    """The instances exercised by the cross-module property suites."""
-    F3 = circle(3).complex
-    rot = SimplicialSelfMap(F3, {0: 1, 1: 2, 2: 0})
-    spaces = [
-        circle(3),
-        circle(5),
-        torus(),
-        mapping_torus(F3, rot),
-        sphere_product(2),
-        surface(2),
-        connected_sum(torus(), torus()),
-    ]
-    spaces[3].label = "mapping_torus(circle(3), rotation)"
-    return spaces
+    field = scalar_field(a)
+    nullities = []
+    for mat in mats:
+        k = len(mat)
+        shifted = [[(field.from_rational(mat[i][j]) if field else
+                     Fraction(mat[i][j])) - (a if i == j else 0 * a)
+                    for j in range(k)] for i in range(k)]
+        nullities.append(k - rank(shifted, k))
+    return [ker + cok for ker, cok in zip(nullities + [0], [0] + nullities)]
 
 
 def space_to_json(space: GeneratedSpace) -> dict:
@@ -533,7 +479,6 @@ def space_from_json(data: dict) -> GeneratedSpace:
             f"{complex.dim}")
     return GeneratedSpace(complex, z,
                           _typed(data, "name", str, "a string", "input"),
-                          dimension,
                           _typed(data, "manifold", bool, "true or false",
                                  False),
                           cut=cut)

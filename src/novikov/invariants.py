@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .complexes import SimplicialComplex, twisted_cup
 from .errors import InternalInconsistency, NotInSpan
-from .linalg import Span, express, kernel
+from .linalg import Span, cohomology, express, kernel, transpose
 from .numfield import (FieldElement, NumberField, Scalar, cache_key,
                        check_nonzero, is_dirichlet_unit, scalar_field,
                        scalar_key)
@@ -210,14 +210,12 @@ class _CohomologyCache:
     g: C_red -> C and f: C -> C_red (``ReducedComplex.g``/``f``), with
     f g = id.  ``dim`` reads dim H^q(E_a) off the reduced ranks, so a
     degree whose cohomology vanishes costs one rank evaluation.  Otherwise
-    a basis of H^q(E_a) is taken from the reduced cocycles, independent
-    modulo the reduced coboundaries, and ``reps`` are their images under
-    g.  One echelon of the rows [reduced coboundary | 0] and
-    [basis_i | e_i], over n_red + b columns, serves as the projector:
+    ``linalg.cohomology`` of the reduced coboundaries at a gives a basis of
+    H^q(E_a) among the reduced cocycles and the coordinates of a reduced
+    cocycle's class in it, and ``reps`` are the basis's images under g.
     ``coords(v)`` checks that v is a cocycle against the cochain-level
-    coboundary at a, then reduces [f(v) | 0], which clears every cochain
-    column and leaves minus the coordinates of v's class in the e_i
-    columns.  ``constants`` holds the cup structure constants
+    coboundary at a, then reads the coordinates of f(v).
+    ``constants`` holds the cup structure constants
     coords(rep^m_i cup rep^a_j), computed once per (m, p, a, d).
     """
 
@@ -250,24 +248,17 @@ class _CohomologyCache:
         if b == 0:
             return [], None, None
         red = self.twisted.reduced()
-        n = red.sizes[q]
-        field = scalar_field(a)
-        projector = Span(n + b)
-        for column in (_reduced_columns(red, q - 1, a) if q > 0 else ()):
-            projector.insert(column)
         upper = evaluate_rows(red.rows[q], a) if q < len(red.rows) else []
-        basis = []
-        for v in kernel(upper, n):
-            row = projector.reduce({**v, n + len(basis): 1})
-            if min(row) < n:  # v is independent modulo coboundaries
-                projector.insert(row)
-                basis.append(v)
+        lower = evaluate_rows(red.rows[q - 1], a) if q > 0 else []
+        basis, coords = cohomology(upper, lower, red.sizes[q],
+                                   red.sizes[q - 1] if q > 0 else 0)
         if len(basis) != b:
             raise InternalInconsistency(
                 f"{len(basis)} cohomology representatives in degree {q}, "
                 f"but the reduced complex gives dimension {b}")
         g = red.g(q, a)
         reps = [g(v) for v in basis]
+        field = scalar_field(a)
         if field is not None:
             reps = [{j: x if isinstance(x, FieldElement)
                      else field.from_rational(x) for j, x in v.items()}
@@ -277,7 +268,7 @@ class _CohomologyCache:
                 raise InternalInconsistency(
                     f"a cohomology representative in degree {q} is not a "
                     "cocycle")
-        return reps, projector, red.f(q, a)
+        return reps, coords, red.f(q, a)
 
     def coboundary(self, a: Scalar, q: int) -> CoboundaryRows:
         """The unreduced delta_q at a, its rows evaluated on demand and
@@ -296,16 +287,15 @@ class _CohomologyCache:
 
     def coords(self, a: Scalar, q: int, vec) -> list:
         """Coordinates of a cocycle's class in the basis of H^q(E_a)."""
-        reps, projector, f = self._basis(a, q)
+        _reps, coords, f = self._basis(a, q)
         if not self._is_cocycle(a, q, vec):
             raise InternalInconsistency(
                 f"a cup product in degree {q} is not a cocycle")
-        n = projector.ncols - len(reps)
-        row = projector.reduce(f(vec))
-        if row and min(row) < n:
+        x = coords(f(vec))
+        if x is None:
             raise InternalInconsistency(
                 f"a cup product in degree {q} projects to no reduced cocycle")
-        return [-row.get(n + i, 0) for i in range(len(reps))]
+        return x
 
     def constants(self, m: Scalar, p: int, a: Scalar, d: int):
         """C[i][j] = coords(rep^m_i cup rep^a_j) in H^{p+d}(E_{ma})."""
@@ -318,16 +308,6 @@ class _CohomologyCache:
                  for w in self.reps(a, d)]
                 for u in self.reps(m, p)]
         return self._constants[key]
-
-
-def _reduced_columns(red: ReducedComplex, q: int, a: Scalar):
-    """The columns of the reduced delta_q at t = a, one ``{row: scalar}``
-    per reduced q-cell, in order."""
-    columns = [{} for _ in range(red.sizes[q])]
-    for i, row in enumerate(evaluate_rows(red.rows[q], a)):
-        for j, x in row.items():
-            columns[j][i] = x
-    return columns
 
 
 def _pairing(u: dict, v: dict):
@@ -357,7 +337,7 @@ class _DPState:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.span = Span(dim)
+        self.span = Span()
         self.vectors = []  # (coordinates, provenance)
 
     @property
@@ -553,9 +533,9 @@ def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
         product = twisted_cup(X, z, d, e, m, a, product, w)
         m *= a
         d += e
-    reps, _projector, f = cache._basis(m, d)
+    reps, _coords, f = cache._basis(m, d)
     red = cache.twisted.reduced()
-    columns = _reduced_columns(red, d - 1, m)
+    columns = transpose(evaluate_rows(red.rows[d - 1], m), red.sizes[d - 1])
     delta = cache.coboundary(m, d - 1)
     reduced_product = f(product)
     dual = next((c for c in kernel(map(dict, columns), red.sizes[d])

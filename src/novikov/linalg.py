@@ -1,8 +1,11 @@
 """Exact linear algebra over Q and over number fields.
 
-One sparse row-echelon routine, ``Span``, does every elimination over a
-field: rank, nullspaces, coordinates of a vector, incremental spans and
-the minimal polynomials of number-field elements.
+One sparse forward echelon, ``Span``, does every elimination over a
+field: rank, nullspaces, coordinates of a vector, incremental spans,
+twisted cohomology in coordinates (``cohomology``) and the minimal
+polynomials of number-field elements.  ``kernel`` and ``express``, which
+need the reduced row echelon form, get it from one back-substitution of
+the forward rows.  ``transpose`` turns sparse rows into sparse columns.
 Rows are ``{column: value}`` dicts holding ints, Fractions or
 FieldElements.  Every pivot is inverted at most once.  An int pivot +-1
 is its own inverse, and an int pivot that divides every entry of an
@@ -25,17 +28,14 @@ def _sparse(vec) -> dict:
 
 
 class Span:
-    """Row space in sparse echelon form, built one vector at a time.
+    """Row space in sparse forward echelon form, one vector at a time.
 
     ``rows`` maps each pivot column to its row scaled to pivot 1; every
-    other entry of a row lies right of its pivot.  With ``reduced`` the
-    rows are also cleared above each pivot: the reduced row echelon form,
-    which is unique for the space.
+    other entry of a row lies right of its pivot.  Rows are not cleared
+    above their pivots (``_back_substitute`` does that).
     """
 
-    def __init__(self, ncols: int, reduced: bool = True):
-        self.ncols = ncols
-        self.reduced = reduced
+    def __init__(self):
         self.rows = {}
 
     @property
@@ -83,19 +83,8 @@ class Span:
             inv = None   # pv divides every entry of an integer row
         else:
             inv = Fraction(1, pv)
-        row = ({j: x // pv for j, x in vec.items()} if inv is None
-               else {j: x * inv for j, x in vec.items()})
-        if self.reduced:
-            for other in self.rows.values():
-                f = other.get(p)
-                if f is not None:
-                    for j, x in row.items():
-                        y = other.get(j, 0) - f * x
-                        if y:
-                            other[j] = y
-                        else:
-                            del other[j]
-        self.rows[p] = row
+        self.rows[p] = ({j: x // pv for j, x in vec.items()} if inv is None
+                        else {j: x * inv for j, x in vec.items()})
         return True
 
     def add(self, vec) -> bool:
@@ -106,20 +95,48 @@ class Span:
         return not self.reduce(_sparse(vec))
 
 
-def _echelon(sparse_rows, ncols: int, reduced: bool) -> Span:
-    span = Span(ncols, reduced)
+def _echelon(sparse_rows) -> Span:
+    span = Span()
     for r in sparse_rows:
         span.insert(r)
     return span
 
 
+def _back_substitute(rows: dict) -> dict:
+    """The reduced row echelon form of a forward echelon's ``rows``, in
+    place: pivots in descending order, each row cleared, off its pivot, by
+    the rows after it, which are reduced by then."""
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        for c in [c for c in row if c != p and c in rows]:
+            f = row.pop(c)
+            for j, x in rows[c].items():
+                if j != c:
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+    return rows
+
+
+def transpose(rows, ncols: int) -> list:
+    """The ``ncols`` columns of sparse rows, each a sparse vector over the
+    row indices."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    return columns
+
+
 def rank(rows, ncols: int) -> int:
     """Rank of a matrix whose entries lie in one exact field.
 
-    Forward elimination only: clearing above the pivots would not change
-    the count and costs about 2.5x on the twisted coboundaries.
+    ``ncols``, the matrix width, is not read here; the benchmark's tracer
+    reads it off ``kernels.rank_int`` calls.
     """
-    return _echelon(map(_sparse, rows), ncols, reduced=False).dim
+    return _echelon(map(_sparse, rows)).dim
 
 
 # The old per-type entry points, kept because perfbench/tracer.py wraps
@@ -136,7 +153,7 @@ def kernel(rows, ncols: int, one=1):
     order: ``one`` at its free column, minus the column's entries at the
     pivots.
     """
-    pivots = _echelon(rows, ncols, reduced=True).rows
+    pivots = _back_substitute(_echelon(rows).rows)
     basis = {j: {j: one} for j in range(ncols) if j not in pivots}
     for p, row in pivots.items():
         for j, x in row.items():
@@ -168,7 +185,37 @@ def express(generators, target: dict):
             rows.setdefault(r, {})[i] = x
     for r, x in target.items():
         rows.setdefault(r, {})[k] = x
-    pivots = _echelon(rows.values(), k + 1, reduced=True).rows
+    pivots = _back_substitute(_echelon(rows.values()).rows)
     if k in pivots:
         return None  # inconsistent
     return {p: row[k] for p, row in pivots.items() if k in row}
+
+
+def cohomology(upper, lower, n: int, m: int):
+    """A basis of ker(upper) / im(lower) and coordinates in it: (reps,
+    coords).
+
+    ``upper`` is delta_q as sparse rows over n columns and ``lower`` is
+    delta_{q-1} as n sparse rows over m columns; ``upper`` is consumed.  The
+    reps are the kernel vectors of ``upper`` independent modulo the
+    columns of ``lower``, in order.  One echelon holds the rows
+    [column of lower | 0] and [rep_i | e_i], column n + i standing for
+    e_i: ``coords(v)`` reduces [v | 0], which clears every cochain column
+    of a cocycle v and leaves minus its class's coordinates in the e_i
+    columns, and returns those coordinates, or None if v is no cocycle.
+    """
+    echelon = _echelon(transpose(lower, m))
+    reps = []
+    for v in kernel(upper, n):
+        row = echelon.reduce({**v, n + len(reps): 1})
+        if min(row) < n:  # v is independent modulo coboundaries
+            echelon.insert(row)
+            reps.append(v)
+
+    def coords(v: dict):
+        row = echelon.reduce(dict(v))
+        if row and min(row) < n:
+            return None
+        return [-row.get(n + i, 0) for i in range(len(reps))]
+
+    return reps, coords

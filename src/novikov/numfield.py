@@ -190,7 +190,7 @@ class FieldElement:
         from .linalg import Span
 
         n = self.field.degree
-        echelon = Span(2 * n + 1, reduced=False)
+        echelon = Span()
         power, k = self.field.one(), 0
         while True:  # n + 1 powers in dimension n: ends by k = n
             row = {j: c for j, c in enumerate(power.residue.coeffs) if c}

@@ -30,7 +30,7 @@ from itertools import count
 from .complexes import SimplicialComplex, OneCocycle, twisted_coboundary_values
 from .errors import (DegreeOutOfRange, DimensionMismatch, ExponentTooLarge,
                      NotAChainComplex, NotAnIsomorphism)
-from .linalg import Span, kernel, nullspace, rank
+from .linalg import Span, kernel, nullspace, rank, transpose
 from .matrix import SmithForm
 from .numfield import (Scalar, cache_key, check_nonzero, scalar_field,
                        scalar_key, scalar_pow)
@@ -178,7 +178,7 @@ def evaluate_rows(rows, a: Scalar):
 def _evaluated_rank(rows, ncols: int, a: Scalar) -> int:
     """Rank of sparse Laurent rows evaluated at t = a; zero entries never
     reach the echelon."""
-    span = Span(ncols, reduced=False)
+    span = Span()
     for vec in evaluate_rows(rows, a):
         span.insert(vec)
     return span.dim
@@ -190,19 +190,6 @@ def coboundary_at(complex: SimplicialComplex, z: OneCocycle, q: int,
     no rows outside degrees 0..dim-1."""
     return evaluate_rows(sparse_coboundary(complex, z, q)
                          if 0 <= q < complex.dim else [], a)
-
-
-def column_span(rows, ncols: int) -> Span:
-    """The span of the columns of sparse rows, each column a sparse vector
-    over the row indices, in a Span of ``ncols`` columns."""
-    columns = {}
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            columns.setdefault(j, {})[i] = x
-    span = Span(ncols)
-    for vec in columns.values():
-        span.insert(vec)
-    return span
 
 
 class CoboundaryRows:
@@ -1181,6 +1168,7 @@ def relative_reduced(complex: SimplicialComplex, sub: SimplicialComplex,
         col = {j: pos for pos, j in enumerate(keep[d])}
         deltas.append([{col[j]: p for j, p in full[i].items() if j in col}
                        for i in keep[d + 1]])
+    check_square_zero(deltas)
     sizes = [len(k) for k in keep]
     return _unit_pivot_reduction(deltas, sizes, _is_unit)
 
@@ -1197,7 +1185,10 @@ def restriction_epi(complex: SimplicialComplex, sub: SimplicialComplex,
     check_nonzero(a)
     n_q = complex.n_simplices(q)
     delta = sparse_coboundary(complex, z, q) if q < complex.dim else []
-    span = column_span(coboundary_at(complex, z, q - 1, a), n_q)
+    span = Span()
+    for column in transpose(coboundary_at(complex, z, q - 1, a),
+                            complex.n_simplices(q - 1)):
+        span.insert(column)
     keep = relative_cochain_indices(complex, sub, q)
     at = {j: i for i, j in enumerate(keep)}
     sliced = [{at[j]: x for j, x in row.items() if j in at}

@@ -12,8 +12,7 @@ from novikov.complexes import (build_complex, twisted_cup,
                                twisted_coboundary_values)
 from novikov.corpus import (SimplicialSelfMap, circle, connected_sum,
                             mapping_torus, mv_oracle_dims,
-                            one_relator_complex, standard_corpus, surface,
-                            torus)
+                            one_relator_complex, surface, torus)
 from novikov.invariants import (crit_bound, cup_length, jump_locus,
                                 novikov_numbers, twisted_dims)
 from novikov.numfield import NumberField, is_dirichlet_unit
@@ -22,6 +21,7 @@ from novikov.selfcheck import _leibniz_holds, _random_cochain
 from novikov.twisted import (DeformationComplex, TwistedComplex,
                              _evaluated_rank, _laurent_smith,
                              check_square_zero, restriction_epi)
+from reference_corpus import standard_corpus
 
 
 def _report(name, ok, elapsed):

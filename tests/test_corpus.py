@@ -10,7 +10,7 @@ from novikov.corpus import (SimplicialSelfMap, circle, connected_sum,
                             mv_oracle_dims, one_relator_complex,
                             rational_cohomology, space_from_json,
                             space_to_json, sphere_complex, sphere_product,
-                            standard_corpus, surface, torus)
+                            surface, torus)
 from novikov.corpus import GeneratedSpace
 from novikov.errors import (DimensionMismatch, NotAManifoldInput,
                             ParameterOutOfRange)
@@ -18,6 +18,7 @@ from novikov.invariants import (crit_bound, cup_length, jump_locus,
                                 jumps_json, reduced_complex, twisted_dims)
 from novikov.twisted import DeformationComplex
 from reference_charpoly import char_poly
+from reference_corpus import standard_corpus
 
 
 def _betti(F):
@@ -133,7 +134,7 @@ def test_connected_sum_rejects_bad_input():
     with pytest.raises(DimensionMismatch):
         connected_sum(sphere_product(2), torus())
     t = torus()
-    fake = GeneratedSpace(t.complex, t.cocycle, "not a manifold", 2, False)
+    fake = GeneratedSpace(t.complex, t.cocycle, "not a manifold", False)
     with pytest.raises(NotAManifoldInput):
         connected_sum(fake, t)
 

@@ -1,5 +1,6 @@
 """The sparse echelon routine behind every exact elimination: rank,
-nullspace, express and Span, over Q and over a number field."""
+nullspace, express, Span, transpose and cohomology, over Q and over a
+number field."""
 
 import copy
 import random
@@ -8,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from novikov import kernels, linalg
-from novikov.corpus import mv_dims_from_matrices
+from novikov.corpus import circle, mv_dims_from_matrices, surface, torus
 from novikov.errors import ZeroDivisorEncountered
-from novikov.linalg import Span, express, nullspace, rank
+from novikov.linalg import (Span, cohomology, express, nullspace, rank,
+                            transpose)
 from novikov.numfield import FieldElement, NumberField
 
 FIELD = NumberField([-1, -3, 2])  # Q[x]/(2x^2 - 3x - 1)
@@ -118,7 +120,7 @@ def test_express_and_span_agree(name):
     rng = random.Random(name)
     for _ in range(60):
         gens, n, _r = _known_rank_matrix(rng, entry, zero, one)
-        span = Span(n)
+        span = Span()
         for g in gens:
             span.add(g)
         weights = [entry(rng) for _ in gens]
@@ -160,3 +162,62 @@ def test_zero_divisor_pivot_is_caught():
     fake = NumberField([1, -3, 2, -3, 1]).generator()
     with pytest.raises(ZeroDivisorEncountered):
         mv_dims_from_matrices([[[2, 1], [1, 1]]], fake)
+
+
+# untwisted Betti numbers of the spaces whose coboundaries are read below
+BETTI = {"circle(3)": (circle(3), [1, 1]),
+         "torus": (torus(), [1, 2, 1]),
+         "surface(2)": (surface(2), [1, 4, 1])}
+
+
+def _cohomology(F, q):
+    return cohomology(F.coboundary_rows(q), F.coboundary_rows(q - 1),
+                      F.n_simplices(q), F.n_simplices(q - 1))
+
+
+def _combination(terms):
+    out = {}
+    for c, v in terms:
+        for j, x in v.items():
+            y = out.get(j, 0) + c * x
+            if y:
+                out[j] = y
+            else:
+                out.pop(j, None)
+    return out
+
+
+@pytest.mark.parametrize("name", BETTI)
+def test_cohomology_bases_and_coordinates(name):
+    space, betti = BETTI[name]
+    F = space.complex
+    for q, b in enumerate(betti):
+        reps, coords = _cohomology(F, q)
+        assert len(reps) == b, q
+        for i, v in enumerate(reps):
+            snapshot = dict(v)
+            assert coords(v) == [int(i == j) for j in range(b)], q
+            assert v == snapshot  # coords reads its vector, keeps it
+        boundaries = transpose(F.coboundary_rows(q - 1), F.n_simplices(q - 1))
+        for c in boundaries:
+            assert coords(c) == [0] * b, q
+        # a class plus a coboundary keeps the class's coordinates
+        x = [(-1) ** i * (i + 2) for i in range(b)]
+        v = _combination(list(zip(x, reps)) + [(5, c) for c in boundaries[:2]])
+        assert coords(v) == x, q
+        if q < F.dim:  # the indicator of one simplex is no cocycle
+            assert coords({0: 1}) is None, q
+
+
+@pytest.mark.parametrize("name", BETTI)
+def test_transpose_round_trips(name):
+    F = BETTI[name][0].complex
+    for q in range(F.dim):
+        rows = F.coboundary_rows(q)
+        n, m = len(rows), F.n_simplices(q)
+        columns = transpose(rows, m)
+        assert len(columns) == m
+        assert all(columns[j][i] == x for i, row in enumerate(rows)
+                   for j, x in row.items())
+        assert transpose(columns, n) == rows
+    assert transpose([], 3) == [{}, {}, {}]

@@ -15,7 +15,7 @@ from novikov.corpus import (SimplicialSelfMap, circle, connected_sum,
                             mv_oracle_dims, rational_cohomology,
                             sphere_complex, sphere_product, surface, torus)
 from novikov.errors import MalformedSimplex, NotAnIsomorphism
-from novikov.linalg import Span, express
+from novikov.linalg import Span, express, kernel
 from novikov.numfield import FieldElement, NumberField
 from novikov.twisted import (SimplicialMap, cocycle_space_basis,
                              coboundary_image_vectors)
@@ -36,7 +36,7 @@ def _dense_induced_map(F, h, q):
     z0 = validate_cocycle(F, {}, default_zero=True)
     one = Fraction(1)
     cobs = coboundary_image_vectors(F, z0, q, one)
-    span = Span(F.n_simplices(q))
+    span = Span()
     for v in cobs:
         span.add(v)
     reps = [v for v in cocycle_space_basis(F, z0, q, one) if span.add(v)]
@@ -207,16 +207,20 @@ def _entries(span):
 
 
 def test_int_pivots_of_one_keep_integer_rows():
-    span = Span(3)
+    span = Span()
     assert span.insert({0: -1, 1: 3, 2: -2})
     assert span.insert({1: 1, 2: 5})
-    assert _entries(span) == [(int, 1), (int, 17),
+    assert _entries(span) == [(int, 1), (int, -3), (int, 2),
                               (int, 1), (int, 5)]
     assert not span.insert({0: 1, 1: -3, 2: 2})
+    # kernel's back-substitution of those rows keeps them integer too
+    basis = kernel([{0: -1, 1: 3, 2: -2}, {1: 1, 2: 5}], 3)
+    assert basis == [{2: 1, 0: -17, 1: -5}]
+    assert all(type(x) is int for x in basis[0].values())
 
 
 def test_other_int_pivots_give_fractions():
-    span = Span(2)
+    span = Span()
     assert span.insert({0: 2, 1: 3})
     assert _entries(span) == [(Fraction, 1), (Fraction, Fraction(3, 2))]
     assert span.reduce({0: 4, 1: 7}) == {1: Fraction(1)}
@@ -225,7 +229,7 @@ def test_other_int_pivots_give_fractions():
 def test_field_element_pivots_are_inverted_in_the_field():
     K = NumberField([-1, -3, 2])
     x = K.generator()
-    span = Span(2)
+    span = Span()
     assert span.insert({0: x, 1: K.one()})
     row = span.rows[0]
     assert all(isinstance(v, FieldElement) for v in row.values())

@@ -163,6 +163,28 @@ def test_corrupted_sparse_entry_is_not_a_chain_complex(monkeypatch):
         TwistedComplex(s.complex, s.cocycle)
 
 
+def test_corrupted_relative_entry_is_not_a_chain_complex(monkeypatch):
+    """The relative complex C*(X, A) checks delta^2 = 0 on its restricted
+    rows too: an entry of delta_1 on an edge outside A, scaled wrongly,
+    is refused before the reduction."""
+    real = twisted.sparse_coboundary
+
+    def corrupted(complex, z, q):
+        rows = real(complex, z, q)
+        if q == 1:
+            j = next(iter(rows[0]))
+            rows[0][j] = {0: 2}
+        return rows
+
+    s = surface(2)
+    X = s.complex
+    A = build_complex([X.simplices[0][-1]])
+    twisted.relative_reduced(X, A, s.cocycle)
+    monkeypatch.setattr(twisted, "sparse_coboundary", corrupted)
+    with pytest.raises(NotAChainComplex):
+        twisted.relative_reduced(X, A, s.cocycle)
+
+
 def test_square_zero_keeps_columns_apart_at_negative_exponents():
     """delta_1 delta_0 holds t at column 0 and -1 at column k: a key of
     stride k for (column, exponent) would give both the key k, and they
@@ -300,7 +322,7 @@ def test_g_gives_cocycles_independent_modulo_coboundaries(name, data):
             # coboundaries of the unreduced complex
             reps = cache.reps(a, q)
             assert len(reps) == twisted_dims(red, a)[q]
-            span = Span(X.n_simplices(q))
+            span = Span()
             for c in coboundary_image_vectors(X, z, q, a):
                 span.add(c)
             assert all(span.insert(dict(v)) for v in reps), (q, a)
