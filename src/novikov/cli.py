@@ -186,19 +186,24 @@ def cmd_oracle_mv(args):
         raise NovikovError("oracle-mv needs a generated mapping torus "
                            "(cut presentation missing)")
     a = parse_scalar(args.a)
-    F = space.cut.V
-    h = {v: _pull_back_level(space.cut, v) for v in F.vertices()}
-    dims = corpus.mv_oracle_dims(F, h, a)
+    dims = corpus.mv_oracle_dims(space.cut.V, _fiber_map(space.cut), a)
     _emit(args, {"a": args.a, "dims": dims}, [f"oracle dims at {args.a}: {dims}"])
     return 0
 
 
-def _pull_back_level(cut, v):
-    """Fiber vertex h(v) from the cut: i- sends v to the top-level copy of
-    h(v), and level copies enumerate V's vertices in sorted order."""
+def _fiber_map(cut) -> corpus.SimplicialSelfMap:
+    """The fiber map h: i- sends v to the top-level copy of h(v), numbered
+    as ``corpus.mapping_torus_cut`` numbers them; a cut other than the one
+    it builds for that h is refused, even a renumbering of it."""
     fverts = sorted(cut.V.vertices())
-    nv = len(fverts)
-    return fverts[cut.i_minus.vertex_map[v] % nv]
+    h = corpus.SimplicialSelfMap(cut.V, {
+        v: fverts[cut.i_minus.vertex_map[v] % len(fverts)] for v in fverts})
+    N, _V, i_plus, i_minus = corpus.mapping_torus_cut(cut.V, h)
+    if (N.simplices != cut.N.simplices or i_plus != cut.i_plus.vertex_map
+            or i_minus != cut.i_minus.vertex_map):
+        raise NovikovError("oracle-mv needs the cut that mapping_torus "
+                           "builds; this cut's N, i+ or i- differ from it")
+    return h
 
 
 def cmd_self_check(args):

@@ -105,9 +105,8 @@ def mapping_torus(F: SimplicialComplex, h: SimplicialSelfMap) -> GeneratedSpace:
     """Mapping torus of h with three fiber levels and a seam back to level 0.
 
     Vertices are (level, fiber vertex) encoded time-major; the class is the
-    pullback of the circle generator, supported on seam edges.  Also builds
-    the cut presentation: N = F x [0,3] (four levels), V = F, i+ the bottom
-    inclusion, i- the top inclusion composed with h.
+    pullback of the circle generator, supported on seam edges.  The cut
+    presentation is ``mapping_torus_cut(F, h)``.
     """
     if not isinstance(h, SimplicialSelfMap):
         h = SimplicialSelfMap(F, h)
@@ -135,22 +134,28 @@ def mapping_torus(F: SimplicialComplex, h: SimplicialSelfMap) -> GeneratedSpace:
             # level-0 endpoint, i.e. against the sorted orientation
             seam[e] = -1
     z = validate_cocycle(X, seam, default_zero=True)
+    cut = CutPresentation(*mapping_torus_cut(F, h))
+    label = f"mapping_torus(F={F.f_vector()}, h)"
+    return GeneratedSpace(X, z, label, True, cut=cut)
 
-    # cut presentation on a fresh N = F x [0,3]
+
+def mapping_torus_cut(F: SimplicialComplex, h: SimplicialSelfMap):
+    """(N, V, i+, i-) of ``mapping_torus(F, h)``: N = F x [0,3] (four
+    levels, numbered as its vertices are), V = F, i+ the bottom inclusion,
+    i- the top inclusion composed with h."""
+    fverts = F.vertices()
+    rank = {v: i for i, v in enumerate(fverts)}
+    levels = 3
+
     def nid(t, v):
-        return t * nv + rank[v]
+        return t * len(fverts) + rank[v]
 
     ntops = []
     for t in range(levels):
         ntops.extend(_staircase_block(F, lambda v, t=t: nid(t, v),
                                       lambda v, t=t: nid(t + 1, v)))
-    N = build_complex(ntops)
-    V = F
-    i_plus = {v: nid(0, v) for v in fverts}
-    i_minus = {v: nid(levels, h(v)) for v in fverts}
-    cut = CutPresentation(N, V, i_plus, i_minus)
-    label = f"mapping_torus(F={F.f_vector()}, h)"
-    return GeneratedSpace(X, z, label, True, cut=cut)
+    return (build_complex(ntops), F, {v: nid(0, v) for v in fverts},
+            {v: nid(levels, h(v)) for v in fverts})
 
 
 def torus() -> GeneratedSpace:

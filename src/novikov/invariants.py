@@ -204,7 +204,7 @@ class _CohomologyCache:
     a cup product costs the entries of its left factor times their
     cofaces, and the representatives g gives are mostly zero.  A cocycle
     check walks only the rows of the cofaces of its vector's support in
-    ``coboundary(a, q)``, the unreduced coboundary at a, each row
+    ``coboundary(a, q)``, the TwistedComplex's unreduced rows at a, each
     evaluated the first time a check meets it.  Everything else reads the
     unit-pivot-reduced complex C_red and its transfer maps at t = a,
     g: C_red -> C and f: C -> C_red (``ReducedComplex.g``/``f``), with
@@ -223,16 +223,12 @@ class _CohomologyCache:
         self.twisted = twisted
         self.complex = twisted.complex
         self.cocycle = twisted.z
-        self._dims = {}
         self._bases = {}
         self._coboundaries = {}
         self._constants = {}
 
     def dim(self, a: Scalar, q: int) -> int:
-        key = (cache_key(a), q)
-        if key not in self._dims:
-            self._dims[key] = self.twisted.reduced().dim_at(q, a)
-        return self._dims[key]
+        return self.twisted.reduced().dim_at(q, a)
 
     def reps(self, a: Scalar, q: int):
         return self._basis(a, q)[0]
@@ -276,8 +272,7 @@ class _CohomologyCache:
         key = (cache_key(a), q)
         rows = self._coboundaries.get(key)
         if rows is None:
-            rows = self._coboundaries[key] = CoboundaryRows(
-                self.complex, self.cocycle, q, a)
+            rows = self._coboundaries[key] = CoboundaryRows(self.twisted, q, a)
         return rows
 
     def _is_cocycle(self, a, q, vec) -> bool:

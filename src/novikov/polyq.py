@@ -117,13 +117,14 @@ class Poly:
         floats.  Each quotient coefficient is a coefficient of the running
         remainder times the exact reciprocal of other's lead: +-1 itself,
         so integer operands divided by a lead of +-1 stay ints, or else a
-        Fraction."""
+        Fraction.  Only the divisor's nonzero terms are subtracted."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly(), self
         divisor = other.coeffs
+        terms = [(j, b) for j, b in enumerate(divisor) if b]
         inverse = _reciprocal(divisor[-1])
         rem = list(self.coeffs)
         quot = [0] * (dq + 1)
@@ -132,7 +133,7 @@ class Poly:
             c = rem[k + top] * inverse
             if c:
                 quot[k] = c
-                for j, b in enumerate(divisor):
+                for j, b in terms:
                     rem[k + j] -= c * b
         return Poly(quot), Poly(rem)
 

@@ -1,11 +1,12 @@
 """Twisted cochain complexes over Z[t, 1/t], read through their reductions.
 
-Each complex is kept as sparse Laurent rows, passes the same delta^2 = 0
-check and is reduced by its unit pivots (algebraic Morse reduction); every
+One ``LaurentComplex`` keeps sparse Laurent rows, checks delta^2 = 0 on
+them and is reduced by its unit pivots (algebraic Morse reduction); every
 twisted dimension is read off the reduced complex by
 ``ReducedComplex.dim_at``, and the Smith forms over Q[t, 1/t], kept per
 degree by ``ReducedComplex.smith``, are computed on the same reduced rows
-(``_laurent_smith``).  The unreduced evaluations kept here are oracles.
+(``_laurent_smith``).  Three routes build the rows, and every reader at
+cochain level evaluates them.  The unreduced evaluations are oracles.
 
 * ``TwistedComplex`` substitutes t**z(u, v) for the monodromy transport in
   the simplicial coboundary.  Its pivots +-t**k stay units at every
@@ -13,12 +14,12 @@ degree by ``ReducedComplex.smith``, are computed on the same reduced rows
   chain maps between the reduced and the full complex at any t = a.
 
 * ``DeformationComplex`` is built from a cut presentation (N, V, i+, i-),
-  with entries linear in t.  Its pivots are only +-1, which stay units at
-  t = 0.  Evaluating at t = a computes twisted cohomology with monodromy
-  1/a; at t = 0, the relative cohomology of (N, boundary_+ N).
+  with entries linear in t.  It is read at t = 0 (``at_zero``), so its
+  pivots are only +-1.  Evaluating at t = a computes twisted cohomology
+  with monodromy 1/a; at t = 0, the relative cohomology of (N, wall_+).
 
-* ``relative_reduced`` reduces C*(X, A): the twisted coboundary on the
-  simplices outside A.
+* ``relative_reduced`` reduces C*(X, A): the rows of ``TwistedComplex``
+  restricted to the simplices outside A.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def evaluate_rows(rows, a: Scalar):
     return out
 
 
-def _evaluated_rank(rows, ncols: int, a: Scalar) -> int:
+def _evaluated_rank(rows, a: Scalar) -> int:
     """Rank of sparse Laurent rows evaluated at t = a; zero entries never
     reach the echelon."""
     span = Span()
@@ -184,18 +185,10 @@ def _evaluated_rank(rows, ncols: int, a: Scalar) -> int:
     return span.dim
 
 
-def coboundary_at(complex: SimplicialComplex, z: OneCocycle, q: int,
-                  a: Scalar):
-    """The unreduced twisted coboundary delta_q at t = a, as sparse rows;
-    no rows outside degrees 0..dim-1."""
-    return evaluate_rows(sparse_coboundary(complex, z, q)
-                         if 0 <= q < complex.dim else [], a)
-
-
 class CoboundaryRows:
     """The unreduced twisted coboundary delta_q at t = a, a row at a time.
 
-    The row of a (q+1)-simplex is built and evaluated the first time a
+    Row tau of the TwistedComplex's delta_q is evaluated the first time a
     product needs it, and kept.  ``apply`` and ``apply_transpose`` take and
     return sparse vectors ``{index: nonzero value}`` and walk only the rows
     that meet their vector's support, the first through the complex's
@@ -203,11 +196,9 @@ class CoboundaryRows:
     cofaces of its cells, not to the number of simplices.
     """
 
-    def __init__(self, complex: SimplicialComplex, z: OneCocycle, q: int,
-                 a: Scalar):
+    def __init__(self, twisted: "TwistedComplex", q: int, a: Scalar):
         check_nonzero(a)
-        self.complex = complex
-        self.z = z
+        self.twisted = twisted
         self.q = q
         self._ev = _evaluator(a)
         self._rows = {}
@@ -216,17 +207,15 @@ class CoboundaryRows:
         """Row tau of delta_q at a, as ``{column: scalar}``."""
         row = self._rows.get(tau)
         if row is None:
-            sigma = self.complex.simplices[self.q + 1][tau]
-            laurent = _face_row(self.complex.index[self.q], sigma,
-                                self.z.values[sigma[:2]], 1)
-            row = self._rows[tau] = {j: self._ev(p)
-                                     for j, p in laurent.items()}
+            row = self._rows[tau] = {
+                j: self._ev(p)
+                for j, p in self.twisted.rows[self.q][tau].items()}
         return row
 
     def apply(self, vec: dict) -> dict:
         """delta_q vec at a for a q-cochain; {} exactly when vec is a
         cocycle."""
-        cofaces = self.complex.coface_table(self.q)
+        cofaces = self.twisted.complex.coface_table(self.q)
         rows = self._rows
         out = {}
         for j, x in vec.items():
@@ -249,22 +238,18 @@ class CoboundaryRows:
         return {j: v for j, v in out.items() if v}
 
 
-class TwistedComplex:
-    """Twisted cochain complex of a complex with a 1-cocycle, over Z[t, 1/t].
+class LaurentComplex:
+    """A cochain complex over Z[t, 1/t]: ``rows[q]`` holds delta_q as one
+    sparse Laurent row ``{column: Laurent polynomial}`` per (q+1)-cell, and
+    ``sizes[q]`` counts the q-cells; delta^2 = 0 is checked at
+    construction.  ``at_zero``, whether it is read at t = 0, picks the
+    pivots of ``reduced()``; there is no dense view of the rows."""
 
-    ``rows[q]`` holds delta_q: C^q -> C^{q+1} as sparse Laurent rows, one
-    per (q+1)-simplex; delta^2 = 0 is checked on them at construction.
-    ``reduced()`` gives the complex after eliminating its unit pivots
-    +-t**k; there is no dense view of the unreduced rows.
-    """
-
-    def __init__(self, complex: SimplicialComplex, z: OneCocycle):
-        self.complex = complex
-        self.z = z
-        self.sizes = [complex.n_simplices(q) for q in range(complex.dim + 1)]
-        self.rows = [sparse_coboundary(complex, z, q)
-                     for q in range(complex.dim)]
-        check_square_zero(self.rows)
+    def __init__(self, rows, sizes, *, at_zero=False):
+        check_square_zero(rows)
+        self.rows = rows
+        self.sizes = sizes
+        self.at_zero = at_zero
         self._reduced = None
 
     def reduced(self) -> "ReducedComplex":
@@ -272,8 +257,21 @@ class TwistedComplex:
         first use."""
         if self._reduced is None:
             self._reduced = _unit_pivot_reduction(self.rows, self.sizes,
-                                                  _is_unit)
+                                                  at_zero=self.at_zero)
         return self._reduced
+
+
+class TwistedComplex(LaurentComplex):
+    """Twisted cochain complex of a complex with a 1-cocycle, over Z[t, 1/t]:
+    ``rows[q]`` holds delta_q, one row per (q+1)-simplex
+    (``sparse_coboundary``), and its pivots are the units +-t**k."""
+
+    def __init__(self, complex: SimplicialComplex, z: OneCocycle):
+        self.complex = complex
+        self.z = z
+        super().__init__(
+            [sparse_coboundary(complex, z, q) for q in range(complex.dim)],
+            [complex.n_simplices(q) for q in range(complex.dim + 1)])
 
 
 class ReducedComplex:
@@ -299,20 +297,20 @@ class ReducedComplex:
     ``cells[q]`` on the reduced one; they store no zero, and each visits
     only the steps its vector's support reaches.
 
-    ``at_zero`` says whether the complex may be read at t = 0, which
-    ``DeformationComplex`` sets: its entries are polynomials in t and its
+    ``at_zero`` says whether the complex may be read at t = 0, as that of
+    ``DeformationComplex`` is: its entries are polynomials in t and its
     pivots +-1.  Its dims at t = 0 come only from evaluation: t is a unit
     of Q[t, 1/t], so the Smith forms say nothing there.  Elsewhere t is a
     monodromy, and ``dim_at`` and the maps refuse t = 0 with ZeroMonodromy.
     """
 
-    def __init__(self, rows, cells, full_sizes, pivots):
+    def __init__(self, rows, cells, full_sizes, pivots, at_zero=False):
         self.rows = rows
         self.cells = cells
         self.sizes = [len(c) for c in cells]
         self.full_sizes = full_sizes
         self.pivots = pivots
-        self.at_zero = False
+        self.at_zero = at_zero
         self._ranks = {}
         self._smith = {}
         self._passes = {}
@@ -348,8 +346,7 @@ class ReducedComplex:
         key = (q, cache_key(a), scalar_field(a))
         r = self._ranks.get(key)
         if r is None:
-            r = self._ranks[key] = _evaluated_rank(self.rows[q],
-                                                   self.sizes[q], a)
+            r = self._ranks[key] = _evaluated_rank(self.rows[q], a)
         return r
 
     def g(self, q: int, a: Scalar):
@@ -363,7 +360,7 @@ class ReducedComplex:
         x[kappa] is nonzero, and kept for later vectors.
         """
         self._check_point(a)
-        extend = self._backward(q, a)
+        extend = _extension(self._steps("g", q), a)
         cells = self.cells[q]
 
         def g(x):
@@ -406,8 +403,8 @@ class ReducedComplex:
         them.
         """
         self._check_point(a)
-        clear = self._forward(q, a, every=True)
-        extend = self._backward(q - 1, a)
+        clear = self._forward(q, a)
+        extend = _extension(self._steps("g", q - 1), a)
 
         def h(x):
             values, out = {}, {}
@@ -437,19 +434,18 @@ class ReducedComplex:
             return full
         return ft
 
-    def _forward(self, q: int, a: Scalar, every: bool = False):
+    def _forward(self, q: int, a: Scalar):
         """The pass of ``f`` over the pivots of degree q - 1, as a function
         of a q-cochain y, changed in place, and a dict or None: the dict
         receives u**-1 * y[tau] at sigma for each step with y[tau] != 0.
-        Pivots that cleared nothing leave y as it is, and are passed over
-        unless ``every`` asks for their values too.
+        A pivot that cleared nothing only drops y[tau].
 
         Only the steps whose tau is in y's support are visited, in
         elimination order through a heap of step numbers.  A step reads and
         drops y[tau], skips its entries that vanish at a, and adds entries
         only at later taus: the rows it clears were not yet eliminated."""
         ev = _evaluator(a)
-        steps, order = self._steps("h" if every else "f", q)
+        steps, order = self._steps("f", q)
         known = [None] * len(steps)
 
         def clear(y, values):
@@ -478,21 +474,16 @@ class ReducedComplex:
                     y[rho] = v
         return clear
 
-    def _backward(self, q: int, a: Scalar):
-        """The pass of ``g`` over the pivots of degree q, in reverse order,
-        as an ``_extension``."""
-        return _extension(self._steps("g", q), a)
-
     def _steps(self, kind: str, q: int):
         """The steps of a pass in degree q, built on first use and kept:
         they do not depend on a, so the maps at every point share them.
 
         * "g": (sigma, k, c, pivot row) of the pivots of degree q, and
-          "ft": (tau, k, c, cleared) of those of degree q - 1 that cleared
-          some row, each in reverse elimination order, as a ``_Pass``;
-        * "f": (tau, sigma, k, c, cleared) of the pivots of degree q - 1
-          that cleared some row, and "h": of all of them, each in
-          elimination order, with the map from tau to step number.
+          "ft": (tau, k, c, cleared) of those of degree q - 1, each in
+          reverse elimination order, as a ``_Pass``;
+        * "f", read by ``f`` and ``h``: (tau, sigma, k, c, cleared) of the
+          pivots of degree q - 1 in elimination order, with the map from
+          tau to step number.
         """
         key = (kind, q)
         steps = self._passes.get(key)
@@ -504,11 +495,11 @@ class ReducedComplex:
             elif kind == "ft":
                 steps = _Pass((tau, k, c, cleared) for pq, tau, _sigma, k,
                               c, _b, cleared in reversed(self.pivots)
-                              if pq == q - 1 and cleared)
+                              if pq == q - 1)
             else:
                 steps = [(tau, sigma, k, c, cleared)
                          for pq, tau, sigma, k, c, _b, cleared in self.pivots
-                         if pq == q - 1 and (kind == "h" or cleared)]
+                         if pq == q - 1]
                 steps = steps, {step[0]: i for i, step in enumerate(steps)}
             self._passes[key] = steps
         return steps
@@ -621,15 +612,13 @@ def _collapse(q: int, R, C, units, pivots, alive) -> None:
         del alive[q][sigma], alive[q + 1][tau]
 
 
-def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
+def _unit_pivot_reduction(deltas, sizes, *, at_zero=False) -> ReducedComplex:
     """Eliminate every cell pair joined by a unit entry, degree by degree.
 
-    ``is_unit`` picks the entries that may serve as pivots, among the
-    units +-t**k of Z[t, 1/t]: all of them for a complex read only at
-    t != 0 (``TwistedComplex``, ``relative_reduced``), only +-1 for one
-    that must stay valid at t = 0 (``DeformationComplex``).  With none, the
-    tests' unreduced oracle, the rows come back as given, as a
-    ReducedComplex that the invariants read like any other.  A pivot
+    The pivots are the units +-t**k of Z[t, 1/t] (``_is_unit``) for a
+    complex read only at t != 0, and only +-1 (``_is_constant_unit``) for
+    one read at t = 0 too, which ``at_zero`` says and the ReducedComplex
+    keeps.  A pivot
     u = delta_q[tau][sigma] = +-t**k removes the q-cell sigma and the
     (q+1)-cell tau: delta_q becomes its Schur complement
     delta_q[rho][kappa] - delta_q[rho][sigma] * u**-1 * delta_q[tau][kappa],
@@ -687,6 +676,7 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
     least entry lies in a cleared row that grew; any other column's least
     changes only when a new key beats it.
     """
+    is_unit = _is_constant_unit if at_zero else _is_unit
     alive = [dict.fromkeys(range(n)) for n in sizes]
     rows = []
     pivots = []
@@ -852,7 +842,7 @@ def _unit_pivot_reduction(deltas, sizes, is_unit) -> ReducedComplex:
         col_pos = {j: i for i, j in enumerate(cells[q])}
         reduced.append([{col_pos[j]: p for j, p in R[tau].items()}
                         for tau in cells[q + 1]])
-    return ReducedComplex(reduced, cells, list(sizes), pivots)
+    return ReducedComplex(reduced, cells, list(sizes), pivots, at_zero)
 
 
 def _as_poly(p: dict):
@@ -1087,7 +1077,7 @@ class CutPresentation:
             raise DimensionMismatch("i+ and i- images share vertices")
 
 
-class DeformationComplex:
+class DeformationComplex(LaurentComplex):
     """Cochain complex over Z[t] computing all twisted cohomologies at once.
 
     Degree q cochains are C^q(N) (+) C^{q-1}(V); the differential is
@@ -1100,19 +1090,16 @@ class DeformationComplex:
     the differential in degree q as sparse Laurent rows, the q+1-simplices
     of N first, then the q-simplices of V; columns number the q-simplices
     of N, then the q-1-simplices of V.  ``sizes`` and ``rows`` stop at the
-    top degree ``top`` = max(dim N, dim V + 1).  ``reduced()`` eliminates
-    only the constant pivots +-1: a pivot -t would be no unit at t = 0.
-    ``dim_at`` reads the reduced complex; there is no dense view of the
-    unreduced rows.
+    top degree ``top`` = max(dim N, dim V + 1).  The complex is read at
+    t = 0, so ``reduced()`` eliminates only the constant pivots +-1: a
+    pivot -t would be no unit there.  ``dim_at`` reads the reduced complex.
     """
 
     def __init__(self, cut: CutPresentation):
         self.cut = cut
         N, V = cut.N, cut.V
         self.top = max(N.dim, V.dim + 1)
-        self.sizes = [N.n_simplices(q) + V.n_simplices(q - 1)
-                      for q in range(self.top + 1)]
-        self.rows = []
+        deltas = []
         for q in range(self.top):
             rows = [_face_row(N.index[q], s, 0, 1)
                     for s in _simplices(N, q + 1)]
@@ -1125,18 +1112,10 @@ class DeformationComplex:
                 image, sign = cut.i_minus.image_simplex(s)
                 row[N.index[q][image]] = {1: -sign}
                 rows.append(row)
-            self.rows.append(rows)
-        check_square_zero(self.rows)
-        self._reduced = None
-
-    def reduced(self) -> ReducedComplex:
-        """The complex with its constant pivots eliminated, built on first
-        use; its entries stay polynomials in t, valid at t = 0."""
-        if self._reduced is None:
-            self._reduced = _unit_pivot_reduction(self.rows, self.sizes,
-                                                  _is_constant_unit)
-            self._reduced.at_zero = True
-        return self._reduced
+            deltas.append(rows)
+        super().__init__(deltas, [N.n_simplices(q) + V.n_simplices(q - 1)
+                                  for q in range(self.top + 1)],
+                         at_zero=True)
 
     def dim_at(self, q: int, a: Scalar) -> int:
         """dim H^q of the complex specialized at t = a (a = 0 allowed)."""
@@ -1157,20 +1136,17 @@ def relative_reduced(complex: SimplicialComplex, sub: SimplicialComplex,
     a != 0 and raises ZeroMonodromy at a = 0.
 
     Since A is a subcomplex, delta maps those cochains to themselves:
-    C*(X, A) is delta_q restricted to the rows and columns of the
-    simplices outside A.
+    C*(X, A) is the TwistedComplex's delta_q restricted to the rows and
+    columns of the simplices outside A, checked again as a complex.
     """
     keep = [relative_cochain_indices(complex, sub, d)
             for d in range(complex.dim + 1)]
     deltas = []
-    for d in range(complex.dim):
-        full = sparse_coboundary(complex, z, d)
+    for d, full in enumerate(TwistedComplex(complex, z).rows):
         col = {j: pos for pos, j in enumerate(keep[d])}
         deltas.append([{col[j]: p for j, p in full[i].items() if j in col}
                        for i in keep[d + 1]])
-    check_square_zero(deltas)
-    sizes = [len(k) for k in keep]
-    return _unit_pivot_reduction(deltas, sizes, _is_unit)
+    return LaurentComplex(deltas, [len(k) for k in keep]).reduced()
 
 
 def restriction_epi(complex: SimplicialComplex, sub: SimplicialComplex,
@@ -1183,10 +1159,11 @@ def restriction_epi(complex: SimplicialComplex, sub: SimplicialComplex,
     that span has the dimension n_q - rank(delta_q) of Z^q(X).
     """
     check_nonzero(a)
-    n_q = complex.n_simplices(q)
-    delta = sparse_coboundary(complex, z, q) if q < complex.dim else []
+    rows = TwistedComplex(complex, z).rows
+    delta = rows[q] if q < len(rows) else []
     span = Span()
-    for column in transpose(coboundary_at(complex, z, q - 1, a),
+    for column in transpose(evaluate_rows(rows[q - 1], a)
+                            if 0 < q <= len(rows) else [],
                             complex.n_simplices(q - 1)):
         span.insert(column)
     keep = relative_cochain_indices(complex, sub, q)
@@ -1195,4 +1172,4 @@ def restriction_epi(complex: SimplicialComplex, sub: SimplicialComplex,
               for row in evaluate_rows(delta, a)]
     for small in kernel(sliced, len(keep)):
         span.insert({keep[i]: x for i, x in small.items()})
-    return span.dim == n_q - _evaluated_rank(delta, n_q, a)
+    return span.dim == complex.n_simplices(q) - _evaluated_rank(delta, a)

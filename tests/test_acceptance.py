@@ -226,7 +226,7 @@ def test_algebraic_property_suite():
         ok = ok and all(d.leading() == 1 and d.constant_term() != 0
                         for d in form.divisors)
         for a in (Fraction(1), Fraction(2), _random_rational(rng)):
-            ok = ok and form.rank_at(a) == _evaluated_rank(rows, m, a)
+            ok = ok and form.rank_at(a) == _evaluated_rank(rows, a)
     spaces = [circle(4), surface(2), torus()]
     for _ in range(100):
         space = spaces[rng.randrange(len(spaces))]

@@ -186,9 +186,9 @@ def test_thm3_bound_reduces_the_class_once(tmp_path, monkeypatch):
     reductions = []
     real = twisted._unit_pivot_reduction
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         reductions.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(twisted, "_unit_pivot_reduction", counting)
     for approximants, count in [("1", 1), ("1;2", 2)]:
@@ -217,6 +217,37 @@ def test_oracle_mv_matches_twisted(tmp_path, monkeypatch):
     assert code == 0
     lhs = direct.strip().rsplit(": ", 1)[1]
     assert lhs in oracle or oracle.strip().endswith(lhs)
+
+
+def test_oracle_mv_refuses_a_renumbered_cut(tmp_path, capsys):
+    """The rotation torus with N's vertices renumbered by v -> 5v + 3 mod
+    12, and i+ and i- with them, is the same space with the same cut, but
+    the fiber map read off that i- is the Klein bottle's: oracle-mv exits
+    2 with one error line instead of its dims.  On the numbering that
+    mapping_torus writes it agrees with twisted-dim."""
+    doc = space_to_json(corpus.mapping_torus(corpus.circle(3).complex,
+                                             {0: 1, 1: 2, 2: 0}))
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(doc))
+    dims = {}
+    for a in ("1", "-1", "2", "@1,1,1"):
+        code, direct = run_cli(["twisted-dim", str(path), "--a", a])
+        assert code == 0
+        dims[a] = direct
+        code, oracle = run_cli(["oracle-mv", str(path), "--a", a])
+        assert code == 0
+        assert oracle.rsplit(": ", 1)[1] == direct.rsplit(": ", 1)[1], a
+    cut = doc["cut"]
+    cut["N"] = [[(5 * v + 3) % 12 for v in s] for s in cut["N"]]
+    for key in ("i_plus", "i_minus"):
+        cut[key] = [[v, (5 * w + 3) % 12] for v, w in cut[key]]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for a in ("1", "-1"):
+        assert run_cli(["twisted-dim", str(path), "--a", a]) == (0, dims[a])
+        assert run_cli(["oracle-mv", str(path), "--a", a]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_self_check_passes():

@@ -249,7 +249,7 @@ def test_no_sparse_output_stores_a_zero(instance, data):
         outputs += [gc, red.f(q, a)(x), red.f(q, a)(gc), red.h(q, a)(x),
                     red.h(q, a)(gc), red.ft(q, a)(c), *cache.reps(a, q)]
         if q < X.dim:
-            delta = CoboundaryRows(X, z, q, a)
+            delta = CoboundaryRows(TwistedComplex(X, z), q, a)
             chain = _cochain(data.draw, X.n_simplices(q + 1), a)
             outputs += [delta.apply(x), delta.apply(gc),
                         delta.apply_transpose(chain)]

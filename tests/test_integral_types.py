@@ -66,7 +66,7 @@ def _outputs(X, z, a, draw, maps=True, rows=True):
                 put("reps", rep)
         if rows:
             if q < X.dim:
-                put("apply", CoboundaryRows(X, z, q, a).apply(x))
+                put("apply", CoboundaryRows(twisted, q, a).apply(x))
             for p in range(X.dim + 1 - q):
                 y = _int_cochain(draw, X.n_simplices(p))
                 put("cup", twisted_cup(X, z, q, p, a, a, x, y))

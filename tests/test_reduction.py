@@ -80,7 +80,8 @@ def unreduced(X, z):
     """The full simplicial coboundaries as a ReducedComplex with no cell
     eliminated, which the invariants read as they read a reduction."""
     T = TwistedComplex(X, z)
-    full = twisted._unit_pivot_reduction(T.rows, T.sizes, lambda p: False)
+    full = twisted.ReducedComplex(T.rows, [list(range(n)) for n in T.sizes],
+                                  T.sizes, [])
     assert full.sizes == T.sizes and not full.pivots
     return full
 
@@ -164,9 +165,10 @@ def test_corrupted_sparse_entry_is_not_a_chain_complex(monkeypatch):
 
 
 def test_corrupted_relative_entry_is_not_a_chain_complex(monkeypatch):
-    """The relative complex C*(X, A) checks delta^2 = 0 on its restricted
-    rows too: an entry of delta_1 on an edge outside A, scaled wrongly,
-    is refused before the reduction."""
+    """The relative complex C*(X, A) is cut from the rows of a
+    TwistedComplex and checks delta^2 = 0 on its restricted rows too: an
+    entry of delta_1 on an edge outside A, scaled wrongly, is refused
+    before the reduction."""
     real = twisted.sparse_coboundary
 
     def corrupted(complex, z, q):
@@ -218,9 +220,9 @@ def test_reduction_and_transfer_maps_leave_their_input_rows_unchanged(
     inputs = []
     real = twisted._unit_pivot_reduction
 
-    def recording(deltas, sizes, is_unit):
+    def recording(deltas, sizes, *, at_zero=False):
         inputs.append((deltas, copy.deepcopy(deltas)))
-        return real(deltas, sizes, is_unit)
+        return real(deltas, sizes, at_zero=at_zero)
 
     monkeypatch.setattr(twisted, "_unit_pivot_reduction", recording)
     T = TwistedComplex(X, z)
@@ -434,7 +436,7 @@ def laurent_matrices(draw):
 @given(laurent_matrices())
 def test_pivot_order_is_the_scan_rule_on_random_matrices(instance):
     deltas, sizes = instance
-    red = twisted._unit_pivot_reduction(deltas, sizes, twisted._is_unit)
+    red = twisted._unit_pivot_reduction(deltas, sizes)
     assert_scan_order(red, deltas, sizes, twisted._is_unit)
 
 
@@ -499,8 +501,7 @@ def _disk_mod_vertices():
 
 def _matrix(rows):
     """One delta_0 of four columns over Z[t, 1/t], reduced."""
-    return twisted._unit_pivot_reduction([rows], [4, len(rows)],
-                                         twisted._is_unit)
+    return twisted._unit_pivot_reduction([rows], [4, len(rows)])
 
 
 def _relative(name):
@@ -551,30 +552,33 @@ def test_pivot_order_is_the_scan_rule(build, monkeypatch):
     calls = []
     real = twisted._unit_pivot_reduction
 
-    def spy(deltas, sizes, is_unit):
-        calls.append((deltas, sizes, is_unit))
-        return real(deltas, sizes, is_unit)
+    def spy(deltas, sizes, *, at_zero=False):
+        calls.append((deltas, sizes, at_zero))
+        return real(deltas, sizes, at_zero=at_zero)
 
     monkeypatch.setattr(twisted, "_unit_pivot_reduction", spy)
     red = build()
-    (deltas, sizes, is_unit), = calls
+    (deltas, sizes, at_zero), = calls
     assert red.pivots
-    assert_scan_order(red, deltas, sizes, is_unit)
+    assert_scan_order(red, deltas, sizes, twisted._is_constant_unit
+                      if at_zero else twisted._is_unit)
 
 
-def test_unit_predicate_is_asked_a_few_times_per_entry():
+def test_unit_predicate_is_asked_a_few_times_per_entry(monkeypatch):
     """Pivot selection tests an entry when it is created or changed, not
     on every pivot: on S1 x Sigma_4 (2538 cells) a rescan per pivot asks
     the predicate about 97 times per initial entry."""
     T = _s1_times_surface(4)
     calls = 0
+    real = twisted._is_unit
 
     def counted(p):
         nonlocal calls
         calls += 1
-        return twisted._is_unit(p)
+        return real(p)
 
-    red = twisted._unit_pivot_reduction(T.rows, T.sizes, counted)
+    monkeypatch.setattr(twisted, "_is_unit", counted)
+    red = twisted._unit_pivot_reduction(T.rows, T.sizes)
     assert red.sizes == [1, 9, 9, 1]
     entries = sum(len(row) for rows in T.rows for row in rows)
     assert calls <= 10 * entries

@@ -38,12 +38,15 @@ def test_zero_monodromy_rejected():
 def test_laurent_routes_refuse_zero_monodromy():
     """t is a monodromy on the twisted and relative routes, so t = 0 is
     refused there, also where a pivot t**k would be inverted at 0; the
-    deformation complex is read at t = 0 on purpose."""
+    deformation complex is read at t = 0 on purpose, and its one input
+    ``at_zero`` restricts its pivots to +-1."""
     S = surface(2)
     X, z = S.complex, S.cocycle
     vertex = build_complex([X.simplices[0][0]])
     for red in (TwistedComplex(X, z).reduced(),
                 relative_reduced(X, vertex, z)):
+        assert not red.at_zero
+        assert any(k for _q, _tau, _sigma, k, *_ in red.pivots)
         for q in range(3):
             for zero in (Fraction(0), 0):
                 with pytest.raises(ZeroMonodromy):
@@ -57,9 +60,16 @@ def test_laurent_routes_refuse_zero_monodromy():
         evaluate_rows([{0: {-1: 1}}], Fraction(0))
     D = DeformationComplex(
         mapping_torus(circle(3).complex, {0: 0, 1: 2, 2: 1}).cut)
-    assert D.reduced().at_zero
+    assert D.at_zero and D.reduced().at_zero
+    assert D.reduced().pivots
+    assert all(k == 0 and abs(c) == 1
+               for _q, _tau, _sigma, k, c, *_ in D.reduced().pivots)
     assert [D.dim_at(q, Fraction(0)) for q in range(D.top + 1)] \
         == [0] * (D.top + 1)
+    # at_zero is keyword-only: a predicate passed where the parent code
+    # took one is refused, never read as a truthy at_zero
+    with pytest.raises(TypeError):
+        twisted._unit_pivot_reduction(D.rows, D.sizes, twisted._is_unit)
 
 
 def test_cut_presentation_rejects_overlapping_walls():
@@ -155,10 +165,8 @@ def test_deformation_reduction_eliminates_only_constant_pivots():
         assert all(k == 0 for _q, _tau, _sigma, k, *_ in red.pivots)
         for a in points:
             for q in range(D.top + 1):
-                r_q = (_evaluated_rank(D.rows[q], D.sizes[q], a)
-                       if q < D.top else 0)
-                r_prev = (_evaluated_rank(D.rows[q - 1], D.sizes[q - 1], a)
-                          if q else 0)
+                r_q = _evaluated_rank(D.rows[q], a) if q < D.top else 0
+                r_prev = _evaluated_rank(D.rows[q - 1], a) if q else 0
                 assert D.dim_at(q, a) == D.sizes[q] - r_q - r_prev, (q, a)
 
 
@@ -238,9 +246,9 @@ def test_each_rank_is_evaluated_once_per_monodromy(monkeypatch):
     calls = []
     real = twisted._evaluated_rank
 
-    def counting(rows, ncols, a):
+    def counting(rows, a):
         calls.append(a)
-        return real(rows, ncols, a)
+        return real(rows, a)
 
     monkeypatch.setattr(twisted, "_evaluated_rank", counting)
     red = reduced_complex(surface(2))
@@ -277,7 +285,8 @@ def test_exponents_beyond_the_bound_are_refused_off_zero_and_units():
         uses = [lambda: red.dim_at(0, a), lambda: red.g(0, a)({0: 1}),
                 lambda: red.f(1, a)(edges), lambda: red.h(1, a)(edges),
                 lambda: red.ft(1, a)({0: 1}),
-                lambda: CoboundaryRows(X, z, 0, a).row(0)]
+                lambda: CoboundaryRows(TwistedComplex(X, z), 0,
+                                       a).row(0)]
         for use in uses:
             with pytest.raises(ExponentTooLarge):
                 use()
