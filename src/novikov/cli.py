@@ -133,7 +133,7 @@ def cmd_crit_bound(args):
 
 
 def _emit_crit(args, jumps, rep):
-    payload = invariants.report_json(jumps.generic, jumps, rep)
+    payload = invariants.report_json(jumps, rep)
     _emit(args, payload, _crit_lines(payload))
     return 0
 
@@ -191,13 +191,13 @@ def cmd_oracle_mv(args):
     return 0
 
 
-def _fiber_map(cut) -> corpus.SimplicialSelfMap:
-    """The fiber map h: i- sends v to the top-level copy of h(v), numbered
-    as ``corpus.mapping_torus_cut`` numbers them; a cut other than the one
-    it builds for that h is refused, even a renumbering of it."""
+def _fiber_map(cut) -> dict:
+    """The fiber map h: i- sends v to the top-level copy of h^-1(v),
+    numbered as ``corpus.mapping_torus_cut`` numbers them; a cut other than
+    the one it builds for that h is refused, even a renumbering of it."""
     fverts = sorted(cut.V.vertices())
-    h = corpus.SimplicialSelfMap(cut.V, {
-        v: fverts[cut.i_minus.vertex_map[v] % len(fverts)] for v in fverts})
+    h = {fverts[w % len(fverts)]: v
+         for v, w in cut.i_minus.vertex_map.items()}
     N, _V, i_plus, i_minus = corpus.mapping_torus_cut(cut.V, h)
     if (N.simplices != cut.N.simplices or i_plus != cut.i_plus.vertex_map
             or i_minus != cut.i_minus.vertex_map):
@@ -225,18 +225,18 @@ def _parser() -> argparse.ArgumentParser:
                     "critical-point bounds for integral 1-classes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", nargs="?", help="JSON complex file")
-            p.add_argument("--stdin", action="store_true",
-                           help="read the JSON complex from stdin")
-            p.add_argument("--manifold", action="store_true",
-                           help="record the claim that the input is a "
-                                "closed manifold (info prints it; no "
-                                "bound depends on it)")
+    def common(p, seed=False):
+        p.add_argument("input", nargs="?", help="JSON complex file")
+        p.add_argument("--stdin", action="store_true",
+                       help="read the JSON complex from stdin")
+        p.add_argument("--manifold", action="store_true",
+                       help="record the claim that the input is a "
+                            "closed manifold (info prints it; no "
+                            "bound depends on it)")
         p.add_argument("--json", action="store_true", help="JSON report")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the generic surrogate monodromy")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for the generic surrogate monodromy")
 
     p = sub.add_parser("info", help="f-vector and class summary")
     common(p); p.set_defaults(func=cmd_info)
@@ -251,15 +251,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="monodromy: p/q or @c0,c1,...")
     p.set_defaults(func=cmd_twisted_dim)
     p = sub.add_parser("cup-length", help="cup-length bound over candidates")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--candidates", required=True,
                    help="monodromies separated by commas, or by "
                         "semicolons when one is algebraic (@c0,c1,...)")
     p.set_defaults(func=cmd_cup_length)
     p = sub.add_parser("crit-bound", help="critical point lower bound")
-    common(p); p.set_defaults(func=cmd_crit_bound)
+    common(p, seed=True); p.set_defaults(func=cmd_crit_bound)
     p = sub.add_parser("thm3-bound", help="bound over integer approximants")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--approximants", required=True,
                    help="semicolon-separated integer coefficient vectors")
     p.set_defaults(func=cmd_thm3_bound)

@@ -171,17 +171,11 @@ class OneCocycle:
         return OneCocycle(self.complex, vals)
 
 
-def validate_cocycle(complex: SimplicialComplex, edge_values: dict,
-                     default_zero: bool = False) -> OneCocycle:
-    """Check the edge map against the complex and the cocycle condition."""
-    values = {}
-    for e in complex.edges():
-        if e in edge_values:
-            values[e] = int(edge_values[e])
-        elif default_zero:
-            values[e] = 0
-        else:
-            raise MissingEdge(f"no cocycle value for edge {e}")
+def validate_cocycle(complex: SimplicialComplex,
+                     edge_values: dict) -> OneCocycle:
+    """Check the edge map against the complex and the cocycle condition;
+    an edge the map does not name carries 0."""
+    values = {e: int(edge_values.get(e, 0)) for e in complex.edges()}
     extra = set(edge_values) - set(values)
     if extra:
         raise MissingEdge(f"cocycle assigns values to non-edges: {sorted(extra)}")

@@ -61,31 +61,13 @@ class GeneratedSpace:
         return f"GeneratedSpace({self.label!r}, f={self.complex.f_vector()})"
 
 
-class SimplicialSelfMap:
-    """Simplicial isomorphism h: F -> F given by a vertex bijection."""
-
-    def __init__(self, F: SimplicialComplex, vertex_map: dict):
-        verts = set(F.vertices())
-        if set(vertex_map) != verts or set(vertex_map.values()) != verts:
-            raise NotAnIsomorphism("vertex map is not a bijection of F")
-        self.F = F
-        self.map = SimplicialMap(F, F, vertex_map)
-
-    def __call__(self, v):
-        return self.map.vertex_map[v]
-
-    @staticmethod
-    def identity(F: SimplicialComplex) -> "SimplicialSelfMap":
-        return SimplicialSelfMap(F, {v: v for v in F.vertices()})
-
-
 def circle(k: int) -> GeneratedSpace:
     """Cycle graph on k >= 3 vertices with a generator class."""
     if k < 3:
         raise ParameterOutOfRange("a triangulated circle needs >= 3 vertices")
     edges = [(i, (i + 1) % k) for i in range(k)]
     X = build_complex(edges)
-    z = validate_cocycle(X, {tuple(sorted((0, 1))): 1}, default_zero=True)
+    z = validate_cocycle(X, {tuple(sorted((0, 1))): 1})
     return GeneratedSpace(X, z, f"circle({k})", True)
 
 
@@ -101,48 +83,35 @@ def _staircase_block(F: SimplicialComplex, bottom, top):
     return out
 
 
-def mapping_torus(F: SimplicialComplex, h: SimplicialSelfMap) -> GeneratedSpace:
-    """Mapping torus of h with three fiber levels and a seam back to level 0.
+def mapping_torus(F: SimplicialComplex, h: dict) -> GeneratedSpace:
+    """Mapping torus of the simplicial automorphism h (a vertex dict) of F:
+    its cut ``mapping_torus_cut(F, h)`` reglued, i-(v) identified with
+    i+(v).
 
-    Vertices are (level, fiber vertex) encoded time-major; the class is the
-    pullback of the circle generator, supported on seam edges.  The cut
-    presentation is ``mapping_torus_cut(F, h)``.
+    The top copy of h^-1(v) becomes the bottom copy of v, so the last block
+    of N runs from level 2 of F up to level 0 relabeled through h.  The
+    class is the pullback of the circle generator: an edge of N that enters
+    i-(V) is traversed from its level-2 end to its glued level-0 end,
+    against the sorted orientation, and carries -1; every other edge 0.
     """
-    if not isinstance(h, SimplicialSelfMap):
-        h = SimplicialSelfMap(F, h)
-    fverts = F.vertices()
-    nv = len(fverts)
-    rank = {v: i for i, v in enumerate(fverts)}
-    levels = 3
-
-    def vid(t, v):
-        return t * nv + rank[v]
-
-    tops = []
-    for t in range(levels - 1):
-        tops.extend(_staircase_block(F, lambda v, t=t: vid(t, v),
-                                     lambda v, t=t: vid(t + 1, v)))
-    # seam block: the top copy is level 0 relabeled through h
-    tops.extend(_staircase_block(F, lambda v: vid(levels - 1, v),
-                                 lambda v: vid(0, h(v))))
-    X = build_complex(tops)
-    seam = {}
-    for e in X.edges():
-        u, v = e
-        if u < nv <= v and v >= (levels - 1) * nv:
-            # upward traversal runs from the level-2 endpoint to the
-            # level-0 endpoint, i.e. against the sorted orientation
-            seam[e] = -1
-    z = validate_cocycle(X, seam, default_zero=True)
-    cut = CutPresentation(*mapping_torus_cut(F, h))
+    N, V, i_plus, i_minus = mapping_torus_cut(F, h)
+    glue = {i_minus[v]: i_plus[v] for v in V.vertices()}
+    X = build_complex(tuple(glue.get(v, v) for v in s)
+                      for s in N.simplices[N.dim])
+    z = validate_cocycle(X, {(glue[w], u): -1 for u, w in N.edges()
+                             if w in glue and u not in glue})
     label = f"mapping_torus(F={F.f_vector()}, h)"
-    return GeneratedSpace(X, z, label, True, cut=cut)
+    return GeneratedSpace(X, z, label, True,
+                          cut=CutPresentation(N, V, i_plus, i_minus))
 
 
-def mapping_torus_cut(F: SimplicialComplex, h: SimplicialSelfMap):
-    """(N, V, i+, i-) of ``mapping_torus(F, h)``: N = F x [0,3] (four
-    levels, numbered as its vertices are), V = F, i+ the bottom inclusion,
-    i- the top inclusion composed with h."""
+def mapping_torus_cut(F: SimplicialComplex, h: dict):
+    """(N, V, i+, i-) of ``mapping_torus(F, h)``, once
+    ``SimplicialMap(F, F, h)`` has checked that h is an automorphism of F:
+    N = F x [0,3] (four levels, vertex (t, v) numbered t * |F| + the rank
+    of v), V = F, i+ the bottom inclusion, i- the top inclusion composed
+    with h^-1."""
+    SimplicialMap(F, F, h)
     fverts = F.vertices()
     rank = {v: i for i, v in enumerate(fverts)}
     levels = 3
@@ -155,12 +124,12 @@ def mapping_torus_cut(F: SimplicialComplex, h: SimplicialSelfMap):
         ntops.extend(_staircase_block(F, lambda v, t=t: nid(t, v),
                                       lambda v, t=t: nid(t + 1, v)))
     return (build_complex(ntops), F, {v: nid(0, v) for v in fverts},
-            {v: nid(levels, h(v)) for v in fverts})
+            {w: nid(levels, v) for v, w in h.items()})
 
 
 def torus() -> GeneratedSpace:
     F = circle(3).complex
-    t = mapping_torus(F, SimplicialSelfMap.identity(F))
+    t = mapping_torus(F, {v: v for v in F.vertices()})
     t.label = "torus"
     return t
 
@@ -177,7 +146,7 @@ def sphere_product(n: int) -> GeneratedSpace:
     if n not in (2, 3):
         raise ParameterOutOfRange("sphere factor dimension must be 2 or 3")
     S = sphere_complex(n)
-    space = mapping_torus(S, SimplicialSelfMap.identity(S))
+    space = mapping_torus(S, {v: v for v in S.vertices()})
     space.label = f"S1xS{n}"
     return space
 
@@ -243,7 +212,7 @@ def connected_sum(X1: GeneratedSpace, X2: GeneratedSpace) -> GeneratedSpace:
                     f"cocycle values conflict on glued edge {e}")
         else:
             values[e] = val if e == (relabel[u], relabel[v]) else -val
-    z = validate_cocycle(glued, values, default_zero=True)
+    z = validate_cocycle(glued, values)
     label = f"({X1.label}) # ({X2.label})"
     return GeneratedSpace(glued, z, label, True)
 
@@ -256,8 +225,7 @@ def surface(g: int) -> GeneratedSpace:
     space = torus()
     for _ in range(g - 1):
         summand = torus()
-        summand.cocycle = validate_cocycle(summand.complex, {},
-                                           default_zero=True)
+        summand.cocycle = validate_cocycle(summand.complex, {})
         space = connected_sum(space, summand)
     space.label = f"surface({g})"
     return space
@@ -309,7 +277,7 @@ def one_relator_complex(relator: str, weights: dict) -> GeneratedSpace:
         values[(path[i], c)] = -phi[i]
         values[(path[j], c)] = -phi[i + 1]
     X = build_complex(simplices)
-    z = validate_cocycle(X, values, default_zero=True)
+    z = validate_cocycle(X, values)
     return GeneratedSpace(X, z, f"one_relator({relator})", False)
 
 
@@ -321,7 +289,7 @@ def rational_cohomology(F: SimplicialComplex, q: int):
                       F.n_simplices(q), F.n_simplices(q - 1))
 
 
-def induced_map_on_cohomology(F: SimplicialComplex, h: SimplicialSelfMap,
+def induced_map_on_cohomology(F: SimplicialComplex, h: SimplicialMap,
                               q: int):
     """Matrix of h* on H^q(F; Q) in the representative basis.
 
@@ -337,7 +305,7 @@ def induced_map_on_cohomology(F: SimplicialComplex, h: SimplicialSelfMap,
     index = F.index[q]
     source = {}  # column of h(s) -> (column of s, sign)
     for i, s in enumerate(F.simplices[q]):
-        image, sign = h.map.image_simplex(s)
+        image, sign = h.image_simplex(s)
         source[index[image]] = (i, sign)
     cols = []
     for r in reps:
@@ -353,12 +321,12 @@ def induced_map_on_cohomology(F: SimplicialComplex, h: SimplicialSelfMap,
     return [list(row) for row in zip(*cols)]
 
 
-def mv_oracle_dims(F: SimplicialComplex, h, a: Scalar):
-    """dim H^i of the mapping torus of h at monodromy a, degree-wise, from
-    the fiber data alone: ker(h* - a on H^i(F)) + coker(h* - a on H^{i-1})."""
+def mv_oracle_dims(F: SimplicialComplex, h: dict, a: Scalar):
+    """dim H^i of the mapping torus of the automorphism h (a vertex dict)
+    of F at monodromy a, degree-wise, from the fiber data alone:
+    ker(h* - a on H^i(F)) + coker(h* - a on H^{i-1})."""
     check_nonzero(a)
-    if not isinstance(h, SimplicialSelfMap):
-        h = SimplicialSelfMap(F, h)
+    h = SimplicialMap(F, F, h)
     mats = [induced_map_on_cohomology(F, h, q) for q in range(F.dim + 1)]
     return mv_dims_from_matrices(mats, a)
 
@@ -473,7 +441,7 @@ def space_from_json(data: dict) -> GeneratedSpace:
         if (u, v) in edges:
             raise MalformedInput(f"cocycle edge {[u, v]} is given twice")
         edges[(u, v)] = val
-    z = validate_cocycle(complex, edges, default_zero=True)
+    z = validate_cocycle(complex, edges)
     cut = None
     if "cut" in data:
         cut = _deferred_cut(_object(data["cut"], "cut"))

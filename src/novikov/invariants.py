@@ -638,9 +638,9 @@ def jumps_json(jumps: JumpReport) -> list:
             for e in jumps.entries]
 
 
-def report_json(novikov, jumps: JumpReport, crit: CritBoundReport) -> dict:
+def report_json(jumps: JumpReport, crit: CritBoundReport) -> dict:
     out = {
-        "novikov": list(novikov),
+        "novikov": list(jumps.generic),
         "jumps": jumps_json(jumps),
         "cl_lower_bound": crit.cl_lower_bound,
         "crit_bound": crit.crit_bound,

@@ -32,10 +32,10 @@ def check_deformation_convention(report):
     complex and unreduced elimination) == oracle."""
     rng = random.Random(20260826)
     F = corpus.circle(3).complex
+    rotation = {0: 1, 1: 2, 2: 0}
     cases = [
-        (corpus.torus(), F, corpus.SimplicialSelfMap.identity(F)),
-        (corpus.mapping_torus(F, corpus.SimplicialSelfMap(F, {0: 1, 1: 2, 2: 0})),
-         F, corpus.SimplicialSelfMap(F, {0: 1, 1: 2, 2: 0})),
+        (corpus.torus(), F, {v: v for v in F.vertices()}),
+        (corpus.mapping_torus(F, rotation), F, rotation),
     ]
     for space, fiber, h in cases:
         D = DeformationComplex(space.cut)
@@ -93,7 +93,7 @@ def _leibniz_holds(X, z, p, q, a1, a2, u, v):
 def check_oracle_vs_generic(report):
     """Generic oracle dims equal Novikov numbers on mapping tori."""
     F = corpus.circle(3).complex
-    h = corpus.SimplicialSelfMap.identity(F)
+    h = {v: v for v in F.vertices()}
     space = corpus.torus()
     b = novikov_numbers(space)
     dims = corpus.mv_oracle_dims(F, h, Fraction(17, 5))

@@ -992,12 +992,16 @@ def check_vertex_map(vertex_map: dict, source_vertices,
                      target_vertices) -> None:
     """The checks of a simplicial map that read no faces, NotAnIsomorphism
     if one fails: the vertex map is injective, gives each source vertex an
-    image, and sends it to a target vertex."""
+    image and no other vertex one, and sends it to a target vertex.  A map
+    of a finite vertex set into itself that passes them is a bijection."""
     if len(set(vertex_map.values())) != len(vertex_map):
         raise NotAnIsomorphism("vertex map is not injective")
     for v in source_vertices:
         if v not in vertex_map:
             raise NotAnIsomorphism(f"vertex {v} has no image")
+    extra = set(vertex_map).difference(source_vertices)
+    if extra:
+        raise NotAnIsomorphism(f"vertex {min(extra)} is not in the source")
     for v in source_vertices:
         if vertex_map[v] not in target_vertices:
             raise NotAnIsomorphism(f"image {(vertex_map[v],)} of simplex "
@@ -1031,21 +1035,8 @@ class SimplicialMap:
 
 
 def _permutation_sign(seq) -> int:
-    order = sorted(range(len(seq)), key=lambda i: seq[i])
-    sign = 1
-    seen = [False] * len(seq)
-    for i in range(len(seq)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 class CutPresentation:

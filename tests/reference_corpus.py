@@ -2,14 +2,14 @@
 the torus, a rotation mapping torus, S^1 x S^2, surface(2) and
 torus#torus."""
 
-from novikov.corpus import (SimplicialSelfMap, circle, connected_sum,
-                            mapping_torus, sphere_product, surface, torus)
+from novikov.corpus import (circle, connected_sum, mapping_torus,
+                            sphere_product, surface, torus)
 
 
 def standard_corpus():
     """The instances exercised by the cross-module property suites."""
     F3 = circle(3).complex
-    rot = SimplicialSelfMap(F3, {0: 1, 1: 2, 2: 0})
+    rot = {0: 1, 1: 2, 2: 0}
     spaces = [
         circle(3),
         circle(5),

@@ -377,6 +377,22 @@ def test_an_option_value_of_a_double_dash_exits_2(argv, tmp_path, capsys):
     assert "error: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["info"], ["betti"], ["novikov"], ["jumps"], ["twisted-dim", "--a=2"],
+    ["oracle-mv", "--a=2"],
+], ids=lambda argv: argv[0])
+def test_seed_is_refused_where_it_is_never_read(argv, tmp_path, capsys):
+    """Only crit-bound, thm3-bound and cup-length read --seed; the other
+    analysis commands refuse it as argparse refuses any unknown flag."""
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(path), *argv[1:], "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_crit_bound_computes_the_jump_locus_once(tmp_path, monkeypatch):
     from novikov import invariants, twisted
     path = tmp_path / "torus.json"

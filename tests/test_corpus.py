@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from novikov.corpus import (SimplicialSelfMap, circle, connected_sum,
+from novikov.corpus import (circle, connected_sum,
                             mapping_torus, mv_dims_from_matrices,
                             mv_oracle_dims, one_relator_complex,
                             rational_cohomology, space_from_json,
                             space_to_json, sphere_complex, sphere_product,
                             surface, torus)
+from novikov.complexes import build_complex
 from novikov.corpus import GeneratedSpace
 from novikov.errors import (DimensionMismatch, NotAManifoldInput,
                             ParameterOutOfRange)
 from novikov.invariants import (crit_bound, cup_length, jump_locus,
                                 jumps_json, reduced_complex, twisted_dims)
-from novikov.twisted import DeformationComplex
+from novikov.twisted import DeformationComplex, SimplicialMap
 from reference_charpoly import char_poly
 from reference_corpus import standard_corpus
 
@@ -66,10 +67,47 @@ def test_mapping_torus_has_cut_presentation():
     assert not plus & minus
 
 
+SEVEN_VERTEX_TORUS = ([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+                      + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+
+
+@pytest.mark.parametrize("F, h", [
+    (circle(3).complex, {0: 0, 1: 1, 2: 2}),
+    (circle(3).complex, {0: 0, 1: 2, 2: 1}),
+    (circle(3).complex, {0: 1, 1: 2, 2: 0}),
+    (sphere_complex(2), {v: v for v in range(4)}),
+    (sphere_complex(3), {v: v for v in range(5)}),
+    (build_complex(SEVEN_VERTEX_TORUS), {v: 2 * v % 7 for v in range(7)}),
+    (circle(5).complex, {v: (v + 2) % 5 for v in range(5)}),
+], ids=["torus", "klein", "rotation", "S1xS2", "S1xS3", "order3",
+        "5-cycle-rotated-by-2"])
+def test_the_cut_reglued_is_the_space(F, h):
+    """Identifying i-(v) with i+(v) in N gives X's simplices, and an edge
+    of N that enters i-(V) crosses the wall: its glued image counts +1
+    from its end in N up to the glued end, -1 the other way, and every
+    other edge of N carries 0 on its image."""
+    space = mapping_torus(F, h)
+    cut, z = space.cut, space.cocycle
+    V = cut.V.vertices()
+    glue = {cut.i_minus.vertex_map[v]: cut.i_plus.vertex_map[v] for v in V}
+    image = {v: glue.get(v, v) for v in cut.N.vertices()}
+    reglued = build_complex([image[v] for v in s]
+                            for s in cut.N.maximal_simplices())
+    assert reglued.simplices == space.complex.simplices
+    crossings = 0
+    for u, w in cut.N.edges():
+        if w in glue and u not in glue:
+            crossings += 1
+            assert z.value(u, image[w]) == 1 == -z.value(image[w], u)
+        else:
+            assert z.value(image[u], image[w]) == 0
+    assert crossings == sum(1 for e in space.complex.edges() if z.values[e])
+
+
 def test_oracle_matches_twisted_and_deformation():
     F = circle(3).complex
-    rot = SimplicialSelfMap(F, {0: 1, 1: 2, 2: 0})
-    spaces = [(torus(), SimplicialSelfMap.identity(F)),
+    rot = {0: 1, 1: 2, 2: 0}
+    spaces = [(torus(), {0: 0, 1: 1, 2: 2}),
               (mapping_torus(F, rot), rot)]
     rng = random.Random(11)
     for space, h in spaces:
@@ -88,13 +126,13 @@ def test_self_map_eigenvalues_are_algebraic_units():
     # integer matrices with unit determinant, degree by degree
     F3 = circle(3).complex
     F5 = circle(5).complex
-    maps = [SimplicialSelfMap.identity(F3),
-            SimplicialSelfMap(F3, {0: 1, 1: 2, 2: 0}),
-            SimplicialSelfMap(F5, {i: (i + 2) % 5 for i in range(5)})]
+    maps = [SimplicialMap(F3, F3, {0: 0, 1: 1, 2: 2}),
+            SimplicialMap(F3, F3, {0: 1, 1: 2, 2: 0}),
+            SimplicialMap(F5, F5, {i: (i + 2) % 5 for i in range(5)})]
     from novikov.corpus import induced_map_on_cohomology
     for h in maps:
-        for q in range(h.F.dim + 1):
-            m = induced_map_on_cohomology(h.F, h, q)
+        for q in range(h.source.dim + 1):
+            m = induced_map_on_cohomology(h.source, h, q)
             if not m:
                 continue
             coeffs = char_poly(m).primitive_int_coeffs()

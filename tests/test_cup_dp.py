@@ -299,7 +299,7 @@ def test_corrupted_structure_constants_fail_the_cochain_recheck(
 def test_untwisted_length_is_the_search_at_the_unit_monodromy():
     for space, expected in ((surface(2), 2), (sphere_product(2), 2),
                             (_klein(), 1)):
-        zero = validate_cocycle(space.complex, {}, default_zero=True)
+        zero = validate_cocycle(space.complex, {})
         rep = cup_length(space.complex, zero, [Fraction(2)])
         assert rep.untwisted_cup_length == expected
 

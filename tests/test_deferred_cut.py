@@ -126,6 +126,9 @@ BAD_CUTS = {
     "i_minus-not-injective": _with_cut(i_minus=[[0, 9], [1, 9], [2, 11]]),
     "i_minus-misses-a-vertex": _with_cut(i_minus=[[0, 9], [1, 10]]),
     "i_minus-leaves-N": _with_cut(i_minus=[[0, 9], [1, 10], [2, 99]]),
+    # 99 is no vertex of V, though 5 is a vertex of N that nothing hits
+    "i_plus-vertex-outside-V": _with_cut(
+        i_plus=[[0, 0], [1, 1], [2, 2], [99, 5]]),
     "walls-meet": _with_cut(i_minus=[[0, 9], [1, 10], [2, 2]]),
 }
 

@@ -99,7 +99,7 @@ def test_cup_length_field_candidates():
 
 def test_cup_length_zero_class_reports_untwisted_fallback():
     s = surface(2)
-    zero = validate_cocycle(s.complex, {}, default_zero=True)
+    zero = validate_cocycle(s.complex, {})
     rep = cup_length(s.complex, zero, [Fraction(2)])
     assert rep.cl_lower_bound == 0
     assert rep.certificate is None
@@ -199,8 +199,8 @@ def test_report_json_shape():
     nov = novikov_numbers(s.complex, s.cocycle)
     jumps = jump_locus(s.complex, s.cocycle)
     rep = crit_bound(s, seed=0)
-    doc = report_json(nov, jumps, rep)
-    assert doc["novikov"] == [0, 2, 0]
+    doc = report_json(jumps, rep)
+    assert doc["novikov"] == nov == [0, 2, 0]
     assert doc["cl_lower_bound"] == 2
     assert doc["crit_bound"] == 1
     assert all(set(e) >= {"q", "factor", "dim"} for e in doc["jumps"])

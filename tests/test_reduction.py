@@ -467,8 +467,7 @@ def _punctured_surface():
     space = surface(2)
     X = space.complex
     P = build_complex(X.simplices[2][1:])
-    z = validate_cocycle(P, {e: space.cocycle.values[e] for e in P.edges()},
-                         default_zero=True)
+    z = validate_cocycle(P, {e: space.cocycle.values[e] for e in P.edges()})
     return TwistedComplex(P, z)
 
 

@@ -272,10 +272,10 @@ def test_exponents_beyond_the_bound_are_refused_off_zero_and_units():
     """t**k with |k| > MAX_EXPONENT is evaluated at 0 and +-1 only, in
     every evaluation that reads the cocycle's periods."""
     X = build_complex([(0, 1), (1, 2), (0, 2)])
-    at_bound = validate_cocycle(X, {(0, 1): MAX_EXPONENT}, default_zero=True)
+    at_bound = validate_cocycle(X, {(0, 1): MAX_EXPONENT})
     assert [TwistedComplex(X, at_bound).reduced().dim_at(q, Fraction(2))
             for q in (0, 1)] == [0, 0]
-    z = validate_cocycle(X, {(0, 1): MAX_EXPONENT + 1}, default_zero=True)
+    z = validate_cocycle(X, {(0, 1): MAX_EXPONENT + 1})
     red = TwistedComplex(X, z).reduced()
     # the period is odd
     assert [red.dim_at(q, Fraction(1)) for q in (0, 1)] == [1, 1]
