@@ -117,8 +117,8 @@ def cmd_twisted_dim(args):
 def cmd_cup_length(args):
     space = _load_space(args)
     # an algebraic candidate @c0,c1,... contains commas, so a list holding
-    # one is separated by semicolons, as --approximants is
-    sep = ";" if ";" in args.candidates else ","
+    # one, even alone, is separated by semicolons, as --approximants is
+    sep = ";" if {";", "@"} & set(args.candidates) else ","
     cands = [parse_scalar(c) for c in args.candidates.split(sep)]
     twisted = invariants.twisted_complex(space)
     jumps = invariants.jump_locus(twisted)
@@ -186,24 +186,13 @@ def cmd_oracle_mv(args):
         raise NovikovError("oracle-mv needs a generated mapping torus "
                            "(cut presentation missing)")
     a = parse_scalar(args.a)
-    dims = corpus.mv_oracle_dims(space.cut.V, _fiber_map(space.cut), a)
-    _emit(args, {"a": args.a, "dims": dims}, [f"oracle dims at {args.a}: {dims}"])
-    return 0
-
-
-def _fiber_map(cut) -> dict:
-    """The fiber map h: i- sends v to the top-level copy of h^-1(v),
-    numbered as ``corpus.mapping_torus_cut`` numbers them; a cut other than
-    the one it builds for that h is refused, even a renumbering of it."""
-    fverts = sorted(cut.V.vertices())
-    h = {fverts[w % len(fverts)]: v
-         for v, w in cut.i_minus.vertex_map.items()}
-    N, _V, i_plus, i_minus = corpus.mapping_torus_cut(cut.V, h)
-    if (N.simplices != cut.N.simplices or i_plus != cut.i_plus.vertex_map
-            or i_minus != cut.i_minus.vertex_map):
+    h = corpus.mapping_torus_map(space.cut)
+    if h is None:
         raise NovikovError("oracle-mv needs the cut that mapping_torus "
                            "builds; this cut's N, i+ or i- differ from it")
-    return h
+    dims = corpus.mv_oracle_dims(space.cut.V, h, a)
+    _emit(args, {"a": args.a, "dims": dims}, [f"oracle dims at {args.a}: {dims}"])
+    return 0
 
 
 def cmd_self_check(args):

@@ -11,12 +11,12 @@ cohomology (kernel/cokernel of h* - a on the fiber).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, combinations, count, repeat
 
 from .complexes import (SimplicialComplex, OneCocycle, build_complex,
-                        coboundary_of_vertex_function, validate_cocycle)
-from .errors import (DimensionMismatch, MalformedInput, NotAManifoldInput,
-                     NotAnIsomorphism, ParameterOutOfRange)
+                        validate_cocycle)
+from .errors import (DimensionMismatch, GluingError, MalformedInput,
+                     NotAManifoldInput, NotAnIsomorphism, ParameterOutOfRange)
 from .linalg import cohomology, rank
 from .numfield import Scalar, check_nonzero, scalar_field
 from .twisted import CutPresentation, SimplicialMap
@@ -83,26 +83,57 @@ def _staircase_block(F: SimplicialComplex, bottom, top):
     return out
 
 
+def reglue(cut: CutPresentation, values: dict):
+    """The space X of the cut (N, V, i+, i-), N with each i-(v) identified
+    with i+(v), and the class on X of ``values``, which maps sorted edges
+    of N to integers (0 where it names none), each carried to its glued
+    edge with the sign flipped where that edge runs against the sorted
+    order.
+
+    X is glued from the top simplices of N.  GluingError if f(X) is not
+    f(N) - f(V), the count of a gluing that merges each simplex of i-(V)
+    with its copy in i+(V) and nothing else: then some other simplex
+    merged, or collapsed because the gluing repeats one of its vertices, or
+    is a face of no top simplex and was lost.  GluingError too if the two
+    copies i+(e) and i-(e) of an edge e of V carry different values.
+    """
+    N, V = cut.N, cut.V
+    plus, minus = cut.i_plus.vertex_map, cut.i_minus.vertex_map
+    glue = {minus[v]: w for v, w in plus.items()}
+    X = build_complex(set(map(glue.get, s, s)) for s in N.simplices[N.dim])
+    expected = tuple(k - V.n_simplices(q) for q, k in enumerate(N.f_vector()))
+    if X.f_vector() != expected:
+        raise GluingError(f"f(X) = {X.f_vector()} != f(N) - f(V) = {expected}")
+
+    def value(u, w):
+        return values.get((u, w), 0) if u < w else -values.get((w, u), 0)
+
+    for a, b in V.edges():
+        if value(plus[a], plus[b]) != value(minus[a], minus[b]):
+            raise GluingError(f"the copies of the wall edge {(a, b)} differ")
+    z = {}
+    for (u, w), val in values.items():
+        if val:
+            u, w = glue.get(u, u), glue.get(w, w)
+            z[min(u, w), max(u, w)] = val if u < w else -val
+    return X, validate_cocycle(X, z)
+
+
 def mapping_torus(F: SimplicialComplex, h: dict) -> GeneratedSpace:
     """Mapping torus of the simplicial automorphism h (a vertex dict) of F:
-    its cut ``mapping_torus_cut(F, h)`` reglued, i-(v) identified with
-    i+(v).
+    its cut ``mapping_torus_cut(F, h)`` reglued.
 
     The top copy of h^-1(v) becomes the bottom copy of v, so the last block
     of N runs from level 2 of F up to level 0 relabeled through h.  The
-    class is the pullback of the circle generator: an edge of N that enters
-    i-(V) is traversed from its level-2 end to its glued level-0 end,
-    against the sorted orientation, and carries -1; every other edge 0.
+    class is the pullback of the circle generator: each edge of N that
+    enters i-(V) carries 1, every other edge 0.
     """
-    N, V, i_plus, i_minus = mapping_torus_cut(F, h)
-    glue = {i_minus[v]: i_plus[v] for v in V.vertices()}
-    X = build_complex(tuple(glue.get(v, v) for v in s)
-                      for s in N.simplices[N.dim])
-    z = validate_cocycle(X, {(glue[w], u): -1 for u, w in N.edges()
-                             if w in glue and u not in glue})
+    cut = CutPresentation(*mapping_torus_cut(F, h))
+    top = set(cut.i_minus.vertex_map.values())
+    X, z = reglue(cut, {(u, w): 1 for u, w in cut.N.edges()
+                        if w in top and u not in top})
     label = f"mapping_torus(F={F.f_vector()}, h)"
-    return GeneratedSpace(X, z, label, True,
-                          cut=CutPresentation(N, V, i_plus, i_minus))
+    return GeneratedSpace(X, z, label, True, cut=cut)
 
 
 def mapping_torus_cut(F: SimplicialComplex, h: dict):
@@ -125,6 +156,20 @@ def mapping_torus_cut(F: SimplicialComplex, h: dict):
                                       lambda v, t=t: nid(t + 1, v)))
     return (build_complex(ntops), F, {v: nid(0, v) for v in fverts},
             {w: nid(levels, v) for v, w in h.items()})
+
+
+def mapping_torus_map(cut: CutPresentation):
+    """The inverse of ``mapping_torus_cut``: the h for which
+    ``mapping_torus_cut(cut.V, h)`` is the cut, read off i-, which sends v
+    to the top copy of h^-1(v); None for any other cut, even a renumbering
+    of that one."""
+    fverts = cut.V.vertices()
+    h = {fverts[w % len(fverts)]: v
+         for v, w in cut.i_minus.vertex_map.items()}
+    N, _V, i_plus, i_minus = mapping_torus_cut(cut.V, h)
+    same = (N.simplices, i_plus, i_minus) == (
+        cut.N.simplices, cut.i_plus.vertex_map, cut.i_minus.vertex_map)
+    return h if same else None
 
 
 def torus() -> GeneratedSpace:
@@ -151,20 +196,24 @@ def sphere_product(n: int) -> GeneratedSpace:
     return space
 
 
-def _zero_on_simplex(space: GeneratedSpace, s):
-    """Replace the cocycle by a cohomologous one vanishing on the edges of
-    the simplex s (subtract the coboundary of a vertex function)."""
+def _zero_on_simplex(space: GeneratedSpace, s) -> dict:
+    """The edge values of a cocycle cohomologous to the class that vanishes
+    on the edges of the simplex s: the class less the coboundary of its
+    potential along s, which is 0 off s."""
     z = space.cocycle
-    f = {s[0]: 0}
-    for v in s[1:]:
-        f[v] = z.value(s[0], v)
-    df = coboundary_of_vertex_function(space.complex, f)
-    return z.scaled_sum([(z, 1), (df, -1)])
+    f = {v: z.transport_exponent(s[:i + 1]) for i, v in enumerate(s)}
+    return {(u, w): val - f.get(w, 0) + f.get(u, 0)
+            for (u, w), val in z.values.items()}
 
 
 def connected_sum(X1: GeneratedSpace, X2: GeneratedSpace) -> GeneratedSpace:
     """Remove one top simplex from each summand and glue the boundary
-    spheres by an orientation-reversing vertex matching.
+    spheres by an orientation-reversing vertex matching: the cut
+    (N, V, i+, i-) reglued.  N is X1 - s1 and X2 - s2 side by side, X2's
+    vertices after X1's and those of s2 last, so that X has no gap in its
+    numbering; V is the boundary of s1, i+ the identity on it and i- the
+    match onto s2, one transposition from the sorted one.  The glued
+    sphere is no wall of the class, so X keeps no cut.
 
     The class is xi_1 # xi_2: each cocycle is first adjusted to vanish on
     the removed simplex, then the two are juxtaposed (zero across the
@@ -177,44 +226,22 @@ def connected_sum(X1: GeneratedSpace, X2: GeneratedSpace) -> GeneratedSpace:
         raise DimensionMismatch(f"{n} != {X2.dimension}")
     s1 = X1.complex.simplices[n][0]
     s2 = X2.complex.simplices[n][0]
-    z1 = _zero_on_simplex(X1, s1)
-    z2 = _zero_on_simplex(X2, s2)
-
-    # relabel X2: glued vertices go to s1 with one transposition to
-    # reverse orientation, the rest get fresh labels
-    offset = max(X1.complex.vertices()) + 1
-    relabel = {}
-    matched = list(s1)
-    matched[0], matched[1] = matched[1], matched[0]
-    for b, a in zip(s2, matched):
-        relabel[b] = a
-    fresh = offset
-    for v in X2.complex.vertices():
-        if v not in relabel:
-            relabel[v] = fresh
-            fresh += 1
-
-    tops = [s for s in X1.complex.simplices[n] if s != s1]
-    for s in X2.complex.simplices[n]:
-        if s == s2:
-            continue
-        tops.append(tuple(sorted(relabel[v] for v in s)))
-    glued = build_complex(tops)
-
-    values = {}
-    for e, v in z1.values.items():
-        values[e] = v
-    for (u, v), val in z2.values.items():
-        e = tuple(sorted((relabel[u], relabel[v])))
-        if e in values:
-            if values[e] != (val if e == (relabel[u], relabel[v]) else -val):
-                raise DimensionMismatch(
-                    f"cocycle values conflict on glued edge {e}")
-        else:
-            values[e] = val if e == (relabel[u], relabel[v]) else -val
-    z = validate_cocycle(glued, values)
-    label = f"({X1.label}) # ({X2.label})"
-    return GeneratedSpace(glued, z, label, True)
+    new = dict(zip(sorted(X2.complex.vertices(), key=lambda v: v in s2),
+                   count(max(X1.complex.vertices()) + 1)))
+    N = SimplicialComplex(
+        [s for s in X1.complex.simplices[q] if s != s1]
+        + [tuple(sorted(new[v] for v in s))
+           for s in X2.complex.simplices[q] if s != s2]
+        for q in range(n + 1))
+    values = _zero_on_simplex(X1, s1)
+    for (u, w), val in _zero_on_simplex(X2, s2).items():
+        u, w = new[u], new[w]
+        values[min(u, w), max(u, w)] = val if u < w else -val
+    cut = CutPresentation(N, build_complex(combinations(s1, n)),
+                          {v: v for v in s1},
+                          {v: new[w] for v, w in zip(s1[1::-1] + s1[2:], s2)})
+    X, z = reglue(cut, values)
+    return GeneratedSpace(X, z, f"({X1.label}) # ({X2.label})", True)
 
 
 def surface(g: int) -> GeneratedSpace:

@@ -73,6 +73,11 @@ class DimensionMismatch(NovikovError):
     """Connected-sum operands have different dimensions."""
 
 
+class GluingError(NovikovError):
+    """Regluing a cut merged or collapsed a simplex outside the wall, or
+    the two copies of a wall edge carry different values."""
+
+
 class NotAManifoldInput(NovikovError):
     """An operation requiring the manifold flag received a non-manifold."""
 

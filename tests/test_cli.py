@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import novikov
-from novikov import corpus, twisted
+from novikov import corpus, invariants, twisted
 from novikov.complexes import build_complex
 from novikov.cli import main, parse_scalar
 from novikov.corpus import space_to_json, surface
@@ -135,6 +135,26 @@ def test_cup_length_candidates_with_an_algebraic_monodromy(tmp_path):
             for c in ("1,2,1/2,3,1/3", "1;2;1/2;3;1/3")]
     assert runs[0][0] == 0 and runs[0] == runs[1]
     assert json.loads(runs[0][1])["cl_lower_bound"] == 2
+
+
+def test_a_lone_algebraic_candidate_is_one_candidate(tmp_path, monkeypatch):
+    """A list that holds @c0,c1,... is split on semicolons even when it has
+    none, so a lone algebraic candidate is one candidate; lists of
+    rationals and lists with semicolons split as before."""
+    path = tmp_path / "surface.json"
+    path.write_text(gen("surface", "--genus", "2"))
+    seen = []
+    search = invariants.cup_length
+
+    def spy(twisted, base, cands, **kw):
+        seen.append(cands)
+        return search(twisted, base, cands, **kw)
+
+    monkeypatch.setattr(invariants, "cup_length", spy)
+    for text in ("@-1,1,0,0,0,1", "2,3", "2;@1,1,1"):
+        assert run_cli(["cup-length", str(path), "--candidates", text])[0] == 0
+    assert seen == [[parse_scalar("@-1,1,0,0,0,1")], [2, 3],
+                    [2, parse_scalar("@1,1,1")]]
 
 
 def test_cup_length_notes_pairs_skipped_across_number_fields(tmp_path):

@@ -5,19 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from novikov.corpus import (circle, connected_sum,
-                            mapping_torus, mv_dims_from_matrices,
-                            mv_oracle_dims, one_relator_complex,
-                            rational_cohomology, space_from_json,
-                            space_to_json, sphere_complex, sphere_product,
-                            surface, torus)
+from novikov.corpus import (_staircase_block, circle, connected_sum,
+                            mapping_torus, mapping_torus_cut,
+                            mv_dims_from_matrices, mv_oracle_dims,
+                            one_relator_complex, rational_cohomology,
+                            reglue, space_from_json, space_to_json,
+                            sphere_complex, sphere_product, surface, torus)
 from novikov.complexes import build_complex
 from novikov.corpus import GeneratedSpace
-from novikov.errors import (DimensionMismatch, NotAManifoldInput,
-                            ParameterOutOfRange)
+from novikov.errors import (DimensionMismatch, GluingError,
+                            NotAManifoldInput, ParameterOutOfRange)
 from novikov.invariants import (crit_bound, cup_length, jump_locus,
                                 jumps_json, reduced_complex, twisted_dims)
-from novikov.twisted import DeformationComplex, SimplicialMap
+from novikov.twisted import (CutPresentation, DeformationComplex,
+                             SimplicialMap)
 from reference_charpoly import char_poly
 from reference_corpus import standard_corpus
 
@@ -177,6 +178,47 @@ def test_connected_sum_rejects_bad_input():
         connected_sum(fake, t)
 
 
+def test_connected_sum_of_circles_is_a_cycle():
+    """Each circle less an edge is a path; the two paths glued end to end
+    are one 5-cycle, which runs once around each summand, so the class's
+    period around it is the sum of the two periods, 1 + 1."""
+    s = connected_sum(circle(3), circle(4))
+    assert s.complex.f_vector() == (5, 5)
+    neighbours = {v: [] for v in s.complex.vertices()}
+    for u, w in s.complex.edges():
+        neighbours[u].append(w)
+        neighbours[w].append(u)
+    cycle = [0, neighbours[0][0]]
+    while cycle[-1] != 0:
+        cycle.append(next(w for w in neighbours[cycle[-1]]
+                          if w != cycle[-2]))
+    assert len(cycle) == 6
+    assert abs(s.cocycle.transport_exponent(cycle)) == 2
+
+
+@pytest.mark.parametrize("cut, values, match", [
+    # the edge (2, 3) merges with (0, 1), which is no simplex of the wall
+    (lambda: CutPresentation(build_complex([(0, 1), (2, 3)]),
+                             build_complex([(0,), (1,)]),
+                             {0: 0, 1: 1}, {0: 2, 1: 3}), {}, r"f\(X\)"),
+    # one staircase block of a circle glued bottom to top: every vertical
+    # edge collapses to a point
+    (lambda: CutPresentation(
+        build_complex(_staircase_block(circle(3).complex, lambda v: v,
+                                       lambda v: v + 3)),
+        circle(3).complex, {v: v for v in range(3)},
+        {v: v + 3 for v in range(3)}), {}, r"f\(X\)"),
+    # the torus's cut with 1 on the bottom copy of the fiber edge (0, 1)
+    # and 0 on its top copy (9, 10)
+    (lambda: CutPresentation(*mapping_torus_cut(circle(3).complex,
+                                                {0: 0, 1: 1, 2: 2})),
+     {(0, 1): 1}, "differ"),
+], ids=["chord", "collapse", "conflict"])
+def test_reglue_refuses_a_bad_gluing(cut, values, match):
+    with pytest.raises(GluingError, match=match):
+        reglue(cut(), values)
+
+
 def test_connected_sum_cup_bound_dominates_summands():
     cands = [Fraction(2), Fraction(1, 2), Fraction(1)]
     for x1, x2 in [(torus(), torus()), (surface(2), torus())]:
@@ -226,17 +268,69 @@ def test_one_relator_complex_keeps_unused_generators():
     assert twisted_dims(space.complex, space.cocycle, 1) == [1, 2, 1]
 
 
-@pytest.mark.parametrize("relator, weights, digest", [
-    ("xyXYxyxYXyxYXY", {"x": 1, "y": 1},
-     "7ec65860327fa729a0f6807b4ca50f73d01ec3ee9343f74a14f9f295e511e109"),
-    ("taTAA", {"a": 0, "t": 1},
-     "66a0ecc5cb57391a18bf23b5f8fc911c11f51fbc3a44e0357b74a59a7f1b98c4"),
-])
-def test_one_relator_complex_json_is_pinned(relator, weights, digest):
-    # the JSON of 5_2 and BS(1,2), whose relators use every generator,
-    # as it was before unused generators kept their loops
-    doc = json.dumps(space_to_json(one_relator_complex(relator, weights)),
-                     sort_keys=True)
+ROTATION = {0: 1, 1: 2, 2: 0}
+
+PINNED_JSON = {
+    # 5_2 and BS(1,2), whose relators use every generator, as they were
+    # before unused generators kept their loops
+    "5_2": (
+        lambda: one_relator_complex("xyXYxyxYXyxYXY", {"x": 1, "y": 1}),
+        "7ec65860327fa729a0f6807b4ca50f73d01ec3ee9343f74a14f9f295e511e109"),
+    "BS(1,2)": (
+        lambda: one_relator_complex("taTAA", {"a": 0, "t": 1}),
+        "66a0ecc5cb57391a18bf23b5f8fc911c11f51fbc3a44e0357b74a59a7f1b98c4"),
+    # the mapping tori and connected sums as they were when each still
+    # glued its vertices with its own code
+    **{f"surface({g})": (lambda g=g: surface(g), digest)
+       for g, digest in enumerate([
+           "8540361b7c8f8ddb5de96e051d001cc0eb3fa624930f8010b08689d0df5c009e",
+           "08aed6f79b853ca3e68ddcb5ea2c1b7b6b2512423ffc052cf9daa5e1eecbe747",
+           "53e88953d840074c3d7a2cb52617279419626946c8b8e87ab2eaa32e336eb5c4",
+           "a5db51d202e475baa4e363d9b57b99c9d88083a8593af089000aa10e41bcebb4",
+           "e72cd1575a1f14714acc68f3ba1f66b6a0287f43fe2355fa479bc3755bdc9e6f",
+           "c716b7d2ca77bf81fb109b8500ea2bdb5f031d31a57fe72fcdb116b8a505ba10",
+       ], start=1)},
+    "torus": (
+        torus,
+        "0c4bdf9240f6e1831f8eff17f92e6fb2fee669f8dd08a40f529e55ca995cca50"),
+    "torus#torus": (
+        lambda: connected_sum(torus(), torus()),
+        "4e30b99f5ec003dde8e990c685f52c6473a53ad6d4c48aaac829bb0062527670"),
+    "S1xS2": (
+        lambda: sphere_product(2),
+        "6fd67c429de00c8958eede019c215b25a1bad4aa2eae9f45cc7948238be28d86"),
+    "S1xS3": (
+        lambda: sphere_product(3),
+        "37e8309a8d7420a304a200e51b140f3fae568ca97b68825faaffe33f0b78ff99"),
+    "rotation": (
+        lambda: mapping_torus(circle(3).complex, ROTATION),
+        "0c6028b5ef20a13a715e64c9df6925522875a41c9abec1026615a5414e75c9d0"),
+    "klein": (
+        lambda: mapping_torus(circle(3).complex, {0: 0, 1: 2, 2: 1}),
+        "2d8e5114ba89484c7adec15d70e85e5d56a686b50cfce6828e7e4979aa7241e9"),
+    "order3": (
+        lambda: mapping_torus(build_complex(SEVEN_VERTEX_TORUS),
+                              {v: 2 * v % 7 for v in range(7)}),
+        "354839cf80ed6d660dc6649f7fdea99bc02b2d32f71292457787fe5d49197a95"),
+    "S1xS2#S1xS2": (
+        lambda: connected_sum(sphere_product(2), sphere_product(2)),
+        "8749d239c3d4e731286e69445fbadbeb384adefeccf0e2263d6f6fa4208ea15a"),
+    "S1xS3#S1xS3": (
+        lambda: connected_sum(sphere_product(3), sphere_product(3)),
+        "827a1bdda628a4b6e770ed076ea7419eb6df24274c8436c22de5d16a13989f6e"),
+    "surface(2)#rotation": (
+        lambda: connected_sum(surface(2),
+                              mapping_torus(circle(3).complex, ROTATION)),
+        "d1130017bc15ca2c749f036e52efe2b2f1db4e20ddeac4e960b4cdc9ae88ae18"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_JSON))
+def test_corpus_json_is_pinned(name):
+    """The JSON of each space, byte for byte; ``build_complex`` goes
+    through sets, so it must not depend on the hash seed either."""
+    build, digest = PINNED_JSON[name]
+    doc = json.dumps(space_to_json(build()), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
