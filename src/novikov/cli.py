@@ -20,9 +20,10 @@ import sys
 from fractions import Fraction
 
 from . import corpus, invariants
-from .errors import (InternalInconsistency, NotAChainComplex, NovikovError,
-                     ZeroMonodromy)
+from .errors import (InternalInconsistency, MalformedInput,
+                     NotAChainComplex, NovikovError, ZeroMonodromy)
 from .numfield import NumberField
+from .twisted import TwistedComplex
 
 
 def parse_scalar(text: str):
@@ -30,11 +31,7 @@ def parse_scalar(text: str):
     polynomial (exactness: the root is never approximated numerically)."""
     text = text.strip()
     if text.startswith("@"):
-        body = text[1:]
-        if body.startswith("minpoly:"):
-            body = body[len("minpoly:"):]
-        coeffs = [int(c) for c in body.split(",")]
-        return NumberField(coeffs).generator()
+        return NumberField([int(c) for c in text[1:].split(",")]).generator()
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -55,6 +52,13 @@ def _load_space(args) -> corpus.GeneratedSpace:
     return space
 
 
+def _load_twisted(args):
+    """The input space and its TwistedComplex, the one complex that every
+    invariant of a command reads."""
+    space = _load_space(args)
+    return space, TwistedComplex(space.complex, space.cocycle)
+
+
 def _emit(args, payload: dict, text_lines):
     if args.json:
         json.dump(payload, sys.stdout, indent=2)
@@ -65,12 +69,12 @@ def _emit(args, payload: dict, text_lines):
 
 
 def cmd_info(args):
-    space = _load_space(args)
+    space, twisted = _load_twisted(args)
     X = space.complex
     payload = {
         "name": space.label,
         "f_vector": list(X.f_vector()),
-        "reduced_cells": invariants.reduced_complex(space).sizes,
+        "reduced_cells": twisted.reduced().sizes,
         "dimension": X.dim,
         "euler_characteristic": X.euler_characteristic(),
         "cocycle_zero": space.cocycle.is_zero(),
@@ -82,22 +86,22 @@ def cmd_info(args):
 
 
 def cmd_betti(args):
-    space = _load_space(args)
-    dims = invariants.twisted_dims(space, Fraction(1))
+    _, twisted = _load_twisted(args)
+    dims = invariants.twisted_dims(twisted.reduced(), Fraction(1))
     _emit(args, {"betti": dims}, [f"betti: {dims}"])
     return 0
 
 
 def cmd_novikov(args):
-    space = _load_space(args)
-    b = invariants.novikov_numbers(space)
+    _, twisted = _load_twisted(args)
+    b = invariants.novikov_numbers(twisted.reduced())
     _emit(args, {"novikov": b}, [f"novikov: {b}"])
     return 0
 
 
 def cmd_jumps(args):
-    space = _load_space(args)
-    jumps = invariants.jump_locus(space)
+    _, twisted = _load_twisted(args)
+    jumps = invariants.jump_locus(twisted.reduced())
     payload = {"novikov": jumps.generic, "jumps": invariants.jumps_json(jumps)}
     lines = [f"generic: {jumps.generic}"]
     for e in payload["jumps"]:
@@ -107,28 +111,31 @@ def cmd_jumps(args):
 
 
 def cmd_twisted_dim(args):
-    space = _load_space(args)
+    _, twisted = _load_twisted(args)
     a = parse_scalar(args.a)
-    dims = invariants.twisted_dims(space, a)
+    dims = invariants.twisted_dims(twisted.reduced(), a)
     _emit(args, {"a": args.a, "dims": dims}, [f"dims at {args.a}: {dims}"])
     return 0
 
 
 def cmd_cup_length(args):
-    space = _load_space(args)
+    _, twisted = _load_twisted(args)
     # an algebraic candidate @c0,c1,... contains commas, so a list holding
     # one, even alone, is separated by semicolons, as --approximants is
     sep = ";" if {";", "@"} & set(args.candidates) else ","
-    cands = [parse_scalar(c) for c in args.candidates.split(sep)]
-    twisted = invariants.twisted_complex(space)
-    jumps = invariants.jump_locus(twisted)
-    rep = invariants.cup_length(twisted, None, cands, seed=args.seed)
+    entries = args.candidates.split(sep)
+    if not all(c.strip() for c in entries):
+        raise MalformedInput(
+            f"--candidates {args.candidates!r} has an empty entry")
+    cands = [parse_scalar(c) for c in entries]
+    jumps = invariants.jump_locus(twisted.reduced())
+    rep = invariants.cup_length(twisted, cands, seed=args.seed)
     return _emit_crit(args, jumps, rep)
 
 
 def cmd_crit_bound(args):
-    space = _load_space(args)
-    rep = invariants.crit_bound(space, seed=args.seed)
+    _, twisted = _load_twisted(args)
+    rep = invariants.crit_bound(twisted, seed=args.seed)
     return _emit_crit(args, rep.jumps, rep)
 
 
@@ -152,16 +159,15 @@ def _crit_lines(payload):
 
 
 def cmd_thm3_bound(args):
-    space = _load_space(args)
-    base = [space.cocycle]
+    _, twisted = _load_twisted(args)
     approximants = [[int(c) for c in chunk.split(",")]
                     for chunk in args.approximants.split(";")]
-    twisted = invariants.twisted_complex(space)
-    rep = invariants.thm3_bound(twisted, base, approximants, seed=args.seed)
+    rep = invariants.thm3_bound(twisted, [twisted.z], approximants,
+                                seed=args.seed)
     # the report's own jumps belong to the best approximant, not the
     # class; the class's complex also serves its own approximant, so the
     # class is reduced once
-    return _emit_crit(args, invariants.jump_locus(twisted), rep)
+    return _emit_crit(args, invariants.jump_locus(twisted.reduced()), rep)
 
 
 def cmd_gen(args):

@@ -7,14 +7,17 @@ points where twisted cohomology can exceed its generic dimension), a
 random rational surrogate standing in for a transcendental point, 1, and
 the inverses of all of these.
 
-Every invariant reads one sparse Laurent complex.  ``twisted_complex``
-takes a space (which carries its cocycle), a simplicial complex with a
-cocycle, or a TwistedComplex to the TwistedComplex, and
-``reduced_complex`` to its unit-pivot reduction; a ReducedComplex is also
-taken as it is.  The Novikov numbers and the jump locus read the reduced
-complex's Smith forms (``ReducedComplex.smith``), the twisted dimensions
-its ranks at a point, and the cup-length search holds the TwistedComplex,
-whose unreduced coboundary checks every cochain it makes.
+Every invariant takes the one complex it reads.  The Novikov numbers,
+the jump locus and the twisted dimensions take a ReducedComplex: they
+read its Smith forms (``ReducedComplex.smith``) and its ranks at a point.
+Any route's reduction serves, the ``.reduced()`` of a TwistedComplex, of
+a DeformationComplex or of ``relative_reduced``.  The cup-length search
+and the bounds built on it take the TwistedComplex whose cochains they
+multiply, and its unreduced coboundary checks every cochain they make:
+
+    twisted = TwistedComplex(space.complex, space.cocycle)
+    twisted_dims(twisted.reduced(), Fraction(3))
+    crit_bound(twisted)
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .complexes import SimplicialComplex, twisted_cup
+from .complexes import twisted_cup
 from .errors import InternalInconsistency, NotInSpan
 from .linalg import Span, cohomology, express, kernel, transpose
 from .numfield import (FieldElement, NumberField, Scalar, cache_key,
@@ -31,26 +34,6 @@ from .numfield import (FieldElement, NumberField, Scalar, cache_key,
 from .polyq import Poly, coprime_basis, rational_roots, squarefree_factors
 from .twisted import (CoboundaryRows, ReducedComplex, TwistedComplex,
                       evaluate_rows)
-
-
-def twisted_complex(X, z=None) -> TwistedComplex:
-    """The twisted complex of a space, which carries its cocycle, or of a
-    simplicial complex X with the cocycle z; a TwistedComplex is its own."""
-    if isinstance(X, TwistedComplex):
-        return X
-    if z is None:
-        if isinstance(X, SimplicialComplex):
-            raise ValueError("a simplicial complex needs a cocycle")
-        X, z = X.complex, X.cocycle
-    return TwistedComplex(X, z)
-
-
-def reduced_complex(X, z=None) -> ReducedComplex:
-    """X if it is a ReducedComplex, else the reduction of
-    ``twisted_complex(X, z)``."""
-    if isinstance(X, ReducedComplex):
-        return X
-    return twisted_complex(X, z).reduced()
 
 
 class JumpEntry:
@@ -102,10 +85,9 @@ class JumpReport:
         return f"JumpReport(generic={self.generic}, entries={self.entries})"
 
 
-def novikov_numbers(X, z=None):
+def novikov_numbers(red: ReducedComplex):
     """Generic dimensions b_q of twisted cohomology, via Smith form ranks
-    of the reduced coboundaries; X and z are read by ``reduced_complex``."""
-    red = reduced_complex(X, z)
+    of the reduced coboundaries."""
     b = [n - red.smith(q).rank - red.smith(q - 1).rank
          for q, n in enumerate(red.sizes)]
     if (sum((-1) ** q * bq for q, bq in enumerate(b))
@@ -116,7 +98,7 @@ def novikov_numbers(X, z=None):
     return b
 
 
-def jump_locus(X, z=None) -> JumpReport:
+def jump_locus(red: ReducedComplex) -> JumpReport:
     """All monodromies where some twisted cohomology exceeds its generic dim.
 
     Factors are collected from the elementary divisors of every coboundary,
@@ -126,7 +108,6 @@ def jump_locus(X, z=None) -> JumpReport:
     divisible by a basis factor or coprime to it, so the dimension at the
     factor's roots is well defined.
     """
-    red = reduced_complex(X, z)
     generic = novikov_numbers(red)
     collected = [f for q in range(len(red.rows))
                  for d in red.smith(q).divisors
@@ -141,13 +122,10 @@ def jump_locus(X, z=None) -> JumpReport:
     return JumpReport(generic, entries)
 
 
-def twisted_dims(X, z, a: Scalar = None):
-    """dim H^q(X; E_a) for q = 0..dim, by evaluating the reduced
-    coboundaries at a."""
-    if a is None:
-        X, z, a = X, None, z
+def twisted_dims(red: ReducedComplex, a: Scalar):
+    """dim H^q at t = a in every degree of the reduced complex, by
+    evaluating its coboundaries at a."""
     check_nonzero(a)
-    red = reduced_complex(X, z)
     return [red.dim_at(q, a) for q in range(len(red.sizes))]
 
 
@@ -430,25 +408,23 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
     return best, found, skipped
 
 
-def cup_length(X, z, candidates, *, seed=None,
+def cup_length(twisted: TwistedComplex, candidates, *, seed=None,
                mode="exhaustive-over-candidates", cache=None):
     """Longest certified nontrivial product of positive-degree twisted classes
     whose monodromies are products of the given candidates.
 
-    ``X`` and ``z`` are read by ``twisted_complex``; ``cache``, a
-    ``_CohomologyCache`` of the same complex, lets several searches share
-    their bases and structure constants.  Each DP state stores a spanning
-    set of realizable products in cohomology coordinates, which suffices
-    because the cup product is bilinear.  Returns a CritBoundReport whose
-    cl_lower_bound is 0 or the length of a product it found, its
-    certificate re-checked at cochain level; for the zero class it reports
-    the untwisted cup-length instead, the same search at the unit
-    monodromy with no non-unit requirement.
+    ``cache``, a ``_CohomologyCache`` of ``twisted``, lets several searches
+    share their bases and structure constants.  Each DP state stores a
+    spanning set of realizable products in cohomology coordinates, which
+    suffices because the cup product is bilinear.  Returns a
+    CritBoundReport whose cl_lower_bound is 0 or the length of a product
+    it found, its certificate re-checked at cochain level; for the zero
+    class it reports the untwisted cup-length instead, the same search at
+    the unit monodromy with no non-unit requirement.
     """
     if cache is None:
-        cache = _CohomologyCache(twisted_complex(X, z))
-    X, z = cache.complex, cache.cocycle
-    if z.is_zero():
+        cache = _CohomologyCache(twisted)
+    if twisted.z.is_zero():
         untw, _, _ = _search(cache, [Fraction(1)], 0)
         return CritBoundReport(
             0, None, mode, seed=seed, untwisted_cup_length=untw,
@@ -465,7 +441,8 @@ def cup_length(X, z, candidates, *, seed=None,
     cl, found, skipped = _search(cache, cands, 2)
     certificate = None
     if found is not None:
-        certificate = _extract_certificate(cl, *found, X.f_vector())
+        certificate = _extract_certificate(cl, *found,
+                                           twisted.complex.f_vector())
     notes = []
     if skipped:
         notes.append(f"skipped {len(skipped)} monodromy pair(s) from "
@@ -578,17 +555,16 @@ def default_candidates(jumps: JumpReport, rng: random.Random):
     return cands
 
 
-def crit_bound(X, z=None, *, seed=0):
+def crit_bound(twisted: TwistedComplex, *, seed=0):
     """Jump locus plus cup-length search over the default candidate set,
     up to three draws of the surrogate; the attempts share one cohomology
     cache.  A bound above 0 is always a product that ``cup_length`` found
     and re-checked."""
-    twisted = twisted_complex(X, z)
-    jumps = jump_locus(twisted)
+    jumps = jump_locus(twisted.reduced())
     rng = random.Random(seed)
     cache = _CohomologyCache(twisted)
     for _attempt in range(3):
-        last = cup_length(twisted, None, default_candidates(jumps, rng),
+        last = cup_length(twisted, default_candidates(jumps, rng),
                           seed=seed, mode="probabilistic", cache=cache)
         if last.cl_lower_bound > 0:
             break
@@ -596,18 +572,16 @@ def crit_bound(X, z=None, *, seed=0):
     return last
 
 
-def thm3_bound(X, base_classes, approximants, *, seed=0):
+def thm3_bound(twisted: TwistedComplex, base_classes, approximants, *,
+               seed=0):
     """Best ``crit_bound`` over integer combinations of the base classes,
     each bound a certified product over that class's default candidates.
 
     Each approximant is a coefficient vector; the zero vector is rejected
-    since it does not present a rank-1 class vanishing on the kernel.  X
-    is a simplicial complex, or a TwistedComplex, whose reduction then
-    serves the approximant that gives its own cocycle.
+    since it does not present a rank-1 class vanishing on the kernel.  The
+    approximant that gives ``twisted``'s own cocycle is read on
+    ``twisted``; every other one on the twisted complex of its class.
     """
-    twisted = X if isinstance(X, TwistedComplex) else None
-    if twisted is not None:
-        X = twisted.complex
     best = None
     for coeffs in approximants:
         coeffs = list(coeffs)
@@ -616,10 +590,9 @@ def thm3_bound(X, base_classes, approximants, *, seed=0):
         if all(c == 0 for c in coeffs):
             raise NotInSpan("zero approximant is not a rank-1 class")
         eta = base_classes[0].scaled_sum(list(zip(base_classes, coeffs)))
-        if twisted is not None and eta.values == twisted.z.values:
-            rep = crit_bound(twisted, seed=seed)
-        else:
-            rep = crit_bound(X, eta, seed=seed)
+        rep = crit_bound(twisted if eta.values == twisted.z.values
+                         else TwistedComplex(twisted.complex, eta),
+                         seed=seed)
         if best is None or rep.cl_lower_bound > best.cl_lower_bound:
             best = rep
     return best

@@ -1128,7 +1128,8 @@ def relative_reduced(complex: SimplicialComplex, sub: SimplicialComplex,
 
     Since A is a subcomplex, delta maps those cochains to themselves:
     C*(X, A) is the TwistedComplex's delta_q restricted to the rows and
-    columns of the simplices outside A, checked again as a complex.
+    columns of the simplices outside A, checked again as a complex, which
+    refuses an A that is not closed under faces.
     """
     keep = [relative_cochain_indices(complex, sub, d)
             for d in range(complex.dim + 1)]

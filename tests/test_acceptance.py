@@ -42,12 +42,13 @@ def test_surface_twisted_dimensions():
     for g in (2, 3):
         start = time.perf_counter()
         s = surface(g)
+        red = TwistedComplex(s.complex, s.cocycle).reduced()
         for _ in range(10):
             a = _random_rational(rng)
             while a == 1:
                 a = _random_rational(rng)
-            ok = ok and twisted_dims(s.complex, s.cocycle, a) == [0, 2 * g - 2, 0]
-        ok = ok and twisted_dims(s.complex, s.cocycle, Fraction(1)) == [1, 2 * g, 1]
+            ok = ok and twisted_dims(red, a) == [0, 2 * g - 2, 0]
+        ok = ok and twisted_dims(red, Fraction(1)) == [1, 2 * g, 1]
         elapsed = time.perf_counter() - start
         worst = max(worst, elapsed)
         ok = ok and elapsed < 10.0
@@ -57,7 +58,8 @@ def test_surface_twisted_dimensions():
 
 def test_surface_cup_length_bound():
     start = time.perf_counter()
-    rep = crit_bound(surface(2), seed=0)
+    s = surface(2)
+    rep = crit_bound(TwistedComplex(s.complex, s.cocycle), seed=0)
     cert = rep.certificate
     ok = (rep.cl_lower_bound == 2 and rep.crit_bound == 1
           and cert is not None and cert.k == 2
@@ -74,14 +76,16 @@ def test_connected_sum_bound_and_monotonicity():
     cands = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3),
              Fraction(1, 3)]
     glued = connected_sum(torus(), torus())
-    rep = cup_length(glued.complex, glued.cocycle, cands)
+    rep = cup_length(TwistedComplex(glued.complex, glued.cocycle), cands)
     ok = rep.cl_lower_bound == 2
     pairs = [(torus(), torus()), (surface(2), torus()),
              (torus(), surface(2))]
     for x1, x2 in pairs:
-        whole = cup_length(connected_sum(x1, x2).complex,
-                           connected_sum(x1, x2).cocycle, cands)
-        best = max(cup_length(x.complex, x.cocycle, cands).cl_lower_bound
+        whole = cup_length(TwistedComplex(connected_sum(x1, x2).complex,
+                                          connected_sum(x1, x2).cocycle),
+                           cands)
+        best = max(cup_length(TwistedComplex(x.complex, x.cocycle),
+                              cands).cl_lower_bound
                    for x in (x1, x2))
         ok = ok and whole.cl_lower_bound >= best
     elapsed = time.perf_counter() - start
@@ -94,8 +98,9 @@ def test_jump_locus_properties_on_corpus():
     rng = random.Random(2)
     ok = True
     for space in standard_corpus():
-        nov = novikov_numbers(space.complex, space.cocycle)
-        report = jump_locus(space.complex, space.cocycle)
+        red = TwistedComplex(space.complex, space.cocycle).reduced()
+        nov = novikov_numbers(red)
+        report = jump_locus(red)
         ok = ok and len(report.entries) < 100
         for e in report.entries:
             ok = ok and e.dim > report.generic[e.q]
@@ -108,7 +113,7 @@ def test_jump_locus_properties_on_corpus():
             if any(f.eval(a) == 0 for f in factors):
                 continue
             sampled += 1
-            ok = ok and twisted_dims(space.complex, space.cocycle, a) == nov
+            ok = ok and twisted_dims(red, a) == nov
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     _report("jump locus: finite, strict, rational; generic == sampled", ok,
@@ -123,8 +128,9 @@ def test_alexander_instance():
     classes: the bound is 0, with no note and no certificate."""
     start = time.perf_counter()
     knot = one_relator_complex("xyXYxyxYXyxYXY", {"x": 1, "y": 1})
-    nov = novikov_numbers(knot)
-    report = jump_locus(knot)
+    twisted = TwistedComplex(knot.complex, knot.cocycle)
+    nov = novikov_numbers(twisted.reduced())
+    report = jump_locus(twisted.reduced())
     target = Poly([Fraction(1), Fraction(-3, 2), Fraction(1)])
     h1 = [e for e in report.entries if e.q == 1 and e.factor == target]
     roots_nonunit = False
@@ -133,7 +139,7 @@ def test_alexander_instance():
         gen = field.generator()
         roots_nonunit = (not is_dirichlet_unit(gen)
                          and not is_dirichlet_unit(gen.inverse()))
-    rep = crit_bound(knot)
+    rep = crit_bound(twisted)
     ok = (nov[1] == 0 and bool(h1) and roots_nonunit
           and (rep.cl_lower_bound, rep.crit_bound) == (0, 0)
           and rep.notes == [] and rep.certificate is None)
@@ -153,10 +159,11 @@ def test_deformation_convention_lock():
     ok = True
     for space, h in cases:
         D = DeformationComplex(space.cut)
+        red = TwistedComplex(space.complex, space.cocycle).reduced()
         for _ in range(10):
             a = _random_rational(rng)
             lhs = [D.dim_at(q, a) for q in range(space.dimension + 1)]
-            mid = twisted_dims(space.complex, space.cocycle, 1 / a)
+            mid = twisted_dims(red, 1 / a)
             rhs = mv_oracle_dims(F, h, 1 / a)
             ok = ok and lhs == mid == rhs
     elapsed = time.perf_counter() - start

@@ -12,9 +12,9 @@ from novikov.complexes import twisted_coboundary_values
 from novikov.corpus import connected_sum, surface, torus
 from novikov.errors import InternalInconsistency
 from novikov.invariants import (_CohomologyCache, _verify_certificate,
-                                crit_bound, cup_length, twisted_complex)
+                                crit_bound, cup_length)
 from novikov.numfield import NumberField
-from novikov.twisted import ReducedComplex
+from novikov.twisted import ReducedComplex, TwistedComplex
 
 
 def _root():
@@ -27,11 +27,12 @@ SPACES = {
     "torus#torus": lambda: connected_sum(torus(), torus()),
 }
 CASES = {
-    **{f"crit_bound {name}": (name, lambda space: crit_bound(space, seed=0))
+    **{f"crit_bound {name}": (name,
+                              lambda twisted: crit_bound(twisted, seed=0))
        for name in SPACES},
     "cup_length surface(2) [r, 1/r]": (
         "surface(2)",
-        lambda space: cup_length(space, None, [_root(), _root().inverse()])),
+        lambda twisted: cup_length(twisted, [_root(), _root().inverse()])),
 }
 
 
@@ -40,9 +41,10 @@ def _certified(case):
     re-check."""
     name, run = CASES[case]
     space = SPACES[name]()
-    cert = run(space).certificate
+    cert = run(TwistedComplex(space.complex, space.cocycle)).certificate
     assert cert is not None
-    return space, cert, _CohomologyCache(twisted_complex(space))
+    return space, cert, _CohomologyCache(
+        TwistedComplex(space.complex, space.cocycle))
 
 
 def _plus(u, v):
@@ -144,7 +146,8 @@ def test_corrupted_witness_maps_give_no_bound(method, monkeypatch):
     """The maps that find the witnesses are not trusted: with one of them
     corrupted, the re-check refuses the certificate."""
     space = surface(2)
-    assert crit_bound(space, seed=0).cl_lower_bound == 2
+    assert crit_bound(TwistedComplex(space.complex, space.cocycle),
+                      seed=0).cl_lower_bound == 2
     monkeypatch.setattr(ReducedComplex, method, _shifted(method))
     with pytest.raises(InternalInconsistency, match="certificate"):
-        crit_bound(space, seed=0)
+        crit_bound(TwistedComplex(space.complex, space.cocycle), seed=0)

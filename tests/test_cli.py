@@ -146,15 +146,44 @@ def test_a_lone_algebraic_candidate_is_one_candidate(tmp_path, monkeypatch):
     seen = []
     search = invariants.cup_length
 
-    def spy(twisted, base, cands, **kw):
+    def spy(twisted, cands, **kw):
         seen.append(cands)
-        return search(twisted, base, cands, **kw)
+        return search(twisted, cands, **kw)
 
     monkeypatch.setattr(invariants, "cup_length", spy)
     for text in ("@-1,1,0,0,0,1", "2,3", "2;@1,1,1"):
         assert run_cli(["cup-length", str(path), "--candidates", text])[0] == 0
     assert seen == [[parse_scalar("@-1,1,0,0,0,1")], [2, 3],
                     [2, parse_scalar("@1,1,1")]]
+
+
+@pytest.mark.parametrize("candidates",
+                         ["2;", "@-1,1,0,0,0,1;", "1;;2", "1,,2"])
+def test_an_empty_candidate_is_refused_naming_the_option(candidates,
+                                                         tmp_path, capsys):
+    """An empty entry in --candidates exits 2 with one error line that
+    names the option and the list it was given."""
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    capsys.readouterr()
+    argv = ["cup-length", str(path), "--candidates", candidates]
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--candidates" in err and repr(candidates) in err, err
+
+
+def test_the_minpoly_spelling_is_no_monodromy(tmp_path, capsys):
+    """A monodromy is p/q or @c0,c1,...: the spelling @minpoly:c0,c1,...
+    exits 2 with one error line."""
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    assert run_cli(["twisted-dim", str(path), "--a=@1,1,1"])[0] == 0
+    capsys.readouterr()
+    assert run_cli(["twisted-dim", str(path), "--a=@minpoly:1,1,1"]) \
+        == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cup_length_notes_pairs_skipped_across_number_fields(tmp_path):

@@ -15,10 +15,11 @@ from novikov.complexes import build_complex
 from novikov.corpus import GeneratedSpace
 from novikov.errors import (DimensionMismatch, GluingError,
                             NotAManifoldInput, ParameterOutOfRange)
-from novikov.invariants import (crit_bound, cup_length, jump_locus,
-                                jumps_json, reduced_complex, twisted_dims)
+from novikov.invariants import (cup_length, jump_locus, jumps_json,
+                                novikov_numbers, twisted_dims)
+from novikov.polyq import Poly
 from novikov.twisted import (CutPresentation, DeformationComplex,
-                             SimplicialMap)
+                             SimplicialMap, TwistedComplex)
 from reference_charpoly import char_poly
 from reference_corpus import standard_corpus
 
@@ -113,9 +114,10 @@ def test_oracle_matches_twisted_and_deformation():
     rng = random.Random(11)
     for space, h in spaces:
         D = DeformationComplex(space.cut)
+        red = TwistedComplex(space.complex, space.cocycle).reduced()
         for _ in range(10):
             a = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            direct = twisted_dims(space.complex, space.cocycle, a)
+            direct = twisted_dims(red, a)
             oracle = mv_oracle_dims(F, h, a)
             assert direct == oracle
             deform = [D.dim_at(q, 1 / a) for q in range(space.dimension + 1)]
@@ -223,8 +225,9 @@ def test_connected_sum_cup_bound_dominates_summands():
     cands = [Fraction(2), Fraction(1, 2), Fraction(1)]
     for x1, x2 in [(torus(), torus()), (surface(2), torus())]:
         glued = connected_sum(x1, x2)
-        whole = cup_length(glued.complex, glued.cocycle, cands)
-        part = cup_length(x1.complex, x1.cocycle, cands)
+        whole = cup_length(TwistedComplex(glued.complex, glued.cocycle),
+                           cands)
+        part = cup_length(TwistedComplex(x1.complex, x1.cocycle), cands)
         assert whole.cl_lower_bound >= part.cl_lower_bound
 
 
@@ -235,13 +238,16 @@ def test_alexander_instance_shape():
     knot = one_relator_complex("xyXYxyxYXyxYXY", {"x": 1, "y": 1})
     assert knot.complex.f_vector() == (48, 174, 126)
     assert knot.dimension == 2 and not knot.manifold and not knot.has_cut
-    assert reduced_complex(knot).sizes == [1, 2, 1]
-    report = jump_locus(knot)
+    red = TwistedComplex(knot.complex, knot.cocycle).reduced()
+    assert red.sizes == [1, 2, 1]
+    report = jump_locus(red)
     assert report.generic == [0, 0, 0]
     assert report.entries
     # the JSON form keeps the class
     again = space_from_json(json.loads(json.dumps(space_to_json(knot))))
-    assert jumps_json(jump_locus(again)) == jumps_json(report)
+    assert jumps_json(jump_locus(
+        TwistedComplex(again.complex, again.cocycle).reduced())) \
+        == jumps_json(report)
 
 
 def test_one_relator_complex_generators_and_relator():
@@ -264,8 +270,9 @@ def test_one_relator_complex_keeps_unused_generators():
     # with the two generator circles, and b's loop is there untouched
     space = one_relator_complex("aA", {"a": 1, "b": 0})
     assert space.cocycle.transport_exponent([0, 3, 4, 0]) == 0
-    assert jump_locus(space).generic == [0, 1, 1]
-    assert twisted_dims(space.complex, space.cocycle, 1) == [1, 2, 1]
+    red = TwistedComplex(space.complex, space.cocycle).reduced()
+    assert jump_locus(red).generic == [0, 1, 1]
+    assert twisted_dims(red, 1) == [1, 2, 1]
 
 
 ROTATION = {0: 1, 1: 2, 2: 0}
@@ -334,12 +341,37 @@ def test_corpus_json_is_pinned(name):
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", ["torus", "klein", "rotation", "order3",
+                                  "S1xS2", "S1xS3"])
+def test_deformation_and_twisted_routes_agree_on_smith_forms(name):
+    """The Novikov numbers and the jump locus of the reduced deformation
+    complex of the space's cut equal those of its reduced twisted complex,
+    each jump factor replaced by its monic reciprocal: the deformation
+    complex at t = a computes monodromy 1/a.
+
+    What it cannot tell: every jump factor of these spaces is its own
+    reciprocal (each is a mapping torus of an automorphism of finite
+    order), so a deformation complex that computed monodromy a at t = a
+    would pass too."""
+    space = PINNED_JSON[name][0]()
+    jumps = jump_locus(TwistedComplex(space.complex, space.cocycle).reduced())
+    deformation = DeformationComplex(space.cut).reduced()
+    assert jumps.entries
+    assert novikov_numbers(deformation) == jumps.generic
+    reciprocal = sorted((e.q, Poly(reversed(e.factor.coeffs)).monic().coeffs,
+                         e.dim) for e in jumps.entries)
+    assert sorted((e.q, e.factor.coeffs, e.dim)
+                  for e in jump_locus(deformation).entries) == reciprocal
+
+
 def test_standard_corpus_is_consistent():
     spaces = standard_corpus()
     assert len(spaces) == 7
     for space in spaces:
         assert space.complex.dim == space.dimension
-        dims = twisted_dims(space.complex, space.cocycle, Fraction(1))
+        dims = twisted_dims(
+            TwistedComplex(space.complex, space.cocycle).reduced(),
+            Fraction(1))
         chi = space.complex.euler_characteristic()
         assert sum((-1) ** q * d for q, d in enumerate(dims)) == chi
 
@@ -350,9 +382,10 @@ def test_space_json_round_trip():
         back = space_from_json(doc)
         assert back.complex.f_vector() == space.complex.f_vector()
         assert back.manifold == space.manifold
+        red = TwistedComplex(space.complex, space.cocycle).reduced()
+        red_back = TwistedComplex(back.complex, back.cocycle).reduced()
         for a in (Fraction(1), Fraction(3)):
-            assert (twisted_dims(back.complex, back.cocycle, a)
-                    == twisted_dims(space.complex, space.cocycle, a))
+            assert twisted_dims(red_back, a) == twisted_dims(red, a)
         if space.cut is not None:
             assert back.cut is not None
             D0 = DeformationComplex(space.cut)

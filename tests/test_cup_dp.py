@@ -18,11 +18,10 @@ from novikov.corpus import (circle, connected_sum, mapping_torus,
                             surface, torus)
 from novikov.errors import InternalInconsistency
 from novikov.invariants import (_CohomologyCache, certificate_json,
-                                crit_bound, cup_length, reduced_complex,
-                                twisted_complex)
+                                crit_bound, cup_length)
 from novikov.linalg import Span
 from novikov.numfield import NumberField, scalar_key
-from novikov.twisted import coboundary_image_vectors
+from novikov.twisted import TwistedComplex, coboundary_image_vectors
 
 # cl_lower_bound as the cochain-level search first gave it, certificate_json
 # as the search on the reduced complex gives it
@@ -47,17 +46,23 @@ def _root():
     return NumberField([-1, -3, 2]).generator()
 
 
+def _twisted(space):
+    return TwistedComplex(space.complex, space.cocycle)
+
+
 RUNS = {
-    "crit_bound surface(2) seed=0": lambda: crit_bound(surface(2), seed=0),
+    "crit_bound surface(2) seed=0":
+        lambda: crit_bound(_twisted(surface(2)), seed=0),
     "crit_bound torus#torus seed=0":
-        lambda: crit_bound(connected_sum(torus(), torus()), seed=0),
-    "crit_bound S1xS2 seed=0": lambda: crit_bound(sphere_product(2), seed=0),
-    "crit_bound klein seed=0": lambda: crit_bound(_klein(), seed=0),
+        lambda: crit_bound(_twisted(connected_sum(torus(), torus())), seed=0),
+    "crit_bound S1xS2 seed=0":
+        lambda: crit_bound(_twisted(sphere_product(2)), seed=0),
+    "crit_bound klein seed=0": lambda: crit_bound(_twisted(_klein()), seed=0),
     "cup_length surface(2) [2, 1/2, @-1,-3,2]": lambda: cup_length(
-        surface(2).complex, surface(2).cocycle,
-        [Fraction(2), Fraction(1, 2), _root()]),
+        _twisted(surface(2)), [Fraction(2), Fraction(1, 2), _root()]),
     "cup_length torus wedge circle [@-1,-3,2, 2, 1/2]": lambda: cup_length(
-        _torus_wedge_circle(), None, [_root(), Fraction(2), Fraction(1, 2)]),
+        _twisted(_torus_wedge_circle()),
+        [_root(), Fraction(2), Fraction(1, 2)]),
 }
 
 
@@ -165,9 +170,9 @@ def test_the_search_builds_no_cochain_level_basis(monkeypatch):
     monkeypatch.setattr(invariants, "kernel", recording_kernel)
     certified = 0
     for space in (surface(2), connected_sum(torus(), torus()), _klein()):
-        reduced = reduced_complex(space).sizes
+        reduced = _twisted(space).reduced().sizes
         widths.clear()
-        rep = crit_bound(space, seed=0)
+        rep = crit_bound(_twisted(space), seed=0)
         assert widths and set(widths) <= set(reduced)
         assert not set(widths) & set(space.complex.f_vector())
         certified += rep.certificate is not None
@@ -208,7 +213,7 @@ def test_a_cocycle_check_walks_only_the_cofaces_of_its_support(monkeypatch):
     monkeypatch.setattr(twisted.CoboundaryRows, "row", counting_row)
     monkeypatch.setattr(_CohomologyCache, "_is_cocycle", recording)
     for space in (surface(2), connected_sum(torus(), torus())):
-        crit_bound(space, seed=0)
+        crit_bound(_twisted(space), seed=0)
     assert checks
     for cached, fresh, distinct, bound, _rows in checks:
         assert cached <= fresh == distinct <= bound
@@ -234,15 +239,14 @@ def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(invariants, "cup_length", counting)
-    rep = crit_bound(torus(), seed=0)
+    rep = crit_bound(_twisted(torus()), seed=0)
     assert rep.cl_lower_bound == 0
     assert len(searches) == 3 and len({id(c) for c in searches}) == 1
     assert builds and len(builds) == len(set(builds))
 
 
 def _surface_cache():
-    s = surface(2)
-    return _CohomologyCache(twisted_complex(s))
+    return _CohomologyCache(_twisted(surface(2)))
 
 
 def test_coordinates_of_representatives_and_coboundaries():
@@ -273,7 +277,7 @@ def test_representative_count_must_match_the_reduced_dimension(monkeypatch):
                         lambda self, q, a: real(self, q, a) + (q == 1))
     s = surface(2)
     with pytest.raises(InternalInconsistency, match="representatives"):
-        cup_length(s, None, [Fraction(2), Fraction(1, 2)])
+        cup_length(_twisted(s), [Fraction(2), Fraction(1, 2)])
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -293,14 +297,14 @@ def test_corrupted_structure_constants_fail_the_cochain_recheck(
     monkeypatch.setattr(_CohomologyCache, "constants", corrupted)
     s = surface(2)
     with pytest.raises(InternalInconsistency, match=message):
-        cup_length(s, None, [Fraction(2), Fraction(1, 2)])
+        cup_length(_twisted(s), [Fraction(2), Fraction(1, 2)])
 
 
 def test_untwisted_length_is_the_search_at_the_unit_monodromy():
     for space, expected in ((surface(2), 2), (sphere_product(2), 2),
                             (_klein(), 1)):
         zero = validate_cocycle(space.complex, {})
-        rep = cup_length(space.complex, zero, [Fraction(2)])
+        rep = cup_length(TwistedComplex(space.complex, zero), [Fraction(2)])
         assert rep.untwisted_cup_length == expected
 
 
@@ -323,11 +327,11 @@ def _corrupt_a_pivot_row(monkeypatch):
 def test_a_corrupted_pivot_record_is_caught(monkeypatch, tmp_path):
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(space_to_json(surface(2))))
-    assert crit_bound(surface(2), seed=0).cl_lower_bound == 2
+    assert crit_bound(_twisted(surface(2)), seed=0).cl_lower_bound == 2
     _corrupt_a_pivot_row(monkeypatch)
     message = "cohomology representative in degree 1 is not a cocycle"
     with pytest.raises(InternalInconsistency, match=message):
-        crit_bound(surface(2), seed=0)
+        crit_bound(_twisted(surface(2)), seed=0)
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         assert cli.main(["crit-bound", str(path), "--seed", "0"]) == 3
@@ -343,4 +347,4 @@ def test_the_certificate_recheck_does_not_trust_the_transfer_maps(
                         lambda self, a, q, vec: True)
     with pytest.raises(InternalInconsistency,
                        match="certificate representative in degree 1"):
-        crit_bound(surface(2), seed=0)
+        crit_bound(_twisted(surface(2)), seed=0)

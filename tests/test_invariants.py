@@ -12,21 +12,27 @@ from novikov.invariants import (crit_bound, cup_length, default_candidates,
                                 thm3_bound, twisted_dims)
 from novikov.numfield import NumberField
 from novikov.polyq import Poly
+from novikov.twisted import TwistedComplex
 
 
 def test_novikov_numbers_known_spaces():
-    assert novikov_numbers(circle(3).complex, circle(3).cocycle) == [0, 0]
+    c = circle(3)
+    assert novikov_numbers(
+        TwistedComplex(c.complex, c.cocycle).reduced()) == [0, 0]
     s = surface(2)
-    assert novikov_numbers(s.complex, s.cocycle) == [0, 2, 0]
+    assert novikov_numbers(
+        TwistedComplex(s.complex, s.cocycle).reduced()) == [0, 2, 0]
     p = sphere_product(2)
-    assert novikov_numbers(p.complex, p.cocycle) == [0, 0, 0, 0]
+    assert novikov_numbers(
+        TwistedComplex(p.complex, p.cocycle).reduced()) == [0, 0, 0, 0]
     t = torus()
-    assert novikov_numbers(t.complex, t.cocycle) == [0, 0, 0]
+    assert novikov_numbers(
+        TwistedComplex(t.complex, t.cocycle).reduced()) == [0, 0, 0]
 
 
 def test_jump_locus_surface():
     s = surface(2)
-    report = jump_locus(s.complex, s.cocycle)
+    report = jump_locus(TwistedComplex(s.complex, s.cocycle).reduced())
     assert report.generic == [0, 2, 0]
     tm1 = Poly([-1, 1])
     dims = {e.q: e.dim for e in report.entries if e.factor == tm1}
@@ -37,7 +43,7 @@ def test_jump_locus_surface():
 
 def test_jump_locus_sphere_product():
     p = sphere_product(2)
-    report = jump_locus(p.complex, p.cocycle)
+    report = jump_locus(TwistedComplex(p.complex, p.cocycle).reduced())
     assert report.generic == [0, 0, 0, 0]
     tm1 = Poly([-1, 1])
     dims = {e.q: e.dim for e in report.entries if e.factor == tm1}
@@ -46,27 +52,33 @@ def test_jump_locus_sphere_product():
 
 def test_twisted_dims_match_betti_at_unit():
     for space in (circle(4), torus(), surface(2)):
-        dims = twisted_dims(space.complex, space.cocycle, Fraction(1))
+        dims = twisted_dims(
+            TwistedComplex(space.complex, space.cocycle).reduced(),
+            Fraction(1))
         chi = space.complex.euler_characteristic()
         assert sum((-1) ** q * d for q, d in enumerate(dims)) == chi
     s = surface(2)
-    assert twisted_dims(s.complex, s.cocycle, Fraction(1)) == [1, 4, 1]
-    assert twisted_dims(s.complex, s.cocycle, Fraction(3)) == [0, 2, 0]
+    red = TwistedComplex(s.complex, s.cocycle).reduced()
+    assert twisted_dims(red, Fraction(1)) == [1, 4, 1]
+    assert twisted_dims(red, Fraction(3)) == [0, 2, 0]
     t = torus()
-    assert twisted_dims(t.complex, t.cocycle, Fraction(2)) == [0, 0, 0]
+    red = TwistedComplex(t.complex, t.cocycle).reduced()
+    assert twisted_dims(red, Fraction(2)) == [0, 0, 0]
 
 
 def test_twisted_dims_agree_with_jump_report():
     s = surface(3)
-    report = jump_locus(s.complex, s.cocycle)
+    red = TwistedComplex(s.complex, s.cocycle).reduced()
+    report = jump_locus(red)
     for e in report.entries:
         if e.factor == Poly([-1, 1]):
-            assert twisted_dims(s.complex, s.cocycle, Fraction(1))[e.q] == e.dim
+            assert twisted_dims(red, Fraction(1))[e.q] == e.dim
 
 
 def test_cup_length_surface_with_jump_roots():
     s = surface(2)
-    rep = cup_length(s.complex, s.cocycle, [Fraction(2), Fraction(1, 2)])
+    rep = cup_length(TwistedComplex(s.complex, s.cocycle),
+                     [Fraction(2), Fraction(1, 2)])
     assert rep.cl_lower_bound == 2
     assert rep.crit_bound == 1
     cert = rep.certificate
@@ -79,8 +91,8 @@ def test_cup_length_surface_with_jump_roots():
 
 def test_cup_length_monotone_in_candidates():
     s = surface(2)
-    small = cup_length(s.complex, s.cocycle, [Fraction(2)])
-    large = cup_length(s.complex, s.cocycle,
+    small = cup_length(TwistedComplex(s.complex, s.cocycle), [Fraction(2)])
+    large = cup_length(TwistedComplex(s.complex, s.cocycle),
                        [Fraction(2), Fraction(1, 2), Fraction(1)])
     assert large.cl_lower_bound >= small.cl_lower_bound
 
@@ -91,7 +103,7 @@ def test_cup_length_field_candidates():
     field = NumberField([2, -3, 2])
     a = field.generator()
     s = surface(2)
-    rep = cup_length(s.complex, s.cocycle, [a, a.inverse()])
+    rep = cup_length(TwistedComplex(s.complex, s.cocycle), [a, a.inverse()])
     assert rep.cl_lower_bound == 2
     assert rep.certificate is not None
     assert rep.certificate.nonunit_count() >= 2
@@ -100,7 +112,7 @@ def test_cup_length_field_candidates():
 def test_cup_length_zero_class_reports_untwisted_fallback():
     s = surface(2)
     zero = validate_cocycle(s.complex, {})
-    rep = cup_length(s.complex, zero, [Fraction(2)])
+    rep = cup_length(TwistedComplex(s.complex, zero), [Fraction(2)])
     assert rep.cl_lower_bound == 0
     assert rep.certificate is None
     assert rep.untwisted_cup_length is not None
@@ -109,7 +121,8 @@ def test_cup_length_zero_class_reports_untwisted_fallback():
 
 
 def test_crit_bound_surface_default_candidates():
-    rep = crit_bound(surface(2), seed=0)
+    s = surface(2)
+    rep = crit_bound(TwistedComplex(s.complex, s.cocycle), seed=0)
     assert rep.cl_lower_bound == 2
     assert rep.crit_bound == 1
     assert rep.mode == "probabilistic"
@@ -117,8 +130,9 @@ def test_crit_bound_surface_default_candidates():
 
 
 def test_crit_bound_deterministic_given_seed():
-    a = crit_bound(surface(2), seed=7)
-    b = crit_bound(surface(2), seed=7)
+    s = surface(2)
+    a = crit_bound(TwistedComplex(s.complex, s.cocycle), seed=7)
+    b = crit_bound(TwistedComplex(s.complex, s.cocycle), seed=7)
     assert a.cl_lower_bound == b.cl_lower_bound
     assert a.certificate.total_degree == b.certificate.total_degree
 
@@ -130,42 +144,45 @@ def test_crit_bound_alexander_instance():
     search certifies no product of two non-unit classes, so the bound is
     0: no note, no certificate."""
     knot = one_relator_complex("xyXYxyxYXyxYXY", {"x": 1, "y": 1})
-    assert novikov_numbers(knot) == [0, 0, 0]
-    report = jump_locus(knot)
+    twisted = TwistedComplex(knot.complex, knot.cocycle)
+    red = twisted.reduced()
+    assert novikov_numbers(red) == [0, 0, 0]
+    report = jump_locus(red)
     alexander = Poly([Fraction(1), Fraction(-3, 2), Fraction(1)])
     assert [e.q for e in report.entries if e.factor == alexander] == [1, 2]
-    rep = crit_bound(knot)
+    rep = crit_bound(twisted)
     assert (rep.cl_lower_bound, rep.crit_bound, rep.notes) == (0, 0, [])
     assert rep.certificate is None
     root = NumberField([2, -3, 2]).generator()
-    assert twisted_dims(knot, Fraction(2)) == [0, 0, 0]
-    assert twisted_dims(knot, Fraction(1)) == [1, 1, 0]
-    assert twisted_dims(knot, root) == [0, 1, 1]
-    assert twisted_dims(knot, root.inverse()) == [0, 1, 1]
+    assert twisted_dims(red, Fraction(2)) == [0, 0, 0]
+    assert twisted_dims(red, Fraction(1)) == [1, 1, 0]
+    assert twisted_dims(red, root) == [0, 1, 1]
+    assert twisted_dims(red, root.inverse()) == [0, 1, 1]
 
 
 def test_baumslag_solitar_jump_is_not_reciprocal():
     """BS(1,2) = <a, t | t a t^-1 = a^2> with a -> 0, t -> 1: the jump
     factor t - 2 has the root 2, whose inverse 1/2 is no jump."""
     bs = one_relator_complex("taTAA", {"a": 0, "t": 1})
-    report = jump_locus(bs)
+    red = TwistedComplex(bs.complex, bs.cocycle).reduced()
+    report = jump_locus(red)
     assert report.generic == [0, 0, 0]
     assert [e.q for e in report.entries if e.factor == Poly([-2, 1])] \
         == [1, 2]
-    assert twisted_dims(bs, Fraction(2)) == [0, 1, 1]
-    assert twisted_dims(bs, Fraction(1, 2)) == [0, 0, 0]
+    assert twisted_dims(red, Fraction(2)) == [0, 1, 1]
+    assert twisted_dims(red, Fraction(1, 2)) == [0, 0, 0]
 
 
 def test_crit_bound_connected_sum():
     x = connected_sum(torus(), torus())
-    rep = crit_bound(x, seed=0)
+    rep = crit_bound(TwistedComplex(x.complex, x.cocycle), seed=0)
     assert rep.cl_lower_bound >= 2
     assert rep.crit_bound >= 1
 
 
 def test_default_candidates_closed_under_inverse():
     s = surface(2)
-    report = jump_locus(s.complex, s.cocycle)
+    report = jump_locus(TwistedComplex(s.complex, s.cocycle).reduced())
     cands = default_candidates(report, random.Random(0))
     rationals = [c for c in cands if isinstance(c, Fraction)]
     for c in rationals:
@@ -175,30 +192,34 @@ def test_default_candidates_closed_under_inverse():
 
 def test_thm3_bound_single_base_matches_crit_bound():
     s = surface(2)
-    direct = crit_bound(s.complex, s.cocycle, seed=0)
-    via = thm3_bound(s.complex, [s.cocycle], [(1,)], seed=0)
+    direct = crit_bound(TwistedComplex(s.complex, s.cocycle), seed=0)
+    via = thm3_bound(TwistedComplex(s.complex, s.cocycle), [s.cocycle],
+                     [(1,)], seed=0)
     assert via.cl_lower_bound == direct.cl_lower_bound
 
 
 def test_thm3_bound_rejects_degenerate_approximants():
     s = surface(2)
+    twisted = TwistedComplex(s.complex, s.cocycle)
     with pytest.raises(NotInSpan):
-        thm3_bound(s.complex, [s.cocycle], [(0,)])
+        thm3_bound(twisted, [s.cocycle], [(0,)])
     with pytest.raises(NotInSpan):
-        thm3_bound(s.complex, [s.cocycle], [(1, 1)])
+        thm3_bound(twisted, [s.cocycle], [(1, 1)])
 
 
 def test_thm3_bound_scaled_class_keeps_bound():
     s = surface(2)
-    rep = thm3_bound(s.complex, [s.cocycle], [(1,), (2,), (-1,)], seed=0)
+    rep = thm3_bound(TwistedComplex(s.complex, s.cocycle), [s.cocycle],
+                     [(1,), (2,), (-1,)], seed=0)
     assert rep.cl_lower_bound == 2
 
 
 def test_report_json_shape():
     s = surface(2)
-    nov = novikov_numbers(s.complex, s.cocycle)
-    jumps = jump_locus(s.complex, s.cocycle)
-    rep = crit_bound(s, seed=0)
+    twisted = TwistedComplex(s.complex, s.cocycle)
+    nov = novikov_numbers(twisted.reduced())
+    jumps = jump_locus(twisted.reduced())
+    rep = crit_bound(twisted, seed=0)
     doc = report_json(jumps, rep)
     assert doc["novikov"] == nov == [0, 2, 0]
     assert doc["cl_lower_bound"] == 2

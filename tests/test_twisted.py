@@ -11,7 +11,7 @@ from novikov.corpus import (circle, mapping_torus, mv_oracle_dims,
 from novikov.errors import (DegreeOutOfRange, DimensionMismatch,
                             ExponentTooLarge, NotAChainComplex,
                             NotAnIsomorphism, ZeroMonodromy)
-from novikov.invariants import reduced_complex, twisted_dims
+from novikov.invariants import twisted_dims
 from novikov.twisted import (MAX_EXPONENT, CoboundaryRows, CutPresentation,
                              DeformationComplex, SimplicialMap,
                              TwistedComplex, _evaluated_rank,
@@ -251,7 +251,8 @@ def test_each_rank_is_evaluated_once_per_monodromy(monkeypatch):
         return real(rows, a)
 
     monkeypatch.setattr(twisted, "_evaluated_rank", counting)
-    red = reduced_complex(surface(2))
+    s = surface(2)
+    red = TwistedComplex(s.complex, s.cocycle).reduced()
     K = parse_scalar("@1,1,1").field
     for a in (Fraction(2), Fraction(1), K.from_rational(1),
               K.generator()):
