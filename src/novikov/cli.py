@@ -26,12 +26,19 @@ from .numfield import NumberField
 from .twisted import TwistedComplex
 
 
-def parse_scalar(text: str):
+def parse_scalar(text: str, option: str = "monodromy"):
     """p/q rational or @c0,c1,...: the root class of an integer minimal
-    polynomial (exactness: the root is never approximated numerically)."""
+    polynomial (exactness: the root is never approximated numerically).
+    ``option`` names the value in the error a malformed @c0,c1,... gives."""
     text = text.strip()
     if text.startswith("@"):
-        return NumberField([int(c) for c in text[1:].split(",")]).generator()
+        try:
+            coeffs = [int(c) for c in text[1:].split(",")]
+        except ValueError:
+            raise MalformedInput(
+                f"{option} {text!r}: @c0,c1,... takes integer "
+                "coefficients") from None
+        return NumberField(coeffs).generator()
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -112,7 +119,7 @@ def cmd_jumps(args):
 
 def cmd_twisted_dim(args):
     _, twisted = _load_twisted(args)
-    a = parse_scalar(args.a)
+    a = parse_scalar(args.a, "--a")
     dims = invariants.twisted_dims(twisted.reduced(), a)
     _emit(args, {"a": args.a, "dims": dims}, [f"dims at {args.a}: {dims}"])
     return 0
@@ -127,7 +134,7 @@ def cmd_cup_length(args):
     if not all(c.strip() for c in entries):
         raise MalformedInput(
             f"--candidates {args.candidates!r} has an empty entry")
-    cands = [parse_scalar(c) for c in entries]
+    cands = [parse_scalar(c, "--candidates") for c in entries]
     jumps = invariants.jump_locus(twisted.reduced())
     rep = invariants.cup_length(twisted, cands, seed=args.seed)
     return _emit_crit(args, jumps, rep)
@@ -191,7 +198,7 @@ def cmd_oracle_mv(args):
     if space.cut is None:
         raise NovikovError("oracle-mv needs a generated mapping torus "
                            "(cut presentation missing)")
-    a = parse_scalar(args.a)
+    a = parse_scalar(args.a, "--a")
     h = corpus.mapping_torus_map(space.cut)
     if h is None:
         raise NovikovError("oracle-mv needs the cut that mapping_torus "

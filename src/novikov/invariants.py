@@ -5,7 +5,10 @@ All computations are exact.  The cup-length search returns a certified
 LOWER bound: candidate monodromies default to the jump roots (the only
 points where twisted cohomology can exceed its generic dimension), a
 random rational surrogate standing in for a transcendental point, 1, and
-the inverses of all of these.
+the inverses of all of these.  The surrogate is redrawn only while it
+has classes: while the class is nonzero and some Novikov number in
+positive degree is nonzero.  The search forms only the products that
+can still reach the two non-unit factors the bound counts.
 
 Every invariant takes the one complex it reads.  The Novikov numbers,
 the jump locus and the twisted dimensions take a ReducedComplex: they
@@ -124,8 +127,8 @@ def jump_locus(red: ReducedComplex) -> JumpReport:
 
 def twisted_dims(red: ReducedComplex, a: Scalar):
     """dim H^q at t = a in every degree of the reduced complex, by
-    evaluating its coboundaries at a."""
-    check_nonzero(a)
+    evaluating its coboundaries at a.  The complex refuses a = 0 unless
+    it is read there, as a DeformationComplex is."""
     return [red.dim_at(q, a) for q in range(len(red.sizes))]
 
 
@@ -173,6 +176,13 @@ class CritBoundReport:
                 f"crit>={self.crit_bound}, mode={self.mode})")
 
 
+def _over_q(a: Scalar) -> Scalar:
+    """A rational value of a number field as the rational it is."""
+    if isinstance(a, FieldElement) and a.is_rational():
+        return a.as_rational()
+    return a
+
+
 class _CohomologyCache:
     """Twisted cohomology of one instance in coordinates, per (monodromy,
     degree), shared by every cup-length search over that instance.
@@ -194,7 +204,10 @@ class _CohomologyCache:
     ``coords(v)`` checks that v is a cocycle against the cochain-level
     coboundary at a, then reads the coordinates of f(v).
     ``constants`` holds the cup structure constants
-    coords(rep^m_i cup rep^a_j), computed once per (m, p, a, d).
+    coords(rep^m_i cup rep^a_j), computed once per (m, p, a, d).  A basis
+    and the rows at a rational monodromy are built over Q, also when a
+    product in a number field reaches it first, so they serve the
+    products of every field that reach it.
     """
 
     def __init__(self, twisted: TwistedComplex):
@@ -212,6 +225,7 @@ class _CohomologyCache:
         return self._basis(a, q)[0]
 
     def _basis(self, a, q):
+        a = _over_q(a)
         key = (cache_key(a), q)
         if key not in self._bases:
             self._bases[key] = self._build(a, q)
@@ -247,6 +261,7 @@ class _CohomologyCache:
     def coboundary(self, a: Scalar, q: int) -> CoboundaryRows:
         """The unreduced delta_q at a, its rows evaluated on demand and
         kept for the rest of the search."""
+        a = _over_q(a)
         key = (cache_key(a), q)
         rows = self._coboundaries.get(key)
         if rows is None:
@@ -347,10 +362,22 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
     """Dynamic programming over (accumulated monodromy, total degree,
     non-Dirichlet-unit count, product length) in cohomology coordinates.
 
+    Each state has a budget of non-unit factors.  Every non-unit factor
+    adds at least s to the degree, s the least degree in which a non-unit
+    candidate has a class (n + 1 if none has one), so a state with nu
+    non-units in degree q can still reach nu + (n - q) // s of them.  A
+    state is created, and a factor offered to it, only while that reaches
+    ``require_nonunits``.  A state that fails the budget has only
+    descendants that fail it, and every state that could be the answer
+    passes it, so the answer is that of the search without the budget;
+    the bases and structure constants of the pruned states are never
+    built.
+
     Returns (length, best, skipped): the longest length reached with at
     least ``require_nonunits`` non-unit factors, its (monodromy, degree,
     state) or None, and the distinct (accumulated monodromy, candidate)
-    key pairs left out because their fields differ.
+    key pairs left out because their fields differ, where the budget
+    would have formed their product.
     """
     n = cache.complex.dim
     states = {}
@@ -365,14 +392,23 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
     cand_info = []
     for a in cands:
         unit = is_dirichlet_unit(a)
-        degs = [(d, cache.reps(a, d)) for d in range(1, n + 1)
-                if cache.dim(a, d)]
+        degs = [d for d in range(1, n + 1) if cache.dim(a, d)]
         if degs:
             cand_info.append((a, unit, degs))
+    s = min((degs[0] for _a, unit, degs in cand_info if not unit),
+            default=n + 1)
+
+    def within_budget(nonunits, degree):
+        return (degree <= n
+                and nonunits + (n - degree) // s >= require_nonunits)
 
     for a, unit, degs in cand_info:
-        for d, reps in degs:
-            st = get_state(a, d, 0 if unit else 1, 1)
+        nu = 0 if unit else 1
+        for d in degs:
+            if not within_budget(nu, d):
+                continue
+            st = get_state(a, d, nu, 1)
+            reps = cache.reps(a, d)
             for i, v in enumerate(reps):
                 e_i = [0] * len(reps)
                 e_i[i] = 1
@@ -383,19 +419,23 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
                  if key[3] == length and st.vectors]
         for (mkey, degree, nonunits, _), m, st in layer:
             for a, unit, degs in cand_info:
+                nu2 = min(nonunits + (0 if unit else 1), 2)
+                targets = [d for d in degs if within_budget(nu2, degree + d)]
+                if not targets:
+                    continue
                 m2 = _compatible_product(m, a)
                 if m2 is None:
                     if (mkey, cache_key(a)) not in skipped:
                         skipped.append((mkey, cache_key(a)))
                     continue
-                nu2 = min(nonunits + (0 if unit else 1), 2)
-                for d, reps in degs:
-                    if degree + d > n or not cache.dim(m2, degree + d):
+                for d in targets:
+                    if not cache.dim(m2, degree + d):
                         continue
                     st2 = get_state(m2, degree + d, nu2, length + 1)
                     if st2.full:
                         continue
                     C = cache.constants(m, degree, a, d)
+                    reps = cache.reps(a, d)
                     for x, prov in st.vectors:
                         for j, w in enumerate(reps):
                             st2.offer(_combine(x, C, j, st2.dim),
@@ -416,11 +456,15 @@ def cup_length(twisted: TwistedComplex, candidates, *, seed=None,
     ``cache``, a ``_CohomologyCache`` of ``twisted``, lets several searches
     share their bases and structure constants.  Each DP state stores a
     spanning set of realizable products in cohomology coordinates, which
-    suffices because the cup product is bilinear.  Returns a
-    CritBoundReport whose cl_lower_bound is 0 or the length of a product
-    it found, its certificate re-checked at cochain level; for the zero
-    class it reports the untwisted cup-length instead, the same search at
-    the unit monodromy with no non-unit requirement.
+    suffices because the cup product is bilinear.  Only the products that
+    can still reach two non-unit factors are formed, and only their bases
+    are built (``_search``).  Returns a CritBoundReport whose
+    cl_lower_bound is 0 or the length of a product it found, its
+    certificate re-checked at cochain level; its note counts the pairs
+    from different number fields whose product would have been formed
+    had the fields agreed.  For the zero class it reports the untwisted
+    cup-length instead, the same search at the unit monodromy with no
+    non-unit requirement.
     """
     if cache is None:
         cache = _CohomologyCache(twisted)
@@ -558,12 +602,17 @@ def default_candidates(jumps: JumpReport, rng: random.Random):
 def crit_bound(twisted: TwistedComplex, *, seed=0):
     """Jump locus plus cup-length search over the default candidate set,
     up to three draws of the surrogate; the attempts share one cohomology
-    cache.  A bound above 0 is always a product that ``cup_length`` found
-    and re-checked."""
+    cache.  The surrogate lies off the jump locus, so its classes are
+    those the Novikov numbers count.  It is drawn again only while it has
+    some, in positive degree and for a nonzero class: otherwise it never
+    enters the search, and a new draw would repeat the same search.  A
+    bound above 0 is always a product that ``cup_length`` found and
+    re-checked."""
     jumps = jump_locus(twisted.reduced())
     rng = random.Random(seed)
     cache = _CohomologyCache(twisted)
-    for _attempt in range(3):
+    redraw = not twisted.z.is_zero() and any(jumps.generic[1:])
+    for _attempt in range(3 if redraw else 1):
         last = cup_length(twisted, default_candidates(jumps, rng),
                           seed=seed, mode="probabilistic", cache=cache)
         if last.cl_lower_bound > 0:

@@ -186,6 +186,37 @@ def test_the_minpoly_spelling_is_no_monodromy(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["twisted-dim", "--a=@"], "--a", "@"),
+    (["twisted-dim", "--a=@1,x,1"], "--a", "@1,x,1"),
+    (["cup-length", "--candidates", "@1,x;2"], "--candidates", "@1,x"),
+])
+def test_a_malformed_algebraic_monodromy_is_refused_naming_the_option(
+        argv, option, value, tmp_path, capsys):
+    """@c0,c1,... with a coefficient that is no integer exits 2 with one
+    error line that names the option and the value, not int()'s own
+    message."""
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    capsys.readouterr()
+    assert run_cli([argv[0], str(path), *argv[1:]]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{option} {value!r}" in err and "int()" not in err, err
+
+
+def test_a_zero_monodromy_is_refused_by_the_twisted_complex(tmp_path,
+                                                            capsys):
+    """twisted_dims leaves a = 0 to the complex it reads, and the twisted
+    complex refuses it with the message it always gave."""
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    capsys.readouterr()
+    assert run_cli(["twisted-dim", str(path), "--a=0"]) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: monodromy value must be nonzero\n"
+
+
 def test_cup_length_notes_pairs_skipped_across_number_fields(tmp_path):
     """A root of 2t^2 - 3t - 1 and a root of t^2 + 3t - 2 lie in different
     fields, so their products are never formed; the report says so."""

@@ -14,13 +14,13 @@ from novikov import cli, invariants, linalg, twisted
 from novikov.complexes import (twisted_coboundary_values, twisted_cup,
                                validate_cocycle)
 from novikov.corpus import (circle, connected_sum, mapping_torus,
-                            space_from_json, space_to_json, sphere_product,
-                            surface, torus)
+                            one_relator_complex, space_from_json,
+                            space_to_json, sphere_product, surface, torus)
 from novikov.errors import InternalInconsistency
 from novikov.invariants import (_CohomologyCache, certificate_json,
                                 crit_bound, cup_length)
 from novikov.linalg import Span
-from novikov.numfield import NumberField, scalar_key
+from novikov.numfield import FieldElement, NumberField, scalar_key
 from novikov.twisted import TwistedComplex, coboundary_image_vectors
 
 # cl_lower_bound as the cochain-level search first gave it, certificate_json
@@ -168,15 +168,18 @@ def test_the_search_builds_no_cochain_level_basis(monkeypatch):
     # from invariants' own binding of kernel
     monkeypatch.setattr(linalg, "kernel", recording_kernel)
     monkeypatch.setattr(invariants, "kernel", recording_kernel)
-    certified = 0
-    for space in (surface(2), connected_sum(torus(), torus()), _klein()):
+    for space in (surface(2), connected_sum(torus(), torus())):
         reduced = _twisted(space).reduced().sizes
         widths.clear()
         rep = crit_bound(_twisted(space), seed=0)
         assert widths and set(widths) <= set(reduced)
         assert not set(widths) & set(space.complex.f_vector())
-        certified += rep.certificate is not None
-    assert certified
+        assert rep.certificate is not None
+    # the Klein bottle's classes all lie at units, so its search builds
+    # no basis and its bound has no certificate to re-check
+    widths.clear()
+    rep = crit_bound(_twisted(_klein()), seed=0)
+    assert not widths and rep.certificate is None
 
 
 def test_a_cocycle_check_walks_only_the_cofaces_of_its_support(monkeypatch):
@@ -212,7 +215,7 @@ def test_a_cocycle_check_walks_only_the_cofaces_of_its_support(monkeypatch):
 
     monkeypatch.setattr(twisted.CoboundaryRows, "row", counting_row)
     monkeypatch.setattr(_CohomologyCache, "_is_cocycle", recording)
-    for space in (surface(2), connected_sum(torus(), torus())):
+    for space in (surface(2), connected_sum(torus(), torus()), surface(3)):
         crit_bound(_twisted(space), seed=0)
     assert checks
     for cached, fresh, distinct, bound, _rows in checks:
@@ -222,8 +225,10 @@ def test_a_cocycle_check_walks_only_the_cofaces_of_its_support(monkeypatch):
         rows for *_, rows in checks) / 2
 
 
-def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):
-    builds = []
+def _record_work(monkeypatch):
+    """The (monodromy key, degree) of every basis built, and the cache of
+    every cup-length search run, in the order they happen."""
+    builds, searches = [], []
     real_build = _CohomologyCache._build
 
     def recording(self, a, q):
@@ -231,7 +236,6 @@ def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):
         return real_build(self, a, q)
 
     monkeypatch.setattr(_CohomologyCache, "_build", recording)
-    searches = []
     real = invariants.cup_length
 
     def counting(*args, **kwargs):
@@ -239,10 +243,51 @@ def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(invariants, "cup_length", counting)
-    rep = crit_bound(_twisted(torus()), seed=0)
-    assert rep.cl_lower_bound == 0
+    return builds, searches
+
+
+def _wedge():
+    """The wedge of two circles with the class 1 on one of them: Novikov
+    numbers [0, 1, 1], so the surrogate has classes, and cl = 0."""
+    return one_relator_complex("aA", {"a": 1, "b": 0})
+
+
+def test_crit_bound_builds_each_basis_once_over_its_attempts(monkeypatch):
+    builds, searches = _record_work(monkeypatch)
+    rep = crit_bound(_twisted(_wedge()), seed=0)
+    assert rep.cl_lower_bound == 0 and rep.jumps.generic == [0, 1, 1]
     assert len(searches) == 3 and len({id(c) for c in searches}) == 1
     assert builds and len(builds) == len(set(builds))
+
+
+@pytest.mark.parametrize("name", ["torus", "rotation", "klein", "S1xS2"])
+def test_crit_bound_without_novikov_classes_runs_one_search(name,
+                                                            monkeypatch):
+    """With every Novikov number 0 the surrogate has no class, so a new
+    draw would repeat the search; and no non-unit candidate has a class,
+    so no product can reach two non-unit factors and no basis is built."""
+    space = {"torus": torus,
+             "rotation": lambda: mapping_torus(circle(3).complex,
+                                               {0: 1, 1: 2, 2: 0}),
+             "klein": _klein,
+             "S1xS2": lambda: sphere_product(2)}[name]()
+    builds, searches = _record_work(monkeypatch)
+    rep = crit_bound(_twisted(space), seed=0)
+    assert not any(rep.jumps.generic)
+    assert rep.cl_lower_bound == 0 and len(searches) == 1
+    assert builds == []
+
+
+def test_the_search_builds_no_unit_basis_in_degree_one(monkeypatch):
+    """On surface(2) the degree-1 classes at the unit monodromy 1 cannot
+    be a factor of a product with two non-unit factors in degree 2, so
+    their 4-dimensional basis is never built; the certificate's factors
+    are the surrogate pair."""
+    builds, searches = _record_work(monkeypatch)
+    rep = crit_bound(_twisted(surface(2)), seed=0)
+    assert rep.cl_lower_bound == 2 and len(searches) == 1
+    assert (scalar_key(Fraction(1)), 1) not in builds
+    assert [q for _key, q in builds] == [1, 1, 2]
 
 
 def _surface_cache():
@@ -260,6 +305,20 @@ def test_coordinates_of_representatives_and_coboundaries():
     assert cache.coords(one, 1, combo) == [3, 0, -1, 0]
     assert cache.dim(Fraction(2), 2) == 0
     assert cache.reps(Fraction(2), 2) == []
+
+
+def test_a_rational_monodromy_is_read_over_q_whatever_field_names_it():
+    """1 as an element of Q(r) and 1 as an element of another field share
+    one basis and one set of rows, both over Q, so a cochain of either
+    field finds its coordinates there, whichever field asked first."""
+    cache = _surface_cache()
+    one_r = _root() * _root().inverse()
+    other = NumberField([-2, 3, 1])
+    one_s = other.generator() * other.generator().inverse()
+    reps = cache.reps(one_r, 1)
+    assert all(type(x) is not FieldElement for v in reps for x in v.values())
+    v = {j: other.from_rational(x) for j, x in reps[2].items()}
+    assert cache.coords(one_s, 1, v) == [0, 0, 1, 0]
 
 
 def test_a_product_that_is_not_a_cocycle_is_refused():

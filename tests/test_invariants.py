@@ -6,13 +6,13 @@ import pytest
 from novikov.complexes import OneCocycle, validate_cocycle
 from novikov.corpus import (circle, connected_sum, one_relator_complex,
                             sphere_product, surface, torus)
-from novikov.errors import NotInSpan
+from novikov.errors import NotInSpan, ZeroMonodromy
 from novikov.invariants import (crit_bound, cup_length, default_candidates,
                                 jump_locus, novikov_numbers, report_json,
                                 thm3_bound, twisted_dims)
 from novikov.numfield import NumberField
 from novikov.polyq import Poly
-from novikov.twisted import TwistedComplex
+from novikov.twisted import DeformationComplex, TwistedComplex
 
 
 def test_novikov_numbers_known_spaces():
@@ -64,6 +64,16 @@ def test_twisted_dims_match_betti_at_unit():
     t = torus()
     red = TwistedComplex(t.complex, t.cocycle).reduced()
     assert twisted_dims(red, Fraction(2)) == [0, 0, 0]
+
+
+def test_twisted_dims_at_zero_are_read_where_the_complex_allows():
+    """a = 0 is read on the deformation route, where t = 0 gives
+    H*(N, wall+), and refused on the twisted route, by the complex each
+    reads rather than by twisted_dims."""
+    t = torus()
+    assert twisted_dims(DeformationComplex(t.cut).reduced(), 0) == [0, 0, 0]
+    with pytest.raises(ZeroMonodromy):
+        twisted_dims(TwistedComplex(t.complex, t.cocycle).reduced(), 0)
 
 
 def test_twisted_dims_agree_with_jump_report():
