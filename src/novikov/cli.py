@@ -23,13 +23,16 @@ from . import corpus, invariants
 from .errors import (InternalInconsistency, MalformedInput,
                      NotAChainComplex, NovikovError, ZeroMonodromy)
 from .numfield import NumberField
+from .polyq import cyclotomic_factor
 from .twisted import TwistedComplex
 
 
 def parse_scalar(text: str, option: str = "monodromy"):
     """p/q rational or @c0,c1,...: the root class of an integer minimal
     polynomial (exactness: the root is never approximated numerically).
-    ``option`` names the value in the error a malformed @c0,c1,... gives."""
+    A modulus with a cyclotomic factor other than itself is reducible and
+    refused.  ``option`` names the value in the error a malformed or
+    reducible @c0,c1,... gives."""
     text = text.strip()
     if text.startswith("@"):
         try:
@@ -38,7 +41,13 @@ def parse_scalar(text: str, option: str = "monodromy"):
             raise MalformedInput(
                 f"{option} {text!r}: @c0,c1,... takes integer "
                 "coefficients") from None
-        return NumberField(coeffs).generator()
+        field = NumberField(coeffs)
+        d = cyclotomic_factor(field.min_poly)
+        if d is not None:
+            raise MalformedInput(
+                f"{option} {text!r}: the modulus is reducible, with the "
+                f"cyclotomic factor Phi_{d}")
+        return field.generator()
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -118,15 +127,14 @@ def cmd_jumps(args):
 
 
 def cmd_twisted_dim(args):
-    _, twisted = _load_twisted(args)
     a = parse_scalar(args.a, "--a")
+    _, twisted = _load_twisted(args)
     dims = invariants.twisted_dims(twisted.reduced(), a)
     _emit(args, {"a": args.a, "dims": dims}, [f"dims at {args.a}: {dims}"])
     return 0
 
 
 def cmd_cup_length(args):
-    _, twisted = _load_twisted(args)
     # an algebraic candidate @c0,c1,... contains commas, so a list holding
     # one, even alone, is separated by semicolons, as --approximants is
     sep = ";" if {";", "@"} & set(args.candidates) else ","
@@ -135,6 +143,7 @@ def cmd_cup_length(args):
         raise MalformedInput(
             f"--candidates {args.candidates!r} has an empty entry")
     cands = [parse_scalar(c, "--candidates") for c in entries]
+    _, twisted = _load_twisted(args)
     jumps = invariants.jump_locus(twisted.reduced())
     rep = invariants.cup_length(twisted, cands, seed=args.seed)
     return _emit_crit(args, jumps, rep)
@@ -166,9 +175,15 @@ def _crit_lines(payload):
 
 
 def cmd_thm3_bound(args):
+    approximants = []
+    for chunk in args.approximants.split(";"):
+        try:
+            approximants.append([int(c) for c in chunk.split(",")])
+        except ValueError:
+            raise MalformedInput(
+                f"--approximants {args.approximants!r}: entry {chunk!r} "
+                "is not integers separated by commas") from None
     _, twisted = _load_twisted(args)
-    approximants = [[int(c) for c in chunk.split(",")]
-                    for chunk in args.approximants.split(";")]
     rep = invariants.thm3_bound(twisted, [twisted.z], approximants,
                                 seed=args.seed)
     # the report's own jumps belong to the best approximant, not the
@@ -194,11 +209,11 @@ def cmd_gen(args):
 
 
 def cmd_oracle_mv(args):
+    a = parse_scalar(args.a, "--a")
     space = _load_space(args)
     if space.cut is None:
         raise NovikovError("oracle-mv needs a generated mapping torus "
                            "(cut presentation missing)")
-    a = parse_scalar(args.a, "--a")
     h = corpus.mapping_torus_map(space.cut)
     if h is None:
         raise NovikovError("oracle-mv needs the cut that mapping_torus "

@@ -34,7 +34,7 @@ from .linalg import Span, cohomology, express, kernel, transpose
 from .numfield import (FieldElement, NumberField, Scalar, cache_key,
                        check_nonzero, is_dirichlet_unit, scalar_field,
                        scalar_key)
-from .polyq import Poly, coprime_basis, rational_roots, squarefree_factors
+from .polyq import Poly, coprime_basis, squarefree_factors
 from .twisted import (CoboundaryRows, ReducedComplex, TwistedComplex,
                       evaluate_rows)
 
@@ -55,7 +55,10 @@ class JumpReport:
     ``generic[q]`` is the Novikov number b_q; each entry records a monic
     squarefree factor, the degree, and the strictly larger dimension
     attained at the factor's roots.  No factor is a power of t, by
-    construction: the Smith forms are over Q[t, 1/t].
+    construction: the Smith forms are over Q[t, 1/t].  A factor is linear
+    or has no rational root: ``squarefree_factors`` splits every rational
+    root off, and the coprime basis keeps linear factors linear and
+    root-free ones root-free.
     """
 
     def __init__(self, generic, entries):
@@ -70,19 +73,13 @@ class JumpReport:
         return seen
 
     def rational_roots(self):
-        roots = []
-        for f in self.factors():
-            for r in rational_roots(f):
-                if r not in roots:
-                    roots.append(r)
-        return roots
+        """The root -c_0 of each linear factor t + c_0, a Fraction."""
+        return [Fraction(-f.constant_term()) for f in self.factors()
+                if f.degree == 1]
 
     def irrational_factors(self):
-        out = []
-        for f in self.factors():
-            if f.degree >= 2 and not rational_roots(f):
-                out.append(f)
-        return out
+        """The factors of degree >= 2, none of which has a rational root."""
+        return [f for f in self.factors() if f.degree >= 2]
 
     def __repr__(self):
         return f"JumpReport(generic={self.generic}, entries={self.entries})"
@@ -91,7 +88,7 @@ class JumpReport:
 def novikov_numbers(red: ReducedComplex):
     """Generic dimensions b_q of twisted cohomology, via Smith form ranks
     of the reduced coboundaries."""
-    b = [n - red.smith(q).rank - red.smith(q - 1).rank
+    b = [n - len(red.smith(q)) - len(red.smith(q - 1))
          for q, n in enumerate(red.sizes)]
     if (sum((-1) ** q * bq for q, bq in enumerate(b))
             != sum((-1) ** q * n for q, n in enumerate(red.full_sizes))):
@@ -113,13 +110,15 @@ def jump_locus(red: ReducedComplex) -> JumpReport:
     """
     generic = novikov_numbers(red)
     collected = [f for q in range(len(red.rows))
-                 for d in red.smith(q).divisors
+                 for d in red.smith(q)
                  for f, _mult in squarefree_factors(d)]
     entries = []
     for h in coprime_basis(collected):
+        # the rank of delta_q at h's roots: the divisors h does not divide
+        ranks = [sum(1 for d in red.smith(q) if not h.divides(d))
+                 for q in range(-1, len(red.sizes))]
         for q, n in enumerate(red.sizes):
-            dim = (n - red.smith(q).rank_at_factor_root(h)
-                   - red.smith(q - 1).rank_at_factor_root(h))
+            dim = n - ranks[q + 1] - ranks[q]
             if dim > generic[q]:
                 entries.append(JumpEntry(q, h.monic(), dim))
     return JumpReport(generic, entries)
@@ -316,11 +315,11 @@ def _add(u: dict, v: dict, c=1) -> dict:
 
 
 class _DPState:
-    """Achieved cup products at one (monodromy, degree, nonunits, length),
-    as coordinate vectors in the cohomology basis of that monodromy and
-    degree.  ``vectors`` keeps the products that enlarged the span, which
-    span all achieved products because the cup product is bilinear, each
-    with its provenance chain for certificate extraction.
+    """Achieved cup products at one (monodromy, field, degree, nonunits,
+    length), as coordinate vectors in the cohomology basis of that
+    monodromy and degree.  ``vectors`` keeps the products that enlarged
+    the span, which span all achieved products because the cup product is
+    bilinear, each with its provenance chain for certificate extraction.
     """
 
     def __init__(self, dim: int):
@@ -359,8 +358,10 @@ def _compatible_product(m: Scalar, a: Scalar):
 
 
 def _search(cache: _CohomologyCache, cands, require_nonunits: int):
-    """Dynamic programming over (accumulated monodromy, total degree,
-    non-Dirichlet-unit count, product length) in cohomology coordinates.
+    """Dynamic programming over (accumulated monodromy, its number field,
+    total degree, non-Dirichlet-unit count, product length) in cohomology
+    coordinates.  Products from two fields that reach one rational
+    monodromy keep separate states: their coordinates never share a span.
 
     Each state has a budget of non-unit factors.  Every non-unit factor
     adds at least s to the degree, s the least degree in which a non-unit
@@ -384,7 +385,7 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
     skipped = []
 
     def get_state(m, degree, nonunits, length):
-        key = (cache_key(m), degree, nonunits, length)
+        key = (cache_key(m), scalar_field(m), degree, nonunits, length)
         if key not in states:
             states[key] = (m, _DPState(cache.dim(m, degree)))
         return states[key][1]
@@ -416,8 +417,8 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
 
     for length in range(1, n):
         layer = [(key, m, st) for key, (m, st) in states.items()
-                 if key[3] == length and st.vectors]
-        for (mkey, degree, nonunits, _), m, st in layer:
+                 if key[4] == length and st.vectors]
+        for (mkey, _field, degree, nonunits, _), m, st in layer:
             for a, unit, degs in cand_info:
                 nu2 = min(nonunits + (0 if unit else 1), 2)
                 targets = [d for d in degs if within_budget(nu2, degree + d)]
@@ -442,7 +443,7 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
                                       ((a, d, w), prov))
 
     best, found = 0, None
-    for (_, degree, nonunits, length), (m, st) in states.items():
+    for (_, _field, degree, nonunits, length), (m, st) in states.items():
         if nonunits >= require_nonunits and st.vectors and length > best:
             best, found = length, (m, degree, st)
     return best, found, skipped
@@ -584,8 +585,8 @@ def default_candidates(jumps: JumpReport, rng: random.Random):
     factor, the unit monodromy, and a random rational surrogate pair."""
     cands = [Fraction(1)]
     for r in jumps.rational_roots():
-        for c in (r, 1 / r if r else None):
-            if c is not None and c != 0 and c not in cands:
+        for c in (r, 1 / r):
+            if c not in cands:
                 cands.append(c)
     for f in jumps.irrational_factors():
         root = NumberField(f.primitive_int_coeffs()).generator()

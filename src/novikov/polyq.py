@@ -352,3 +352,58 @@ def coprime_basis(polys: Sequence[Poly]):
             if not done:
                 break
     return work
+
+
+def _prime_divisors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _totient(n: int) -> int:
+    """Euler's phi of n >= 1."""
+    for p in _prime_divisors(n):
+        n = n // p * (p - 1)
+    return n
+
+
+def cyclotomic(d: int) -> Poly:
+    """The d-th cyclotomic polynomial Phi_d, of degree phi(d).
+
+    For d > 1 it is the product over squarefree k | d of (1 - t^(d/k))
+    to the power mu(k), read as a power series up to t^phi(d): each factor
+    multiplies by 1 - t^e or divides by it, in ints."""
+    if d == 1:
+        return Poly([-1, 1])
+    n = _totient(d)
+    primes = _prime_divisors(d)
+    c = [1] + [0] * n
+    for mask in range(1 << len(primes)):
+        k = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        e = d // k
+        if bin(mask).count("1") % 2 == 0:
+            for i in range(n, e - 1, -1):
+                c[i] -= c[i - e]
+        else:
+            for i in range(e, n + 1):
+                c[i] += c[i - e]
+    return Poly(c)
+
+
+def cyclotomic_factor(p: Poly):
+    """The least d such that Phi_d divides p and has a smaller degree, or
+    None.  Every d with phi(d) < deg p is tried; since phi(d) >=
+    sqrt(d / 2), all of them lie below 2 deg(p)^2."""
+    n = p.degree
+    for d in range(1, 2 * n * n):
+        if _totient(d) < n and cyclotomic(d).divides(p):
+            return d
+    return None

@@ -32,7 +32,6 @@ from .complexes import SimplicialComplex, OneCocycle, twisted_coboundary_values
 from .errors import (DegreeOutOfRange, DimensionMismatch, ExponentTooLarge,
                      NotAChainComplex, NotAnIsomorphism)
 from .linalg import Span, kernel, nullspace, rank, transpose
-from .matrix import SmithForm
 from .numfield import (Scalar, cache_key, check_nonzero, scalar_field,
                        scalar_key, scalar_pow)
 from .polyq import Poly
@@ -281,8 +280,8 @@ class ReducedComplex:
     ``sizes[q]`` counts them; ``rows[q]`` is the reduced delta_q as sparse
     Laurent rows, one per surviving (q+1)-cell, whose columns number the
     surviving q-cells by position.  ``dim_at`` evaluates these rows, and
-    ``smith(q)`` is their Smith form over Q[t, 1/t] (``_laurent_smith``),
-    computed once.
+    ``smith(q)`` lists the elementary divisors of their Smith form over
+    Q[t, 1/t] (``_laurent_smith``), computed once.
 
     ``pivots`` records every elimination in order as (q, tau, sigma, k, c,
     b, cleared): the pivot u = delta_q[tau][sigma] = c * t**k, the pivot
@@ -319,14 +318,15 @@ class ReducedComplex:
         if not self.at_zero:
             check_nonzero(a)
 
-    def smith(self, q: int) -> SmithForm:
-        """The Smith form of ``rows[q]`` over Q[t, 1/t], computed on first
-        use and kept; it has no divisor outside the degrees of ``rows``."""
-        form = self._smith.get(q)
-        if form is None:
-            form = self._smith[q] = _laurent_smith(
+    def smith(self, q: int) -> list:
+        """The elementary divisors of ``rows[q]`` over Q[t, 1/t], computed
+        on first use and kept; there are none outside the degrees of
+        ``rows``.  Their number is the generic rank of delta_q."""
+        divisors = self._smith.get(q)
+        if divisors is None:
+            divisors = self._smith[q] = _laurent_smith(
                 self.rows[q] if 0 <= q < len(self.rows) else [])
-        return form
+        return divisors
 
     def dim_at(self, q: int, a: Scalar) -> int:
         """dim H^q of the complex at t = a: the q-cells minus the ranks of
@@ -872,9 +872,13 @@ def _laurent_divmod(a: dict, b: dict):
             {e + i: c for e, c in enumerate(R.coeffs) if c})
 
 
-def _laurent_smith(rows) -> SmithForm:
-    """The Smith form over Q[t, 1/t] of sparse Laurent rows ``{column:
-    Laurent polynomial}``: the PID phase after the unit-pivot reduction.
+def _laurent_smith(rows) -> list:
+    """The elementary divisors d_1 | d_2 | ... | d_r over Q[t, 1/t] of
+    sparse Laurent rows ``{column: Laurent polynomial}``: the PID phase
+    after the unit-pivot reduction.  Each is monic with a nonzero constant
+    term (powers of t are units), r is the generic rank, and at any a != 0
+    the rows evaluated at a have the rank of the divisors that do not
+    vanish at a.
 
     Each stage takes the entry of least exponent span as its pivot, ties
     going to the least row, then the least column.  Row steps clear the
@@ -938,7 +942,7 @@ def _laurent_smith(rows) -> SmithForm:
         divisors.append(_as_poly(p)[1].monic())
         del M[i]
         M = [row for row in M if row]
-    return SmithForm(divisors)
+    return divisors
 
 
 def twisted_cohomology_dim(complex: SimplicialComplex, z: OneCocycle,

@@ -151,9 +151,9 @@ def test_a_lone_algebraic_candidate_is_one_candidate(tmp_path, monkeypatch):
         return search(twisted, cands, **kw)
 
     monkeypatch.setattr(invariants, "cup_length", spy)
-    for text in ("@-1,1,0,0,0,1", "2,3", "2;@1,1,1"):
+    for text in ("@2,0,0,0,0,1", "2,3", "2;@1,1,1"):
         assert run_cli(["cup-length", str(path), "--candidates", text])[0] == 0
-    assert seen == [[parse_scalar("@-1,1,0,0,0,1")], [2, 3],
+    assert seen == [[parse_scalar("@2,0,0,0,0,1")], [2, 3],
                     [2, parse_scalar("@1,1,1")]]
 
 
@@ -588,3 +588,77 @@ def test_no_bound_without_a_certificate(name, tmp_path):
             cert = doc["certificate"]
             assert cert is not None
             assert sum(not f["is_unit"] for f in cert["factors"]) >= 2
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["twisted-dim", "--a=@1,-3,2,-3,1"], "--a", "@1,-3,2,-3,1"),
+    (["twisted-dim", "--a=@-2,0,-1,0,1"], "--a", "@-2,0,-1,0,1"),
+    (["oracle-mv", "--a=@1,-3,2,-3,1"], "--a", "@1,-3,2,-3,1"),
+    (["cup-length", "--candidates", "2;@-2,0,-1,0,1"], "--candidates",
+     "@-2,0,-1,0,1"),
+])
+def test_a_modulus_with_a_cyclotomic_factor_is_refused(argv, option, value,
+                                                       tmp_path, capsys):
+    """(t^2 - 3t + 1)(t^2 + 1) and (t^2 - 2)(t^2 + 1) are reducible, through
+    their cyclotomic factor t^2 + 1: each exits 2 with one error line that
+    names the option and the value."""
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    capsys.readouterr()
+    assert run_cli([argv[0], str(path), *argv[1:]]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{option} {value!r}" in err and "Phi_4" in err, err
+
+
+@pytest.mark.parametrize("value", ["@1,1,1", "@1,0,1", "@-1,-3,2", "@-1,1"])
+def test_a_cyclotomic_or_irreducible_modulus_is_accepted(value, tmp_path):
+    """Phi_3, Phi_4 and Phi_1 are their own cyclotomic factor, and
+    2t^2 - 3t - 1 has none: twisted-dim answers at each, off the jump
+    locus of surface(2) but at t = 1, where H^1 has dimension 4."""
+    path = tmp_path / "surface.json"
+    path.write_text(gen("surface", "--genus", "2"))
+    code, raw = run_cli(["twisted-dim", str(path), "--json", f"--a={value}"])
+    assert code == 0
+    assert json.loads(raw)["dims"] == ([1, 4, 1] if value == "@-1,1"
+                                       else [0, 2, 0])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["twisted-dim", "--a=1/0"], "zero denominator in '1/0'"),
+    (["twisted-dim", "--a=@1,-3,2,-3,1"], "--a '@1,-3,2,-3,1'"),
+    (["oracle-mv", "--a=1/0"], "zero denominator in '1/0'"),
+    (["cup-length", "--candidates", "2;"], "--candidates '2;'"),
+    (["thm3-bound", "--approximants", "1;x"], "--approximants '1;x'"),
+])
+def test_options_are_read_before_the_input(argv, message, tmp_path, capsys,
+                                           monkeypatch):
+    """A refused option exits 2 before the space is loaded: the input is
+    never read."""
+    def no_load(args):
+        raise AssertionError("the input was loaded")
+
+    monkeypatch.setattr("novikov.cli._load_space", no_load)
+    path = tmp_path / "missing.json"
+    assert run_cli([argv[0], str(path), *argv[1:]]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err, err
+
+
+@pytest.mark.parametrize("approximants, entry",
+                         [("1;x", "x"), ("1;;2", ""), ("2,y", "2,y")])
+def test_a_malformed_approximant_is_refused_naming_the_entry(
+        approximants, entry, tmp_path, capsys):
+    """--approximants with an entry that is no comma list of integers exits
+    2 with one error line naming the option, the list and the entry, not
+    int()'s own message."""
+    path = tmp_path / "torus.json"
+    path.write_text(gen("torus"))
+    capsys.readouterr()
+    argv = ["thm3-bound", str(path), "--approximants", approximants]
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"--approximants {approximants!r}" in err, err
+    assert f"entry {entry!r}" in err and "int()" not in err, err

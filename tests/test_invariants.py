@@ -2,16 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from novikov.complexes import OneCocycle, validate_cocycle
 from novikov.corpus import (circle, connected_sum, one_relator_complex,
-                            sphere_product, surface, torus)
+                            space_from_json, sphere_product, surface, torus)
 from novikov.errors import NotInSpan, ZeroMonodromy
 from novikov.invariants import (crit_bound, cup_length, default_candidates,
                                 jump_locus, novikov_numbers, report_json,
                                 thm3_bound, twisted_dims)
 from novikov.numfield import NumberField
-from novikov.polyq import Poly
+from novikov.polyq import Poly, rational_roots
 from novikov.twisted import DeformationComplex, TwistedComplex
 
 
@@ -181,6 +182,71 @@ def test_baumslag_solitar_jump_is_not_reciprocal():
         == [1, 2]
     assert twisted_dims(red, Fraction(2)) == [0, 1, 1]
     assert twisted_dims(red, Fraction(1, 2)) == [0, 0, 0]
+
+
+def _reference_rational_roots(report):
+    """The rational roots of the jump factors by the rational root test,
+    in the order of the factors."""
+    roots = []
+    for f in report.factors():
+        for r in rational_roots(f):
+            if r not in roots:
+                roots.append(r)
+    return roots
+
+
+def _reference_irrational_factors(report):
+    """The jump factors of degree >= 2 that have no rational root."""
+    return [f for f in report.factors()
+            if f.degree >= 2 and not rational_roots(f)]
+
+
+def _assert_roots_read_off_the_factors(report):
+    """The report reads its rational roots off the linear factors, and
+    its irrational factors off their degree, as the root test would."""
+    roots = report.rational_roots()
+    assert roots == _reference_rational_roots(report)
+    assert all(type(r) is Fraction and r != 0 for r in roots)
+    assert report.irrational_factors() == _reference_irrational_factors(
+        report)
+    assert all(f.degree == 1 or not rational_roots(f)
+               for f in report.factors())
+
+
+def _designed_presentation(cs):
+    """The one-relator complex of prod_k t^k a^c_k t^-k, a -> 0, t -> 1,
+    whose jump factor in degree 1 is sum_k c_k t^k, up to units."""
+    word = "".join("t" * k + ("a" if c > 0 else "A") * abs(c) + "T" * k
+                   for k, c in enumerate(cs))
+    return one_relator_complex(word, {"t": 1, "a": 0})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-6, 6), min_size=2, max_size=5).filter(any))
+@example([-36, 36, -11, 1])                # (t - 2)(t - 3)(t - 6)
+@example([-6, 25, -46, 46, -25, 6])        # (t - 1)(2t^2-3t+2)(3t^2-5t+3)
+@example([-2, 0, 1])                       # t^2 - 2
+def test_jump_roots_of_designed_presentations(cs):
+    space = _designed_presentation(cs)
+    _assert_roots_read_off_the_factors(
+        jump_locus(TwistedComplex(space.complex, space.cocycle).reduced()))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 60))
+@example(12)
+@example(30)
+def test_jump_roots_of_period_triangles(period):
+    """The triangle boundary with period P on one edge jumps at the
+    factors of t^P - 1: t - 1, t + 1 for even P, and the rest of
+    degree >= 2."""
+    space = space_from_json({
+        "maximal_simplices": [[0, 1], [1, 2], [0, 2]],
+        "cocycle": {"edges": [[0, 1, period]]}})
+    report = jump_locus(TwistedComplex(space.complex, space.cocycle).reduced())
+    _assert_roots_read_off_the_factors(report)
+    assert sorted(report.rational_roots()) == ([-1, 1] if period % 2 == 0
+                                               else [1])
 
 
 def test_crit_bound_connected_sum():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novikov.polyq import (Poly, coprime_basis, poly_gcd, poly_xgcd,
+from novikov.polyq import (Poly, coprime_basis, cyclotomic,
+                           cyclotomic_factor, poly_gcd, poly_xgcd,
                            rational_roots, squarefree_factors)
 
 
@@ -154,3 +155,30 @@ def test_primitive_int_coeffs():
     p = Poly([Fraction(1), Fraction(-3, 2), Fraction(1)])
     assert p.primitive_int_coeffs() == (2, -3, 2)
     assert Poly([Fraction(-1, 2), Fraction(1, 2)]).primitive_int_coeffs() == (-1, 1)
+
+
+def test_cyclotomic_polynomials_multiply_to_t_n_minus_1():
+    """t^n - 1 is the product of Phi_d over d | n, and Phi_d has integer
+    coefficients; Phi_105 is the first with a coefficient -2."""
+    for n in range(1, 121):
+        product = Poly([1])
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = product * cyclotomic(d)
+        assert product == Poly.monomial(n) - Poly([1]), n
+    assert all(type(c) is int for c in cyclotomic(105).coeffs)
+    assert -2 in cyclotomic(105).coeffs
+
+
+def test_cyclotomic_factor_finds_a_proper_cyclotomic_divisor():
+    """The least d with Phi_d a proper factor, or None for a polynomial
+    that has none, a cyclotomic polynomial itself among them."""
+    phi4 = Poly([1, 0, 1])
+    assert cyclotomic_factor(Poly([1, -3, 1]) * phi4) == 4
+    assert cyclotomic_factor(Poly([-2, 0, 1]) * phi4) == 4
+    assert cyclotomic_factor(Poly([-1, 1, 0, 0, 0, 1])) == 6   # t^5 + t - 1
+    assert cyclotomic_factor(cyclotomic(7) * cyclotomic(9)) == 7
+    assert cyclotomic_factor(Poly([3, 0, 1]) * cyclotomic(30)) == 30
+    for p in (Poly([1, 1, 1]), phi4, Poly([-1, -3, 2]), cyclotomic(60),
+              Poly([2, 0, 0, 0, 0, 1]), Poly([-1, 1])):
+        assert cyclotomic_factor(p) is None, p

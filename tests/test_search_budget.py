@@ -8,19 +8,22 @@ import json
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
 from novikov import cli
 from novikov.cli import parse_scalar
 from novikov.corpus import (circle, connected_sum, mapping_torus,
-                            one_relator_complex, space_to_json,
-                            sphere_product, surface, torus)
+                            one_relator_complex, space_from_json,
+                            space_to_json, sphere_product, surface, torus)
 from novikov.invariants import (_CohomologyCache, _combine,
                                 _compatible_product, _DPState,
                                 _extract_certificate, _search,
-                                certificate_json)
-from novikov.numfield import cache_key, is_dirichlet_unit, scalar_key
+                                _verify_certificate, certificate_json,
+                                cup_length)
+from novikov.numfield import (cache_key, is_dirichlet_unit, scalar_field,
+                              scalar_key)
 from novikov.twisted import TwistedComplex
 
 
@@ -36,7 +39,7 @@ def _reference_search(cache, cands, require_nonunits, *, restrict=True):
     skipped = []
 
     def get_state(m, degree, nonunits, length):
-        key = (cache_key(m), degree, nonunits, length)
+        key = (cache_key(m), scalar_field(m), degree, nonunits, length)
         if key not in states:
             states[key] = (m, _DPState(cache.dim(m, degree)))
         return states[key][1]
@@ -61,8 +64,8 @@ def _reference_search(cache, cands, require_nonunits, *, restrict=True):
 
     for length in range(1, n):
         layer = [(key, m, st_) for key, (m, st_) in states.items()
-                 if key[3] == length and st_.vectors]
-        for (mkey, degree, nonunits, _), m, st_ in layer:
+                 if key[4] == length and st_.vectors]
+        for (mkey, _field, degree, nonunits, _), m, st_ in layer:
             for a, unit, degs in cand_info:
                 nu2 = min(nonunits + (0 if unit else 1), 2)
                 m2 = _compatible_product(m, a)
@@ -87,7 +90,7 @@ def _reference_search(cache, cands, require_nonunits, *, restrict=True):
                                       ((a, d, w), prov))
 
     best, found = 0, None
-    for (_, degree, nonunits, length), (m, st_) in states.items():
+    for (_, _field, degree, nonunits, length), (m, st_) in states.items():
         if nonunits >= require_nonunits and st_.vectors and length > best:
             best, found = length, (m, degree, st_)
     return best, found, skipped
@@ -201,3 +204,38 @@ def test_a_unit_factor_that_cannot_reach_two_non_units_is_no_skipped_pair(
         assert cli.main(["cup-length", str(path),
                          "--candidates", "@1,1,1;@-1,-3,2"]) == 0
     assert out.getvalue().splitlines() == PINNED_REPORT
+
+
+def _surface_wedge_sphere():
+    """surface(2) with the boundary of a tetrahedron glued on at vertex 0,
+    the class 0 on the sphere: twisted dims [1, 4, 2] at a = 1."""
+    doc = space_to_json(surface(2))
+    doc["maximal_simplices"] += [list(s) for s in
+                                 combinations([0, 1000, 1001, 1002], 3)]
+    doc.pop("cut", None)
+    return space_from_json(doc)
+
+
+def test_two_fields_that_reach_one_rational_monodromy_keep_two_states():
+    """r, a root of 2t^2 - 3t - 1, and s, a root of t^2 + 3t - 2, lie in
+    two number fields, and r * 1/r and s * 1/s both reach the monodromy 1,
+    where H^2 has dimension 2.  Each field keeps its own state there, so
+    no span mixes the two fields: the search certifies cl = 2, where it
+    raised FieldMismatch while the states were keyed by monodromy alone;
+    the certificate passes the re-check on a fresh cache, and the search
+    without the budget finds the same one."""
+    space = _surface_wedge_sphere()
+    twisted = TwistedComplex(space.complex, space.cocycle)
+    assert [twisted.reduced().dim_at(q, Fraction(1))
+            for q in range(3)] == [1, 4, 2]
+    r, s = parse_scalar("@-1,-3,2"), parse_scalar("@-2,3,1")
+    cands = [r, r.inverse(), s, s.inverse()]
+    rep = cup_length(twisted, cands)
+    assert rep.cl_lower_bound == 2 and rep.certificate.nonunit_count() == 2
+    _verify_certificate(_CohomologyCache(twisted), rep.certificate)
+    best, found, skipped = _reference_search(
+        _CohomologyCache(twisted), cands, 2)
+    assert best == 2
+    assert (_certificate(twisted, best, found)
+            == certificate_json(rep.certificate))
+    assert len(skipped) == len(rep.skipped)

@@ -23,7 +23,7 @@ from novikov.twisted import (MAX_EXPONENT, CoboundaryRows, CutPresentation,
 def test_twisted_complex_divisors_circle():
     c = circle(3)
     T = TwistedComplex(c.complex, c.cocycle)
-    divisors = T.reduced().smith(0).divisors
+    divisors = T.reduced().smith(0)
     assert divisors[-1] == divisors[-1].monic()
     assert divisors[-1].eval(Fraction(1)) == 0
     assert divisors[-1].degree == 1
@@ -105,8 +105,7 @@ def test_deformation_complex_cut_circle():
     assert D.top == 1 and D.sizes == [4, 4] and len(D.rows) == 1
     with pytest.raises(DegreeOutOfRange):
         D.dim_at(2, Fraction(1))
-    form = D.reduced().smith(0)
-    nonunit = [d for d in form.divisors if d.degree >= 1]
+    nonunit = [d for d in D.reduced().smith(0) if d.degree >= 1]
     assert len(nonunit) == 1 and nonunit[0].eval(Fraction(1)) == 0
     assert [D.dim_at(q, Fraction(1)) for q in (0, 1)] == [1, 1]
     assert [D.dim_at(q, Fraction(3)) for q in (0, 1)] == [0, 0]
