@@ -32,8 +32,7 @@ from .complexes import twisted_cup
 from .errors import InternalInconsistency, NotInSpan
 from .linalg import Span, cohomology, express, kernel, transpose
 from .numfield import (FieldElement, NumberField, Scalar, cache_key,
-                       check_nonzero, is_dirichlet_unit, scalar_field,
-                       scalar_key)
+                       check_nonzero, is_dirichlet_unit, scalar_field)
 from .polyq import Poly, coprime_basis, squarefree_factors
 from .twisted import (CoboundaryRows, ReducedComplex, TwistedComplex,
                       evaluate_rows)
@@ -479,8 +478,8 @@ def cup_length(twisted: TwistedComplex, candidates, *, seed=None,
     cands = []
     for a in candidates:
         check_nonzero(a)
-        key = scalar_key(a)
-        if any(scalar_key(c) == key for c in cands):
+        key = cache_key(a)
+        if any(cache_key(c) == key for c in cands):
             continue
         cands.append(a)
     cl, found, skipped = _search(cache, cands, 2)

@@ -231,26 +231,18 @@ def scalar_pow(a: Scalar, n: int) -> Scalar:
     return (a if isinstance(a, Fraction) else Fraction(a)) ** n
 
 
-def scalar_key(a: Scalar):
-    """Hashable canonical key; rational field elements collapse to their
-    rational value, which hashes and compares as the equal int or
-    Fraction does."""
-    if isinstance(a, FieldElement):
-        if a.is_rational():
-            return a.as_rational()
-        return (a.field.int_coeffs, a.residue.coeffs)
-    return a
-
-
 def cache_key(a: Scalar):
-    """A key for values kept per monodromy: (numerator, denominator) of a
-    rational a, rational field elements included, and ``scalar_key``'s
-    tuple for any other field element.  A pair of ints hashes without the
-    modular inverse that hashing a Fraction computes on every lookup."""
-    key = scalar_key(a)
-    if type(key) is tuple:
-        return key
-    return key.numerator, key.denominator
+    """The key of a monodromy, for values kept per monodromy and for
+    telling monodromies apart: (numerator, denominator) of a rational a,
+    rational field elements included, and (modulus, residue) coefficient
+    tuples for any other field element.  A pair of ints hashes without
+    the modular inverse that hashing a Fraction computes on every
+    lookup."""
+    if isinstance(a, FieldElement):
+        if not a.is_rational():
+            return a.field.int_coeffs, a.residue.coeffs
+        a = a.as_rational()
+    return a.numerator, a.denominator
 
 
 def scalar_field(a: Scalar):

@@ -9,7 +9,8 @@ is exact (``_reciprocal``), since two ints divided with ``/`` would give a
 float.  Values, equality and hashing do not depend on the mix, because an
 int and the equal Fraction compare and hash alike.  The Smith forms over
 Q[t, 1/t] divide in Q[t] after writing each Laurent entry as a power of t
-times a polynomial, and their divisors are polynomials.
+times a polynomial, and their divisors are polynomials.  Gcds run over Z,
+by ``poly_gcd``'s primitive remainder sequence.
 """
 
 from __future__ import annotations
@@ -204,10 +205,35 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd in Q[t]."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd in Q[t], by the primitive remainder sequence over Z: each
+    remainder is a pseudo-remainder with its content divided out, where
+    Euclid over Q lets numerators and denominators grow at every step.
+    Only the last remainder is made monic."""
+    a, b = a.primitive_int_coeffs(), b.primitive_int_coeffs()
+    while b:
+        a, b = b, _primitive_remainder(a, b)
+    return Poly(a).monic()
+
+
+def _primitive_remainder(a: tuple, b: tuple) -> tuple:
+    """The primitive part of a pseudo-remainder of the integer coefficient
+    tuples a by b != (): the top term is cancelled by r -> lead(b) * r -
+    c * t**shift * b while deg r >= deg b, and the result is divided by
+    the gcd of its coefficients; () if b divides a."""
+    r = list(a)
+    *low, lead = b
+    n = len(low)
+    while len(r) > n:
+        c = r.pop()
+        if c:
+            shift = len(r) - n
+            r = [x * lead for x in r]
+            for j, y in enumerate(low):
+                r[shift + j] -= c * y
+    while r and not r[-1]:
+        r.pop()
+    g = math.gcd(*r)
+    return tuple(x // g for x in r)
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -236,7 +262,9 @@ def _reciprocal(c):
 
 
 def rational_roots(p: Poly):
-    """All rational roots of p != 0, via the rational root test."""
+    """All rational roots of p != 0, sorted, via the rational root test:
+    a candidate is evaluated only if it passes the divisibility test
+    below."""
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
     ints = list(p.primitive_int_coeffs())
@@ -251,12 +279,22 @@ def rational_roots(p: Poly):
         return roots
     a0, an = abs(ints[0]), abs(ints[-1])
     q = Poly(ints)
+    # each candidate +-num/den is taken once, in lowest terms.  A root r/s
+    # in lowest terms makes q = (s*t - r) * S with S integral (Gauss's
+    # lemma), so s - r divides q(1) and s + r divides q(-1)
+    at_one, at_minus_one = q.eval(1), q.eval(-1)
+    dens = _divisors(an)
     for num in _divisors(a0):
-        for den in _divisors(an):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
+        for den in dens:
+            if math.gcd(num, den) != 1:
+                continue
+            for r in (num, -num):
+                if (den != r and at_one % (den - r)
+                        or den != -r and at_minus_one % (den + r)):
+                    continue
                 # an integral candidate is tried as an int: q stays in ints
-                x = cand.numerator if cand.denominator == 1 else cand
-                if q.eval(x) == 0 and cand not in roots:
+                cand = Fraction(r, den)
+                if q.eval(r if den == 1 else cand) == 0:
                     roots.append(cand)
     return sorted(roots)
 

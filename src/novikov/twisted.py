@@ -33,7 +33,7 @@ from .errors import (DegreeOutOfRange, DimensionMismatch, ExponentTooLarge,
                      NotAChainComplex, NotAnIsomorphism)
 from .linalg import Span, kernel, nullspace, rank, transpose
 from .numfield import (Scalar, cache_key, check_nonzero, scalar_field,
-                       scalar_key, scalar_pow)
+                       scalar_pow)
 from .polyq import Poly
 
 
@@ -149,8 +149,8 @@ def _evaluator(a: Scalar):
                 if x is None:
                     if e < 0:
                         check_nonzero(a)
-                    if (abs(e) > MAX_EXPONENT
-                            and scalar_key(a) not in (0, 1, -1)):
+                    if (abs(e) > MAX_EXPONENT and cache_key(a)
+                            not in {(0, 1), (1, 1), (-1, 1)}):
                         raise ExponentTooLarge(
                             f"t**{e} at a monodromy other than 0, 1 and -1: "
                             f"exponents beyond {MAX_EXPONENT} are refused")
@@ -291,10 +291,13 @@ class ReducedComplex:
     "Morse theory from an algebraic viewpoint", 2006), evaluated at a
     scalar by ``g`` and ``f``, with f g the identity, and the homotopy
     ``h``, with x - g f x = delta h x + h delta x; ``ft`` is f
-    transposed.  The maps take and return sparse vectors ``{index: nonzero
-    value}``, indexed by simplex on the full complex and by position in
-    ``cells[q]`` on the reduced one; they store no zero, and each visits
-    only the steps its vector's support reaches.
+    transposed.  Each degree's pivots make two ``_Pass``es, one over the
+    pivot rows and one over the cleared entries: g and ft pull one, f
+    pushes the cleared one, and h pushes, then pulls.  The maps take and
+    return sparse vectors ``{index: nonzero value}``, indexed by simplex
+    on the full complex and by position in ``cells[q]`` on the reduced
+    one; they store no zero, and each visits only the steps its vector's
+    support reaches.
 
     ``at_zero`` says whether the complex may be read at t = 0, as that of
     ``DeformationComplex`` is: its entries are polynomials in t and its
@@ -350,42 +353,32 @@ class ReducedComplex:
         return r
 
     def g(self, q: int, a: Scalar):
-        """The inclusion C_red^q -> C^q at t = a.
+        """The inclusion C_red^q -> C^q at t = a: the rows pass of degree
+        q pulled.
 
         A reduced cochain is extended to the eliminated cells in reverse
         order of elimination: sigma of a degree-q pivot gets
         -u**-1 * sum_kappa b[kappa] x[kappa], which makes the coboundary
-        vanish on tau, and a q-cell eliminated as tau gets 0.  A step's
-        terms -u**-1 * b[kappa] are evaluated at a the first time some
-        x[kappa] is nonzero, and kept for later vectors.
+        vanish on tau, and a q-cell eliminated as tau gets 0.
         """
-        self._check_point(a)
-        extend = _extension(self._steps("g", q), a)
-        cells = self.cells[q]
-
-        def g(x):
-            full = {cells[i]: v for i, v in x.items()}
-            extend(full, {})
-            return full
-        return g
+        return self._placed(self._pass("rows", q), q, a)
 
     def f(self, q: int, a: Scalar):
-        """The projection C^q -> C_red^q at t = a.
+        """The projection C^q -> C_red^q at t = a: the cleared pass of
+        degree q - 1 pushed.
 
         For each pivot of degree q - 1, whose tau is a q-cell, in
         elimination order, every cleared rho loses
         delta_{q-1}[rho][sigma] * u**-1 times the value on tau; then the
-        vector is restricted to the surviving cells.  A step's terms
-        delta_{q-1}[rho][sigma] * u**-1 are evaluated at a the first time
-        a vector is nonzero on its tau, and kept for later vectors.
+        vector is restricted to the surviving cells.
         """
         self._check_point(a)
-        clear = self._forward(q, a)
+        push = self._pass("cleared", q - 1).push(a)
         cells = self.cells[q]
 
         def f(v):
             y = dict(v)
-            clear(y, None)
+            push(y, None)
             return {i: y[cell] for i, cell in enumerate(cells) if cell in y}
         return f
 
@@ -394,174 +387,160 @@ class ReducedComplex:
         x - g f x = delta h x + h delta x in every degree.
 
         It composes the one-step homotopies y -> u**-1 * y[tau] at sigma
-        of the pivots of degree q - 1.  The pass of ``f`` over them, in
-        elimination order, records u**-1 * y[tau] for each, y as that pass
-        has left the vector so far; the pass of ``g`` in degree q - 1, in
-        reverse order, then sets each sigma to its recorded value plus
-        -u**-1 * sum_kappa b[kappa] z[kappa], starting from zero.  Both
-        passes evaluate a step's terms only when a vector first needs
-        them.
+        of the pivots of degree q - 1.  The push of ``f`` records
+        u**-1 * y[tau] for each, y as the push has left the vector so far;
+        the pull of ``g`` in degree q - 1 then sets each sigma to its
+        recorded value plus -u**-1 * sum_kappa b[kappa] z[kappa], starting
+        from zero.
         """
         self._check_point(a)
-        clear = self._forward(q, a)
-        extend = _extension(self._steps("g", q - 1), a)
+        push = self._pass("cleared", q - 1).push(a)
+        pull = self._pass("rows", q - 1).pull(a)
 
         def h(x):
             values, out = {}, {}
-            clear(dict(x), values)
-            extend(out, values)
+            push(dict(x), values)
+            pull(out, values)
             return out
         return h
 
     def ft(self, q: int, a: Scalar):
         """The transpose of ``f`` at t = a, C_red^q -> C^q on dual vectors
-        (chains).
+        (chains): the cleared pass of degree q - 1 pulled.
 
         A reduced chain is placed on the surviving cells; then, for each
         pivot of degree q - 1 in reverse elimination order, tau gets
         minus the sum over the cleared rho of delta_{q-1}[rho][sigma] *
         u**-1 * c[rho].  It is a chain map of the dual complexes because f
-        is one.  A step's terms are evaluated at a the first time some
-        c[rho] is nonzero, and kept for later vectors.
+        is one.
         """
+        return self._placed(self._pass("cleared", q - 1), q, a)
+
+    def _placed(self, steps: "_Pass", q: int, a: Scalar):
+        """x -> x placed on the surviving q-cells, then steps pulled."""
         self._check_point(a)
-        extend = _extension(self._steps("ft", q), a)
+        pull = steps.pull(a)
         cells = self.cells[q]
 
-        def ft(c_red):
-            full = {cells[i]: v for i, v in c_red.items()}
-            extend(full, {})
+        def placed(x):
+            full = {cells[i]: v for i, v in x.items()}
+            pull(full, {})
             return full
-        return ft
+        return placed
 
-    def _forward(self, q: int, a: Scalar):
-        """The pass of ``f`` over the pivots of degree q - 1, as a function
-        of a q-cochain y, changed in place, and a dict or None: the dict
-        receives u**-1 * y[tau] at sigma for each step with y[tau] != 0.
-        A pivot that cleared nothing only drops y[tau].
-
-        Only the steps whose tau is in y's support are visited, in
-        elimination order through a heap of step numbers.  A step reads and
-        drops y[tau], skips its entries that vanish at a, and adds entries
-        only at later taus: the rows it clears were not yet eliminated."""
-        ev = _evaluator(a)
-        steps, order = self._steps("f", q)
-        known = [None] * len(steps)
-
-        def clear(y, values):
-            todo = [order[tau] for tau in y if tau in order]
-            heapify(todo)
-            while todo:
-                i = heappop(todo)
-                tau, sigma, k, c, cleared = steps[i]
-                yt = y.pop(tau, None)
-                if yt is None:
-                    continue
-                step = known[i]
-                if step is None:
-                    w = ev({-k: c})   # u**-1
-                    step = known[i] = (w, [(rho, x) for rho, p in cleared
-                                           if (x := w * ev(p))])
-                if values is not None:
-                    values[sigma] = step[0] * yt
-                for rho, w in step[1]:
-                    v = y.get(rho, 0) - w * yt
-                    if not v:
-                        del y[rho]
-                        continue
-                    if rho not in y and rho in order:
-                        heappush(todo, order[rho])
-                    y[rho] = v
-        return clear
-
-    def _steps(self, kind: str, q: int):
-        """The steps of a pass in degree q, built on first use and kept:
-        they do not depend on a, so the maps at every point share them.
-
-        * "g": (sigma, k, c, pivot row) of the pivots of degree q, and
-          "ft": (tau, k, c, cleared) of those of degree q - 1, each in
-          reverse elimination order, as a ``_Pass``;
-        * "f", read by ``f`` and ``h``: (tau, sigma, k, c, cleared) of the
-          pivots of degree q - 1 in elimination order, with the map from
-          tau to step number.
-        """
-        key = (kind, q)
-        steps = self._passes.get(key)
+    def _pass(self, kind: str, q: int) -> "_Pass":
+        """The pass of the pivots of degree q, built on first use and kept:
+        it does not depend on a, so the maps at every point share it.  A
+        "rows" step is (sigma, tau, k, c, pivot row), a "cleared" step
+        (tau, sigma, k, c, cleared entries)."""
+        steps = self._passes.get((kind, q))
         if steps is None:
-            if kind == "g":
-                steps = _Pass((sigma, k, c, b.items()) for pq, _tau, sigma,
-                              k, c, b, _cleared in reversed(self.pivots)
-                              if pq == q)
-            elif kind == "ft":
-                steps = _Pass((tau, k, c, cleared) for pq, tau, _sigma, k,
-                              c, _b, cleared in reversed(self.pivots)
-                              if pq == q - 1)
-            else:
-                steps = [(tau, sigma, k, c, cleared)
-                         for pq, tau, sigma, k, c, _b, cleared in self.pivots
-                         if pq == q - 1]
-                steps = steps, {step[0]: i for i, step in enumerate(steps)}
-            self._passes[key] = steps
+            rows = kind == "rows"
+            steps = self._passes[kind, q] = _Pass(
+                (sigma, tau, k, c, b.items()) if rows
+                else (tau, sigma, k, c, cleared)
+                for pq, tau, sigma, k, c, b, cleared in self.pivots
+                if pq == q)
         return steps
 
 
 class _Pass(list):
-    """The steps (cell, k, c, terms) of a pass of ``_extension``, in
-    reverse elimination order, with its index: ``order`` maps a step's
-    cell to its number, and ``readers`` maps a cell to the numbers of the
-    steps whose terms hold it."""
+    """The steps (cell, partner, k, c, terms) of the pivots u = c * t**k
+    of one degree, in elimination order: each eliminated ``cell``, its
+    ``partner`` in the pivot and ``terms``, (j, Laurent polynomial) pairs.
+    ``order`` maps a step's cell to its number, and ``readers`` maps a j
+    to the numbers of the steps whose terms hold it.
+
+    ``pull`` walks the steps against elimination order, each setting its
+    cell from the terms; ``push`` walks them in order, each moving its
+    cell's value into the terms.  On the cleared entries of a degree the
+    two are transposes of each other.  A map at a evaluates a step's
+    weights the first time a vector needs them and keeps them for later
+    vectors, and visits only the steps its vector's support reaches,
+    through a heap of step numbers."""
 
     def __init__(self, steps):
         super().__init__(steps)
         self.order = {step[0]: i for i, step in enumerate(self)}
         self.readers = {}
-        for i, (_cell, _k, _c, terms) in enumerate(self):
+        for i, (_cell, _partner, _k, _c, terms) in enumerate(self):
             for j, _p in terms:
                 self.readers.setdefault(j, []).append(i)
 
+    def pull(self, a: Scalar):
+        """A function of a sparse vector, changed in place, and a dict of
+        values added at the cells: each step, last eliminated first, sets
+        its cell to its value plus -u**-1 * sum_j terms[j] * vector[j] at
+        t = a.  A step sets only its own cell, which only earlier steps
+        read: a step's terms stood when its pivot was taken, so they hold
+        no cell eliminated before it."""
+        ev = _evaluator(a)
+        order, readers = self.order, self.readers
+        known = [None] * len(self)
 
-def _extension(steps: _Pass, a: Scalar):
-    """Steps (cell, k, c, terms) of a pass in reverse elimination order, as
-    a function of a sparse vector, changed in place, and a dict of values
-    added at the cells: each step sets its cell, one eliminated, to its
-    value plus -(c * t**k)**-1 * sum_j terms[j] * vector[j] at t = a.  A
-    step's products are evaluated the first time the vector has an entry
-    at some j, and kept for later vectors.
+        def pull(full, values):
+            # step numbers negated, so that the heap pops the last first
+            todo = [-i for j in full for i in readers.get(j, ())]
+            todo += [-order[cell] for cell in values]
+            heapify(todo)
+            last = None
+            while todo:
+                i = -heappop(todo)
+                if i == last:
+                    continue
+                last = i
+                cell, _partner, k, c, terms = self[i]
+                acc = values.get(cell, 0)
+                products = known[i]
+                if products is None and any(j in full for j, _p in terms):
+                    w = ev({-k: -c})   # -u**-1
+                    products = known[i] = [(j, w * ev(p)) for j, p in terms]
+                for j, w in products or ():
+                    v = full.get(j)
+                    if v is not None:
+                        acc += w * v
+                if acc:
+                    full[cell] = acc
+                    for r in readers.get(cell, ()):
+                        heappush(todo, -r)
+        return pull
 
-    Only the steps that the vector's support or the values reach are
-    visited, in order, through a heap of step numbers and the pass's
-    index, built with its steps.  A step sets only its own cell, which
-    only later steps read: the terms of an earlier step are a row of a
-    pivot taken after that cell was eliminated."""
-    ev = _evaluator(a)
-    order, readers = steps.order, steps.readers
-    known = [None] * len(steps)
+    def push(self, a: Scalar):
+        """A function of a sparse vector y, changed in place, and a dict or
+        None: each step, in elimination order, drops y[cell] and subtracts
+        u**-1 * terms[j] * y[cell] at every j, and the dict receives
+        u**-1 * y[cell] at the partner.  Terms that vanish at a are skipped.
+        A step adds entries only at later cells: the rows it clears were
+        not yet eliminated."""
+        ev = _evaluator(a)
+        order = self.order
+        known = [None] * len(self)
 
-    def extend(full, values):
-        todo = [i for j in full for i in readers.get(j, ())]
-        todo += [order[cell] for cell in values]
-        heapify(todo)
-        last = -1
-        while todo:
-            i = heappop(todo)
-            if i == last:
-                continue
-            last = i
-            cell, k, c, terms = steps[i]
-            acc = values.get(cell, 0)
-            products = known[i]
-            if products is None and any(j in full for j, _p in terms):
-                w = ev({-k: -c})   # -u**-1
-                products = known[i] = [(j, w * ev(p)) for j, p in terms]
-            for j, w in products or ():
-                v = full.get(j)
-                if v is not None:
-                    acc += w * v
-            if acc:
-                full[cell] = acc
-                for r in readers.get(cell, ()):
-                    heappush(todo, r)
-    return extend
+        def push(y, values):
+            todo = [order[cell] for cell in y if cell in order]
+            heapify(todo)
+            while todo:
+                i = heappop(todo)
+                cell, partner, k, c, terms = self[i]
+                yc = y.pop(cell, None)
+                if yc is None:
+                    continue
+                step = known[i]
+                if step is None:
+                    w = ev({-k: c})   # u**-1
+                    step = known[i] = (w, [(j, x) for j, p in terms
+                                           if (x := w * ev(p))])
+                if values is not None:
+                    values[partner] = step[0] * yc
+                for j, w in step[1]:
+                    v = y.get(j, 0) - w * yc
+                    if not v:
+                        del y[j]
+                        continue
+                    if j not in y and j in order:
+                        heappush(todo, order[j])
+                    y[j] = v
+        return push
 
 
 def _collapse(q: int, R, C, units, pivots, alive) -> None:

@@ -20,7 +20,7 @@ from novikov.errors import InternalInconsistency
 from novikov.invariants import (_CohomologyCache, certificate_json,
                                 crit_bound, cup_length)
 from novikov.linalg import Span
-from novikov.numfield import FieldElement, NumberField, scalar_key
+from novikov.numfield import FieldElement, NumberField, cache_key
 from novikov.twisted import TwistedComplex, coboundary_image_vectors
 
 # cl_lower_bound as the cochain-level search first gave it, certificate_json
@@ -137,7 +137,7 @@ def test_pinned_certificate_is_a_cocycle_and_no_coboundary(name):
         v = twisted_cup(X, z, d, e, m, a, v, _sparse(w))
         m, d = m * a, d + e
     v = [v.get(j, 0) for j in range(X.n_simplices(d))]
-    assert scalar_key(m) == scalar_key(_scalar(cert["product_monodromy"]))
+    assert cache_key(m) == cache_key(_scalar(cert["product_monodromy"]))
     assert d == cert["total_degree"]
     assert is_cocycle(m, d, v)
     span = Span()
@@ -232,7 +232,7 @@ def _record_work(monkeypatch):
     real_build = _CohomologyCache._build
 
     def recording(self, a, q):
-        builds.append((scalar_key(a), q))
+        builds.append((cache_key(a), q))
         return real_build(self, a, q)
 
     monkeypatch.setattr(_CohomologyCache, "_build", recording)
@@ -286,7 +286,7 @@ def test_the_search_builds_no_unit_basis_in_degree_one(monkeypatch):
     builds, searches = _record_work(monkeypatch)
     rep = crit_bound(_twisted(surface(2)), seed=0)
     assert rep.cl_lower_bound == 2 and len(searches) == 1
-    assert (scalar_key(Fraction(1)), 1) not in builds
+    assert (cache_key(Fraction(1)), 1) not in builds
     assert [q for _key, q in builds] == [1, 1, 2]
 
 

@@ -184,6 +184,22 @@ def test_baumslag_solitar_jump_is_not_reciprocal():
     assert twisted_dims(red, Fraction(1, 2)) == [0, 0, 0]
 
 
+def test_a_jump_factor_of_degree_100():
+    """The relator a^c_0 t a^c_1 t ... a^c_100 t^-100, with random c_k in
+    -3..3 and c_100 = 1, has the Fox derivative sum_k c_k t^k by a, a
+    jump factor of degree 100 in degrees 1 and 2.  Its squarefree test
+    takes gcds of degree 100 with integer coefficients."""
+    rng = random.Random(0)
+    cs = [rng.randint(-3, 3) for _ in range(100)] + [1]
+    word = "t".join(("a" if c > 0 else "A") * abs(c) for c in cs)
+    space = one_relator_complex(word + "T" * 100, {"t": 1, "a": 0})
+    report = jump_locus(TwistedComplex(space.complex, space.cocycle).reduced())
+    assert report.generic == [0, 0, 0]
+    assert [(e.q, e.factor, e.dim) for e in report.entries] == [
+        (0, Poly([-1, 1]), 1), (1, Poly([-1, 1]), 1),
+        (1, Poly(cs), 1), (2, Poly(cs), 1)]
+
+
 def _reference_rational_roots(report):
     """The rational roots of the jump factors by the rational root test,
     in the order of the factors."""

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from novikov.errors import ZeroMonodromy
-from novikov.numfield import (FieldElement, NumberField, check_nonzero,
-                              is_dirichlet_unit, scalar_key)
+from novikov.numfield import (FieldElement, NumberField, cache_key,
+                              check_nonzero, is_dirichlet_unit)
 from novikov.polyq import Poly
 from reference_charpoly import min_poly
 
@@ -127,7 +127,7 @@ def test_min_poly_at_degree_998():
 
 def test_scalar_helpers():
     K = NumberField([-2, 0, 1])
-    assert scalar_key(K.from_rational(5)) == scalar_key(Fraction(5))
+    assert cache_key(K.from_rational(5)) == cache_key(Fraction(5))
     for a in (3, Fraction(2, 3), K.generator()):
         assert check_nonzero(a) is a
     for zero in (0, Fraction(0), K.zero()):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novikov.polyq import (Poly, coprime_basis, cyclotomic,
+from novikov.polyq import (Poly, _divisors, coprime_basis, cyclotomic,
                            cyclotomic_factor, poly_gcd, poly_xgcd,
                            rational_roots, squarefree_factors)
 
@@ -97,6 +97,32 @@ def test_gcd_properties():
         assert u * a + v * b == g
 
 
+def _euclid_gcd(a, b):
+    """The monic gcd by Euclid over Q, whose remainders' coefficients grow
+    with every step: the reference for ``poly_gcd``, which works over Z."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+small_polys = st.lists(st.integers(-6, 6), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_polys, small_polys, small_polys, st.booleans(),
+       st.integers(1, 4))
+def test_gcd_over_z_is_euclid_over_q(a, b, common, fractions, den):
+    """On products with a common factor, integer or with Fraction
+    coefficients, poly_gcd gives Euclid's monic gcd in ints and
+    Fractions."""
+    if fractions:
+        a = [Fraction(c, den) for c in a]
+    a, b = Poly(a) * Poly(common), Poly(b) * Poly(common)
+    got = poly_gcd(a, b)
+    assert got == _euclid_gcd(a, b)
+    assert all(type(c) in (int, Fraction) for c in got.coeffs)
+
+
 def test_eval_horner():
     p = Poly([2, -3, 2])
     assert p.eval(Fraction(1)) == 1
@@ -110,6 +136,41 @@ def test_rational_roots():
     p = Poly([-2, 1]) * Poly([1, 3]) * Poly([1, 0, 1])
     roots = set(rational_roots(p))
     assert roots == {Fraction(2), Fraction(-1, 3)}
+
+
+def _unfiltered_rational_roots(p):
+    """The rational root test with every candidate +-num/den evaluated:
+    the reference for ``rational_roots``, which filters them first."""
+    ints = list(p.primitive_int_coeffs())
+    roots = []
+    while ints[0] == 0:
+        ints.pop(0)
+        if not roots:
+            roots.append(Fraction(0))
+    q = Poly(ints)
+    if q.degree < 1:
+        return roots
+    for num in _divisors(ints[0]):
+        for den in _divisors(ints[-1]):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if q.eval(cand) == 0 and cand not in roots:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)),
+                max_size=3),
+       st.lists(st.integers(-9, 9), max_size=4), st.integers(1, 30))
+def test_filtered_rational_roots_are_the_root_test(planted, cofactor, lead):
+    """rational_roots equals the unfiltered test on polynomials with
+    planted roots r/s, s t - r a factor, and ends of many divisors."""
+    p = Poly(cofactor + [lead])
+    for r, s in planted:
+        p = p * Poly([-r, s])
+    roots = rational_roots(p)
+    assert roots == _unfiltered_rational_roots(p)
+    assert all(Fraction(r, s) in roots for r, s in planted)
 
 
 def test_squarefree_factors_known_cases():

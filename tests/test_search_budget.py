@@ -22,8 +22,7 @@ from novikov.invariants import (_CohomologyCache, _combine,
                                 _extract_certificate, _search,
                                 _verify_certificate, certificate_json,
                                 cup_length)
-from novikov.numfield import (cache_key, is_dirichlet_unit, scalar_field,
-                              scalar_key)
+from novikov.numfield import cache_key, is_dirichlet_unit, scalar_field
 from novikov.twisted import TwistedComplex
 
 
@@ -160,7 +159,7 @@ def candidate_lists(draw):
     if draw(st.booleans()):
         for a in list(cands):
             b = 1 / a if isinstance(a, Fraction) else a.inverse()
-            if all(scalar_key(b) != scalar_key(c) for c in cands):
+            if all(cache_key(b) != cache_key(c) for c in cands):
                 cands.append(b)
     return cands
 

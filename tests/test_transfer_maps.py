@@ -1,8 +1,8 @@
 """The homotopy h and the transpose fT of the transfer maps against the
 identities that define them, on cochains of every degree, with the
 unreduced coboundary taken from ``twisted_coboundary_values``; and the
-passes of g, h and fT, which follow their vector's support, against the
-scan over every step that they replaced."""
+pull and push of ``twisted._Pass``, which follow their vector's support,
+against scans over every step, through all four maps."""
 
 from fractions import Fraction
 from unittest import mock
@@ -95,15 +95,16 @@ def test_ft_is_the_transpose_of_f(instance, data):
         assert _pairing(red.f(q, a)(x), c) == _pairing(x, ft_c), (q, a)
 
 
-def _full_scan_extension(steps, a):
-    """The pass of g, h and fT as it was before it followed the support:
-    every step, in order, tests whether the vector has an entry in its
-    terms.  The reference for ``twisted._extension``."""
+def _full_scan_pull(steps, a):
+    """``_Pass.pull`` as it was before it followed the support: every step,
+    last eliminated first, tests whether the vector has an entry in its
+    terms."""
     ev = twisted._evaluator(a)
     known = [None] * len(steps)
 
-    def extend(full, values):
-        for i, (cell, k, c, terms) in enumerate(steps):
+    def pull(full, values):
+        for i in reversed(range(len(steps))):
+            cell, _partner, k, c, terms = steps[i]
             acc = values.get(cell, 0)
             if any(j in full for j, _p in terms):
                 products = known[i]
@@ -116,7 +117,34 @@ def _full_scan_extension(steps, a):
                         acc += w * v
             if acc:
                 full[cell] = acc
-    return extend
+    return pull
+
+
+def _full_scan_push(steps, a):
+    """``_Pass.push`` without its heap: every step, in elimination order,
+    tests whether the vector has an entry at its cell."""
+    ev = twisted._evaluator(a)
+    known = [None] * len(steps)
+
+    def push(y, values):
+        for i, (cell, partner, k, c, terms) in enumerate(steps):
+            yc = y.pop(cell, None)
+            if yc is None:
+                continue
+            if known[i] is None:
+                w = ev({-k: c})
+                known[i] = (w, [(j, x) for j, p in terms
+                                if (x := w * ev(p))])
+            w, products = known[i]
+            if values is not None:
+                values[partner] = w * yc
+            for j, x in products:
+                v = y.get(j, 0) - x * yc
+                if v:
+                    y[j] = v
+                else:
+                    del y[j]
+    return push
 
 
 def _listed(vec):
@@ -129,10 +157,10 @@ def _listed(vec):
        st.sampled_from([Fraction(1), Fraction(2, 3)]), st.booleans(),
        st.data())
 def test_support_pass_is_the_full_scan(name, a, gauge, data):
-    """g, h and fT through the support-following pass give the values,
-    the types and the dict order of the full scan, on the class as given
-    or gauge-changed, for vectors that reach few or many steps; each map
-    is applied twice, so the second vector meets kept products."""
+    """g, f, h and fT through the support-following pull and push give the
+    values, the types and the dict order of the full scans, on the class
+    as given or gauge-changed, for vectors that reach few or many steps;
+    each map is applied twice, so the second vector meets kept weights."""
     space = corpus_space(name)
     X, z = space.complex, space.cocycle
     if gauge:
@@ -142,8 +170,9 @@ def test_support_pass_is_the_full_scan(name, a, gauge, data):
     for q in range(X.dim + 1):
         xs = [_cochain(data.draw, X.n_simplices(q), a) for _ in range(2)]
         cs = [_cochain(data.draw, red.sizes[q], a) for _ in range(2)]
-        maps = [(red.g, cs), (red.h, xs), (red.ft, cs)]
+        maps = [(red.g, cs), (red.f, xs), (red.h, xs), (red.ft, cs)]
         got = [[_listed(m(q, a)(v)) for v in vs] for m, vs in maps]
-        with mock.patch.object(twisted, "_extension", _full_scan_extension):
+        with mock.patch.multiple(twisted._Pass, pull=_full_scan_pull,
+                                 push=_full_scan_push):
             want = [[_listed(m(q, a)(v)) for v in vs] for m, vs in maps]
         assert got == want, (name, q, a)
