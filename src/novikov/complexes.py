@@ -26,7 +26,6 @@ class SimplicialComplex:
         self.index = [dict(zip(level, range(len(level))))
                       for level in self.simplices]
         self._cup_tables = {}
-        self._coface_tables = {}
 
     @property
     def dim(self) -> int:
@@ -78,21 +77,6 @@ class SimplicialComplex:
             self._cup_tables[(p, q)] = table
         return table
 
-    def coface_table(self, q: int):
-        """Entry i lists the (q+1)-simplices that have the i-th q-simplex
-        as a face, by index; every entry is empty in the top degree.  Built
-        on first use and kept per q."""
-        table = self._coface_tables.get(q)
-        if table is None:
-            index = self.index[q]
-            table = [[] for _ in self.simplices[q]]
-            for s, sigma in enumerate(self.simplices[q + 1]
-                                      if q < self.dim else ()):
-                for i in range(len(sigma)):
-                    table[index[sigma[:i] + sigma[i + 1:]]].append(s)
-            self._coface_tables[q] = table
-        return table
-
     def maximal_simplices(self):
         """Simplices with no proper coface, all dimensions."""
         out = []
@@ -135,7 +119,6 @@ class OneCocycle:
     def __init__(self, complex: SimplicialComplex, values: dict):
         self.complex = complex
         self.values = dict(values)
-        self._front_exponents = {}
 
     def value(self, u: int, v: int) -> int:
         if u < v:
@@ -146,18 +129,6 @@ class OneCocycle:
         """Sum of edge values along consecutive vertices of ``path``."""
         return sum(self.value(path[i], path[i + 1])
                    for i in range(len(path) - 1))
-
-    def front_exponents(self, complex: SimplicialComplex, p: int):
-        """The transport exponent z(v_0 -> v_p) of every p-simplex of
-        ``complex``, in index order; any complex whose edges carry values
-        of z will do.  Kept per p, for the list of p-simplices it was
-        built from."""
-        level = complex.simplices[p]
-        cached = self._front_exponents.get(p)
-        if cached is None or cached[0] is not level:
-            cached = self._front_exponents[p] = (
-                level, [self.transport_exponent(s) for s in level])
-        return cached[1]
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values.values())
@@ -203,8 +174,10 @@ def twisted_cup(complex: SimplicialComplex, z: OneCocycle, p: int, q: int,
         (alpha cup beta)(v_0..v_{p+q})
             = alpha(v_0..v_p) * a2**z(v_0 -> v_p) * beta(v_p..v_{p+q})
 
-    The transport exponent z(v_0 -> v_p) is path-independent within a
-    simplex by the cocycle condition.
+    The transport exponent z(v_0 -> v_p) is the class's value on the
+    front edge (v_0, v_p), 0 when p = 0: by the cocycle condition, which
+    ``validate_cocycle`` checks on every triangle, it is the sum of z
+    along any path through the simplex.
 
     Cochains are sparse, ``{simplex index: nonzero value}``, and so is the
     result: no zero is stored.  Each entry of alpha walks the
@@ -217,12 +190,13 @@ def twisted_cup(complex: SimplicialComplex, z: OneCocycle, p: int, q: int,
     if p + q > complex.dim:
         return {}
     cofaces = complex.cup_table(p, q)
-    exponents = z.front_exponents(complex, p)
+    fronts, values = complex.simplices[p], z.values
     powers = {}
     out = {}
     for i, av in alpha.items():
         if cofaces[i]:
-            t = exponents[i]
+            front = fronts[i]
+            t = values[front[0], front[p]] if p else 0
             w = powers.get(t)
             if w is None:
                 w = powers[t] = scalar_pow(a2, t)

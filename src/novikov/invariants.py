@@ -189,16 +189,17 @@ class _CohomologyCache:
     ``{index: nonzero value}``, and each cost follows a vector's support:
     a cup product costs the entries of its left factor times their
     cofaces, and the representatives g gives are mostly zero.  A cocycle
-    check walks only the rows of the cofaces of its vector's support in
-    ``coboundary(a, q)``, the TwistedComplex's unreduced rows at a, each
-    evaluated the first time a check meets it.  Everything else reads the
-    unit-pivot-reduced complex C_red and its transfer maps at t = a,
-    g: C_red -> C and f: C -> C_red (``ReducedComplex.g``/``f``), with
-    f g = id.  ``dim`` reads dim H^q(E_a) off the reduced ranks, so a
-    degree whose cohomology vanishes costs one rank evaluation.  Otherwise
-    ``linalg.cohomology`` of the reduced coboundaries at a gives a basis of
-    H^q(E_a) among the reduced cocycles and the coordinates of a reduced
-    cocycle's class in it, and ``reps`` are the basis's images under g.
+    check walks only the rows that ``TwistedComplex.columns(q)`` lists for
+    its vector's support in ``coboundary(a, q)``, the TwistedComplex's
+    unreduced rows at a, each evaluated the first time a check meets it.
+    Everything else reads the unit-pivot-reduced complex C_red and its
+    transfer maps at t = a, g: C_red -> C and f: C -> C_red
+    (``ReducedComplex.g``/``f``), with f g = id.  ``dim`` reads
+    dim H^q(E_a) off the reduced ranks, so a degree whose cohomology
+    vanishes costs one rank evaluation.  Otherwise ``linalg.cohomology``
+    of the reduced coboundaries at a gives a basis of H^q(E_a) among the
+    reduced cocycles and the coordinates of a reduced cocycle's class in
+    it, and ``reps`` are the basis's images under g.
     ``coords(v)`` checks that v is a cocycle against the cochain-level
     coboundary at a, then reads the coordinates of f(v).
     ``constants`` holds the cup structure constants

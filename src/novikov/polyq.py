@@ -306,15 +306,11 @@ def linear_factor(r) -> Poly:
 
 
 def _divisors(n: int):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    """The positive divisors of n != 0, sorted: the products of the prime
+    powers of |n|."""
+    out = [1]
+    for p, e in _factor(abs(n)).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
@@ -392,23 +388,27 @@ def coprime_basis(polys: Sequence[Poly]):
     return work
 
 
-def _prime_divisors(n: int) -> list:
-    """The distinct primes dividing n >= 1, by trial division."""
-    out, p = [], 2
+def _factor(n: int) -> dict:
+    """{prime: exponent} of n >= 1, primes ascending, by trial division
+    that divides out each prime it finds, so it stops at the square root
+    of what is left."""
+    out, p = {}, 2
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
+                e += 1
+            out[p] = e
         p += 1
     if n > 1:
-        out.append(n)
+        out[n] = 1
     return out
 
 
 def _totient(n: int) -> int:
     """Euler's phi of n >= 1."""
-    for p in _prime_divisors(n):
+    for p in _factor(n):
         n = n // p * (p - 1)
     return n
 
@@ -422,7 +422,7 @@ def cyclotomic(d: int) -> Poly:
     if d == 1:
         return Poly([-1, 1])
     n = _totient(d)
-    primes = _prime_divisors(d)
+    primes = list(_factor(d))
     c = [1] + [0] * n
     for mask in range(1 << len(primes)):
         k = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)

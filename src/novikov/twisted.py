@@ -190,9 +190,10 @@ class CoboundaryRows:
     Row tau of the TwistedComplex's delta_q is evaluated the first time a
     product needs it, and kept.  ``apply`` and ``apply_transpose`` take and
     return sparse vectors ``{index: nonzero value}`` and walk only the rows
-    that meet their vector's support, the first through the complex's
-    coface table, so each costs in proportion to that support and the
-    cofaces of its cells, not to the number of simplices.
+    that meet their vector's support: ``apply`` the rows that
+    ``columns(q)`` lists for its cells, so a cocycle check walks the very
+    rows that passed delta^2 = 0.  Each costs in proportion to that
+    support and those rows, not to the number of simplices.
     """
 
     def __init__(self, twisted: "TwistedComplex", q: int, a: Scalar):
@@ -214,11 +215,11 @@ class CoboundaryRows:
     def apply(self, vec: dict) -> dict:
         """delta_q vec at a for a q-cochain; {} exactly when vec is a
         cocycle."""
-        cofaces = self.twisted.complex.coface_table(self.q)
+        columns = self.twisted.columns(self.q)
         rows = self._rows
         out = {}
         for j, x in vec.items():
-            for tau in cofaces[j]:
+            for tau in columns[j]:
                 v = x * (rows.get(tau) or self.row(tau))[j]
                 old = out.get(tau)
                 out[tau] = v if old is None else old + v
@@ -250,6 +251,20 @@ class LaurentComplex:
         self.sizes = sizes
         self.at_zero = at_zero
         self._reduced = None
+        self._columns = {}
+
+    def columns(self, q: int):
+        """Entry j lists the rows of delta_q that have an entry in column
+        j, in ascending order; every entry is empty in the top degree.
+        Built on first use and kept per q."""
+        table = self._columns.get(q)
+        if table is None:
+            table = self._columns[q] = [[] for _ in range(self.sizes[q])]
+            for tau, row in enumerate(
+                    self.rows[q] if q < len(self.rows) else ()):
+                for j in row:
+                    table[j].append(tau)
+        return table
 
     def reduced(self) -> "ReducedComplex":
         """The unit-pivot-reduced complex with its transfer maps, built on

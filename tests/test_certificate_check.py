@@ -15,6 +15,7 @@ from novikov.invariants import (_CohomologyCache, _verify_certificate,
                                 crit_bound, cup_length)
 from novikov.numfield import NumberField
 from novikov.twisted import ReducedComplex, TwistedComplex
+from test_invariants import _designed_presentation
 
 
 def _root():
@@ -151,3 +152,29 @@ def test_corrupted_witness_maps_give_no_bound(method, monkeypatch):
     monkeypatch.setattr(ReducedComplex, method, _shifted(method))
     with pytest.raises(InternalInconsistency, match="certificate"):
         crit_bound(TwistedComplex(space.complex, space.cocycle), seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("cs, cl", [
+    ([-36, 36, -11, 1], 2),                # (t - 2)(t - 3)(t - 6)
+    ([6, -5, 1], 0),                       # (t - 2)(t - 3)
+    ([8, -6, 1], 0),                       # (t - 2)(t - 4)
+])
+def test_non_unit_jump_roots_certify_the_paper_case(cs, cl, seed):
+    """On a designed presentation whose class jumps at rational roots
+    other than +-1, the bound is a product of two non-unit classes, and
+    its certificate passes the re-check on a fresh cache.  The class is
+    nonzero on the relator's disk, so the cup products read its values on
+    front edges of a complex that is no mapping torus."""
+    space = _designed_presentation(cs)
+    rep = crit_bound(TwistedComplex(space.complex, space.cocycle),
+                     seed=seed)
+    assert (rep.cl_lower_bound, rep.crit_bound) == (cl, max(cl - 1, 0))
+    cert = rep.certificate
+    if not cl:
+        assert cert is None
+        return
+    assert [(a, d, unit) for a, d, _w, unit in cert.factors] == [
+        (2, 1, False), (3, 1, False)]
+    _verify_certificate(_CohomologyCache(
+        TwistedComplex(space.complex, space.cocycle)), cert)

@@ -157,6 +157,20 @@ def test_matrix_level_oracle_anosov():
     assert mv_dims_from_matrices(mats, root.inverse())[1] == 1
 
 
+def test_matrix_level_oracle_reads_a_not_its_inverse():
+    """An h* whose eigenvalues are not closed under a -> 1/a pins the
+    oracle's convention: H^1 jumps at the eigenvalue 2 of h*_1, not at
+    1/2, and at the root sqrt(2) of t^2 - 2, not at 1/sqrt(2)."""
+    from novikov.numfield import NumberField
+    doubling = [[[1]], [[2]]]
+    assert mv_dims_from_matrices(doubling, 2) == [0, 1, 1]
+    assert mv_dims_from_matrices(doubling, Fraction(1, 2)) == [0, 0, 0]
+    companion = [[[1]], [[0, 2], [1, 0]]]
+    root = NumberField([-2, 0, 1]).generator()
+    assert mv_dims_from_matrices(companion, root) == [0, 1, 1]
+    assert mv_dims_from_matrices(companion, root.inverse()) == [0, 0, 0]
+
+
 def test_connected_sum_bookkeeping():
     t = torus()
     s = connected_sum(t, t)

@@ -198,7 +198,7 @@ def test_a_cocycle_check_walks_only_the_cofaces_of_its_support(monkeypatch):
     real_is_cocycle = _CohomologyCache._is_cocycle
 
     def recording(self, a, q, vec):
-        cofaces = self.complex.coface_table(q)
+        cofaces = self.twisted.columns(q)
         support = list(vec)
         bound = sum(len(cofaces[j]) for j in support)
         before = len(evaluated)

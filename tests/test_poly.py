@@ -158,6 +158,37 @@ def _unfiltered_rational_roots(p):
     return sorted(roots)
 
 
+def _divisors_by_trial(n):
+    """The divisors of n != 0 by the plain loop, the reference: every d
+    up to sqrt(|n|) tried, with its cofactor."""
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                 st.integers(1, 200).map(lambda k: 720720 * k)))
+def test_divisors_are_the_products_of_prime_powers(n):
+    assert _divisors(n) == _divisors_by_trial(n)
+
+
+def test_divisors_of_a_large_smooth_number():
+    """10**24 = 2**24 * 5**24 has 25**2 divisors, listed without trying
+    every d up to 10**12."""
+    divisors = _divisors(10 ** 24)
+    assert len(divisors) == 625
+    assert divisors[0] == 1 and divisors[-1] == 10 ** 24
+    assert all(10 ** 24 % d == 0 for d in divisors)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)),
                 max_size=3),
