@@ -108,9 +108,11 @@ def jump_locus(red: ReducedComplex) -> JumpReport:
     factor's roots is well defined.
     """
     generic = novikov_numbers(red)
-    collected = [f for q in range(len(red.rows))
-                 for d in red.smith(q)
-                 for f, _mult in squarefree_factors(d)]
+    # each distinct divisor is factored once: t - 1, say, divides in two
+    # degrees of every surface, and coprime_basis drops repeats anyway
+    divisors = dict.fromkeys(d for q in range(len(red.rows))
+                             for d in red.smith(q))
+    collected = [f for d in divisors for f, _mult in squarefree_factors(d)]
     entries = []
     for h in coprime_basis(collected):
         # the rank of delta_q at h's roots: the divisors h does not divide

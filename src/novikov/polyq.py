@@ -388,22 +388,99 @@ def coprime_basis(polys: Sequence[Poly]):
     return work
 
 
-def _factor(n: int) -> dict:
-    """{prime: exponent} of n >= 1, primes ascending, by trial division
-    that divides out each prime it finds, so it stops at the square root
-    of what is left."""
-    out, p = {}, 2
-    while p * p <= n:
+# Trial division runs below _TRIAL; the strong probable-prime test to the
+# first 13 prime bases proves primality below _PROVEN (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_TRIAL = 1000
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN = 3317044064679887385961981
+
+
+def _trial_divide(n: int, out: dict, stop: int) -> int:
+    """Divide out of n every d with 2 <= d < stop and d*d <= n, adding
+    the prime exponents to out; return what is left."""
+    p = 2
+    while p * p <= n and p < stop:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
-            out[p] = e
+            out[p] = out.get(p, 0) + e
         p += 1
-    if n > 1:
-        out[n] = 1
-    return out
+    return n
+
+
+def _composite_witnessed(n: int) -> bool:
+    """Whether some base of _BASES shows the odd n > 41 composite."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return True
+    return False
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of
+    Pollard's rho on t -> t^2 + c, c = 1, 2, ... until one splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:   # the batch overshot: step back one term at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factor(n: int) -> dict:
+    """{prime: exponent} of n >= 1, primes ascending.
+
+    Trial division below _TRIAL; each cofactor left is then prime if it
+    is below _TRIAL**2, split by Pollard-Brent rho if a base shows it
+    composite, proven prime below _PROVEN, and trial-divided otherwise,
+    so no primality is ever assumed."""
+    out = {}
+    n = _trial_divide(n, out, _TRIAL)
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if m >= _TRIAL * _TRIAL and _composite_witnessed(m):
+            d = _pollard_brent(m)
+            todo += [d, m // d]
+        elif m < _PROVEN:
+            out[m] = out.get(m, 0) + 1
+        else:
+            m = _trial_divide(m, out, m)
+            if m > 1:
+                out[m] = out.get(m, 0) + 1
+    return dict(sorted(out.items()))
 
 
 def _totient(n: int) -> int:

@@ -636,7 +636,8 @@ def _unit_pivot_reduction(deltas, sizes, *, at_zero=False) -> ReducedComplex:
     columns of delta_q are built in one pass when its degree is reached,
     without the q-cells already eliminated as a tau; ``is_unit`` is asked
     then once per distinct entry object, which the entries +-1 of
-    coboundary rows share, and once per entry a Schur update changes.  An
+    coboundary rows share, and once per entry a Schur update changes,
+    except the fill-ins of a contraction (below).  An
     entry's stamp orders it within its row: an initial entry's is its
     position in ``deltas[q][tau]``, a filled-in entry's is drawn from a
     counter above every position.  Each stamp is written once, when its
@@ -669,6 +670,18 @@ def _unit_pivot_reduction(deltas, sizes, *, at_zero=False) -> ReducedComplex:
     lengths changed, recompute their least, and so does a column whose
     least entry lies in a cleared row that grew; any other column's least
     changes only when a new key beats it.
+
+    Most pivots of this phase are contractions: the pivot row holds one
+    entry besides sigma, a monomial at a column mu.  Its term, times
+    -u**-1, is read once per pivot, and each monomial entry it clears
+    moves to mu in one step.  A fill-in at mu is a monomial whose unit
+    status is read off its coefficient (and, at t = 0, its exponent), so
+    ``is_unit`` is not asked; the row keeps its length, so its only new key
+    goes to mu's column heap, if that exists.  A merge with the entry at mu
+    updates or cancels it as the Schur update would.  The entries, stamps
+    and keys are those the general update makes, only reached with less
+    work, so the pivot order stays the rule's.  Every other cleared entry,
+    and every other pivot, takes the general update.
     """
     is_unit = _is_constant_unit if at_zero else _is_unit
     alive = [dict.fromkeys(range(n)) for n in sizes]
@@ -743,6 +756,14 @@ def _unit_pivot_reduction(deltas, sizes, *, at_zero=False) -> ReducedComplex:
             for kappa in pivot_row:
                 C[kappa].discard(tau)
             (k, c), = pivot_row.pop(sigma).items()
+            # a contraction: the pivot row holds one other entry, a
+            # monomial, kept as the term (em, cm) of -u**-1 * delta[tau][mu]
+            mu = None
+            if len(pivot_row) == 1:
+                (kappa, p), = pivot_row.items()
+                if len(p) == 1:
+                    (em, cm), = p.items()
+                    mu, em, cm, col_mu = kappa, em - k, -c * cm, C[kappa]
             cleared = []
             worse = []
             for rho in C.pop(sigma):
@@ -753,43 +774,57 @@ def _unit_pivot_reduction(deltas, sizes, *, at_zero=False) -> ReducedComplex:
                 cleared.append((rho, entry))
                 # the Schur update; after a free face, whose pivot row held
                 # only sigma, the row just gets shorter
-                if pivot_row:
-                    # f = -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k;
-                    # a monomial f is kept as its term (ef, cf), and its
-                    # product with a monomial entry is formed in place
-                    if len(entry) == 1:
-                        (ef, cf), = entry.items()
-                        ef -= k
-                        cf *= -c
-                        f = None
+                if mu is not None and len(entry) == 1:
+                    # a monomial moves to mu in one step
+                    (e, v), = entry.items()
+                    e += em
+                    v *= cm
+                    old = row.get(mu)
+                    if old is None:
+                        # a fill-in: the row keeps its length, so its one
+                        # new key goes to mu's column heap, if that exists
+                        row[mu] = {e: v}
+                        col_mu.add(rho)
+                        s = next(new_stamp)
+                        if abs(v) == 1 and not (at_zero and e):
+                            u[mu] = s
+                            h = by_col.get(mu)
+                            if h is not None:
+                                heappush(h, (length, rho, s))
+                        else:
+                            other[rho, mu] = s
+                        continue
+                    new = dict(old)
+                    v += new.get(e, 0)
+                    if v:
+                        new[e] = v
                     else:
-                        f = {e - k: -c * v for e, v in entry.items()}
+                        del new[e]
+                    if not new:
+                        del row[mu]
+                        col_mu.discard(rho)
+                        u.pop(mu, None)
+                    else:
+                        row[mu] = new
+                        if is_unit(new):
+                            if mu not in u:
+                                u[mu] = other.pop((rho, mu))
+                        elif mu in u:
+                            other[rho, mu] = u.pop(mu)
+                elif pivot_row:
+                    # f = -delta[rho][sigma] * u**-1, with u**-1 = c * t**-k
+                    f = {e - k: -c * v for e, v in entry.items()}
                     for kappa, p in pivot_row.items():
                         old = row.get(kappa)
                         if old is None:   # a fill-in, never zero
-                            if f is None and len(p) == 1:
-                                (e, v), = p.items()
-                                new = {e + ef: v * cf}
-                            else:
-                                new = _add_product({}, f or {ef: cf}, p)
-                            row[kappa] = new
+                            row[kappa] = new = _add_product({}, f, p)
                             C[kappa].add(rho)
                             if is_unit(new):
                                 u[kappa] = next(new_stamp)
                             else:
                                 other[rho, kappa] = next(new_stamp)
                             continue
-                        if f is None and len(p) == 1:
-                            (e, v), = p.items()
-                            e += ef
-                            new = dict(old)
-                            v = new.get(e, 0) + cf * v
-                            if v:
-                                new[e] = v
-                            else:
-                                del new[e]
-                        else:
-                            new = _add_product(old, f or {ef: cf}, p)
+                        new = _add_product(old, f, p)
                         if not new:
                             del row[kappa]
                             C[kappa].discard(rho)

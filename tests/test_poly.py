@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novikov.polyq import (Poly, _divisors, coprime_basis, cyclotomic,
-                           cyclotomic_factor, poly_gcd, poly_xgcd,
+from novikov.polyq import (Poly, _divisors, _factor, coprime_basis,
+                           cyclotomic, cyclotomic_factor, poly_gcd, poly_xgcd,
                            rational_roots, squarefree_factors)
 
 
@@ -187,6 +187,57 @@ def test_divisors_of_a_large_smooth_number():
     assert len(divisors) == 625
     assert divisors[0] == 1 and divisors[-1] == 10 ** 24
     assert all(10 ** 24 % d == 0 for d in divisors)
+
+
+def _factor_by_trial(n):
+    """{prime: exponent} of n >= 1 by trial division up to the square root
+    of what is left."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _next_prime(n):
+    while _factor_by_trial(n) != {n: 1}:
+        n += 1
+    return n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10 ** 6))
+def test_factor_is_trial_division_below_a_million(n):
+    f = _factor(n)
+    assert f == _factor_by_trial(n)
+    assert list(f) == sorted(f)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 4), st.integers(0, 10 ** 4),
+       st.sampled_from([1, 2, 3, 12]))
+def test_factor_splits_products_of_two_primes_near_a_billion(i, j, small):
+    """Pollard-Brent rho splits the cofactor left by trial division, and
+    the primes come in ascending order: against trial division on a
+    product near 10**9 of two primes near its square root, and against the
+    planted primes for a product of two primes near 10**9."""
+    p, r = _next_prime(31000 + i), _next_prime(31000 + j)
+    n = small * p * r
+    assert _factor(n) == _factor_by_trial(n)
+    assert list(_factor(n)) == sorted(_factor(n))
+    p, r = _next_prime(10 ** 9 + i), _next_prime(10 ** 9 + 2 * 10 ** 4 + j)
+    assert list(_factor(small * p * r).items()) == list(
+        _factor_by_trial(small).items()) + [(p, 1), (r, 1)]
+
+
+def test_factor_proves_a_prime_near_ten_to_the_24():
+    """Its square root is 10**12: the strong probable-prime test to the
+    prime bases 2..41 proves it prime without trial division."""
+    assert _factor(10 ** 24 + 7) == {10 ** 24 + 7: 1}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

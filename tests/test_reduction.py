@@ -514,9 +514,24 @@ def _disk_mod_vertices():
         X, build_complex([(v,) for v in X.vertices()]), T.z)
 
 
-def _matrix(rows):
+def _matrix(rows, at_zero=False):
     """One delta_0 of four columns over Z[t, 1/t], reduced."""
-    return twisted._unit_pivot_reduction([rows], [4, len(rows)])
+    return twisted._unit_pivot_reduction([rows], [4, len(rows)],
+                                         at_zero=at_zero)
+
+
+def _contraction(entry, mu_entry=None, pivot_mu=None, at_zero=False):
+    """A delta_0 whose first pivot, at row 0 and column 0, is a
+    contraction: row 0 holds 1 at column 0 and the monomial ``pivot_mu``
+    (1 unless given) at column 1.  It clears row 1, which holds ``entry``
+    at column 0 and ``mu_entry``, if given, at column 1."""
+    one = {0: 1}
+    cleared = {0: entry, 2: one, 3: one}
+    if mu_entry is not None:
+        cleared[1] = mu_entry
+    rows = [{0: one, 1: pivot_mu or one}, cleared, {1: one, 2: one, 3: one},
+            {2: one, 3: one}]
+    return _matrix(rows, at_zero)
 
 
 def _relative(name):
@@ -553,11 +568,31 @@ def _relative(name):
                      {3: {0: 2}, 2: {2: 1}, 1: {0: 1, 1: 1}, 0: {0: 1}},
                      {0: {0: -1}, 1: {0: -1}},
                      {1: {2: 1}, 3: {0: -1}, 2: {1: 1}}]),
+    # a pivot row holding one other monomial moves each monomial it clears
+    # in one step: a fill-in that is a unit or not, a merge that cancels,
+    # leaves a unit or leaves two terms; a cleared entry of two terms takes
+    # the Schur update
+    lambda: _contraction({0: 1}),
+    lambda: _contraction({0: 2}),
+    lambda: _contraction({0: 1}, mu_entry={0: 1}),
+    lambda: _contraction({0: 1}, mu_entry={0: 2}),
+    lambda: _contraction({0: 1}, mu_entry={1: 1}),
+    lambda: _contraction({0: 1, 1: 1}),
+    # read at t = 0, the pivot row's t makes the fill-in -t of row 1 no
+    # unit, though it would be the next pivot if it were one, and the
+    # fill-in -1 of row 2, from its entry t**-1, a unit
+    lambda: _matrix([{0: {0: 1}, 1: {1: 1}}, {0: {0: 1}, 2: {0: 2}},
+                     {0: {-1: 1}, 2: {0: 1}, 3: {0: 1}},
+                     {1: {0: 1}, 2: {0: 1}, 3: {0: 1}}], at_zero=True),
 ], ids=["torus-deformation", "klein-deformation", "order3-deformation",
         "surface(2)-relative", "order3-relative", "S1xSigma2", "order3",
         "S1xS3", "S1xS2", "disk", "disk-relative", "punctured-surface(2)",
         "cone", "dangling-edge", "column-heap-after-a-free-face",
-        "stamps-of-a-shortened-row"])
+        "stamps-of-a-shortened-row", "contraction-unit-fill-in",
+        "contraction-fill-in-of-2", "contraction-merge-cancels",
+        "contraction-merge-leaves-a-unit",
+        "contraction-merge-keeps-two-terms", "contraction-two-term-entry",
+        "contraction-at-zero"])
 def test_pivot_order_is_the_scan_rule(build, monkeypatch):
     """Deformation complexes (constant pivots only), relative complexes,
     S1 x Sigma_2, the spaces of the jumps benchmark that the corpus
@@ -597,6 +632,27 @@ def test_unit_predicate_is_asked_a_few_times_per_entry(monkeypatch):
     assert red.sizes == [1, 9, 9, 1]
     entries = sum(len(row) for rows in T.rows for row in rows)
     assert calls <= 10 * entries
+
+
+def test_a_contraction_reads_unit_status_off_the_coefficient(monkeypatch):
+    """On surface(4) most pivots of the Markowitz phase hold one other
+    monomial in their row: the fill-ins they make are monomials whose unit
+    status is read off their coefficient, so the reduction asks the
+    predicate 33 times, against 173 with a test per fill-in."""
+    space = surface(4)
+    T = TwistedComplex(space.complex, space.cocycle)
+    calls = 0
+    real = twisted._is_unit
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return real(p)
+
+    monkeypatch.setattr(twisted, "_is_unit", counted)
+    red = twisted._unit_pivot_reduction(T.rows, T.sizes)
+    assert red.sizes == [1, 8, 1]
+    assert calls <= 40
 
 
 def test_a_disk_pivots_in_columns_of_length_one():
