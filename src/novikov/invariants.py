@@ -8,7 +8,8 @@ random rational surrogate standing in for a transcendental point, 1, and
 the inverses of all of these.  The surrogate is redrawn only while it
 has classes: while the class is nonzero and some Novikov number in
 positive degree is nonzero.  The search forms only the products that
-can still reach the two non-unit factors the bound counts.
+can still reach the two non-unit factors the bound counts, each the
+first time one of its offers reads it.
 
 Every invariant takes the one complex it reads.  The Novikov numbers,
 the jump locus and the twisted dimensions take a ReducedComplex: they
@@ -201,14 +202,18 @@ class _CohomologyCache:
     vanishes costs one rank evaluation.  Otherwise ``linalg.cohomology``
     of the reduced coboundaries at a gives a basis of H^q(E_a) among the
     reduced cocycles and the coordinates of a reduced cocycle's class in
-    it, and ``reps`` are the basis's images under g.
-    ``coords(v)`` checks that v is a cocycle against the cochain-level
-    coboundary at a, then reads the coordinates of f(v).
-    ``constants`` holds the cup structure constants
-    coords(rep^m_i cup rep^a_j), computed once per (m, p, a, d).  A basis
-    and the rows at a rational monodromy are built over Q, also when a
-    product in a number field reaches it first, so they serve the
-    products of every field that reach it.
+    it, with f and g at a; that is built on the first read of the
+    (monodromy, degree).  ``rep(a, q, i)`` is g of the i-th basis
+    cocycle, put into a's number field and checked to be a cocycle, built
+    on its first read with the basis's one g, whose step weights then
+    serve the next lift; ``reps`` lifts them all.  ``coords(v)`` checks
+    that v is a cocycle against the cochain-level coboundary at a, then
+    reads the coordinates of f(v).  ``constant(m, p, a, d, i, j)`` is the
+    cup structure constant coords(rep^m_i cup rep^a_j), computed on its
+    first read and kept per pair of indices.  A basis and the rows at a
+    rational monodromy are built over Q, also when a product in a number
+    field reaches it first, so they serve the products of every field
+    that reach it.
     """
 
     def __init__(self, twisted: TwistedComplex):
@@ -216,6 +221,7 @@ class _CohomologyCache:
         self.complex = twisted.complex
         self.cocycle = twisted.z
         self._bases = {}
+        self._reps = {}
         self._coboundaries = {}
         self._constants = {}
 
@@ -223,7 +229,26 @@ class _CohomologyCache:
         return self.twisted.reduced().dim_at(q, a)
 
     def reps(self, a: Scalar, q: int):
-        return self._basis(a, q)[0]
+        return [self.rep(a, q, i) for i in range(self.dim(a, q))]
+
+    def rep(self, a: Scalar, q: int, i: int) -> dict:
+        """The i-th representative of H^q(E_a)."""
+        a = _over_q(a)
+        key = (cache_key(a), q, i)
+        v = self._reps.get(key)
+        if v is None:
+            basis, _coords, _f, g = self._basis(a, q)
+            v = g(basis[i])
+            field = scalar_field(a)
+            if field is not None:
+                v = {j: x if isinstance(x, FieldElement)
+                     else field.from_rational(x) for j, x in v.items()}
+            if not self._is_cocycle(a, q, v):
+                raise InternalInconsistency(
+                    f"a cohomology representative in degree {q} is not a "
+                    "cocycle")
+            self._reps[key] = v
+        return v
 
     def _basis(self, a, q):
         a = _over_q(a)
@@ -235,7 +260,7 @@ class _CohomologyCache:
     def _build(self, a, q):
         b = self.dim(a, q)
         if b == 0:
-            return [], None, None
+            return [], None, None, None
         red = self.twisted.reduced()
         upper = evaluate_rows(red.rows[q], a) if q < len(red.rows) else []
         lower = evaluate_rows(red.rows[q - 1], a) if q > 0 else []
@@ -245,19 +270,7 @@ class _CohomologyCache:
             raise InternalInconsistency(
                 f"{len(basis)} cohomology representatives in degree {q}, "
                 f"but the reduced complex gives dimension {b}")
-        g = red.g(q, a)
-        reps = [g(v) for v in basis]
-        field = scalar_field(a)
-        if field is not None:
-            reps = [{j: x if isinstance(x, FieldElement)
-                     else field.from_rational(x) for j, x in v.items()}
-                    for v in reps]
-        for v in reps:
-            if not self._is_cocycle(a, q, v):
-                raise InternalInconsistency(
-                    f"a cohomology representative in degree {q} is not a "
-                    "cocycle")
-        return reps, coords, red.f(q, a)
+        return basis, coords, red.f(q, a), red.g(q, a)
 
     def coboundary(self, a: Scalar, q: int) -> CoboundaryRows:
         """The unreduced delta_q at a, its rows evaluated on demand and
@@ -276,7 +289,7 @@ class _CohomologyCache:
 
     def coords(self, a: Scalar, q: int, vec) -> list:
         """Coordinates of a cocycle's class in the basis of H^q(E_a)."""
-        _reps, coords, f = self._basis(a, q)
+        _cocycles, coords, f, _g = self._basis(a, q)
         if not self._is_cocycle(a, q, vec):
             raise InternalInconsistency(
                 f"a cup product in degree {q} is not a cocycle")
@@ -286,17 +299,17 @@ class _CohomologyCache:
                 f"a cup product in degree {q} projects to no reduced cocycle")
         return x
 
-    def constants(self, m: Scalar, p: int, a: Scalar, d: int):
-        """C[i][j] = coords(rep^m_i cup rep^a_j) in H^{p+d}(E_{ma})."""
-        key = (cache_key(m), p, cache_key(a), d)
-        if key not in self._constants:
-            X, z = self.complex, self.cocycle
-            ma = m * a
-            self._constants[key] = [
-                [self.coords(ma, p + d, twisted_cup(X, z, p, d, m, a, u, w))
-                 for w in self.reps(a, d)]
-                for u in self.reps(m, p)]
-        return self._constants[key]
+    def constant(self, m: Scalar, p: int, a: Scalar, d: int, i: int,
+                 j: int) -> list:
+        """coords(rep^m_i cup rep^a_j) in H^{p+d}(E_{ma})."""
+        key = (cache_key(m), p, cache_key(a), d, i, j)
+        c = self._constants.get(key)
+        if c is None:
+            c = self._constants[key] = self.coords(
+                m * a, p + d,
+                twisted_cup(self.complex, self.cocycle, p, d, m, a,
+                            self.rep(m, p, i), self.rep(a, d, j)))
+        return c
 
 
 def _pairing(u: dict, v: dict):
@@ -340,12 +353,14 @@ class _DPState:
         return False
 
 
-def _combine(x, C, j, dim):
-    """sum_i x_i C[i][j]: the coordinates of (class x) cup rep_j."""
+def _combine(cache, m, p, x, a, d, j, dim):
+    """sum_i x_i C_ij, C_ij = coords(rep^m_i cup rep^a_j): the
+    coordinates of (class x) cup rep^a_j, reading only the C_ij with
+    x_i != 0."""
     out = [0] * dim
-    for xi, row in zip(x, C):
+    for i, xi in enumerate(x):
         if xi:
-            for k, c in enumerate(row[j]):
+            for k, c in enumerate(cache.constant(m, p, a, d, i, j)):
                 if c:
                     out[k] += xi * c
     return out
@@ -375,6 +390,14 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
     passes it, so the answer is that of the search without the budget;
     the bases and structure constants of the pruned states are never
     built.
+
+    A single class is offered as a unit vector, with no representative
+    lifted; a provenance holds (monodromy, degree, index) of each factor,
+    and ``_extract_certificate`` lifts the ones it names.
+    A product x cup rep^a_j reads the structure constants of its row j
+    where x is nonzero, each formed on its first read (``_combine``), and
+    a state that is full takes no more offers: its span already holds
+    every product, so each would be refused.
 
     Returns (length, best, skipped): the longest length reached with at
     least ``require_nonunits`` non-unit factors, its (monodromy, degree,
@@ -411,11 +434,10 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
             if not within_budget(nu, d):
                 continue
             st = get_state(a, d, nu, 1)
-            reps = cache.reps(a, d)
-            for i, v in enumerate(reps):
-                e_i = [0] * len(reps)
+            for i in range(st.dim):
+                e_i = [0] * st.dim
                 e_i[i] = 1
-                st.offer(e_i, ((a, d, v), None))
+                st.offer(e_i, ((a, d, i), None))
 
     for length in range(1, n):
         layer = [(key, m, st) for key, (m, st) in states.items()
@@ -435,14 +457,14 @@ def _search(cache: _CohomologyCache, cands, require_nonunits: int):
                     if not cache.dim(m2, degree + d):
                         continue
                     st2 = get_state(m2, degree + d, nu2, length + 1)
-                    if st2.full:
-                        continue
-                    C = cache.constants(m, degree, a, d)
-                    reps = cache.reps(a, d)
-                    for x, prov in st.vectors:
-                        for j, w in enumerate(reps):
-                            st2.offer(_combine(x, C, j, st2.dim),
-                                      ((a, d, w), prov))
+                    b = cache.dim(a, d)
+                    offers = ((x, prov, j) for x, prov in st.vectors
+                              for j in range(b))
+                    for x, prov, j in offers:
+                        if st2.full:
+                            break
+                        st2.offer(_combine(cache, m, degree, x, a, d, j,
+                                           st2.dim), ((a, d, j), prov))
 
     best, found = 0, None
     for (_, _field, degree, nonunits, length), (m, st) in states.items():
@@ -488,7 +510,7 @@ def cup_length(twisted: TwistedComplex, candidates, *, seed=None,
     cl, found, skipped = _search(cache, cands, 2)
     certificate = None
     if found is not None:
-        certificate = _extract_certificate(cl, *found,
+        certificate = _extract_certificate(cache, cl, *found,
                                            twisted.complex.f_vector())
     notes = []
     if skipped:
@@ -502,12 +524,15 @@ def cup_length(twisted: TwistedComplex, candidates, *, seed=None,
     return report
 
 
-def _extract_certificate(k, m, degree, st, f_vector):
+def _extract_certificate(cache, k, m, degree, st, f_vector):
+    """The certificate of the first product in ``st``, its factors'
+    representatives read off ``cache`` by the indices its provenance
+    holds."""
     coords, prov = st.vectors[0]
     factors = []
     while prov is not None:
-        (a, d, w), prov = prov
-        factors.append((a, d, w, is_dirichlet_unit(a)))
+        (a, d, i), prov = prov
+        factors.append((a, d, cache.rep(a, d, i), is_dirichlet_unit(a)))
     factors.reverse()
     # the witness takes the type of the cochain product: field elements
     # as soon as one factor's monodromy is one
@@ -552,7 +577,7 @@ def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
         product = twisted_cup(X, z, d, e, m, a, product, w)
         m *= a
         d += e
-    reps, _coords, f = cache._basis(m, d)
+    _cocycles, _coords, f, _g = cache._basis(m, d)
     red = cache.twisted.reduced()
     columns = transpose(evaluate_rows(red.rows[d - 1], m), red.sizes[d - 1])
     delta = cache.coboundary(m, d - 1)
@@ -567,16 +592,18 @@ def _verify_certificate(cache: _CohomologyCache, cert: CupLengthCertificate):
         raise InternalInconsistency(
             "certificate product: the dual cycle found for it fails its "
             "check")
+    mismatch = "certificate witness does not match the re-evaluated product"
+    if len(cert.witness) != cache.dim(m, d):
+        raise InternalInconsistency(mismatch)
     diff = product
-    for x, r in zip(cert.witness, reps):
+    for i, x in enumerate(cert.witness):
         if x:
-            diff = _add(diff, r, -x)
+            diff = _add(diff, cache.rep(m, d, i), -x)
     y = express(columns, f(diff))
-    if (len(cert.witness) != len(reps) or y is None
+    if (y is None
             or delta.apply(_add(red.h(d, m)(diff), red.g(d - 1, m)(y)))
             != diff):
-        raise InternalInconsistency(
-            "certificate witness does not match the re-evaluated product")
+        raise InternalInconsistency(mismatch)
     if cert.nonunit_count() < 2:
         raise InternalInconsistency(
             "certificate has fewer than two non-unit monodromies")

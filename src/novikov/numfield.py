@@ -9,7 +9,8 @@ divisor, which raises ``ZeroDivisorEncountered`` carrying the discovered
 factor.  The Dirichlet-unit test reads an element's minimal polynomial,
 the first linear dependence among its powers, off one ``linalg.Span``
 echelon; that needs no inversion and is right modulo any squarefree
-modulus, reducible or not.
+modulus, reducible or not.  For the generator and its inverse it is the
+modulus and its reversal, read with no power formed.
 """
 
 from __future__ import annotations
@@ -249,17 +250,31 @@ def scalar_field(a: Scalar):
     return a.field if isinstance(a, FieldElement) else None
 
 
+def _is_generator_or_inverse(a: FieldElement) -> bool:
+    """Whether a is x or 1/x in Q[x]/(m), m = c_0 + c_1 x + ... + c_n x^n.
+    From x (c_1 + ... + c_n x^(n-1)) = -c_0, 1/x is the residue
+    -(c_1 + ... + c_n x^(n-1)) / c_0; c_0 is nonzero, since an admitted
+    modulus of degree >= 2 has no rational root."""
+    c, r = a.field.int_coeffs, a.residue.coeffs
+    return r == (0, 1) or (len(r) == len(c) - 1 and r == tuple(
+        Fraction(-ci, c[0]) for ci in c[1:]))
+
+
 def is_dirichlet_unit(a: Scalar) -> bool:
     """True iff a and 1/a are both algebraic integers.
 
     Equivalent to |leading| = |constant| = 1 for the primitive integer
     minimal polynomial (the reversal of the minimal polynomial is the
-    minimal polynomial of the inverse).
+    minimal polynomial of the inverse).  Modulo any squarefree m, the
+    minimal polynomial of the generator x is m and that of 1/x is m
+    reversed, so both read m's end coefficients and form no power; every
+    other element forms its powers (``min_poly_int_coeffs``).
     """
     check_nonzero(a)
     if isinstance(a, FieldElement):
         if a.is_rational():
             return is_dirichlet_unit(a.as_rational())
-        coeffs = a.min_poly_int_coeffs()
+        coeffs = (a.field.int_coeffs if _is_generator_or_inverse(a)
+                  else a.min_poly_int_coeffs())
         return abs(coeffs[-1]) == 1 and abs(coeffs[0]) == 1
     return abs(a.numerator) == 1 and a.denominator == 1

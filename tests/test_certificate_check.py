@@ -16,6 +16,7 @@ from novikov.invariants import (_CohomologyCache, _verify_certificate,
 from novikov.numfield import NumberField
 from novikov.twisted import ReducedComplex, TwistedComplex
 from test_invariants import _designed_presentation
+from test_search_budget import _surface_wedge_sphere
 
 
 def _root():
@@ -26,14 +27,20 @@ SPACES = {
     "surface(2)": lambda: surface(2),
     "surface(3)": lambda: surface(3),
     "torus#torus": lambda: connected_sum(torus(), torus()),
+    # H^2 has dimension 2 at the monodromy 1, so the witness has two
+    # entries
+    "surface(2)+S2": _surface_wedge_sphere,
 }
 CASES = {
     **{f"crit_bound {name}": (name,
                               lambda twisted: crit_bound(twisted, seed=0))
-       for name in SPACES},
+       for name in ("surface(2)", "surface(3)", "torus#torus")},
     "cup_length surface(2) [r, 1/r]": (
         "surface(2)",
         lambda twisted: cup_length(twisted, [_root(), _root().inverse()])),
+    "cup_length surface(2)+S2 [2, 1/2]": (
+        "surface(2)+S2",
+        lambda twisted: cup_length(twisted, [Fraction(2), Fraction(1, 2)])),
 }
 
 
@@ -83,10 +90,33 @@ def test_the_certificate_passes_its_recheck(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_a_changed_witness_entry_is_refused(case):
     space, cert, cache = _certified(case)
+    witnesses = []
     for i in range(len(cert.witness)):
+        witnesses.append(list(cert.witness))
+        witnesses[-1][i] = witnesses[-1][i] + 1
+    # the same entries read against other representatives
+    witnesses.append(cert.witness[1:] + cert.witness[:1])
+    for witness in witnesses:
+        if witness == cert.witness:
+            continue
         changed = copy.copy(cert)
-        changed.witness = list(cert.witness)
-        changed.witness[i] = changed.witness[i] + 1
+        changed.witness = witness
+        with pytest.raises(InternalInconsistency,
+                           match="witness does not match"):
+            _verify_certificate(cache, changed)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_witness_of_another_length_is_refused(case):
+    """The re-check lifts a basis representative only where the witness
+    is nonzero, so it reads the witness's length against dim H^d: an
+    entry dropped, or one added, zero or not, is refused."""
+    space, cert, cache = _certified(case)
+    zero = cert.witness[0] * 0
+    for witness in (cert.witness[:-1], cert.witness + [zero],
+                    cert.witness + [zero + 1]):
+        changed = copy.copy(cert)
+        changed.witness = list(witness)
         with pytest.raises(InternalInconsistency,
                            match="witness does not match"):
             _verify_certificate(cache, changed)

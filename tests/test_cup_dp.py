@@ -290,6 +290,25 @@ def test_the_search_builds_no_unit_basis_in_degree_one(monkeypatch):
     assert [q for _key, q in builds] == [1, 1, 2]
 
 
+def test_crit_bound_forms_only_the_products_its_offers_read(monkeypatch):
+    """On surface(6) H^1 has dimension 10 at each surrogate and H^2 has
+    dimension 1 at their product 1, so the first nonzero product fills
+    the one state the bound reads.  The search forms the cup products of
+    the offers it makes until then, six, and the certificate re-check one
+    more, where a table of both bases held all 100 products."""
+    calls = []
+    real = invariants.twisted_cup
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "twisted_cup", counting)
+    rep = crit_bound(_twisted(surface(6)), seed=0)
+    assert rep.cl_lower_bound == 2 and rep.jumps.generic == [0, 10, 0]
+    assert len(calls) <= 8
+
+
 def _surface_cache():
     return _CohomologyCache(_twisted(surface(2)))
 
@@ -347,13 +366,12 @@ def test_representative_count_must_match_the_reduced_dimension(monkeypatch):
 ])
 def test_corrupted_structure_constants_fail_the_cochain_recheck(
         monkeypatch, corrupt, message):
-    real = _CohomologyCache.constants
+    real = _CohomologyCache.constant
 
-    def corrupted(self, m, p, a, d):
-        return [[[corrupt(c) for c in coords] for coords in row]
-                for row in real(self, m, p, a, d)]
+    def corrupted(self, m, p, a, d, i, j):
+        return [corrupt(c) for c in real(self, m, p, a, d, i, j)]
 
-    monkeypatch.setattr(_CohomologyCache, "constants", corrupted)
+    monkeypatch.setattr(_CohomologyCache, "constant", corrupted)
     s = surface(2)
     with pytest.raises(InternalInconsistency, match=message):
         cup_length(_twisted(s), [Fraction(2), Fraction(1, 2)])

@@ -162,3 +162,50 @@ def test_rational_operands_match_the_coerced_route(modulus):
             assert isinstance(fast, FieldElement)
             assert fast.residue.coeffs == slow.residue.coeffs
             assert fast.residue.degree < K.degree
+
+
+def _unit_by_min_poly(a):
+    coeffs = a.min_poly_int_coeffs()
+    return abs(coeffs[0]) == 1 and abs(coeffs[-1]) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_squarefree_fields(), st.integers(2, 3))
+def test_the_generator_and_its_inverse_read_the_modulus(K, k):
+    """The minimal polynomial of x is the modulus m, and that of 1/x is m
+    reversed (its sign made positive), so is_dirichlet_unit reads both
+    off m; any other element, x^k or its inverse, still forms its powers,
+    and every answer agrees with the one its minimal polynomial gives."""
+    x, m = K.generator(), K.int_coeffs
+    y = x.inverse()
+    assert x.min_poly_int_coeffs() == m
+    rev = tuple(reversed(m))
+    assert y.min_poly_int_coeffs() == (rev if rev[-1] > 0
+                                      else tuple(-c for c in rev))
+    for a in (x, y, x ** k, y ** k, x + 1):
+        if not a.is_rational():
+            assert is_dirichlet_unit(a) is _unit_by_min_poly(a), a
+
+
+def test_a_generator_of_degree_100_forms_no_power(monkeypatch):
+    """The jump factor of degree 100 that the one-relator complex of
+    a^c0 t a^c1 t ... a^c100 t^-100 gives (c_k drawn as in the CI step
+    that builds it): its root r and 1/r, the candidates crit_bound makes
+    of it, get their unit status from the modulus, where forming 100
+    powers of each took over 30 s."""
+    rng = random.Random(0)
+    cs = [rng.randint(-3, 3) for _ in range(100)] + [1]
+    K = NumberField(cs)
+    assert K.degree == 100
+    r = K.generator()
+    r_inv = r.inverse()
+
+    def refuse(self):
+        raise AssertionError("a minimal polynomial formed from powers")
+
+    monkeypatch.setattr(FieldElement, "min_poly_int_coeffs", refuse)
+    expected = abs(cs[0]) == 1
+    assert is_dirichlet_unit(r) is expected
+    assert is_dirichlet_unit(r_inv) is expected
+    with pytest.raises(AssertionError, match="powers"):
+        is_dirichlet_unit(r * r)
