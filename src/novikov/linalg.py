@@ -3,16 +3,16 @@
 One sparse forward echelon, ``Span``, does every elimination over a
 field: rank, nullspaces, coordinates of a vector, incremental spans,
 twisted cohomology in coordinates (``cohomology``) and the minimal
-polynomials of number-field elements.  ``kernel`` and ``express``, which
-need the reduced row echelon form, get it from one back-substitution of
-the forward rows.  ``transpose`` turns sparse rows into sparse columns.
-Rows are ``{column: value}`` dicts holding ints, Fractions or
-FieldElements.  Every pivot is inverted at most once.  An int pivot +-1
-is its own inverse, and an int pivot that divides every entry of an
-integer row divides it exactly, so such rows stay integer; any other int
-pivot c becomes ``Fraction(1, c)``, so no float can appear.  A
-zero divisor met as a pivot modulo a reducible minimal polynomial raises
-``ZeroDivisorEncountered``.
+polynomials and inverses of number-field elements.  ``kernel`` and
+``express``, which need the reduced row echelon form, get it from one
+back-substitution of the forward rows.  ``transpose`` turns sparse rows
+into sparse columns.  Rows are ``{column: value}`` dicts holding ints,
+Fractions or FieldElements.  Every pivot is inverted at most once.  An
+int pivot +-1 is its own inverse, and an int pivot that divides every
+entry of an integer row divides it exactly, so such rows stay integer;
+any other int pivot c becomes ``Fraction(1, c)``, so no float can
+appear.  A zero divisor met as a pivot modulo a reducible minimal
+polynomial raises ``ZeroDivisorEncountered``.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 A monodromy value ("scalar") is an ``int``, a ``Fraction`` or a
 ``FieldElement``: a residue modulo an integer minimal polynomial asserted
 irreducible by the caller.  Irreducibility is verified only by cheap
-necessary conditions (squarefree, no rational root in degree >= 2); a
-reducible modulus is detected lazily whenever an inversion meets a zero
-divisor, which raises ``ZeroDivisorEncountered`` carrying the discovered
-factor.  The Dirichlet-unit test reads an element's minimal polynomial,
-the first linear dependence among its powers, off one ``linalg.Span``
+necessary conditions (squarefree, no rational root in degree >= 2).  An
+inverse is one solve in a ``linalg.Span`` echelon, multiplication by the
+element being a linear map on Q[x]/(m); a reducible modulus is detected
+lazily whenever an inversion meets a zero divisor, which raises
+``ZeroDivisorEncountered`` carrying the divisor's gcd with the modulus, a
+factor of it.  The Dirichlet-unit test reads an element's minimal
+polynomial, the first linear dependence among its powers, off one such
 echelon; that needs no inversion and is right modulo any squarefree
 modulus, reducible or not.  For the generator and its inverse it is the
 modulus and its reversal, read with no power formed.
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import FieldMismatch, ZeroDivisorEncountered, ZeroMonodromy
-from .polyq import Poly, poly_gcd, poly_xgcd, rational_roots
+from .polyq import Poly, poly_gcd, rational_roots
 
 
 class NumberField:
@@ -53,7 +55,7 @@ class NumberField:
     # -- element constructors -------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, Poly(coeffs) % self.min_poly)
+        return FieldElement(self, Poly(coeffs))
 
     def generator(self) -> "FieldElement":
         """The root class x of the minimal polynomial."""
@@ -127,13 +129,30 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Inverse via extended gcd with the modulus."""
+        """The inverse, by one echelon solve: 1/a = sum_j c_j x^j with
+        sum_j c_j a x^j = 1.  One echelon holds the rows
+        [residue(a x^j) | e_j], j < n, column n + j standing for e_j, and
+        reducing [1 | 0] leaves minus the c_j in the e columns.  A residue
+        column left makes a a zero divisor: ``ZeroDivisorEncountered``
+        carries the monic gcd of its residue with the modulus."""
+        from .linalg import Span
+
         if self.residue.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        g, u, _ = poly_xgcd(self.residue, self.field.min_poly)
-        if not g.is_constant():
-            raise ZeroDivisorEncountered(g)
-        return FieldElement(self.field, u)
+        n = self.field.degree
+        echelon = Span()
+        shifted, x = self, self.field.generator()
+        for j in range(n):
+            row = {i: c for i, c in enumerate(shifted.residue.coeffs) if c}
+            row[n + j] = 1
+            echelon.insert(row)
+            shifted = shifted * x
+        row = echelon.reduce({0: 1})
+        if min(row) < n:
+            raise ZeroDivisorEncountered(
+                poly_gcd(self.residue, self.field.min_poly))
+        return FieldElement._reduced(
+            self.field, Poly([-row.get(n + j, 0) for j in range(n)]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -36,10 +36,6 @@ class Poly:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def const(c) -> "Poly":
-        return Poly([c])
-
-    @staticmethod
     def monomial(exp: int, c=1) -> "Poly":
         return Poly([0] * exp + [c])
 
@@ -52,11 +48,6 @@ class Poly:
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
-
-    def leading(self):
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
 
     def constant_term(self):
         if not self.coeffs:
@@ -234,22 +225,6 @@ def _primitive_remainder(a: tuple, b: tuple) -> tuple:
         r.pop()
     g = math.gcd(*r)
     return tuple(x // g for x in r)
-
-
-def poly_xgcd(a: Poly, b: Poly):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = a, b
-    u0, u1 = Poly.const(1), Poly()
-    v0, v1 = Poly(), Poly.const(1)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    inv = _reciprocal(r0.leading())
-    return r0.monic(), u0 * inv, v0 * inv
 
 
 def _reciprocal(c):

@@ -22,7 +22,7 @@ def char_poly(mat) -> Poly:
 
 def _det(entries) -> Poly:
     if not entries:
-        return Poly.const(1)
+        return Poly([1])
     det = Poly()
     for j, x in enumerate(entries[0]):
         if x:

@@ -235,7 +235,7 @@ def test_algebraic_property_suite():
         for d1, d2 in zip(divisors, divisors[1:]):
             q, r = d2.divmod(d1)
             ok = ok and r.is_zero()
-        ok = ok and all(d.leading() == 1 and d.constant_term() != 0
+        ok = ok and all(d.coeffs[-1] == 1 and d.constant_term() != 0
                         for d in divisors)
         for a in (Fraction(1), Fraction(2), _random_rational(rng)):
             ok = ok and rank_at(divisors, a) == _evaluated_rank(rows, a)

@@ -20,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 from novikov.complexes import coboundary_of_vertex_function, twisted_cup
 from novikov.invariants import _CohomologyCache
 from novikov.numfield import NumberField
-from novikov.polyq import (Poly, coprime_basis, poly_gcd, poly_xgcd,
-                           squarefree_factors)
+from novikov.polyq import Poly, coprime_basis, poly_gcd, squarefree_factors
 from novikov.twisted import CoboundaryRows, TwistedComplex, _laurent_smith
 
 from test_cup_sparse import corpus_space, instances
@@ -179,7 +178,6 @@ POLY_STEPS = {
     "divmod": lambda a, b: a.divmod(b),
     "monic": lambda a, b: a.monic(),
     "poly_gcd": poly_gcd,
-    "poly_xgcd": poly_xgcd,
     "squarefree_factors": lambda a, b: squarefree_factors(a * b * b),
     "coprime_basis": lambda a, b: coprime_basis([a, b, a * b]),
 }

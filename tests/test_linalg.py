@@ -14,6 +14,7 @@ from novikov.errors import ZeroDivisorEncountered
 from novikov.linalg import (Span, cohomology, express, nullspace, rank,
                             transpose)
 from novikov.numfield import FieldElement, NumberField
+from novikov.polyq import Poly
 
 FIELD = NumberField([-1, -3, 2])  # Q[x]/(2x^2 - 3x - 1)
 
@@ -160,8 +161,9 @@ def test_zero_divisor_pivot_is_caught():
     # a root of (x^2 - 3x + 1)(x^2 + 1) is no field element; h* - a on
     # [[2, 1], [1, 1]] has determinant a^2 - 3a + 1, a zero divisor there
     fake = NumberField([1, -3, 2, -3, 1]).generator()
-    with pytest.raises(ZeroDivisorEncountered):
+    with pytest.raises(ZeroDivisorEncountered) as exc:
         mv_dims_from_matrices([[[2, 1], [1, 1]]], fake)
+    assert exc.value.factor == Poly([1, -3, 1])
 
 
 # untwisted Betti numbers of the spaces whose coboundaries are read below

@@ -45,7 +45,7 @@ def rank_at_factor_root(divisors, factor):
 
 def assert_divisor_chain(divisors):
     for d in divisors:
-        assert d.leading() == 1 and d.constant_term() != 0
+        assert d.coeffs[-1] == 1 and d.constant_term() != 0
     for d1, d2 in zip(divisors, divisors[1:]):
         assert d1.divides(d2)
 

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from novikov.errors import ZeroMonodromy
+from novikov.errors import ZeroDivisorEncountered, ZeroMonodromy
 from novikov.numfield import (FieldElement, NumberField, cache_key,
                               check_nonzero, is_dirichlet_unit)
-from novikov.polyq import Poly
+from novikov.polyq import Poly, poly_gcd
 from reference_charpoly import min_poly
 
 
@@ -59,10 +59,11 @@ def test_min_poly_of_derived_element():
 
 
 @st.composite
-def _squarefree_fields(draw):
-    """Q[x]/(m) for an integer m of degree <= 6 that NumberField admits:
-    squarefree and without a rational root, irreducible or a product of
-    two such factors."""
+def _factored_fields(draw):
+    """(Q[x]/(m), f, g) for an integer m = f g of degree <= 6 that
+    NumberField admits, squarefree and without a rational root: g = 1, or
+    f and g both nonconstant, so that every nonzero multiple of f is a
+    zero divisor there."""
     def factor(lo, hi):
         d = draw(st.integers(lo, hi))
         coeffs = draw(st.lists(st.integers(-4, 4), min_size=d + 1,
@@ -70,13 +71,18 @@ def _squarefree_fields(draw):
         assume(coeffs[-1])
         return Poly(coeffs)
 
-    m = factor(2, 6)
-    if m.degree <= 4 and draw(st.booleans()):
-        m = m * factor(2, 6 - m.degree)
+    f = factor(2, 6)
+    g = (factor(2, 6 - f.degree) if f.degree <= 4 and draw(st.booleans())
+         else Poly([1]))
     try:
-        return NumberField(m.coeffs)
+        return NumberField((f * g).coeffs), f, g
     except ValueError:
         assume(False)
+
+
+def _squarefree_fields():
+    """Q[x]/(m) for an m that ``_factored_fields`` draws."""
+    return _factored_fields().map(lambda field: field[0])
 
 
 _fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -94,6 +100,33 @@ def _field_elements(draw):
         return K.generator() ** draw(st.integers(2, 4))
     return K.element(draw(st.lists(_fractions, min_size=2,
                                    max_size=K.degree)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_factored_fields(), st.lists(_fractions, min_size=1, max_size=6),
+       st.booleans())
+@example((NumberField([1, -3, 2, -3, 1]), Poly([1, -3, 1]), Poly([1, 0, 1])),
+         [1], True)
+@example((NumberField([1, -3, 2, -3, 1]), Poly([1, -3, 1]), Poly([1, 0, 1])),
+         [1, 0, 1], False)
+def test_an_inverse_inverts_or_reports_a_factor_of_the_modulus(
+        field, coeffs, multiple_of_f):
+    """The echelon inverse of a nonzero element, a random residue or f
+    times one: a * (1/a) = 1 and 1/(1/a) = a, or a is a zero divisor and
+    the error carries its monic gcd with the modulus, a proper factor.  A
+    multiple of f modulo f g with g nonconstant is always the latter."""
+    K, f, g = field
+    a = K.element((f * Poly(coeffs)).coeffs if multiple_of_f else coeffs)
+    assume(a)
+    try:
+        b = a.inverse()
+    except ZeroDivisorEncountered as exc:
+        assert not exc.factor.is_constant()
+        assert exc.factor.degree < K.degree
+        assert exc.factor == poly_gcd(a.residue, K.min_poly)
+    else:
+        assert a * b == K.one() and b.inverse() == a
+        assert not (multiple_of_f and g.degree > 0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
